@@ -229,7 +229,9 @@ def reduce_along(path: ReductionPath, instance: Problem) -> ReductionEnvelope:
         try:
             outcome = apply(rule, current)
         except Exception as exc:
-            raise type(exc)(f"step {index} ({rule.name}): {exc}") from exc
+            # prefix the message in place: the class and its attributes stay intact
+            exc.args = (f"step {index} ({rule.name}): {exc}",)
+            raise
         outcomes.append(outcome)
         current = outcome.target_instance
     return ReductionEnvelope(instance, path, current, tuple(outcomes))

@@ -2,16 +2,27 @@
 
 Dispatch order: a dedicated solver when the type has one (only ILP in the
 shipped catalogue), otherwise the cheapest witness-capable reduction path to
-ILP, otherwise brute-force enumeration. The ILP backend is an exact DFS
-branch-and-bound: worklist bound-tightening propagation per constraint, an
-interval-arithmetic optimistic objective bound for incumbent pruning, and
-deterministic branching on the lowest-index unfixed variable in ascending
-value order. Incumbents are replaced only on strict improvement, so the
-reported witness is the search's first optimal leaf.
+ILP, otherwise brute-force enumeration.
+
+The ILP backend is an exact depth-first branch-and-bound that maximises; a
+min program is searched on its negated objective. Each constraint is stored
+once as a sparse ``<=`` row of its nonzero ``(index, coeff)`` pairs (a
+``>=`` row negated, an ``=`` row split in two), and a FIFO worklist of rows
+tightens variable bounds until nothing moves. A node's optimistic bound
+takes every nonzero objective term at its better domain end. The search
+walks an explicit stack, branching on the lowest-index unfixed variable in
+ascending value order, so its depth is not limited by Python's recursion.
+A child's bound before propagation falls by ``|c|`` per step away from the
+end the parent's bound used, so the values not yet prunable form one window
+computed in O(1) per sibling; only those are charged as nodes. The search
+meets points in lexicographic order and replaces its incumbent only on
+strict improvement, so the witness is the lexicographically smallest
+optimal point.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
@@ -53,100 +64,69 @@ def solver_label(result: SolveResult, prefix_steps: tuple = ()) -> str:
     return f"{result.solver_name} (via {hops})"
 
 
-def _normalized_rows(data: IlpData) -> list[tuple[tuple[int, ...], int]]:
-    rows: list[tuple[tuple[int, ...], int]] = []
-    for coeffs, rel, rhs in data.constraints:
-        if rel in ("<=", "="):
-            rows.append((coeffs, rhs))
-        if rel in (">=", "="):
-            rows.append((tuple(-a for a in coeffs), -rhs))
-    return rows
-
-
 class _Search:
+    """One exact DFS over a bounded ILP, maximising ``sign * objective``."""
+
     def __init__(self, data: IlpData, max_nodes: int) -> None:
-        self.data = data
-        self.rows = _normalized_rows(data)
         self.max_nodes = max_nodes
         self.nodes = 0
+        self.num_vars = data.num_vars
+        self.sign = 1 if data.sense == "max" else -1
+        self.gain = [self.sign * c for c in data.objective]
+        self.objective = tuple((j, c) for j, c in enumerate(self.gain) if c)
+        # every row reads sum(a * x) <= rhs over its nonzero (index, a) pairs
+        self.rows: list[tuple[tuple[tuple[int, int], ...], int]] = []
+        for coeffs, rel, rhs in data.constraints:
+            pairs = tuple((j, a) for j, a in enumerate(coeffs) if a)
+            if rel in ("<=", "="):
+                self.rows.append((pairs, rhs))
+            if rel in (">=", "="):
+                self.rows.append((tuple((j, -a) for j, a in pairs), -rhs))
+        # row indices touching each variable, for worklist propagation
+        self.touching: list[list[int]] = [[] for _ in range(data.num_vars)]
+        for index, (pairs, _) in enumerate(self.rows):
+            for j, _ in pairs:
+                self.touching[j].append(index)
+        self.var_bounds = data.var_bounds
         self.best_value: int | None = None
         self.best_point: tuple[int, ...] | None = None
-        self.maximize = data.sense == "max"
-        # constraint indices touching each variable, for worklist propagation
-        self.touching: list[list[int]] = [[] for _ in range(data.num_vars)]
-        for index, (coeffs, _) in enumerate(self.rows):
-            for j, a in enumerate(coeffs):
-                if a:
-                    self.touching[j].append(index)
 
-    def _propagate(self, lo: list[int], hi: list[int], queue: list[int]) -> bool:
-        pending = list(dict.fromkeys(queue))
+    def _propagate(self, lo: list[int], hi: list[int], queue) -> bool:
+        pending = deque(dict.fromkeys(queue))
         enqueued = set(pending)
+        rows = self.rows
+        touching = self.touching
         while pending:
-            row_index = pending.pop(0)
+            row_index = pending.popleft()
             enqueued.discard(row_index)
-            coeffs, rhs = self.rows[row_index]
-            floor_lhs = 0
-            for j, a in enumerate(coeffs):
-                if a > 0:
-                    floor_lhs += a * lo[j]
-                elif a < 0:
-                    floor_lhs += a * hi[j]
-            if floor_lhs > rhs:
+            pairs, slack = rows[row_index]
+            for j, a in pairs:
+                slack -= a * (lo[j] if a > 0 else hi[j])
+            if slack < 0:
                 return False
-            for j, a in enumerate(coeffs):
-                if a == 0:
-                    continue
+            # slack >= 0, so no tightened bound can cross its opposite bound
+            for j, a in pairs:
                 if a > 0:
-                    residual = rhs - (floor_lhs - a * lo[j])
-                    new_hi = residual // a
-                    if new_hi < hi[j]:
-                        hi[j] = new_hi
-                        if new_hi < lo[j]:
-                            return False
-                        for other in self.touching[j]:
-                            if other not in enqueued:
-                                pending.append(other)
-                                enqueued.add(other)
+                    tightened = lo[j] + slack // a
+                    if tightened >= hi[j]:
+                        continue
+                    hi[j] = tightened
                 else:
-                    residual = rhs - (floor_lhs - a * hi[j])
-                    new_lo = -(residual // (-a))
-                    if new_lo > lo[j]:
-                        lo[j] = new_lo
-                        if new_lo > hi[j]:
-                            return False
-                        for other in self.touching[j]:
-                            if other not in enqueued:
-                                pending.append(other)
-                                enqueued.add(other)
+                    tightened = hi[j] - slack // -a
+                    if tightened <= lo[j]:
+                        continue
+                    lo[j] = tightened
+                for other in touching[j]:
+                    if other not in enqueued:
+                        pending.append(other)
+                        enqueued.add(other)
         return True
 
     def _optimistic(self, lo: list[int], hi: list[int]) -> int:
         total = 0
-        for c, l, h in zip(self.data.objective, lo, hi):
-            if self.maximize:
-                total += c * (h if c > 0 else l)
-            else:
-                total += c * (l if c > 0 else h)
+        for j, c in self.objective:
+            total += c * (hi[j] if c > 0 else lo[j])
         return total
-
-    def _improves(self, candidate: int) -> bool:
-        if self.best_value is None:
-            return True
-        return candidate > self.best_value if self.maximize else candidate < self.best_value
-
-    def _prunable(self, bound: int) -> bool:
-        if self.best_value is None:
-            return False
-        return bound <= self.best_value if self.maximize else bound >= self.best_value
-
-    def run(self) -> None:
-        lo = [l for l, _ in self.data.var_bounds]
-        hi = [h for _, h in self.data.var_bounds]
-        self._charge_node()
-        if not self._propagate(lo, hi, list(range(len(self.rows)))):
-            return
-        self._descend(lo, hi)
 
     def _charge_node(self) -> None:
         self.nodes += 1
@@ -155,25 +135,60 @@ class _Search:
                 f"branch-and-bound exceeded {self.max_nodes} nodes", limit=self.max_nodes
             )
 
-    def _descend(self, lo: list[int], hi: list[int]) -> None:
-        if self._prunable(self._optimistic(lo, hi)):
-            return
-        branch = next((j for j in range(self.data.num_vars) if lo[j] < hi[j]), None)
+    def _enter(self, lo: list[int], hi: list[int], start: int) -> list | None:
+        """Bound a propagated node: its open frame, or None when it is closed."""
+        bound = self._optimistic(lo, hi)
+        if self.best_value is not None and bound <= self.best_value:
+            return None
+        # variables before ``start`` were fixed by an ancestor's branching
+        branch = next((j for j in range(start, self.num_vars) if lo[j] < hi[j]), None)
         if branch is None:
-            # propagation already proved every row feasible at this point
-            value = sum(c * x for c, x in zip(self.data.objective, lo))
-            if self._improves(value):
-                self.best_value = value
-                self.best_point = tuple(lo)
+            # every variable is fixed and propagation proved every row feasible,
+            # so the bound is this point's value and it beats the incumbent
+            self.best_value = bound
+            self.best_point = tuple(lo)
+            return None
+        return [lo, hi, branch, bound, lo[branch]]
+
+    def run(self) -> None:
+        lo = [l for l, _ in self.var_bounds]
+        hi = [h for _, h in self.var_bounds]
+        self._charge_node()
+        if not self._propagate(lo, hi, range(len(self.rows))):
             return
-        for value in range(lo[branch], hi[branch] + 1):
+        # a frame is [lo, hi, branch, bound, next value of the branch variable]
+        frame = self._enter(lo, hi, 0)
+        stack = [frame] if frame is not None else []
+        while stack:
+            frame = stack[-1]
+            lo, hi, branch, bound, value = frame
+            last = hi[branch]
+            if self.best_value is not None:
+                # Before propagation the child at ``v`` is bounded by ``bound``
+                # less |c| per step of ``v`` away from the end ``bound`` used,
+                # so the values it cannot prune form one window. The incumbent
+                # only grows, so the window only shrinks as siblings finish.
+                slack = bound - self.best_value
+                if slack <= 0:
+                    stack.pop()
+                    continue
+                c = self.gain[branch]
+                if c > 0:
+                    value = max(value, hi[branch] - (slack - 1) // c)
+                elif c < 0:
+                    last = min(last, lo[branch] + (slack - 1) // -c)
+            if value > last:
+                stack.pop()
+                continue
+            frame[4] = value + 1
             self._charge_node()
-            child_lo = list(lo)
-            child_hi = list(hi)
-            child_lo[branch] = value
-            child_hi[branch] = value
-            if self._propagate(child_lo, child_hi, list(self.touching[branch])):
-                self._descend(child_lo, child_hi)
+            child_lo = lo.copy()
+            child_hi = hi.copy()
+            child_lo[branch] = child_hi[branch] = value
+            if self._propagate(child_lo, child_hi, self.touching[branch]):
+                child = self._enter(child_lo, child_hi, branch + 1)
+                if child is not None:
+                    stack.append(child)
 
 
 def solve_ilp(data: IlpData, max_nodes: int = DEFAULT_NODE_BUDGET) -> SolveResult:
@@ -186,8 +201,9 @@ def solve_ilp(data: IlpData, max_nodes: int = DEFAULT_NODE_BUDGET) -> SolveResul
             AggregatedValue(ValueKind.EXTREMUM, None, False, sense), None, "ilp"
         )
     witness = tuple(x - l for x, (l, _) in zip(search.best_point, data.var_bounds))
+    value = search.sign * search.best_value
     return SolveResult(
-        AggregatedValue(ValueKind.EXTREMUM, search.best_value, True, sense),
+        AggregatedValue(ValueKind.EXTREMUM, value, True, sense),
         witness,
         "ilp",
     )

@@ -205,6 +205,27 @@ def test_exit_5_on_infeasible_program(tmp_path):
     assert "empty feasible region" in result.stderr
 
 
+def test_deep_ilp_solves_without_traceback(tmp_path):
+    n = 1200
+    document = {
+        "problem": "IntegerLinearProgram",
+        "variant": {},
+        "data": {
+            "num_vars": n,
+            "bounds": [[0, 1]] * n,
+            "constraints": [],
+            "objective": [1] * n,
+            "sense": "min",
+        },
+    }
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(document))
+    result = run_cli("solve", str(path))
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert json.loads(result.stdout)["value"]["payload"] == 0
+
+
 def test_envelope_tamper_detected():
     envelope_json = pipeline(
         ["create", "MIS", "--graph", LISTING_GRAPH],

@@ -174,6 +174,30 @@ def test_reduce_along_wraps_step_errors():
     )
 
 
+class _PairError(Exception):
+    def __init__(self, left, right):
+        super().__init__(f"{left} clashes with {right}")
+        self.left = left
+        self.right = right
+
+
+def test_reduce_along_keeps_step_error_class_and_attributes():
+    import dataclasses
+
+    def explode(instance):
+        raise _PairError("u", "v")
+
+    healthy = GRAPH.rule_named("MaximumIndependentSet->MinimumVertexCover")
+    broken = dataclasses.replace(healthy, forward=explode)
+    path = GRAPH.make_path(key("MIS"), (broken,))
+    with pytest.raises(_PairError) as exc_info:
+        reduce_along(path, IndependentSet(P4))
+    assert (exc_info.value.left, exc_info.value.right) == ("u", "v")
+    assert str(exc_info.value) == (
+        "step 0 (MaximumIndependentSet->MinimumVertexCover): u clashes with v"
+    )
+
+
 def test_extract_value_along_aggregate_chain():
     steps = (
         GRAPH.rule_named("MaximumIndependentSet->QUBO"),

@@ -135,10 +135,10 @@ def test_solve_ilp_node_budget():
 
 def test_solve_ilp_random_against_enumeration():
     rng = make_rng(88)
-    for _ in range(120):
+    for _ in range(300):
         ilp, (bounds, constraints, objective, sense) = random_ilp(rng, max_vars=5)
         result = solve_ilp(ilp.data)
-        expected, _ = best_ilp(bounds, constraints, objective, sense)
+        expected, winners = best_ilp(bounds, constraints, objective, sense)
         if expected is None:
             assert not result.value.feasible
             assert result.witness is None
@@ -147,6 +147,9 @@ def test_solve_ilp_random_against_enumeration():
             assert result.value.payload == expected
             point = _point(ilp.data, result.witness)
             assert ilp_feasible(point, constraints)
+            # best_ilp enumerates the box in lexicographic order, so the
+            # witness is pinned to the lexicographically smallest optimum
+            assert point == winners[0]
 
 
 # --- dispatch ---------------------------------------------------------------------
@@ -286,3 +289,79 @@ def test_solve_brute_agrees_with_dedicated():
         assert brute.value.feasible == dedicated.value.feasible
         if dedicated.value.feasible:
             assert brute.value.payload == dedicated.value.payload
+
+
+# --- witness contract and scale ---------------------------------------------------
+
+
+def test_mis_through_ilp_witness_matches_fold_space():
+    rng = make_rng(31)
+    for weighted in (False, True):
+        for _ in range(15):
+            instance, _ = random_mis(rng, max_vertices=9, weighted=weighted)
+            result = solve(instance)
+            assert solver_label(result) == "ilp (via ILP)"
+            assert result.witness == fold_space(instance).witness
+
+
+def test_deep_binary_ilp_solves_without_recursion():
+    # the search is 1,200 levels deep, beyond Python's default recursion limit
+    n = 1200
+    data = IlpData(n, ((0, 1),) * n, (), (1,) * n, "min")
+    result = solve_ilp(data)
+    assert result.value.payload == 0
+    assert result.witness == (0,) * n
+
+
+def test_huge_domains_stop_at_the_first_prunable_value():
+    data = IlpData(2, ((0, 10**9), (0, 10**9)), (), (1, 1), "min")
+    result = solve_ilp(data)
+    assert result.value.payload == 0
+    assert result.witness == (0, 0)
+
+
+def _gnp(rng, n, p):
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p)
+
+
+INF = float("inf")
+
+
+def _milp_optimum(objective, rows, lower, upper, sense):
+    """Optimum of a binary program by HiGHS, which minimises; max is negated."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    sign = -1 if sense == "max" else 1
+    c = sign * np.asarray(objective, dtype=float)
+    constraint = LinearConstraint(np.asarray(rows, dtype=float), lower, upper)
+    outcome = milp(
+        c, constraints=constraint, integrality=np.ones(len(c)), bounds=Bounds(0, 1)
+    )
+    assert outcome.success
+    return sign * round(outcome.fun)
+
+
+def test_solve_matches_highs_beyond_brute_force():
+    pytest.importorskip("scipy")
+    rng = make_rng(1960)
+    for _ in range(3):
+        n = 30
+        edges = _gnp(rng, n, 0.15)
+        rows = [[1 if k in edge else 0 for k in range(n)] for edge in edges]
+        expected = _milp_optimum([1] * n, rows, -INF, 1, "max")
+        instance = IndependentSet(GraphData(n, edges))
+        result = solve(instance)
+        assert result.value.payload == expected
+        assert evaluate(instance, result.witness).payload == expected
+    for _ in range(3):
+        num_elements = 24
+        sets = [tuple(sorted(rng.sample(range(num_elements), 4))) for _ in range(20)]
+        sets.append(tuple(range(0, num_elements, 2)))
+        sets.append(tuple(range(1, num_elements, 2)))
+        rows = [[1 if e in s else 0 for s in sets] for e in range(num_elements)]
+        expected = _milp_optimum([1] * len(sets), rows, 1, INF, "min")
+        instance = SetCover(SetCoverData(num_elements, tuple(sets)))
+        result = solve(instance)
+        assert result.value.payload == expected
+        assert evaluate(instance, result.witness).payload == expected
