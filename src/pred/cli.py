@@ -41,6 +41,7 @@ from .model import (
     Problem,
     ValueKind,
     evaluate,
+    reported_witness,
 )
 from .problems import (
     CnfData,
@@ -328,7 +329,7 @@ def cmd_solve(args) -> None:
         else:
             config = extract_along(envelope, result.witness)
             value = evaluate(source, config)
-            witness = None if value.kind is ValueKind.OR and not value.payload else config
+            witness = reported_witness(value, config)
         solver = solver_label(result, prefix_steps=envelope.path.steps)
         problem_name = registry.display_name(source.variant_key())
     else:

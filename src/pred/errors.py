@@ -88,11 +88,23 @@ class NoPathError(PredError):
 
 
 class BudgetExceededError(PredError):
-    """Enumeration or search budget exhausted before completion."""
+    """Enumeration or search budget exhausted before completion.
 
-    def __init__(self, message: str, limit: int | None = None):
+    A branch-and-bound search also reports the ``nodes`` it visited and the
+    objective value of its best point so far (``incumbent``, None if none).
+    """
+
+    def __init__(
+        self,
+        message: str,
+        limit: int | None = None,
+        nodes: int | None = None,
+        incumbent: int | None = None,
+    ):
         super().__init__(message)
         self.limit = limit
+        self.nodes = nodes
+        self.incumbent = incumbent
 
 
 class InfeasibleError(PredError):

@@ -133,6 +133,13 @@ class FoldResult:
     witness: Configuration | None
 
 
+def reported_witness(value: AggregatedValue, witness: Configuration | None):
+    """The witness shown with ``value``: a false Or value has none."""
+    if value.kind is ValueKind.OR and not value.payload:
+        return None
+    return witness
+
+
 class Problem(ABC):
     """One concrete instance of a registered problem type."""
 
@@ -224,8 +231,7 @@ def fold_space(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> F
         acc = combine(acc, value)
     if track_witness and not acc.feasible:
         witness = None
-    if instance.kind is ValueKind.OR and not acc.payload:
-        witness = None
+    # an Or witness is only taken on a true value, so a false fold has none
     return FoldResult(acc, witness)
 
 

@@ -14,10 +14,32 @@ walks an explicit stack, branching on the lowest-index unfixed variable in
 ascending value order, so its depth is not limited by Python's recursion.
 A child's bound before propagation falls by ``|c|`` per step away from the
 end the parent's bound used, so the values not yet prunable form one window
-computed in O(1) per sibling; only those are charged as nodes. The search
-meets points in lexicographic order and replaces its incumbent only on
-strict improvement, so the witness is the lexicographically smallest
-optimal point.
+computed in O(1) per sibling; only those are charged as nodes.
+
+A node the optimistic bound leaves open while an incumbent exists is then
+bounded by a cardinality-row relaxation. Cardinality rows, collected once,
+are the ``<=`` rows whose coefficients are all +1 (packing: at most ``r``
+ones, as in MIS edge rows) or all -1 (covering: at least ``k`` ones, as in
+VC edge and SetCover element rows) over variables boxed in [0, 1]. Each free
+variable in turn takes its first binding row whose free variables no row
+taken so far holds. A packing row keeps its best ``r`` positive gains; a
+covering row keeps every positive gain plus the least-bad of the rest. The
+taken rows share no free variable, so their one-row optima plus every other
+variable at its better end bound the node, which closes when that is no
+better than the incumbent. The sibling window keeps the plain optimistic
+bound: only that bound falls by exactly ``|c|`` per step of the branch
+value, which is what the window's arithmetic relies on.
+
+A node whose optimistic point (positive gains at ``hi``, the rest at
+``lo``) satisfies every row closes with that point as its incumbent: every
+optimum of the subtree agrees with it on the nonzero gains and it puts the
+zero gains at their lowest, so it is the subtree's lexicographically
+smallest optimum. A fully fixed node is the special case with no free
+variable. The relaxation closes only subtrees that cannot strictly beat
+the incumbent, the attained close keeps the point a full search of the
+subtree would keep, and the search meets points in lexicographic order and
+replaces its incumbent only on strict improvement, so the witness is the
+lexicographically smallest optimal point.
 """
 
 from __future__ import annotations
@@ -38,6 +60,7 @@ from .model import (
     ValueKind,
     evaluate,
     fold_space,
+    reported_witness,
 )
 from .problems import Ilp, IlpData
 
@@ -87,6 +110,25 @@ class _Search:
         for index, (pairs, _) in enumerate(self.rows):
             for j, _ in pairs:
                 self.touching[j].append(index)
+        # ``against[j]`` lists the rows that x_j at its optimistic end pushes
+        # toward violation, the only rows the attained-point test must read;
+        # ``cardinal[j]`` lists, in row order, the cardinality rows holding x_j
+        # as (members, r or k, packing)
+        binary = [0 <= l and h <= 1 for l, h in data.var_bounds]
+        self.against: list[list[int]] = [[] for _ in range(data.num_vars)]
+        self.cardinal: list[list[tuple]] = [[] for _ in range(data.num_vars)]
+        for index, (pairs, rhs) in enumerate(self.rows):
+            for j, a in pairs:
+                if (a > 0) == (self.gain[j] > 0):
+                    self.against[j].append(index)
+            if len({a for _, a in pairs}) == 1 and abs(pairs[0][1]) == 1 and all(
+                binary[j] for j, _ in pairs
+            ):
+                packing = pairs[0][1] == 1
+                row = (tuple(j for j, _ in pairs), rhs if packing else -rhs, packing)
+                for j, _ in pairs:
+                    self.cardinal[j].append(row)
+        self.has_cardinal = any(self.cardinal)
         self.var_bounds = data.var_bounds
         self.best_value: int | None = None
         self.best_point: tuple[int, ...] | None = None
@@ -128,25 +170,97 @@ class _Search:
             total += c * (hi[j] if c > 0 else lo[j])
         return total
 
+    def _rows_close(
+        self, lo: list[int], hi: list[int], branch: int, bound: int, best: int
+    ) -> bool:
+        """Whether the cardinality-row relaxation of a node is at most ``best``.
+
+        Each free variable not yet covered takes its first binding row whose
+        free variables are all uncovered; a taken row gets its exact one-row
+        optimum and every other variable keeps its optimistic end.
+        """
+        gain = self.gain
+        taken: set[int] = set()
+        for j in range(branch, self.num_vars):
+            if lo[j] == hi[j] or j in taken:
+                continue
+            for members, rhs, packing in self.cardinal[j]:
+                free = [k for k in members if lo[k] < hi[k]]
+                # propagation leaves every row with slack, so a row binds
+                # only when it has at least two free variables
+                if len(free) < 2 or not taken.isdisjoint(free):
+                    continue
+                fixed = sum(lo[k] for k in members)  # free variables have lo == 0
+                if packing:
+                    ups = sorted(gain[k] for k in free if gain[k] > 0)
+                    excess = len(ups) - (rhs - fixed)
+                    if excess <= 0:
+                        continue
+                    bound -= sum(ups[:excess])
+                else:
+                    downs = sorted((gain[k] for k in free if gain[k] <= 0), reverse=True)
+                    short = rhs - fixed - (len(free) - len(downs))
+                    if short <= 0:
+                        continue
+                    bound += sum(downs[:short])
+                if bound <= best:
+                    return True
+                taken.update(free)
+                break
+        return False
+
+    def _attained(self, lo: list[int], hi: list[int], branch: int) -> tuple | None:
+        """The node's optimistic point when it satisfies every row, else None."""
+        gain = self.gain
+        rows = self.rows
+        seen: set[int] = set()
+        # variables before ``branch`` are fixed, and a row whose free variables
+        # all sit at their row-minimising end keeps the slack propagation left
+        for j in range(branch, self.num_vars):
+            if lo[j] == hi[j]:
+                continue
+            for index in self.against[j]:
+                if index in seen:
+                    continue
+                seen.add(index)
+                pairs, rhs = rows[index]
+                for k, a in pairs:
+                    rhs -= a * (hi[k] if gain[k] > 0 else lo[k])
+                if rhs < 0:
+                    return None
+        return tuple(hi[j] if gain[j] > 0 else lo[j] for j in range(self.num_vars))
+
     def _charge_node(self) -> None:
         self.nodes += 1
         if self.nodes > self.max_nodes:
             raise BudgetExceededError(
-                f"branch-and-bound exceeded {self.max_nodes} nodes", limit=self.max_nodes
+                f"branch-and-bound exceeded {self.max_nodes} nodes",
+                limit=self.max_nodes,
+                nodes=self.max_nodes,
+                incumbent=None if self.best_value is None else self.sign * self.best_value,
             )
 
     def _enter(self, lo: list[int], hi: list[int], start: int) -> list | None:
         """Bound a propagated node: its open frame, or None when it is closed."""
         bound = self._optimistic(lo, hi)
-        if self.best_value is not None and bound <= self.best_value:
+        best = self.best_value
+        if best is not None and bound <= best:
             return None
         # variables before ``start`` were fixed by an ancestor's branching
-        branch = next((j for j in range(start, self.num_vars) if lo[j] < hi[j]), None)
-        if branch is None:
-            # every variable is fixed and propagation proved every row feasible,
-            # so the bound is this point's value and it beats the incumbent
+        branch = next((j for j in range(start, self.num_vars) if lo[j] < hi[j]), self.num_vars)
+        if (
+            best is not None
+            and self.has_cardinal
+            and self._rows_close(lo, hi, branch, bound, best)
+        ):
+            return None
+        point = self._attained(lo, hi, branch)
+        if point is not None:
+            # a feasible optimistic point is the subtree's optimum, and the
+            # lexicographically smallest one, since every optimum shares its
+            # nonzero-gain values and its zero-gain values sit at ``lo``
             self.best_value = bound
-            self.best_point = tuple(lo)
+            self.best_point = point
             return None
         return [lo, hi, branch, bound, lo[branch]]
 
@@ -214,12 +328,6 @@ def solve_brute(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> 
     return SolveResult(result.value, result.witness, "brute-force")
 
 
-def _strip_false_witness(value: AggregatedValue, witness: Configuration | None):
-    if value.kind is ValueKind.OR and not value.payload:
-        return None
-    return witness
-
-
 def solve(
     instance: Problem,
     max_configs: int = DEFAULT_CONFIG_BUDGET,
@@ -241,11 +349,6 @@ def solve(
             if ilp_result.witness is not None:
                 config = extract_along(envelope, ilp_result.witness)
                 value = evaluate(instance, config)
-                return SolveResult(
-                    value, _strip_false_witness(value, config), "ilp", route=path
-                )
+                return SolveResult(value, reported_witness(value, config), "ilp", route=path)
             # a reduced ILP should never be infeasible; fall through defensively
-    brute = solve_brute(instance, max_configs)
-    return SolveResult(
-        brute.value, _strip_false_witness(brute.value, brute.witness), "brute-force"
-    )
+    return solve_brute(instance, max_configs)

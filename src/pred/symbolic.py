@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import (
     ExpressionSyntaxError,
@@ -793,17 +793,3 @@ def parse_expr(text: str) -> Expr:
         raise ExpressionSyntaxError(f"trailing input at {parser.peek()!r}")
     return expr
 
-
-def iter_nodes(expr: Expr) -> Iterator[Expr]:
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        yield e
-        if isinstance(e, Add):
-            stack.extend(e.terms)
-        elif isinstance(e, Mul):
-            stack.extend(e.factors)
-        elif isinstance(e, Pow):
-            stack.append(e.base)
-        elif isinstance(e, Exp):
-            stack.append(e.exponent)

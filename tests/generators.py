@@ -156,5 +156,44 @@ def random_ilp(rng, max_vars=6, max_constraints=5):
     return Ilp(data), plain
 
 
+def random_cardinality_ilp(rng, max_vars=10, max_constraints=6):
+    """A binary ILP of cardinality rows: every coefficient of a row is +1 or -1.
+
+    Rows are packings with rhs 1 to 3, coverings needing two or more ones
+    (as ``>=`` over +1 or ``<=`` over -1) and ``=`` rows; some variables are
+    pre-fixed through ``(l, l)`` bounds and objective gains may be zero or
+    negative.
+    """
+    n = rng.randint(2, max_vars)
+    bounds = []
+    for _ in range(n):
+        if rng.random() < 0.15:
+            value = rng.randint(0, 1)
+            bounds.append((value, value))
+        else:
+            bounds.append((0, 1))
+    constraints = []
+    for _ in range(rng.randint(1, max_constraints)):
+        members = rng.sample(range(n), rng.randint(2, n))
+        coeffs = tuple(1 if j in members else 0 for j in range(n))
+        kind = rng.choice(("pack", "cover", "="))
+        if kind == "pack":
+            constraints.append((coeffs, "<=", rng.randint(1, 3)))
+        elif kind == "cover":
+            need = rng.randint(2, len(members))
+            if rng.random() < 0.5:
+                constraints.append((coeffs, ">=", need))
+            else:
+                constraints.append((tuple(-a for a in coeffs), "<=", -need))
+        else:
+            constraints.append((coeffs, "=", rng.randint(1, len(members))))
+    objective = tuple(rng.randint(-3, 3) for _ in range(n))
+    sense = rng.choice(("max", "min"))
+    data = IlpData(n, tuple(bounds), tuple(constraints), objective, sense)
+    plain = ([list(b) for b in bounds], [(list(c), r, b) for c, r, b in constraints],
+             list(objective), sense)
+    return Ilp(data), plain
+
+
 def make_rng(seed):
     return random.Random(seed)

@@ -39,6 +39,7 @@ from pred import (
 
 from generators import (
     make_rng,
+    random_cardinality_ilp,
     random_clique,
     random_coloring,
     random_domset,
@@ -56,6 +57,10 @@ from oracles import best_ilp, ilp_feasible
 
 REGISTRY = default_graph().registry
 P4 = GraphData(4, ((0, 1), (1, 2), (2, 3)))
+
+
+def _gnp(rng, n, p):
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p)
 
 
 def _point(data: IlpData, witness):
@@ -130,7 +135,26 @@ def test_solve_ilp_node_budget():
     with pytest.raises(BudgetExceededError) as exc_info:
         solve_ilp(data, max_nodes=2)
     assert exc_info.value.limit == 2
+    assert exc_info.value.nodes == 2
+    assert exc_info.value.incumbent is None
     assert "branch-and-bound exceeded 2 nodes" in str(exc_info.value)
+
+
+def test_budget_exhaustion_reports_the_incumbent_so_far():
+    # MIS rows over G(40, 0.15): the search holds an incumbent long before
+    # its optimum is proved
+    n = 40
+    rows = tuple(
+        (tuple(1 if k in edge else 0 for k in range(n)), "<=", 1)
+        for edge in _gnp(make_rng(4), n, 0.15)
+    )
+    data = IlpData(n, ((0, 1),) * n, rows, (1,) * n, "max")
+    optimum = solve_ilp(data).value.payload
+    with pytest.raises(BudgetExceededError) as exc_info:
+        solve_ilp(data, max_nodes=40)
+    assert exc_info.value.limit == 40
+    assert exc_info.value.nodes == 40
+    assert 0 < exc_info.value.incumbent <= optimum
 
 
 def test_solve_ilp_random_against_enumeration():
@@ -150,6 +174,23 @@ def test_solve_ilp_random_against_enumeration():
             # best_ilp enumerates the box in lexicographic order, so the
             # witness is pinned to the lexicographically smallest optimum
             assert point == winners[0]
+
+
+def test_cardinality_row_bound_keeps_the_first_optimum():
+    # packing, covering and split ``=`` rows over 0/1 variables are the rows
+    # the cardinality relaxation reads; pre-fixed variables and zero or
+    # negative gains exercise its capacity and least-bad choices
+    rng = make_rng(2007)
+    for _ in range(1000):
+        ilp, (bounds, constraints, objective, sense) = random_cardinality_ilp(rng)
+        result = solve_ilp(ilp.data)
+        expected, winners = best_ilp(bounds, constraints, objective, sense)
+        if expected is None:
+            assert not result.value.feasible
+            assert result.witness is None
+        else:
+            assert result.value.payload == expected
+            assert _point(ilp.data, result.witness) == winners[0]
 
 
 # --- dispatch ---------------------------------------------------------------------
@@ -313,6 +354,19 @@ def test_deep_binary_ilp_solves_without_recursion():
     assert result.witness == (0,) * n
 
 
+def test_deep_binary_ilp_maximising_closes_at_the_root():
+    # the optimistic point of the root satisfies every row, so it is the optimum
+    n = 1200
+    data = IlpData(n, ((0, 1),) * n, (), (1,) * n, "max")
+    result = solve_ilp(data, max_nodes=10)
+    assert result.value.payload == n
+    assert result.witness == (1,) * n
+    mixed = IlpData(n, ((0, 1),) * n, (), (1, -1) * (n // 2), "min")
+    result = solve_ilp(mixed, max_nodes=10)
+    assert result.value.payload == -(n // 2)
+    assert result.witness == (0, 1) * (n // 2)
+
+
 def test_huge_domains_stop_at_the_first_prunable_value():
     data = IlpData(2, ((0, 10**9), (0, 10**9)), (), (1, 1), "min")
     result = solve_ilp(data)
@@ -320,8 +374,21 @@ def test_huge_domains_stop_at_the_first_prunable_value():
     assert result.witness == (0, 0)
 
 
-def _gnp(rng, n, p):
-    return tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p)
+
+
+def test_routed_coloring_solves_within_a_node_budget():
+    # GC -> SAT -> 3SAT -> MIS -> ILP; the cardinality-row bound over the MIS
+    # stage's edge rows keeps this search within the budget
+    instance = GraphColoring(GraphData(4, ((0, 1), (1, 2), (2, 3))), 3)
+    result = solve(instance, max_nodes=50_000)
+    assert result.value.render() == "Or(true)"
+    assert evaluate(instance, result.witness).payload is True
+
+
+def test_mis_g40_solves_within_a_node_budget():
+    instance = IndependentSet(GraphData(40, _gnp(make_rng(40), 40, 0.15)))
+    result = solve(instance, max_nodes=5_000)
+    assert evaluate(instance, result.witness).payload == result.value.payload
 
 
 INF = float("inf")
@@ -342,18 +409,20 @@ def _milp_optimum(objective, rows, lower, upper, sense):
     return sign * round(outcome.fun)
 
 
+def _assert_mis_matches_highs(n, edges):
+    rows = [[1 if k in edge else 0 for k in range(n)] for edge in edges]
+    expected = _milp_optimum([1] * n, rows, -INF, 1, "max")
+    instance = IndependentSet(GraphData(n, edges))
+    result = solve(instance)
+    assert result.value.payload == expected
+    assert evaluate(instance, result.witness).payload == expected
+
+
 def test_solve_matches_highs_beyond_brute_force():
     pytest.importorskip("scipy")
     rng = make_rng(1960)
     for _ in range(3):
-        n = 30
-        edges = _gnp(rng, n, 0.15)
-        rows = [[1 if k in edge else 0 for k in range(n)] for edge in edges]
-        expected = _milp_optimum([1] * n, rows, -INF, 1, "max")
-        instance = IndependentSet(GraphData(n, edges))
-        result = solve(instance)
-        assert result.value.payload == expected
-        assert evaluate(instance, result.witness).payload == expected
+        _assert_mis_matches_highs(30, _gnp(rng, 30, 0.15))
     for _ in range(3):
         num_elements = 24
         sets = [tuple(sorted(rng.sample(range(num_elements), 4))) for _ in range(20)]
@@ -365,3 +434,4 @@ def test_solve_matches_highs_beyond_brute_force():
         result = solve(instance)
         assert result.value.payload == expected
         assert evaluate(instance, result.witness).payload == expected
+    _assert_mis_matches_highs(50, _gnp(rng, 50, 0.15))
