@@ -107,11 +107,18 @@ def envelope_from_document(document: Mapping, graph: ReductionGraph) -> Reductio
         raise DocumentError(
             f"envelope must have exactly the fields {sorted(expected)}"
         )
-    if document["trace_version"] != TRACE_VERSION:
+    version = document["trace_version"]
+    if isinstance(version, bool) or version != TRACE_VERSION:
         raise DocumentError(
-            f"unsupported trace version {document['trace_version']!r} "
+            f"unsupported trace version {version!r} "
             f"(this build reads version {TRACE_VERSION})"
         )
+    if not isinstance(document["path"], list) or not all(
+        isinstance(name, str) for name in document["path"]
+    ):
+        raise DocumentError("envelope path must be a list of rule names")
+    if not isinstance(document["trace"], list):
+        raise DocumentError("envelope trace must be a list")
     if len(document["trace"]) != len(document["path"]):
         raise DocumentError("trace length does not match path length")
     source = instance_from_document(document["source"], graph.registry)

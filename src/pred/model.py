@@ -1,11 +1,17 @@
 """Uniform problem interface: configuration spaces, aggregation, folding.
 
 Every problem type exposes the same tiny surface: a finite configuration
-space (one domain size per variable), a pure evaluation map from
-configurations to aggregated values, and named size measures. Solving by
-brute force is then a single fold of the kind's combine law over the whole
-space; everything else in the library (reductions, routing, the ILP path)
-only ever talks to this interface.
+space (one domain size per variable), a pure measure map from
+configurations to raw ``(payload, feasible)`` pairs, and named size
+measures. ``evaluate`` wraps one measure in an ``AggregatedValue`` of the
+problem's kind; ``combine`` is the kind's aggregation law over such values.
+Solving by brute force is a per-kind fold over the whole space in
+lexicographic order that gives the same value and witness as folding
+``combine`` over ``evaluate`` from the identity: Max, Min and Extremum keep
+the first configuration of best ``(feasible, payload)`` score, Sum adds,
+and Or and And stop at the first configuration that reaches their absorbing
+value (true for Or, false for And). Everything else in the library
+(reductions, routing, the ILP path) only ever talks to this interface.
 """
 
 from __future__ import annotations
@@ -42,9 +48,6 @@ class ValueKind(Enum):
     AND = "And"
     EXTREMUM = "Extremum"
 
-
-# Kinds whose folds carry a witness configuration.
-WITNESS_KINDS = frozenset({ValueKind.MAX, ValueKind.MIN, ValueKind.OR, ValueKind.EXTREMUM})
 
 SENSE_MAXIMIZE = "maximize"
 SENSE_MINIMIZE = "minimize"
@@ -163,8 +166,18 @@ class Problem(ABC):
         """Named instance sizes, matching the registered descriptor."""
 
     @abstractmethod
+    def _measure(self, config: Configuration) -> tuple[int | bool, bool]:
+        """Raw ``(payload, feasible)`` of an already-validated configuration.
+
+        payload is the objective count, or the truth value for Or kinds; it
+        is never None. feasible says whether the configuration meets the
+        instance's hard constraints and is True for kinds without any. This
+        is the brute-force fold's inner loop, so it builds no value objects.
+        """
+
     def _evaluate(self, config: Configuration) -> AggregatedValue:
-        """Evaluation on an already-validated configuration."""
+        payload, feasible = self._measure(config)
+        return AggregatedValue(self.kind, payload, feasible, self.sense)
 
     def evaluate(self, config: Sequence[int]) -> AggregatedValue:
         validate_config(self, config)
@@ -202,11 +215,15 @@ def evaluate(instance: Problem, config: Sequence[int]) -> AggregatedValue:
 
 
 def fold_space(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> FoldResult:
-    """Combine-fold evaluate over the entire configuration space.
+    """Fold the kind's combine law over the entire configuration space.
 
-    Configurations are visited in lexicographic order and the witness is the
-    first one achieving the folded value (strict improvements only). An
-    instance with zero variables has exactly one, empty, configuration.
+    The result equals folding ``combine`` over ``evaluate`` in lexicographic
+    order from the kind's identity, with the witness taken on strict
+    improvements only: the first optimal configuration for Max, Min and
+    Extremum (none if no configuration is feasible), the first true one for
+    Or, none for Sum and And. Or and And stop at their absorbing value, but
+    the budget always applies to the full space size. An instance with zero
+    variables has exactly one, empty, configuration.
     """
     dims = instance.config_dims()
     total = 1
@@ -217,22 +234,35 @@ def fold_space(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> F
             f"{total} configurations exceed the enumeration budget {max_configs}",
             limit=max_configs,
         )
-    track_witness = instance.kind in WITNESS_KINDS
-    acc = identity_value(instance.kind, instance.sense)
-    witness: Configuration | None = None
-    for config in itertools.product(*(range(d) for d in dims)):
-        value = instance._evaluate(config)
-        if track_witness:
-            if instance.kind is ValueKind.OR:
-                if value.payload and not acc.payload:
-                    witness = config
-            elif _score(value) > _score(acc):
-                witness = config
-        acc = combine(acc, value)
-    if track_witness and not acc.feasible:
-        witness = None
-    # an Or witness is only taken on a true value, so a false fold has none
-    return FoldResult(acc, witness)
+    kind = instance.kind
+    measure = instance._measure
+    configs = itertools.product(*(range(d) for d in dims))
+    if kind is ValueKind.OR:
+        for config in configs:
+            if measure(config)[0]:
+                return FoldResult(AggregatedValue(kind, True), config)
+        return FoldResult(AggregatedValue(kind, False), None)
+    if kind is ValueKind.AND:
+        for config in configs:
+            if not measure(config)[0]:
+                return FoldResult(AggregatedValue(kind, False), None)
+        return FoldResult(AggregatedValue(kind, True), None)
+    if kind is ValueKind.SUM:
+        return FoldResult(AggregatedValue(kind, sum(measure(c)[0] for c in configs)), None)
+    # Max, Min, Extremum: the order _score defines, feasible first
+    sense = instance.sense
+    sign = -1 if kind is ValueKind.MIN or sense == SENSE_MINIMIZE else 1
+    best_key = None
+    for config in configs:
+        payload, feasible = measure(config)
+        key = (feasible, sign * payload)
+        if best_key is None or key > best_key:
+            best_key, best_payload, witness = key, payload, config
+    if best_key is None:
+        return FoldResult(identity_value(kind, sense), None)
+    feasible = best_key[0]
+    value = AggregatedValue(kind, best_payload, feasible, sense)
+    return FoldResult(value, witness if feasible else None)
 
 
 class DecisionProblem(Problem):
@@ -261,13 +291,13 @@ class DecisionProblem(Problem):
     def size_measures(self) -> dict[str, int]:
         return self.inner.size_measures()
 
-    def _evaluate(self, config: Configuration) -> AggregatedValue:
-        value = self.inner._evaluate(config)
-        if not value.feasible or value.payload is None:
-            return AggregatedValue(ValueKind.OR, False)
+    def _measure(self, config: Configuration) -> tuple[bool, bool]:
+        payload, feasible = self.inner._measure(config)
+        if not feasible:
+            return False, True
         if self.inner.kind is ValueKind.MAX:
-            return AggregatedValue(ValueKind.OR, value.payload >= self.bound)
-        return AggregatedValue(ValueKind.OR, value.payload <= self.bound)
+            return payload >= self.bound, True
+        return payload <= self.bound, True
 
     def to_data(self) -> dict:
         data = self.inner.to_data()

@@ -9,11 +9,12 @@ best known (or naive enumeration) complexity bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations, compress
 from typing import Mapping
 
 from .errors import DocumentError, InvalidInstanceError
 from .model import (
-    AggregatedValue,
     DecisionProblem,
     Problem,
     ProblemTypeDescriptor,
@@ -61,15 +62,28 @@ class GraphData:
                 raise InvalidInstanceError("vertex weights must be positive integers")
             object.__setattr__(self, "vertex_weights", tuple(self.vertex_weights))
 
-    def weight(self, v: int) -> int:
-        return 1 if self.vertex_weights is None else self.vertex_weights[v]
+    # Derived views, computed once per graph: the brute-force fold reads
+    # them for every configuration.
 
-    def closed_neighborhoods(self) -> list[set[int]]:
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        """Weight of each vertex; 1 for every vertex of an unweighted graph."""
+        if self.vertex_weights is None:
+            return (1,) * self.num_vertices
+        return self.vertex_weights
+
+    @cached_property
+    def edge_set(self) -> frozenset[Edge]:
+        return frozenset(self.edges)
+
+    @cached_property
+    def closed_neighborhoods(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex with its neighbours, in increasing order."""
         hoods = [{v} for v in range(self.num_vertices)]
         for u, v in self.edges:
             hoods[u].add(v)
             hoods[v].add(u)
-        return hoods
+        return tuple(tuple(sorted(hood)) for hood in hoods)
 
 
 @dataclass(frozen=True)
@@ -255,10 +269,9 @@ class IndependentSet(Problem):
     def size_measures(self) -> dict[str, int]:
         return {"V": self.graph.num_vertices, "E": len(self.graph.edges)}
 
-    def _evaluate(self, config) -> AggregatedValue:
+    def _measure(self, config) -> tuple[int, bool]:
         feasible = all(not (config[u] and config[v]) for u, v in self.graph.edges)
-        payload = sum(self.graph.weight(v) for v in range(self.graph.num_vertices) if config[v])
-        return AggregatedValue(ValueKind.MAX, payload, feasible)
+        return sum(compress(self.graph.weights, config)), feasible
 
     def to_data(self) -> dict:
         return _graph_to_data(self.graph)
@@ -280,9 +293,9 @@ class VertexCover(Problem):
     def size_measures(self) -> dict[str, int]:
         return {"V": self.graph.num_vertices, "E": len(self.graph.edges)}
 
-    def _evaluate(self, config) -> AggregatedValue:
+    def _measure(self, config) -> tuple[int, bool]:
         feasible = all(config[u] or config[v] for u, v in self.graph.edges)
-        return AggregatedValue(ValueKind.MIN, sum(config), feasible)
+        return sum(config), feasible
 
     def to_data(self) -> dict:
         return _graph_to_data(self.graph)
@@ -304,15 +317,10 @@ class Clique(Problem):
     def size_measures(self) -> dict[str, int]:
         return {"V": self.graph.num_vertices, "E": len(self.graph.edges)}
 
-    def _evaluate(self, config) -> AggregatedValue:
-        chosen = [v for v in range(self.graph.num_vertices) if config[v]]
-        edge_set = set(self.graph.edges)
-        feasible = all(
-            (chosen[i], chosen[k]) in edge_set
-            for i in range(len(chosen))
-            for k in range(i + 1, len(chosen))
-        )
-        return AggregatedValue(ValueKind.MAX, len(chosen), feasible)
+    def _measure(self, config) -> tuple[int, bool]:
+        chosen = tuple(compress(range(len(config)), config))
+        # chosen is increasing, so each pair is already a normalized edge
+        return len(chosen), self.graph.edge_set.issuperset(combinations(chosen, 2))
 
     def to_data(self) -> dict:
         return _graph_to_data(self.graph)
@@ -334,10 +342,9 @@ class DominatingSet(Problem):
     def size_measures(self) -> dict[str, int]:
         return {"V": self.graph.num_vertices, "E": len(self.graph.edges)}
 
-    def _evaluate(self, config) -> AggregatedValue:
-        hoods = self.graph.closed_neighborhoods()
-        feasible = all(any(config[u] for u in hoods[v]) for v in range(self.graph.num_vertices))
-        return AggregatedValue(ValueKind.MIN, sum(config), feasible)
+    def _measure(self, config) -> tuple[int, bool]:
+        chosen = set(compress(range(len(config)), config))
+        return sum(config), not any(map(chosen.isdisjoint, self.graph.closed_neighborhoods))
 
     def to_data(self) -> dict:
         return _graph_to_data(self.graph)
@@ -355,13 +362,12 @@ class SetCover(Problem):
     def size_measures(self) -> dict[str, int]:
         return {"S": len(self.data.sets), "U": self.data.num_elements}
 
-    def _evaluate(self, config) -> AggregatedValue:
+    def _measure(self, config) -> tuple[int, bool]:
         covered: set[int] = set()
         for i, chosen in enumerate(config):
             if chosen:
                 covered.update(self.data.sets[i])
-        feasible = len(covered) == self.data.num_elements
-        return AggregatedValue(ValueKind.MIN, sum(config), feasible)
+        return sum(config), len(covered) == self.data.num_elements
 
     def to_data(self) -> dict:
         return {"num_elements": self.data.num_elements, "sets": [list(s) for s in self.data.sets]}
@@ -383,10 +389,9 @@ class MaxCut(Problem):
     def size_measures(self) -> dict[str, int]:
         return {"V": self.graph.num_vertices, "E": len(self.graph.edges)}
 
-    def _evaluate(self, config) -> AggregatedValue:
+    def _measure(self, config) -> tuple[int, bool]:
         # every 2-partition is admissible
-        cut = sum(1 for u, v in self.graph.edges if config[u] != config[v])
-        return AggregatedValue(ValueKind.MAX, cut, True)
+        return sum(1 for u, v in self.graph.edges if config[u] != config[v]), True
 
     def to_data(self) -> dict:
         return _graph_to_data(self.graph)
@@ -404,8 +409,8 @@ class Qubo(Problem):
     def size_measures(self) -> dict[str, int]:
         return {"n": self.data.n}
 
-    def _evaluate(self, config) -> AggregatedValue:
-        return AggregatedValue(ValueKind.MAX, self.data.value(config), True)
+    def _measure(self, config) -> tuple[int, bool]:
+        return self.data.value(config), True
 
     def to_data(self) -> dict:
         return {"n": self.data.n, "q": [list(row) for row in self.data.q]}
@@ -423,9 +428,8 @@ class SpinGlass(Problem):
     def size_measures(self) -> dict[str, int]:
         return {"n": self.data.n}
 
-    def _evaluate(self, config) -> AggregatedValue:
-        spins = tuple(2 * c - 1 for c in config)
-        return AggregatedValue(ValueKind.MAX, self.data.negated_energy(spins), True)
+    def _measure(self, config) -> tuple[int, bool]:
+        return self.data.negated_energy(tuple(2 * c - 1 for c in config)), True
 
     def to_data(self) -> dict:
         return {
@@ -456,9 +460,8 @@ class GraphColoring(Problem):
     def size_measures(self) -> dict[str, int]:
         return {"V": self.graph.num_vertices, "E": len(self.graph.edges), "k": self.colors}
 
-    def _evaluate(self, config) -> AggregatedValue:
-        proper = all(config[u] != config[v] for u, v in self.graph.edges)
-        return AggregatedValue(ValueKind.OR, proper)
+    def _measure(self, config) -> tuple[bool, bool]:
+        return all(config[u] != config[v] for u, v in self.graph.edges), True
 
     def to_data(self) -> dict:
         data = _graph_to_data(self.graph)
@@ -482,8 +485,8 @@ class Satisfiability(Problem):
             "L": self.cnf.literal_count,
         }
 
-    def _evaluate(self, config) -> AggregatedValue:
-        return AggregatedValue(ValueKind.OR, self.cnf.satisfied(config))
+    def _measure(self, config) -> tuple[bool, bool]:
+        return self.cnf.satisfied(config), True
 
     def to_data(self) -> dict:
         return {
@@ -521,10 +524,9 @@ class Ilp(Problem):
     def point(self, config) -> tuple[int, ...]:
         return tuple(lo + c for (lo, _), c in zip(self.data.var_bounds, config))
 
-    def _evaluate(self, config) -> AggregatedValue:
+    def _measure(self, config) -> tuple[int, bool]:
         x = self.point(config)
-        payload = sum(c * xi for c, xi in zip(self.data.objective, x))
-        return AggregatedValue(ValueKind.EXTREMUM, payload, self.data.holds(x), self.sense)
+        return sum(c * xi for c, xi in zip(self.data.objective, x)), self.data.holds(x)
 
     def to_data(self) -> dict:
         return {
@@ -667,11 +669,22 @@ def _require_fields(data: Mapping, required: set[str], optional: set[str] = froz
         raise DocumentError(f"unknown data field(s): {sorted(unknown)}")
 
 
-def _int_list(values, what: str) -> tuple[int, ...]:
+def _int(value, what: str) -> int:
+    # bool is an int subclass, but true is not a count
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DocumentError(f"{what} must be an integer")
+    return value
+
+
+def _list(values, what: str) -> list | tuple:
     if not isinstance(values, (list, tuple)):
         raise DocumentError(f"{what} must be a list")
+    return values
+
+
+def _int_list(values, what: str) -> tuple[int, ...]:
     out = []
-    for v in values:
+    for v in _list(values, what):
         if not isinstance(v, int) or isinstance(v, bool):
             raise DocumentError(f"{what} must contain integers")
         out.append(v)
@@ -680,24 +693,22 @@ def _int_list(values, what: str) -> tuple[int, ...]:
 
 def _graph_from_data(data: Mapping, extra: set[str] = frozenset()) -> GraphData:
     _require_fields(data, {"num_vertices", "edges"}, {"weights"} | extra)
-    if not isinstance(data["num_vertices"], int):
-        raise DocumentError("num_vertices must be an integer")
+    num_vertices = _int(data["num_vertices"], "num_vertices")
     edges = []
-    for e in data["edges"]:
+    for e in _list(data["edges"], "edges"):
         pair = _int_list(e, "edge")
         if len(pair) != 2:
             raise DocumentError(f"edge {e!r} must have two endpoints")
         edges.append((pair[0], pair[1]))
     weights = _int_list(data["weights"], "weights") if "weights" in data else None
-    return GraphData(data["num_vertices"], tuple(edges), weights)
+    return GraphData(num_vertices, tuple(edges), weights)
 
 
 def _cnf_from_data(data: Mapping) -> CnfData:
     _require_fields(data, {"num_variables", "clauses"})
-    if not isinstance(data["num_variables"], int):
-        raise DocumentError("num_variables must be an integer")
-    clauses = tuple(_int_list(c, "clause") for c in data["clauses"])
-    return CnfData(data["num_variables"], clauses)
+    num_variables = _int(data["num_variables"], "num_variables")
+    clauses = tuple(_int_list(c, "clause") for c in _list(data["clauses"], "clauses"))
+    return CnfData(num_variables, clauses)
 
 
 def _build_mis(data: Mapping) -> IndependentSet:
@@ -724,9 +735,7 @@ def _build_unweighted(cls):
 def _build_coloring(data: Mapping) -> GraphColoring:
     _require_fields(data, {"num_vertices", "edges", "colors"})
     graph = _graph_from_data({k: v for k, v in data.items() if k != "colors"})
-    if not isinstance(data["colors"], int):
-        raise DocumentError("colors must be an integer")
-    return GraphColoring(graph, data["colors"])
+    return GraphColoring(graph, _int(data["colors"], "colors"))
 
 
 def _build_sat(data: Mapping) -> Satisfiability:
@@ -739,39 +748,38 @@ def _build_3sat(data: Mapping) -> ThreeSatisfiability:
 
 def _build_qubo(data: Mapping) -> Qubo:
     _require_fields(data, {"n", "q"})
-    rows = tuple(_int_list(row, "Q row") for row in data["q"])
-    return Qubo(QuboData(data["n"], rows))
+    rows = tuple(_int_list(row, "Q row") for row in _list(data["q"], "q"))
+    return Qubo(QuboData(_int(data["n"], "n"), rows))
 
 
 def _build_ising(data: Mapping) -> SpinGlass:
     _require_fields(data, {"n", "j", "h"})
-    rows = tuple(_int_list(row, "J row") for row in data["j"])
-    return SpinGlass(IsingData(data["n"], rows, _int_list(data["h"], "h")))
+    rows = tuple(_int_list(row, "J row") for row in _list(data["j"], "j"))
+    return SpinGlass(IsingData(_int(data["n"], "n"), rows, _int_list(data["h"], "h")))
 
 
 def _build_set_cover(data: Mapping) -> SetCover:
     _require_fields(data, {"num_elements", "sets"})
-    sets = tuple(_int_list(s, "set") for s in data["sets"])
-    return SetCover(SetCoverData(data["num_elements"], sets))
+    sets = tuple(_int_list(s, "set") for s in _list(data["sets"], "sets"))
+    return SetCover(SetCoverData(_int(data["num_elements"], "num_elements"), sets))
 
 
 def _build_ilp(data: Mapping) -> Ilp:
     _require_fields(data, {"num_vars", "bounds", "constraints", "objective", "sense"})
     bounds = []
-    for b in data["bounds"]:
+    for b in _list(data["bounds"], "bounds"):
         pair = _int_list(b, "bound")
         if len(pair) != 2:
             raise DocumentError(f"bound {b!r} must be a [lo, hi] pair")
         bounds.append((pair[0], pair[1]))
     constraints = []
-    for c in data["constraints"]:
+    for c in _list(data["constraints"], "constraints"):
         _require_fields(c, {"coeffs", "rel", "rhs"})
-        if not isinstance(c["rhs"], int):
-            raise DocumentError("constraint rhs must be an integer")
-        constraints.append((_int_list(c["coeffs"], "coeffs"), c["rel"], c["rhs"]))
+        rhs = _int(c["rhs"], "constraint rhs")
+        constraints.append((_int_list(c["coeffs"], "coeffs"), c["rel"], rhs))
     return Ilp(
         IlpData(
-            num_vars=data["num_vars"],
+            num_vars=_int(data["num_vars"], "num_vars"),
             var_bounds=tuple(bounds),
             constraints=tuple(constraints),
             objective=_int_list(data["objective"], "objective"),
@@ -782,18 +790,16 @@ def _build_ilp(data: Mapping) -> Ilp:
 
 def _build_decision_mis(data: Mapping) -> DecisionProblem:
     _require_fields(data, {"num_vertices", "edges", "bound"}, {"weights"})
-    if not isinstance(data["bound"], int):
-        raise DocumentError("bound must be an integer")
+    bound = _int(data["bound"], "bound")
     inner = _build_mis({k: v for k, v in data.items() if k != "bound"})
-    return DecisionProblem(inner, data["bound"])
+    return DecisionProblem(inner, bound)
 
 
 def _build_decision_vc(data: Mapping) -> DecisionProblem:
     _require_fields(data, {"num_vertices", "edges", "bound"})
-    if not isinstance(data["bound"], int):
-        raise DocumentError("bound must be an integer")
+    bound = _int(data["bound"], "bound")
     inner = _build_vc({k: v for k, v in data.items() if k != "bound"})
-    return DecisionProblem(inner, data["bound"])
+    return DecisionProblem(inner, bound)
 
 
 _BUILDERS = {
@@ -833,6 +839,8 @@ def instance_from_document(document: Mapping, registry: Registry) -> Problem:
         raise DocumentError(f"no builder for problem {descriptor.name!r}")
     instance = builder(document["data"])
     variant = document.get("variant")
+    if variant is not None and not isinstance(variant, Mapping):
+        raise DocumentError("variant must be an object of tags")
     if variant is not None and dict(variant) != instance.variant_tags:
         raise DocumentError(
             f"variant tags {dict(variant)} do not match instance data "

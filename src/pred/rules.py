@@ -256,8 +256,7 @@ def _forward_mis_to_ilp(instance: IndependentSet) -> tuple[Problem, dict]:
     g = instance.graph
     n = g.num_vertices
     constraints = tuple((_edge_indicator(n, u, v), "<=", 1) for u, v in g.edges)
-    weights = tuple(g.weight(v) for v in range(n))
-    data = IlpData(n, ((0, 1),) * n, constraints, weights, "max")
+    data = IlpData(n, ((0, 1),) * n, constraints, g.weights, "max")
     return Ilp(data), {"num_vars": n}
 
 
@@ -282,7 +281,7 @@ def _forward_setcover_to_ilp(instance: SetCover) -> tuple[Problem, dict]:
 
 def _forward_domset_to_setcover(instance: DominatingSet) -> tuple[Problem, dict]:
     g = instance.graph
-    sets = tuple(tuple(sorted(hood)) for hood in g.closed_neighborhoods())
+    sets = g.closed_neighborhoods
     return SetCover(SetCoverData(g.num_vertices, sets)), {"num_vars": g.num_vertices}
 
 

@@ -2,7 +2,9 @@
 
 Everything here works on plain Python data (edge lists, clause lists, nested
 lists of ints) and enumerates with itertools. Nothing imports the package
-under test; these are the reference answers the test suite compares against.
+under test, except ``reference_fold``, which restates the brute-force fold
+through the package's public ``combine`` law; these are the reference answers
+the test suite compares against.
 """
 
 from __future__ import annotations
@@ -195,3 +197,29 @@ def best_ilp(bounds, constraints, objective, sense):
         elif value == best:
             winners.append(point)
     return best, winners
+
+
+def reference_fold(instance):
+    """(value, witness) of folding ``combine`` over ``evaluate`` across the space.
+
+    The literal definition of the brute-force fold: start at the kind's
+    identity and combine every configuration's value in lexicographic order.
+    The witness is taken on strict improvements only, of the ``_score`` order
+    for Max, Min and Extremum (and dropped when nothing is feasible), and on
+    the first true value for Or; Sum and And have none.
+    """
+    from pred.model import ValueKind, _score, combine, evaluate, identity_value
+
+    scored = instance.kind in (ValueKind.MAX, ValueKind.MIN, ValueKind.EXTREMUM)
+    acc = identity_value(instance.kind, instance.sense)
+    witness = None
+    for config in product(*(range(d) for d in instance.config_dims())):
+        value = evaluate(instance, config)
+        if scored and _score(value) > _score(acc):
+            witness = config
+        elif instance.kind is ValueKind.OR and value.payload and not acc.payload:
+            witness = config
+        acc = combine(acc, value)
+    if scored and not acc.feasible:
+        witness = None
+    return acc, witness

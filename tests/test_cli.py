@@ -158,6 +158,31 @@ def test_exit_2_on_bad_json():
     assert result.returncode == 2
 
 
+ILP_DATA = {"num_vars": 1, "bounds": [[0, 1]], "constraints": [], "objective": [1], "sense": "max"}
+ENVELOPE = {"kind": "envelope", "trace_version": 1, "source": {}, "path": [], "target": {}}
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"problem": "QUBO", "data": {"n": "2", "q": [[1, 0], [0, 1]]}},
+        {"problem": "QUBO", "data": {"n": 2, "q": 5}},
+        {"problem": "ILP", "variant": 5, "data": ILP_DATA},
+        {**ENVELOPE, "trace": 3},
+        {"problem": "MIS", "data": {"num_vertices": 3, "edges": 5}},
+        {"problem": "MIS", "data": {"num_vertices": True, "edges": []}},
+    ],
+    ids=["qubo-n-string", "qubo-q-int", "ilp-variant-int", "envelope-trace-int",
+         "mis-edges-int", "mis-count-bool"],
+)
+def test_exit_2_on_wrongly_typed_document_fields(document):
+    result = run_cli("solve", "-", stdin=json.dumps(document))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("pred: ")
+    assert result.stderr.count("\n") == 1
+
+
 def test_exit_2_on_missing_required_data():
     # QUBO has no flag syntax; it needs --example or --file
     result = run_cli("create", "QUBO")

@@ -3,12 +3,14 @@ variant registry, and configuration validation."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from pred import (
     AggregatedValue,
+    CnfData,
     DEFAULT_CONFIG_BUDGET,
     BudgetExceededError,
     DecisionProblem,
@@ -16,9 +18,13 @@ from pred import (
     DomainError,
     DuplicateRegistrationError,
     GraphData,
+    Ilp,
+    IlpData,
     IndependentSet,
     KindError,
+    Problem,
     Registry,
+    Satisfiability,
     SolveCapability,
     UnknownProblemError,
     ValueKind,
@@ -34,6 +40,7 @@ from pred import (
 )
 from pred.model import SENSE_MAXIMIZE, SENSE_MINIMIZE
 
+import generators
 import oracles
 from generators import make_rng, random_mis
 
@@ -160,6 +167,135 @@ def test_fold_space_budget():
 
 def test_fold_space_default_budget_constant():
     assert DEFAULT_CONFIG_BUDGET == 1 << 20
+
+
+def _catalogue_instances(rng):
+    """Seeded small instances of every catalogue type, decision wrappers included."""
+    g = generators
+    for _ in range(4):
+        yield g.random_mis(rng)[0]
+        yield g.random_mis(rng, weighted=True)[0]
+        yield g.random_vc(rng)[0]
+        yield g.random_clique(rng)[0]
+        yield g.random_domset(rng)[0]
+        yield g.random_maxcut(rng)[0]
+        yield g.random_set_cover(rng)[0]
+        yield g.random_qubo(rng)[0]
+        yield g.random_ising(rng)[0]
+        yield g.random_coloring(rng, max_vertices=4, colors=rng.choice((2, 3)))[0]
+        yield g.random_sat(rng)[0]
+        yield g.random_3sat(rng)[0]
+        yield g.random_ilp(rng, max_vars=4)[0]
+        yield g.random_cardinality_ilp(rng, max_vars=6)[0]
+        for inner in (g.random_mis(rng)[0], g.random_vc(rng)[0]):
+            best = fold_space(inner).value.payload
+            for bound in (best - 1, best, best + 1):  # true and false answers
+                yield decision_wrap(inner, bound)
+
+
+def _special_instances():
+    box = ((0, 1), (0, 1))
+    yield Ilp(IlpData(2, box, (((1, 1), ">=", 1),), (2, 3), "min"))
+    yield Ilp(IlpData(2, box, (((1, 1), ">=", 3),), (1, -1), "max"))  # all infeasible
+    yield Ilp(IlpData(0, (), (), (), "min"))
+    yield Ilp(IlpData(0, (), (((), ">=", 1),), (), "max"))  # one, infeasible, configuration
+    yield IndependentSet(GraphData(0, ()))
+    yield Satisfiability(CnfData(0, ()))
+    yield decision_wrap(VertexCover(GraphData(0, ())), 0)
+
+
+class _Table(Problem):
+    """Test-only problem of any kind whose measures come from a lookup table."""
+
+    type_name = "Table"
+
+    def __init__(self, kind, dims, table):
+        self.kind, self.dims, self.table = kind, dims, table
+        self.calls = 0
+
+    def config_dims(self):
+        return self.dims
+
+    def size_measures(self):
+        return {}
+
+    def _measure(self, config):
+        self.calls += 1
+        return self.table[config], True
+
+
+def _random_table(rng, kind):
+    dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 4)))
+    space = itertools.product(*(range(d) for d in dims))
+    if kind is ValueKind.SUM:
+        return _Table(kind, dims, {c: rng.randint(-5, 5) for c in space})
+    return _Table(kind, dims, {c: rng.random() < 0.9 for c in space})
+
+
+def _lex_rank(config, dims):
+    rank = 0
+    for value, dim in zip(config, dims):
+        rank = rank * dim + value
+    return rank
+
+
+def test_fold_space_matches_reference_fold():
+    rng = make_rng(404)
+    instances = [*_catalogue_instances(rng), *_special_instances()]
+    for kind in (ValueKind.SUM, ValueKind.AND):
+        instances += [_random_table(rng, kind) for _ in range(20)]
+    seen = set()
+    for instance in instances:
+        value, witness = oracles.reference_fold(instance)
+        result = fold_space(instance)
+        assert result.value == value, instance
+        assert type(result.value.payload) is type(value.payload), instance
+        assert result.witness == witness, instance
+        seen.add((instance.type_name, instance.kind, value.feasible, bool(value.payload)))
+    catalogue = {d.key for d in register_catalogue().variants()}
+    assert catalogue <= {i.variant_key() for i in instances if not isinstance(i, _Table)}
+    assert ("DecisionMinimumVertexCover", ValueKind.OR, True, False) in seen
+    assert ("DecisionMinimumVertexCover", ValueKind.OR, True, True) in seen
+    assert ("IntegerLinearProgram", ValueKind.EXTREMUM, False, True) in seen
+
+
+def test_or_and_folds_stop_at_their_absorbing_value(monkeypatch):
+    calls = []
+    measure = IndependentSet._measure
+
+    def counted(self, config):
+        calls.append(config)
+        return measure(self, config)
+
+    monkeypatch.setattr(IndependentSet, "_measure", counted)
+    rng = make_rng(405)
+    for _ in range(20):
+        inner, _ = random_mis(rng)
+        dims = inner.config_dims()
+        for bound in range(inner.graph.num_vertices + 2):
+            calls.clear()
+            result = fold_space(decision_wrap(inner, bound))
+            if result.value.payload:
+                assert len(calls) == _lex_rank(result.witness, dims) + 1
+                assert calls[-1] == result.witness
+            else:
+                assert len(calls) == 2 ** len(dims)
+    for _ in range(20):
+        table = _random_table(rng, ValueKind.AND)
+        result = fold_space(table)
+        space = itertools.product(*(range(d) for d in table.dims))
+        falses = [c for c in space if not table.table[c]]
+        assert result.value.payload is (not falses)
+        assert table.calls == (_lex_rank(falses[0], table.dims) + 1 if falses else len(table.table))
+
+
+def test_or_fold_budget_counts_the_full_space():
+    empty = IndependentSet(GraphData(8, ()))
+    wrapped = decision_wrap(empty, 0)  # the all-zero first configuration answers true
+    with pytest.raises(BudgetExceededError):
+        fold_space(wrapped, max_configs=255)
+    result = fold_space(wrapped, max_configs=256)
+    assert result.witness == (0,) * 8
 
 
 def test_decision_wrap_thresholds():
