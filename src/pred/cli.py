@@ -35,28 +35,8 @@ from .graph import (
     extract_along,
     reduce_along,
 )
-from .model import (
-    DEFAULT_CONFIG_BUDGET,
-    DecisionProblem,
-    Problem,
-    ValueKind,
-    evaluate,
-    reported_witness,
-)
-from .problems import (
-    CnfData,
-    Clique,
-    DominatingSet,
-    GraphColoring,
-    GraphData,
-    IndependentSet,
-    MaxCut,
-    Satisfiability,
-    ThreeSatisfiability,
-    VertexCover,
-    instance_from_document,
-    instance_to_document,
-)
+from .model import DEFAULT_CONFIG_BUDGET, ValueKind, evaluate, reported_witness
+from .problems import DATA_FIELDS, instance_from_document, instance_to_document
 from .solvers import DEFAULT_NODE_BUDGET, solve, solver_label
 from .symbolic import render, render_overhead
 
@@ -174,61 +154,45 @@ def _parse_clauses(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(clauses)
 
 
-def _graph_from_flags(args) -> GraphData:
-    if args.graph is None and args.vertices is None:
-        raise DocumentError("need --graph (and/or --vertices) to build a graph instance")
-    edges = _parse_edges(args.graph) if args.graph else []
-    if args.vertices is not None:
-        num_vertices = args.vertices
-    elif edges:
-        num_vertices = max(max(u, v) for u, v in edges) + 1
-    else:
-        raise DocumentError("empty edge list; pass --vertices for an edgeless graph")
-    weights = _parse_ints(args.weights, "weight list") if args.weights else None
-    return GraphData(num_vertices, tuple(edges), weights)
+# create flag -> (data field it fills, parser of its text); argparse has
+# already turned the integer flags into ints
+_FLAG_FIELDS = {
+    "graph": ("edges", _parse_edges),
+    "vertices": ("num_vertices", None),
+    "weights": ("weights", lambda text: _parse_ints(text, "weight list")),
+    "clauses": ("clauses", _parse_clauses),
+    "variables": ("num_variables", None),
+    "colors": ("colors", None),
+    "bound": ("bound", None),
+}
 
 
-def _cnf_from_flags(args) -> CnfData:
-    if args.clauses is None:
-        raise DocumentError("need --clauses, e.g. --clauses '1,2,3;-1,2'")
-    clauses = _parse_clauses(args.clauses)
-    widest = max(abs(lit) for clause in clauses for lit in clause)
-    num_variables = args.variables if args.variables is not None else widest
-    return CnfData(num_variables, clauses)
-
-
-def _require_bound(args) -> int:
-    if args.bound is None:
-        raise DocumentError("decision problems need --bound")
-    return args.bound
-
-
-def _instance_from_flags(name: str, args) -> Problem:
-    if name == "MaximumIndependentSet":
-        return IndependentSet(_graph_from_flags(args))
-    if name == "MinimumVertexCover":
-        return VertexCover(_graph_from_flags(args))
-    if name == "MaximumClique":
-        return Clique(_graph_from_flags(args))
-    if name == "MinimumDominatingSet":
-        return DominatingSet(_graph_from_flags(args))
-    if name == "MaxCut":
-        return MaxCut(_graph_from_flags(args))
-    if name == "GraphColoring":
-        if args.colors is None:
-            raise DocumentError("GraphColoring needs --colors")
-        return GraphColoring(_graph_from_flags(args), args.colors)
-    if name == "DecisionMaximumIndependentSet":
-        bound = _require_bound(args)
-        return DecisionProblem(IndependentSet(_graph_from_flags(args)), bound)
-    if name == "DecisionMinimumVertexCover":
-        bound = _require_bound(args)
-        return DecisionProblem(VertexCover(_graph_from_flags(args)), bound)
-    if name == "Satisfiability":
-        return Satisfiability(_cnf_from_flags(args))
-    if name == "ThreeSatisfiability":
-        return ThreeSatisfiability(_cnf_from_flags(args))
-    raise DocumentError(f"{name} instances need --example or --file (no data flags)")
+def _data_from_flags(name: str, args) -> dict:
+    """The instance data that the set data flags spell, for the shared decoder."""
+    required, optional, _ = DATA_FIELDS[name]
+    takes = required.keys() | optional.keys()
+    if not any(field in takes for field, _ in _FLAG_FIELDS.values()):
+        raise DocumentError(f"{name} instances need --example or --file (no data flags)")
+    data: dict = {}
+    for flag, (field, parse) in _FLAG_FIELDS.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if field not in takes:
+            raise DocumentError(f"{name} takes no --{flag}")
+        data[field] = parse(value) if parse else value
+    if "edges" in takes:
+        edges = data.setdefault("edges", [])
+        if "num_vertices" not in data:
+            if not edges:
+                raise DocumentError(f"{name} needs --graph, or --vertices for an edgeless graph")
+            data["num_vertices"] = max(map(max, edges)) + 1
+    if "clauses" in data:
+        data.setdefault("num_variables", max(abs(lit) for c in data["clauses"] for lit in c))
+    for flag, (field, _) in _FLAG_FIELDS.items():
+        if field in required and field not in data:
+            raise DocumentError(f"{name} needs --{flag}")
+    return data
 
 
 def cmd_create(args) -> None:
@@ -245,7 +209,8 @@ def cmd_create(args) -> None:
                 f"--file holds a {instance.type_name}, but {descriptor.name} was requested"
             )
     else:
-        instance = _instance_from_flags(descriptor.name, args)
+        data = _data_from_flags(descriptor.name, args)
+        instance = instance_from_document({"problem": descriptor.name, "data": data}, registry)
     _emit(instance_to_document(instance))
 
 

@@ -19,6 +19,7 @@ from .model import (
     Configuration,
     DEFAULT_CONFIG_BUDGET,
     Problem,
+    ProblemTypeDescriptor,
     Registry,
     VariantKey,
     evaluate,
@@ -131,12 +132,7 @@ class ReductionGraph:
         if steps and steps[0].source.key != source:
             raise UnknownProblemError(f"path does not start at {source}")
         target = steps[-1].target.key if steps else source
-        composite = identity_overhead(self.registry.lookup_key(source).size_measure_names)
-        for rule in steps:
-            composite = compose(rule.overhead, composite)
-        terminal = self.registry.lookup_key(target)
-        cost = canonical(subst(terminal.complexity, composite))
-        return ReductionPath(source, target, tuple(steps), composite, cost)
+        return _chain(self.registry.lookup_key(source), self.registry.lookup_key(target), steps)
 
     def find_path(
         self,
@@ -205,6 +201,19 @@ class ReductionGraph:
         return reached
 
 
+def _chain(
+    source: ProblemTypeDescriptor,
+    target: ProblemTypeDescriptor,
+    steps: tuple[ReductionRule, ...],
+) -> ReductionPath:
+    """The path of endpoint-compatible ``steps``, with composed overhead and cost."""
+    composite = identity_overhead(source.size_measure_names)
+    for rule in steps:
+        composite = compose(rule.overhead, composite)
+    cost = canonical(subst(target.complexity, composite))
+    return ReductionPath(source.key, target.key, tuple(steps), composite, cost)
+
+
 def _single_scale(expr: Expr) -> Expr:
     return subst(expr, {name: _SCALE for name in vars_of(expr)})
 
@@ -263,28 +272,19 @@ def round_trip_check(
     max_configs: int = DEFAULT_CONFIG_BUDGET,
 ) -> RoundTripReport:
     """Brute-force both endpoints of a reduction and compare via extraction."""
-    if isinstance(rule_or_path, ReductionRule):
-        steps: tuple[ReductionRule, ...] = (rule_or_path,)
-    else:
-        steps = rule_or_path.steps
-    names = tuple(rule.name for rule in steps)
-    if not (
-        all(rule.witness_capable for rule in steps)
-        or all(rule.value_capable for rule in steps)
-    ):
+    path = rule_or_path
+    if isinstance(path, ReductionRule):
+        path = _chain(path.source, path.target, (path,))
+    names = path.rule_names()
+    if not (path.witness_capable or all(rule.value_capable for rule in path.steps)):
         raise CapabilityError(
             f"path {' / '.join(names)} is neither witness- nor value-extractable end to end"
         )
-    outcomes: list[ReductionOutcome] = []
-    current = instance
-    for rule in steps:
-        outcome = apply(rule, current)
-        outcomes.append(outcome)
-        current = outcome.target_instance
+    envelope = reduce_along(path, instance)
     source_fold = fold_space(instance, max_configs)
-    target_fold = fold_space(current, max_configs)
+    target_fold = fold_space(envelope.target_instance, max_configs)
 
-    if all(rule.witness_capable for rule in steps):
+    if path.witness_capable:
         if target_fold.witness is None:
             passed = source_fold.witness is None
             detail = (
@@ -293,14 +293,9 @@ def round_trip_check(
                 else f"target produced no witness but source optimum is {source_fold.value.render()}"
             )
             return RoundTripReport(names, passed, source_fold.value, None, detail)
-        config = tuple(target_fold.witness)
-        for outcome in reversed(outcomes):
-            config = extract_solution(outcome, config)
-        extracted = evaluate(instance, config)
+        extracted = evaluate(instance, extract_along(envelope, target_fold.witness))
     else:
-        extracted = target_fold.value
-        for outcome in reversed(outcomes):
-            extracted = extract_value(outcome, extracted)
+        extracted = extract_value_along(envelope, target_fold.value)
 
     passed = _values_equal(extracted, source_fold.value)
     detail = "ok" if passed else f"mismatch: {source_fold.value.payload} != {extracted.payload}"

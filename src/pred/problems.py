@@ -4,6 +4,14 @@ Instance data lives in small frozen dataclasses with eager validation;
 each problem class implements the uniform interface from ``model``. The
 catalogue registers every shipped variant with its size measures and the
 best known (or naive enumeration) complexity bound.
+
+Instance data is declared once, in the field table ``DATA_FIELDS``: for
+each canonical problem name, its required and optional data fields, the
+shape check each field's value must pass (integer, integer list, rows of
+integers, integer pairs or ILP constraints), and a one-line
+constructor. ``instance_from_data`` is the one decoder; JSON documents
+and ``pred create`` flags both go through it, so both accept and reject
+the same data.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress
-from typing import Mapping
+from typing import AbstractSet, Callable, Mapping
 
 from .errors import DocumentError, InvalidInstanceError
 from .model import (
@@ -657,7 +665,9 @@ def _graph_to_data(graph: GraphData) -> dict:
     return data
 
 
-def _require_fields(data: Mapping, required: set[str], optional: set[str] = frozenset()) -> None:
+def _require_fields(
+    data: Mapping, required: AbstractSet[str], optional: AbstractSet[str] = frozenset()
+) -> None:
     if not isinstance(data, Mapping):
         raise DocumentError("instance data must be an object")
     keys = set(data)
@@ -691,133 +701,100 @@ def _int_list(values, what: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _graph_from_data(data: Mapping, extra: set[str] = frozenset()) -> GraphData:
-    _require_fields(data, {"num_vertices", "edges"}, {"weights"} | extra)
-    num_vertices = _int(data["num_vertices"], "num_vertices")
-    edges = []
-    for e in _list(data["edges"], "edges"):
-        pair = _int_list(e, "edge")
-        if len(pair) != 2:
-            raise DocumentError(f"edge {e!r} must have two endpoints")
-        edges.append((pair[0], pair[1]))
-    weights = _int_list(data["weights"], "weights") if "weights" in data else None
-    return GraphData(num_vertices, tuple(edges), weights)
+def _int_rows(values, what: str) -> tuple[tuple[int, ...], ...]:
+    entry = f"each entry of {what}"
+    return tuple(_int_list(row, entry) for row in _list(values, what))
 
 
-def _cnf_from_data(data: Mapping) -> CnfData:
-    _require_fields(data, {"num_variables", "clauses"})
-    num_variables = _int(data["num_variables"], "num_variables")
-    clauses = tuple(_int_list(c, "clause") for c in _list(data["clauses"], "clauses"))
-    return CnfData(num_variables, clauses)
+def _int_pairs(values, what: str) -> tuple[tuple[int, ...], ...]:
+    rows = _int_rows(values, what)
+    for row in rows:
+        if len(row) != 2:
+            raise DocumentError(f"each entry of {what} must be a pair, not {list(row)}")
+    return rows
 
 
-def _build_mis(data: Mapping) -> IndependentSet:
-    return IndependentSet(_graph_from_data(data))
-
-
-def _build_vc(data: Mapping) -> VertexCover:
-    graph = _graph_from_data(data)
-    if graph.vertex_weights is not None:
-        raise DocumentError("MinimumVertexCover takes no weights")
-    return VertexCover(graph)
-
-
-def _build_unweighted(cls):
-    def build(data: Mapping) -> Problem:
-        graph = _graph_from_data(data)
-        if graph.vertex_weights is not None:
-            raise DocumentError(f"{cls.type_name} takes no weights")
-        return cls(graph)
-
-    return build
-
-
-def _build_coloring(data: Mapping) -> GraphColoring:
-    _require_fields(data, {"num_vertices", "edges", "colors"})
-    graph = _graph_from_data({k: v for k, v in data.items() if k != "colors"})
-    return GraphColoring(graph, _int(data["colors"], "colors"))
-
-
-def _build_sat(data: Mapping) -> Satisfiability:
-    return Satisfiability(_cnf_from_data(data))
-
-
-def _build_3sat(data: Mapping) -> ThreeSatisfiability:
-    return ThreeSatisfiability(_cnf_from_data(data))
-
-
-def _build_qubo(data: Mapping) -> Qubo:
-    _require_fields(data, {"n", "q"})
-    rows = tuple(_int_list(row, "Q row") for row in _list(data["q"], "q"))
-    return Qubo(QuboData(_int(data["n"], "n"), rows))
-
-
-def _build_ising(data: Mapping) -> SpinGlass:
-    _require_fields(data, {"n", "j", "h"})
-    rows = tuple(_int_list(row, "J row") for row in _list(data["j"], "j"))
-    return SpinGlass(IsingData(_int(data["n"], "n"), rows, _int_list(data["h"], "h")))
-
-
-def _build_set_cover(data: Mapping) -> SetCover:
-    _require_fields(data, {"num_elements", "sets"})
-    sets = tuple(_int_list(s, "set") for s in _list(data["sets"], "sets"))
-    return SetCover(SetCoverData(_int(data["num_elements"], "num_elements"), sets))
-
-
-def _build_ilp(data: Mapping) -> Ilp:
-    _require_fields(data, {"num_vars", "bounds", "constraints", "objective", "sense"})
-    bounds = []
-    for b in _list(data["bounds"], "bounds"):
-        pair = _int_list(b, "bound")
-        if len(pair) != 2:
-            raise DocumentError(f"bound {b!r} must be a [lo, hi] pair")
-        bounds.append((pair[0], pair[1]))
-    constraints = []
-    for c in _list(data["constraints"], "constraints"):
+def _ilp_constraints(values, what: str) -> tuple[tuple[tuple[int, ...], object, int], ...]:
+    rows = []
+    for c in _list(values, what):
         _require_fields(c, {"coeffs", "rel", "rhs"})
-        rhs = _int(c["rhs"], "constraint rhs")
-        constraints.append((_int_list(c["coeffs"], "coeffs"), c["rel"], rhs))
-    return Ilp(
-        IlpData(
-            num_vars=_int(data["num_vars"], "num_vars"),
-            var_bounds=tuple(bounds),
-            constraints=tuple(constraints),
-            objective=_int_list(data["objective"], "objective"),
-            sense=data["sense"],
-        )
-    )
+        rows.append((_int_list(c["coeffs"], "coeffs"), c["rel"], _int(c["rhs"], "rhs")))
+    return tuple(rows)
 
 
-def _build_decision_mis(data: Mapping) -> DecisionProblem:
-    _require_fields(data, {"num_vertices", "edges", "bound"}, {"weights"})
-    bound = _int(data["bound"], "bound")
-    inner = _build_mis({k: v for k, v in data.items() if k != "bound"})
-    return DecisionProblem(inner, bound)
+def _graph(data: Mapping) -> GraphData:
+    return GraphData(data["num_vertices"], data["edges"], data.get("weights"))
 
 
-def _build_decision_vc(data: Mapping) -> DecisionProblem:
-    _require_fields(data, {"num_vertices", "edges", "bound"})
-    bound = _int(data["bound"], "bound")
-    inner = _build_vc({k: v for k, v in data.items() if k != "bound"})
-    return DecisionProblem(inner, bound)
+def _cnf(data: Mapping) -> CnfData:
+    return CnfData(data["num_variables"], data["clauses"])
 
 
-_BUILDERS = {
-    "Satisfiability": _build_sat,
-    "ThreeSatisfiability": _build_3sat,
-    "MaximumIndependentSet": _build_mis,
-    "MinimumVertexCover": _build_vc,
-    "MaximumClique": _build_unweighted(Clique),
-    "MinimumDominatingSet": _build_unweighted(DominatingSet),
-    "MinimumSetCover": _build_set_cover,
-    "MaxCut": _build_unweighted(MaxCut),
-    "QUBO": _build_qubo,
-    "SpinGlass": _build_ising,
-    "GraphColoring": _build_coloring,
-    "IntegerLinearProgram": _build_ilp,
-    "DecisionMaximumIndependentSet": _build_decision_mis,
-    "DecisionMinimumVertexCover": _build_decision_vc,
+_GRAPH = {"num_vertices": _int, "edges": _int_pairs}
+_CNF = {"num_variables": _int, "clauses": _int_rows}
+
+# Canonical problem name -> (required fields, optional fields, constructor).
+# Each field maps to the shape check its value must pass; the constructor
+# receives the checked values and its data class validates the rest.
+DATA_FIELDS: dict[str, tuple[dict, dict, Callable[[Mapping], Problem]]] = {
+    "Satisfiability": (_CNF, {}, lambda d: Satisfiability(_cnf(d))),
+    "ThreeSatisfiability": (_CNF, {}, lambda d: ThreeSatisfiability(_cnf(d))),
+    "MaximumIndependentSet": (
+        _GRAPH, {"weights": _int_list}, lambda d: IndependentSet(_graph(d))
+    ),
+    "MinimumVertexCover": (_GRAPH, {}, lambda d: VertexCover(_graph(d))),
+    "MaximumClique": (_GRAPH, {}, lambda d: Clique(_graph(d))),
+    "MinimumDominatingSet": (_GRAPH, {}, lambda d: DominatingSet(_graph(d))),
+    "MaxCut": (_GRAPH, {}, lambda d: MaxCut(_graph(d))),
+    "GraphColoring": (
+        {**_GRAPH, "colors": _int}, {}, lambda d: GraphColoring(_graph(d), d["colors"])
+    ),
+    "MinimumSetCover": (
+        {"num_elements": _int, "sets": _int_rows},
+        {},
+        lambda d: SetCover(SetCoverData(d["num_elements"], d["sets"])),
+    ),
+    "QUBO": ({"n": _int, "q": _int_rows}, {}, lambda d: Qubo(QuboData(d["n"], d["q"]))),
+    "SpinGlass": (
+        {"n": _int, "j": _int_rows, "h": _int_list},
+        {},
+        lambda d: SpinGlass(IsingData(d["n"], d["j"], d["h"])),
+    ),
+    "IntegerLinearProgram": (
+        {
+            "num_vars": _int,
+            "bounds": _int_pairs,
+            "constraints": _ilp_constraints,
+            "objective": _int_list,
+            "sense": lambda value, what: value,  # IlpData checks it is "max" or "min"
+        },
+        {},
+        lambda d: Ilp(
+            IlpData(d["num_vars"], d["bounds"], d["constraints"], d["objective"], d["sense"])
+        ),
+    ),
+    "DecisionMaximumIndependentSet": (
+        {**_GRAPH, "bound": _int},
+        {},
+        lambda d: DecisionProblem(IndependentSet(_graph(d)), d["bound"]),
+    ),
+    "DecisionMinimumVertexCover": (
+        {**_GRAPH, "bound": _int},
+        {},
+        lambda d: DecisionProblem(VertexCover(_graph(d)), d["bound"]),
+    ),
 }
+
+
+def instance_from_data(name: str, data: Mapping) -> Problem:
+    """Check ``data`` against the field table of canonical type ``name``; build it."""
+    entry = DATA_FIELDS.get(name)
+    if entry is None:
+        raise DocumentError(f"no field table for problem {name!r}")
+    required, optional, build = entry
+    _require_fields(data, required.keys(), optional.keys())
+    shapes = {**required, **optional}
+    return build({field: shapes[field](value, field) for field, value in data.items()})
 
 
 def instance_to_document(instance: Problem) -> dict:
@@ -834,10 +811,7 @@ def instance_from_document(document: Mapping, registry: Registry) -> Problem:
     if not isinstance(name, str):
         raise DocumentError("problem name must be a string")
     descriptor = registry.lookup(name)  # resolves aliases, errors on unknowns
-    builder = _BUILDERS.get(descriptor.name)
-    if builder is None:
-        raise DocumentError(f"no builder for problem {descriptor.name!r}")
-    instance = builder(document["data"])
+    instance = instance_from_data(descriptor.name, document["data"])
     variant = document.get("variant")
     if variant is not None and not isinstance(variant, Mapping):
         raise DocumentError("variant must be an object of tags")

@@ -15,7 +15,6 @@ from typing import Callable, Mapping
 
 from .errors import (
     CapabilityError,
-    DuplicateRegistrationError,
     ExtractionError,
     KindError,
     RegistrationError,
@@ -464,7 +463,7 @@ def _rule(
 
 def shipped_rules(registry: Registry) -> list[ReductionRule]:
     """Build and validate the full edge catalogue against a registry."""
-    rules = [
+    return [
         _rule(
             registry,
             ("Satisfiability", None),
@@ -619,10 +618,3 @@ def shipped_rules(registry: Registry) -> list[ReductionRule]:
             value_extractor=_extract_affine_value,
         ),
     ]
-    seen: set[tuple] = set()
-    for rule in rules:
-        pair = (rule.source.key, rule.target.key)
-        if pair in seen:
-            raise DuplicateRegistrationError(f"duplicate edge {rule.name}")
-        seen.add(pair)
-    return rules

@@ -189,6 +189,32 @@ def test_exit_2_on_missing_required_data():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args,flag",
+    [
+        (["VC", "--graph", "0-1,1-2", "--weights", "2,3,4"], "--weights"),
+        (["Clique", "--graph", "0-1,1-2", "--weights", "2,3,4"], "--weights"),
+        (["DominatingSet", "--graph", "0-1,1-2", "--weights", "2,3,4"], "--weights"),
+        (["MaxCut", "--graph", "0-1,1-2", "--weights", "2,3,4"], "--weights"),
+        (["GC", "--graph", "0-1,1-2", "--colors", "2", "--weights", "2,3,4"], "--weights"),
+        (["DecisionVC", "--graph", "0-1,1-2", "--bound", "1", "--weights", "2,3,4"], "--weights"),
+        (["DecisionMIS", "--graph", "0-1,1-2", "--bound", "1", "--weights", "2,3,4"], "--weights"),
+        (["MIS", "--graph", "0-1", "--colors", "3"], "--colors"),
+        (["SAT", "--clauses", "1,2;-1", "--graph", "0-1"], "--graph"),
+        (["MIS", "--graph", "0-1", "--clauses", "1,2"], "--clauses"),
+    ],
+    ids=lambda case: " ".join(case) if isinstance(case, list) else case,
+)
+def test_create_rejects_a_flag_the_problem_does_not_take(args, flag):
+    result = run_cli("create", *args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("pred: ")
+    assert result.stderr.count("\n") == 1
+    assert flag in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_exit_3_when_no_reduction_path():
     created = run_cli("create", "ILP", "--example")
     result = run_cli("reduce", "-", "--to", "MIS", stdin=created.stdout)

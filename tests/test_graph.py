@@ -3,21 +3,28 @@ and round-trip verification along multi-step paths."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from pred import (
+    AggregatedValue,
     CapabilityError,
     CnfData,
     Comparison,
+    DuplicateRegistrationError,
     GraphData,
     IndependentSet,
     NoPathError,
     Qubo,
     QuboData,
+    ReductionGraph,
+    Satisfiability,
     ThreeSatisfiability,
     TypeMismatchError,
     UnknownProblemError,
     Var,
+    build_examples,
     compare,
     default_graph,
     evaluate,
@@ -36,6 +43,7 @@ from generators import make_rng, random_mis
 
 GRAPH = default_graph()
 REGISTRY = GRAPH.registry
+EXAMPLES = build_examples(REGISTRY)
 P4 = GraphData(4, ((0, 1), (1, 2), (2, 3)))
 
 
@@ -244,6 +252,44 @@ def test_round_trip_check_mixed_path_has_no_capability():
     path = GRAPH.make_path(key("MIS"), steps)
     with pytest.raises(CapabilityError):
         round_trip_check(path, IndependentSet(P4))
+
+
+def test_round_trip_check_of_a_rule_is_that_of_its_one_step_path():
+    for rule in GRAPH.rules:
+        instance = EXAMPLES[rule.source.key].instance
+        by_rule = round_trip_check(rule, instance)
+        by_path = round_trip_check(GRAPH.make_path(rule.source.key, (rule,)), instance)
+        assert by_rule.passed, f"{rule.name}: {by_rule.detail}"
+        assert by_rule == by_path, rule.name
+
+
+def test_round_trip_check_reports_a_wrong_value_extractor():
+    good = GRAPH.rule_named("MaximumIndependentSet->QUBO")
+
+    def off_by_one(data, value):
+        right = good.value_extractor(data, value)
+        return AggregatedValue(right.kind, right.payload + 1, right.feasible)
+
+    bad = dataclasses.replace(good, value_extractor=off_by_one)
+    report = round_trip_check(bad, IndependentSet(P4))
+    assert not report.passed
+    assert report.detail == "mismatch: 2 != 3"
+
+
+def test_round_trip_check_without_a_witness_on_either_side():
+    unsatisfiable = Satisfiability(CnfData(1, ((1,), (-1,))))
+    rule = GRAPH.rule_named("Satisfiability->ThreeSatisfiability")
+    report = round_trip_check(rule, unsatisfiable)
+    assert report.passed
+    assert report.extracted_value is None
+    assert report.detail == "ok (no witness on either side)"
+
+
+def test_graph_rejects_two_rules_on_one_pair():
+    rule = GRAPH.rule_named("MaximumIndependentSet->MinimumVertexCover")
+    twin = dataclasses.replace(rule, name="another MaximumIndependentSet->MinimumVertexCover")
+    with pytest.raises(DuplicateRegistrationError):
+        ReductionGraph(REGISTRY, [*GRAPH.rules, twin])
 
 
 def test_chaining_matches_sequential_application():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 
 from pred import (
@@ -310,7 +312,7 @@ FAMILIES = [
 
 @pytest.mark.parametrize("name,build", FAMILIES, ids=[n for n, _ in FAMILIES])
 def test_solve_matches_exhaustive_fold(name, build):
-    rng = make_rng(hash(name) % 100000)
+    rng = make_rng(zlib.crc32(name.encode()) % 100000)
     for _ in range(8):
         instance = build(rng)
         result = solve(instance)
