@@ -8,226 +8,69 @@ values back to the source. On top of the graph sit a cheapest-path router,
 an exact branch-and-bound integer programming solver, and a brute-force
 fallback, so any registered instance can be solved by reducing it to a
 solvable type and translating the answer back.
+
+Every name in ``__all__`` is importable from ``pred``, but a submodule is
+loaded only when one of its names is first used (PEP 562), so a ``pred``
+command pays only for the modules it runs: ``create`` never loads the rule
+catalogue or the solvers, for instance. ``canonical`` is the expression
+normaliser from ``pred.symbolic``; the example database is ``pred.examples``.
 """
 
 from __future__ import annotations
 
-from .canonical import (
-    CanonicalExample,
-    ExampleReport,
-    build_examples,
-    examples_from_json,
-    examples_to_json,
-    get_example,
-    verify_all_examples,
-)
-from .errors import (
-    BudgetExceededError,
-    CapabilityError,
-    DimensionMismatchError,
-    DocumentError,
-    DomainError,
-    DuplicateRegistrationError,
-    ExtractionError,
-    InfeasibleError,
-    InvalidInstanceError,
-    KindError,
-    NoExampleError,
-    NoPathError,
-    PredError,
-    RegistrationError,
-    SymbolicError,
-    TypeMismatchError,
-    UnknownProblemError,
-)
-from .graph import (
-    ReductionEnvelope,
-    ReductionGraph,
-    ReductionPath,
-    RoundTripReport,
-    default_graph,
-    extract_along,
-    extract_value_along,
-    reduce_along,
-    round_trip_check,
-)
-from .model import (
-    DEFAULT_CONFIG_BUDGET,
-    AggregatedValue,
-    DecisionProblem,
-    FoldResult,
-    Problem,
-    ProblemTypeDescriptor,
-    Registry,
-    SENSE_MAXIMIZE,
-    SENSE_MINIMIZE,
-    SolveCapability,
-    ValueKind,
-    VariantKey,
-    combine,
-    decision_wrap,
-    evaluate,
-    fold_space,
-    identity_value,
-    make_key,
-    validate_config,
-)
-from .problems import (
-    Clique,
-    CnfData,
-    DominatingSet,
-    GraphColoring,
-    GraphData,
-    Ilp,
-    IlpData,
-    IndependentSet,
-    IsingData,
-    MaxCut,
-    Qubo,
-    QuboData,
-    Satisfiability,
-    SetCover,
-    SetCoverData,
-    SpinGlass,
-    ThreeSatisfiability,
-    VertexCover,
-    instance_from_document,
-    instance_to_document,
-    register_catalogue,
-)
-from .rules import ReductionOutcome, ReductionRule, shipped_rules
-from .solvers import (
-    DEFAULT_NODE_BUDGET,
-    SolveResult,
-    solve,
-    solve_brute,
-    solve_ilp,
-    solver_label,
-)
-from .symbolic import (
-    Add,
-    Comparison,
-    Const,
-    Exp,
-    Expr,
-    Mul,
-    OverheadMap,
-    Pow,
-    Var,
-    canonical,
-    compare,
-    compose,
-    evaluate_expr,
-    identity_overhead,
-    is_polynomial,
-    parse_expr,
-    render,
-    render_overhead,
-    subst,
-)
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Add",
-    "AggregatedValue",
-    "BudgetExceededError",
-    "CanonicalExample",
-    "CapabilityError",
-    "Clique",
-    "CnfData",
-    "Comparison",
-    "Const",
-    "DEFAULT_CONFIG_BUDGET",
-    "DEFAULT_NODE_BUDGET",
-    "DecisionProblem",
-    "DimensionMismatchError",
-    "DocumentError",
-    "DomainError",
-    "DominatingSet",
-    "DuplicateRegistrationError",
-    "ExampleReport",
-    "Exp",
-    "Expr",
-    "ExtractionError",
-    "FoldResult",
-    "GraphColoring",
-    "GraphData",
-    "Ilp",
-    "IlpData",
-    "IndependentSet",
-    "InfeasibleError",
-    "InvalidInstanceError",
-    "IsingData",
-    "KindError",
-    "MaxCut",
-    "Mul",
-    "NoExampleError",
-    "NoPathError",
-    "OverheadMap",
-    "Pow",
-    "PredError",
-    "Problem",
-    "ProblemTypeDescriptor",
-    "Qubo",
-    "QuboData",
-    "ReductionEnvelope",
-    "ReductionGraph",
-    "ReductionOutcome",
-    "ReductionPath",
-    "ReductionRule",
-    "RegistrationError",
-    "Registry",
-    "RoundTripReport",
-    "SENSE_MAXIMIZE",
-    "SENSE_MINIMIZE",
-    "Satisfiability",
-    "SetCover",
-    "SetCoverData",
-    "SolveCapability",
-    "SolveResult",
-    "SpinGlass",
-    "SymbolicError",
-    "ThreeSatisfiability",
-    "TypeMismatchError",
-    "UnknownProblemError",
-    "ValueKind",
-    "Var",
-    "VariantKey",
-    "VertexCover",
-    "build_examples",
-    "canonical",
-    "combine",
-    "compare",
-    "compose",
-    "decision_wrap",
-    "default_graph",
-    "evaluate",
-    "evaluate_expr",
-    "examples_from_json",
-    "examples_to_json",
-    "extract_along",
-    "extract_value_along",
-    "fold_space",
-    "get_example",
-    "identity_overhead",
-    "identity_value",
-    "instance_from_document",
-    "instance_to_document",
-    "is_polynomial",
-    "make_key",
-    "parse_expr",
-    "reduce_along",
-    "register_catalogue",
-    "render",
-    "render_overhead",
-    "round_trip_check",
-    "shipped_rules",
-    "solve",
-    "solve_brute",
-    "solve_ilp",
-    "solver_label",
-    "subst",
-    "validate_config",
-    "verify_all_examples",
-]
+# submodule -> the public names it provides
+_EXPORTS = {
+    "errors": (
+        "BudgetExceededError CapabilityError DimensionMismatchError DocumentError "
+        "DomainError DuplicateRegistrationError ExtractionError InfeasibleError "
+        "InvalidInstanceError KindError NoExampleError NoPathError PredError "
+        "RegistrationError SymbolicError TypeMismatchError UnknownProblemError"
+    ),
+    "examples": (
+        "CanonicalExample ExampleReport build_examples examples_from_json "
+        "examples_to_json get_example verify_all_examples"
+    ),
+    "graph": (
+        "ReductionEnvelope ReductionGraph ReductionPath RoundTripReport default_graph "
+        "extract_along extract_value_along reduce_along round_trip_check"
+    ),
+    "model": (
+        "DEFAULT_CONFIG_BUDGET DEFAULT_NODE_BUDGET AggregatedValue DecisionProblem "
+        "FoldResult Problem ProblemTypeDescriptor Registry SENSE_MAXIMIZE SENSE_MINIMIZE "
+        "SolveCapability ValueKind VariantKey combine decision_wrap evaluate fold_space "
+        "identity_value make_key validate_config"
+    ),
+    "problems": (
+        "Clique CnfData DominatingSet GraphColoring GraphData Ilp IlpData IndependentSet "
+        "IsingData MaxCut Qubo QuboData Satisfiability SetCover SetCoverData SpinGlass "
+        "ThreeSatisfiability VertexCover instance_from_document instance_to_document "
+        "register_catalogue"
+    ),
+    "rules": "ReductionOutcome ReductionRule shipped_rules",
+    "solvers": "SolveResult solve solve_brute solve_ilp solver_label",
+    "symbolic": (
+        "Add Comparison Const Exp Expr Mul OverheadMap Pow Var canonical compare compose "
+        "evaluate_expr identity_overhead is_polynomial parse_expr render render_overhead subst"
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name: str):
+    if name in _ORIGIN:
+        value = getattr(import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+        globals()[name] = value
+        return value
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

@@ -10,6 +10,12 @@ documented, and errors go to stderr.
 
 Exit codes: 0 ok, 2 bad input, 3 no reduction path, 4 budget exhausted,
 5 infeasible program.
+
+Each command is one process in a pipe, so each imports only what it runs:
+``create`` and ``evaluate`` need the problem registry alone, the reduction
+graph (rules and routing) is imported by the commands that route, the
+solvers by ``solve``, and the example database by ``create --example`` and
+``show``.
 """
 
 from __future__ import annotations
@@ -18,9 +24,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .canonical import build_examples, get_example
 from .errors import (
     BudgetExceededError,
     DocumentError,
@@ -28,17 +33,18 @@ from .errors import (
     NoPathError,
     PredError,
 )
-from .graph import (
-    ReductionEnvelope,
-    ReductionGraph,
-    default_graph,
-    extract_along,
-    reduce_along,
+from .model import (
+    DEFAULT_CONFIG_BUDGET,
+    DEFAULT_NODE_BUDGET,
+    ValueKind,
+    evaluate,
+    reported_witness,
 )
-from .model import DEFAULT_CONFIG_BUDGET, ValueKind, evaluate, reported_witness
-from .problems import DATA_FIELDS, instance_from_document, instance_to_document
-from .solvers import DEFAULT_NODE_BUDGET, solve, solver_label
+from .problems import DATA_FIELDS, default_registry, instance_from_document, instance_to_document
 from .symbolic import render, render_overhead
+
+if TYPE_CHECKING:
+    from .graph import ReductionEnvelope, ReductionGraph
 
 TRACE_VERSION = 1
 
@@ -82,6 +88,8 @@ def envelope_to_document(envelope: ReductionEnvelope) -> dict:
 
 def envelope_from_document(document: Mapping, graph: ReductionGraph) -> ReductionEnvelope:
     """Rebuild an envelope by replaying its path; reject stale or doctored traces."""
+    from .graph import reduce_along
+
     expected = {"kind", "trace_version", "source", "path", "target", "trace"}
     if set(document) != expected:
         raise DocumentError(
@@ -195,14 +203,24 @@ def _data_from_flags(name: str, args) -> dict:
     return data
 
 
+def _reject_unread_flags(source: str, args) -> None:
+    """Refuse the flags that ``--example`` or ``--file`` would leave unread."""
+    unread = [f for f in ("file", *_FLAG_FIELDS) if f != source and getattr(args, f) is not None]
+    if unread:
+        raise DocumentError(f"--{unread[0]} cannot be used with --{source}")
+
+
 def cmd_create(args) -> None:
-    graph = default_graph()
-    registry = graph.registry
+    registry = default_registry()
     descriptor = registry.lookup(args.problem)
     if args.example:
+        from .examples import build_examples, get_example
+
+        _reject_unread_flags("example", args)
         example = get_example(args.problem, registry, build_examples(registry))
         instance = example.instance
     elif args.file:
+        _reject_unread_flags("file", args)
         instance = instance_from_document(_load_document(args.file), registry)
         if instance.type_name != descriptor.name:
             raise DocumentError(
@@ -225,6 +243,8 @@ def _print_route(path) -> None:
 
 
 def cmd_reduce(args) -> None:
+    from .graph import ReductionEnvelope, default_graph, reduce_along
+
     graph = default_graph()
     registry = graph.registry
     document = _load_document(args.input)
@@ -285,6 +305,9 @@ def _reject_infeasible(value) -> None:
 
 
 def cmd_solve(args) -> None:
+    from .graph import default_graph, extract_along
+    from .solvers import solve, solver_label
+
     graph = default_graph()
     registry = graph.registry
     document = _load_document(args.input)
@@ -318,6 +341,8 @@ def cmd_solve(args) -> None:
 # --- inspection --------------------------------------------------------------
 
 def cmd_path(args) -> None:
+    from .graph import default_graph
+
     graph = default_graph()
     registry = graph.registry
     source = registry.lookup(args.source)
@@ -338,6 +363,9 @@ def cmd_path(args) -> None:
 
 
 def cmd_show(args) -> None:
+    from .examples import build_examples, get_example
+    from .graph import default_graph
+
     graph = default_graph()
     registry = graph.registry
     descriptor = registry.lookup(args.problem)
@@ -366,6 +394,8 @@ def cmd_show(args) -> None:
 
 
 def cmd_list(args) -> None:
+    from .graph import default_graph
+
     graph = default_graph()
     registry = graph.registry
     for descriptor in registry.variants():
@@ -376,8 +406,7 @@ def cmd_list(args) -> None:
 
 
 def cmd_evaluate(args) -> None:
-    graph = default_graph()
-    instance = instance_from_document(_load_document(args.input), graph.registry)
+    instance = instance_from_document(_load_document(args.input), default_registry())
     config = _parse_ints(args.config, "configuration")
     value = evaluate(instance, config)
     print(f"{value.render()} {'feasible' if value.feasible else 'infeasible'}")

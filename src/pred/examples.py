@@ -9,10 +9,9 @@ losslessly to JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import DocumentError, NoExampleError
+from .errors import DocumentError, NoExampleError, Record
 from .model import (
     AggregatedValue,
     Configuration,
@@ -50,8 +49,7 @@ from .problems import (
 )
 
 
-@dataclass(frozen=True)
-class CanonicalExample:
+class CanonicalExample(Record):
     id: str
     instance: Problem
     known_value: AggregatedValue
@@ -211,8 +209,7 @@ def get_example(
     return example
 
 
-@dataclass(frozen=True)
-class ExampleReport:
+class ExampleReport(Record):
     checked: int
     mismatches: tuple[str, ...]
 

@@ -10,10 +10,9 @@ how node complexities vary along a path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CapabilityError, DuplicateRegistrationError, UnknownProblemError
+from .errors import CapabilityError, DuplicateRegistrationError, Record, UnknownProblemError
 from .model import (
     AggregatedValue,
     Configuration,
@@ -25,7 +24,7 @@ from .model import (
     evaluate,
     fold_space,
 )
-from .problems import register_catalogue
+from .problems import default_registry
 from .rules import (
     ReductionOutcome,
     ReductionRule,
@@ -50,8 +49,7 @@ from .symbolic import (
 _SCALE = Var("t")
 
 
-@dataclass(frozen=True)
-class ReductionPath:
+class ReductionPath(Record):
     """An ordered chain of endpoint-compatible rules with composed overhead."""
 
     source: VariantKey
@@ -68,8 +66,7 @@ class ReductionPath:
         return tuple(step.name for step in self.steps)
 
 
-@dataclass(frozen=True)
-class ReductionEnvelope:
+class ReductionEnvelope(Record):
     """A source instance carried through a path, with replayable extraction."""
 
     source_instance: Problem
@@ -78,8 +75,7 @@ class ReductionEnvelope:
     stack: tuple[ReductionOutcome, ...]
 
 
-@dataclass(frozen=True)
-class RoundTripReport:
+class RoundTripReport(Record):
     rule_names: tuple[str, ...]
     passed: bool
     source_optimum: AggregatedValue
@@ -304,5 +300,5 @@ def round_trip_check(
 
 @lru_cache(maxsize=1)
 def default_graph() -> ReductionGraph:
-    registry = register_catalogue()
+    registry = default_registry()
     return ReductionGraph(registry, shipped_rules(registry))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -28,6 +27,7 @@ from .errors import (
     DomainError,
     DuplicateRegistrationError,
     KindError,
+    Record,
     RegistrationError,
     UnknownProblemError,
 )
@@ -35,9 +35,11 @@ from .symbolic import Expr, vars_of
 
 Configuration = tuple[int, ...]
 
-# Enumeration cap for fold_space; the solvers module exposes the same value
-# as the default brute-force budget.
+# Enumeration cap for fold_space, the default brute-force budget.
 DEFAULT_CONFIG_BUDGET = 1 << 20
+# Node cap of the branch-and-bound ILP search in ``solvers``; defined here so
+# the command line can show it without loading the solver.
+DEFAULT_NODE_BUDGET = 10_000_000
 
 
 class ValueKind(Enum):
@@ -53,8 +55,7 @@ SENSE_MAXIMIZE = "maximize"
 SENSE_MINIMIZE = "minimize"
 
 
-@dataclass(frozen=True)
-class AggregatedValue:
+class AggregatedValue(Record):
     """Result of evaluating one configuration (or of folding a whole space).
 
     payload is the objective count / truth value; feasible records whether
@@ -66,14 +67,24 @@ class AggregatedValue:
 
     kind: ValueKind
     payload: int | bool | None
-    feasible: bool = True
-    sense: str | None = None
+    feasible: bool
+    sense: str | None
 
-    def __post_init__(self) -> None:
-        if (self.sense is not None) != (self.kind is ValueKind.EXTREMUM):
+    def __init__(
+        self,
+        kind: ValueKind,
+        payload: int | bool | None,
+        feasible: bool = True,
+        sense: str | None = None,
+    ) -> None:
+        if (sense is not None) != (kind is ValueKind.EXTREMUM):
             raise KindError("sense is set exactly for Extremum values")
-        if self.sense not in (None, SENSE_MAXIMIZE, SENSE_MINIMIZE):
-            raise KindError(f"bad sense {self.sense!r}")
+        if sense not in (None, SENSE_MAXIMIZE, SENSE_MINIMIZE):
+            raise KindError(f"bad sense {sense!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "feasible", feasible)
+        object.__setattr__(self, "sense", sense)
 
     def render(self) -> str:
         if self.payload is None:
@@ -130,8 +141,7 @@ def combine(a: AggregatedValue, b: AggregatedValue) -> AggregatedValue:
     return a if _score(a) >= _score(b) else b
 
 
-@dataclass(frozen=True)
-class FoldResult:
+class FoldResult(Record):
     value: AggregatedValue
     witness: Configuration | None
 
@@ -334,8 +344,7 @@ class SolveCapability(Enum):
     BRUTE_FORCE_ONLY = "brute_force_only"
 
 
-@dataclass(frozen=True)
-class ProblemTypeDescriptor:
+class ProblemTypeDescriptor(Record):
     name: str
     variant_tags: tuple[tuple[str, str], ...]
     size_measure_names: tuple[str, ...]

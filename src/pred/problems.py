@@ -1,6 +1,6 @@
 """Concrete problem types and the shipped catalogue.
 
-Instance data lives in small frozen dataclasses with eager validation;
+Instance data lives in small immutable records with eager validation;
 each problem class implements the uniform interface from ``model``. The
 catalogue registers every shipped variant with its size measures and the
 best known (or naive enumeration) complexity bound.
@@ -16,12 +16,11 @@ the same data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, compress
 from typing import AbstractSet, Callable, Mapping
 
-from .errors import DocumentError, InvalidInstanceError
+from .errors import DocumentError, InvalidInstanceError, Record
 from .model import (
     DecisionProblem,
     Problem,
@@ -39,21 +38,26 @@ Edge = tuple[int, int]
 
 # --- instance data ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class GraphData:
+class GraphData(Record):
     """Simple undirected graph; optional positive integer vertex weights."""
 
     num_vertices: int
     edges: tuple[Edge, ...]
-    vertex_weights: tuple[int, ...] | None = None
+    vertex_weights: tuple[int, ...] | None
 
-    def __post_init__(self) -> None:
-        if self.num_vertices < 0:
+    def __init__(
+        self,
+        num_vertices: int,
+        edges: tuple[Edge, ...],
+        vertex_weights: tuple[int, ...] | None = None,
+    ) -> None:
+        # every reduction between graph problems builds a graph: no generic init
+        if num_vertices < 0:
             raise InvalidInstanceError("negative vertex count")
         seen: set[Edge] = set()
         normalized = []
-        for u, v in self.edges:
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
+        for u, v in edges:
+            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise InvalidInstanceError(f"edge ({u},{v}) has an endpoint out of range")
             if u == v:
                 raise InvalidInstanceError(f"self-loop at vertex {u}")
@@ -62,13 +66,15 @@ class GraphData:
                 raise InvalidInstanceError(f"duplicate edge ({u},{v})")
             seen.add(e)
             normalized.append(e)
-        object.__setattr__(self, "edges", tuple(normalized))
-        if self.vertex_weights is not None:
-            if len(self.vertex_weights) != self.num_vertices:
+        if vertex_weights is not None:
+            if len(vertex_weights) != num_vertices:
                 raise InvalidInstanceError("weight list length != vertex count")
-            if any(w < 1 for w in self.vertex_weights):
+            if any(w < 1 for w in vertex_weights):
                 raise InvalidInstanceError("vertex weights must be positive integers")
-            object.__setattr__(self, "vertex_weights", tuple(self.vertex_weights))
+            vertex_weights = tuple(vertex_weights)
+        object.__setattr__(self, "num_vertices", num_vertices)
+        object.__setattr__(self, "edges", tuple(normalized))
+        object.__setattr__(self, "vertex_weights", vertex_weights)
 
     # Derived views, computed once per graph: the brute-force fold reads
     # them for every configuration.
@@ -94,8 +100,7 @@ class GraphData:
         return tuple(tuple(sorted(hood)) for hood in hoods)
 
 
-@dataclass(frozen=True)
-class CnfData:
+class CnfData(Record):
     """CNF over 1-indexed variables; literals are signed, clauses non-empty."""
 
     num_variables: int
@@ -124,8 +129,7 @@ class CnfData:
         )
 
 
-@dataclass(frozen=True)
-class IlpData:
+class IlpData(Record):
     """Integer linear program with finite box bounds on every variable."""
 
     num_vars: int
@@ -167,8 +171,7 @@ class IlpData:
         return True
 
 
-@dataclass(frozen=True)
-class QuboData:
+class QuboData(Record):
     """Symmetric integer matrix; objective is x^T Q x over binary x, maximized."""
 
     n: int
@@ -198,8 +201,7 @@ class QuboData:
         return total
 
 
-@dataclass(frozen=True)
-class IsingData:
+class IsingData(Record):
     """Pair couplings (symmetric, zero diagonal) and local fields over spins."""
 
     n: int
@@ -232,8 +234,7 @@ class IsingData:
         return -energy
 
 
-@dataclass(frozen=True)
-class SetCoverData:
+class SetCoverData(Record):
     """Family of subsets of range(num_elements) whose union covers everything."""
 
     num_elements: int
@@ -260,9 +261,26 @@ def _binary_dims(n: int) -> tuple[int, ...]:
     return (2,) * n
 
 
-@dataclass(frozen=True)
-class IndependentSet(Problem):
+class _GraphProblem(Record, Problem):
+    """A problem on a simple graph with one binary variable per vertex."""
+
     graph: GraphData
+
+    @property
+    def variant_tags(self) -> dict[str, str]:
+        return {"graph": "simple"}
+
+    def config_dims(self) -> tuple[int, ...]:
+        return _binary_dims(self.graph.num_vertices)
+
+    def size_measures(self) -> dict[str, int]:
+        return {"V": self.graph.num_vertices, "E": len(self.graph.edges)}
+
+    def to_data(self) -> dict:
+        return _graph_to_data(self.graph)
+
+
+class IndependentSet(_GraphProblem):
     kind = ValueKind.MAX
     type_name = "MaximumIndependentSet"
 
@@ -271,95 +289,40 @@ class IndependentSet(Problem):
         weight = "unit" if self.graph.vertex_weights is None else "integer"
         return {"graph": "simple", "weight": weight}
 
-    def config_dims(self) -> tuple[int, ...]:
-        return _binary_dims(self.graph.num_vertices)
-
-    def size_measures(self) -> dict[str, int]:
-        return {"V": self.graph.num_vertices, "E": len(self.graph.edges)}
-
     def _measure(self, config) -> tuple[int, bool]:
         feasible = all(not (config[u] and config[v]) for u, v in self.graph.edges)
         return sum(compress(self.graph.weights, config)), feasible
 
-    def to_data(self) -> dict:
-        return _graph_to_data(self.graph)
 
-
-@dataclass(frozen=True)
-class VertexCover(Problem):
-    graph: GraphData
+class VertexCover(_GraphProblem):
     kind = ValueKind.MIN
     type_name = "MinimumVertexCover"
-
-    @property
-    def variant_tags(self) -> dict[str, str]:
-        return {"graph": "simple"}
-
-    def config_dims(self) -> tuple[int, ...]:
-        return _binary_dims(self.graph.num_vertices)
-
-    def size_measures(self) -> dict[str, int]:
-        return {"V": self.graph.num_vertices, "E": len(self.graph.edges)}
 
     def _measure(self, config) -> tuple[int, bool]:
         feasible = all(config[u] or config[v] for u, v in self.graph.edges)
         return sum(config), feasible
 
-    def to_data(self) -> dict:
-        return _graph_to_data(self.graph)
 
-
-@dataclass(frozen=True)
-class Clique(Problem):
-    graph: GraphData
+class Clique(_GraphProblem):
     kind = ValueKind.MAX
     type_name = "MaximumClique"
-
-    @property
-    def variant_tags(self) -> dict[str, str]:
-        return {"graph": "simple"}
-
-    def config_dims(self) -> tuple[int, ...]:
-        return _binary_dims(self.graph.num_vertices)
-
-    def size_measures(self) -> dict[str, int]:
-        return {"V": self.graph.num_vertices, "E": len(self.graph.edges)}
 
     def _measure(self, config) -> tuple[int, bool]:
         chosen = tuple(compress(range(len(config)), config))
         # chosen is increasing, so each pair is already a normalized edge
         return len(chosen), self.graph.edge_set.issuperset(combinations(chosen, 2))
 
-    def to_data(self) -> dict:
-        return _graph_to_data(self.graph)
 
-
-@dataclass(frozen=True)
-class DominatingSet(Problem):
-    graph: GraphData
+class DominatingSet(_GraphProblem):
     kind = ValueKind.MIN
     type_name = "MinimumDominatingSet"
-
-    @property
-    def variant_tags(self) -> dict[str, str]:
-        return {"graph": "simple"}
-
-    def config_dims(self) -> tuple[int, ...]:
-        return _binary_dims(self.graph.num_vertices)
-
-    def size_measures(self) -> dict[str, int]:
-        return {"V": self.graph.num_vertices, "E": len(self.graph.edges)}
 
     def _measure(self, config) -> tuple[int, bool]:
         chosen = set(compress(range(len(config)), config))
         return sum(config), not any(map(chosen.isdisjoint, self.graph.closed_neighborhoods))
 
-    def to_data(self) -> dict:
-        return _graph_to_data(self.graph)
 
-
-@dataclass(frozen=True)
-class SetCover(Problem):
+class SetCover(Record, Problem):
     data: SetCoverData
     kind = ValueKind.MIN
     type_name = "MinimumSetCover"
@@ -381,32 +344,16 @@ class SetCover(Problem):
         return {"num_elements": self.data.num_elements, "sets": [list(s) for s in self.data.sets]}
 
 
-@dataclass(frozen=True)
-class MaxCut(Problem):
-    graph: GraphData
+class MaxCut(_GraphProblem):
     kind = ValueKind.MAX
     type_name = "MaxCut"
-
-    @property
-    def variant_tags(self) -> dict[str, str]:
-        return {"graph": "simple"}
-
-    def config_dims(self) -> tuple[int, ...]:
-        return _binary_dims(self.graph.num_vertices)
-
-    def size_measures(self) -> dict[str, int]:
-        return {"V": self.graph.num_vertices, "E": len(self.graph.edges)}
 
     def _measure(self, config) -> tuple[int, bool]:
         # every 2-partition is admissible
         return sum(1 for u, v in self.graph.edges if config[u] != config[v]), True
 
-    def to_data(self) -> dict:
-        return _graph_to_data(self.graph)
 
-
-@dataclass(frozen=True)
-class Qubo(Problem):
+class Qubo(Record, Problem):
     data: QuboData
     kind = ValueKind.MAX
     type_name = "QUBO"
@@ -424,8 +371,7 @@ class Qubo(Problem):
         return {"n": self.data.n, "q": [list(row) for row in self.data.q]}
 
 
-@dataclass(frozen=True)
-class SpinGlass(Problem):
+class SpinGlass(Record, Problem):
     data: IsingData
     kind = ValueKind.MAX
     type_name = "SpinGlass"
@@ -447,8 +393,7 @@ class SpinGlass(Problem):
         }
 
 
-@dataclass(frozen=True)
-class GraphColoring(Problem):
+class GraphColoring(Record, Problem):
     graph: GraphData
     colors: int
     kind = ValueKind.OR
@@ -477,8 +422,7 @@ class GraphColoring(Problem):
         return data
 
 
-@dataclass(frozen=True)
-class Satisfiability(Problem):
+class Satisfiability(Record, Problem):
     cnf: CnfData
     kind = ValueKind.OR
     type_name = "Satisfiability"
@@ -503,7 +447,6 @@ class Satisfiability(Problem):
         }
 
 
-@dataclass(frozen=True)
 class ThreeSatisfiability(Satisfiability):
     type_name = "ThreeSatisfiability"
 
@@ -513,8 +456,7 @@ class ThreeSatisfiability(Satisfiability):
                 raise InvalidInstanceError(f"clause of length {len(clause)} in a 3-SAT instance")
 
 
-@dataclass(frozen=True)
-class Ilp(Problem):
+class Ilp(Record, Problem):
     data: IlpData
     kind = ValueKind.EXTREMUM
     type_name = "IntegerLinearProgram"
@@ -651,6 +593,12 @@ def register_catalogue(registry: Registry | None = None) -> Registry:
         registry.register(descriptor)
     registry.freeze()
     return registry
+
+
+@lru_cache(maxsize=1)
+def default_registry() -> Registry:
+    """The shipped catalogue, registered once per process."""
+    return register_catalogue()
 
 
 # --- wire format ----------------------------------------------------------------

@@ -10,13 +10,13 @@ coefficients bounding every target size measure by the source measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .errors import (
     CapabilityError,
     ExtractionError,
     KindError,
+    Record,
     RegistrationError,
     TypeMismatchError,
 )
@@ -57,8 +57,7 @@ ConfigExtractor = Callable[[Mapping, Configuration], Configuration]
 ValueExtractor = Callable[[Mapping, AggregatedValue], AggregatedValue]
 
 
-@dataclass(frozen=True, eq=False)
-class ReductionRule:
+class ReductionRule(Record, eq=False):
     """One directed edge of the reduction graph."""
 
     name: str
@@ -81,8 +80,7 @@ class ReductionRule:
         return f"<ReductionRule {self.name}>"
 
 
-@dataclass(frozen=True, eq=False)
-class ReductionOutcome:
+class ReductionOutcome(Record, eq=False):
     """Forward result: target instance plus replayable extraction data."""
 
     rule: ReductionRule

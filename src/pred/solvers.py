@@ -45,14 +45,14 @@ lexicographically smallest optimal point.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, Record
 from .graph import ReductionPath, default_graph, extract_along, reduce_along
 from .model import (
     AggregatedValue,
     Configuration,
     DEFAULT_CONFIG_BUDGET,
+    DEFAULT_NODE_BUDGET,
     Problem,
     SENSE_MAXIMIZE,
     SENSE_MINIMIZE,
@@ -64,11 +64,8 @@ from .model import (
 )
 from .problems import Ilp, IlpData
 
-DEFAULT_NODE_BUDGET = 10_000_000
 
-
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Record):
     value: AggregatedValue
     witness: Configuration | None
     solver_name: str

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Union
@@ -33,6 +32,7 @@ from typing import Mapping, Union
 from .errors import (
     ExpressionSyntaxError,
     NotPolynomialError,
+    Record,
     UnboundVariableError,
     UnknownVariableError,
 )
@@ -46,8 +46,7 @@ def _frac(value: RationalLike) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(Record):
     """Base node. Operators build trees without canonicalizing."""
 
     def __add__(self, other: Expr | RationalLike) -> Expr:
@@ -68,49 +67,56 @@ def coerce(value: Expr | RationalLike) -> Expr:
     return value if isinstance(value, Expr) else Const(_frac(value))
 
 
-@dataclass(frozen=True)
+# Expressions are built on every routing step, so each node class sets its
+# fields in its own __init__ rather than through Record's generic one.
+
 class Const(Expr):
     value: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", _frac(self.value))
-        if self.value < 0:
-            raise ValueError(f"constants must be non-negative, got {self.value}")
+    def __init__(self, value: RationalLike) -> None:
+        value = _frac(value)
+        if value < 0:
+            raise ValueError(f"constants must be non-negative, got {value}")
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
     name: str
 
-    def __post_init__(self) -> None:
-        if not self.name or not self.name.replace("_", "a").isalnum():
-            raise ValueError(f"bad variable name {self.name!r}")
+    def __init__(self, name: str) -> None:
+        if not name or not name.replace("_", "a").isalnum():
+            raise ValueError(f"bad variable name {name!r}")
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Add(Expr):
     terms: tuple[Expr, ...]
 
+    def __init__(self, terms: tuple[Expr, ...]) -> None:
+        object.__setattr__(self, "terms", terms)
 
-@dataclass(frozen=True)
+
 class Mul(Expr):
     factors: tuple[Expr, ...]
 
+    def __init__(self, factors: tuple[Expr, ...]) -> None:
+        object.__setattr__(self, "factors", factors)
 
-@dataclass(frozen=True)
+
 class Pow(Expr):
     """base ** exponent with a fixed non-negative rational exponent."""
 
     base: Expr
     exponent: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponent", _frac(self.exponent))
-        if self.exponent < 0:
+    def __init__(self, base: Expr, exponent: RationalLike) -> None:
+        exponent = _frac(exponent)
+        if exponent < 0:
             raise ValueError("Pow exponent must be non-negative")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
 class Exp(Expr):
     """base ** exponent-expression.
 
@@ -121,14 +127,16 @@ class Exp(Expr):
     base: Union[Fraction, str]
     exponent: Expr
 
-    def __post_init__(self) -> None:
-        if isinstance(self.base, str):
-            if not self.base:
+    def __init__(self, base: Union[RationalLike, str], exponent: Expr) -> None:
+        if isinstance(base, str):
+            if not base:
                 raise ValueError("empty Exp base name")
         else:
-            object.__setattr__(self, "base", _frac(self.base))
-            if self.base <= 1:
+            base = _frac(base)
+            if base <= 1:
                 raise ValueError("rational Exp base must exceed 1")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
 OverheadMap = Mapping[str, Expr]
@@ -491,8 +499,7 @@ _Rate = dict  # Fraction base -> Fraction coeff (rational keys), or {None: coeff
 _ZERO = Fraction(0)
 
 
-@dataclass
-class _Growth:
+class _Growth(Record):
     zero: bool
     poly_deg: Fraction
     exps: dict[_ExpKey, _Rate]

@@ -215,6 +215,32 @@ def test_create_rejects_a_flag_the_problem_does_not_take(args, flag):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "args,flag",
+    [
+        (["MIS", "--example", "--graph", "0-1"], "--graph"),
+        (["MIS", "--example", "--graph", "0-1", "--colors", "3"], "--graph"),
+        (["GC", "--example", "--colors", "3"], "--colors"),
+        (["DecisionVC", "--example", "--bound", "1"], "--bound"),
+        (["SAT", "--example", "--variables", "5"], "--variables"),
+        (["MIS", "--example", "--file", "{file}"], "--file"),
+        (["MIS", "--file", "{file}", "--weights", "1,1,1,1"], "--weights"),
+        (["MIS", "--file", "{file}", "--vertices", "9"], "--vertices"),
+    ],
+    ids=lambda case: " ".join(case) if isinstance(case, list) else case,
+)
+def test_create_rejects_a_flag_its_source_would_not_read(args, flag, tmp_path):
+    document = tmp_path / "mis.json"
+    document.write_text(run_cli("create", "MIS", "--example").stdout)
+    result = run_cli("create", *(arg.format(file=document) for arg in args))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("pred: ")
+    assert result.stderr.count("\n") == 1
+    assert flag in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_exit_3_when_no_reduction_path():
     created = run_cli("create", "ILP", "--example")
     result = run_cli("reduce", "-", "--to", "MIS", stdin=created.stdout)

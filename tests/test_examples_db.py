@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from pred import (
@@ -68,9 +66,12 @@ def test_verify_flags_a_corrupted_value():
     corrupted = dict(DATABASE)
     key = REGISTRY.lookup("MIS").key
     original = corrupted[key]
-    corrupted[key] = dataclasses.replace(
-        original,
-        known_value=AggregatedValue(ValueKind.MAX, 3, True),
+    corrupted[key] = CanonicalExample(
+        original.id,
+        original.instance,
+        AggregatedValue(ValueKind.MAX, 3, True),
+        original.known_witness,
+        original.narrative,
     )
     report = verify_all_examples(corrupted)
     assert not report.ok
@@ -83,7 +84,9 @@ def test_verify_flags_a_corrupted_witness():
     corrupted = dict(DATABASE)
     key = REGISTRY.lookup("MIS").key
     original = corrupted[key]
-    corrupted[key] = dataclasses.replace(original, known_witness=(1, 1, 0, 0))
+    corrupted[key] = CanonicalExample(
+        original.id, original.instance, original.known_value, (1, 1, 0, 0), original.narrative
+    )
     report = verify_all_examples(corrupted)
     assert len(report.mismatches) == 1
     assert "witness re-evaluates" in report.mismatches[0]

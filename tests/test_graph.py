@@ -3,8 +3,6 @@ and round-trip verification along multi-step paths."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from pred import (
@@ -19,6 +17,7 @@ from pred import (
     Qubo,
     QuboData,
     ReductionGraph,
+    ReductionRule,
     Satisfiability,
     ThreeSatisfiability,
     TypeMismatchError,
@@ -49,6 +48,20 @@ P4 = GraphData(4, ((0, 1), (1, 2), (2, 3)))
 
 def key(name: str):
     return REGISTRY.lookup(name).key
+
+
+def _rule_with(rule: ReductionRule, **changes) -> ReductionRule:
+    """A new rule with the fields of ``rule``, except those in ``changes``."""
+    fields = {
+        "name": rule.name,
+        "source": rule.source,
+        "target": rule.target,
+        "overhead": rule.overhead,
+        "forward": rule.forward,
+        "config_extractor": rule.config_extractor,
+        "value_extractor": rule.value_extractor,
+    }
+    return ReductionRule(**{**fields, **changes})
 
 
 def test_default_graph_is_cached():
@@ -167,13 +180,11 @@ def test_reduce_along_rejects_wrong_source_instance():
 
 
 def test_reduce_along_wraps_step_errors():
-    import dataclasses
-
     def explode(instance):
         raise ValueError("boom")
 
     healthy = GRAPH.rule_named("MaximumIndependentSet->MinimumVertexCover")
-    broken = dataclasses.replace(healthy, forward=explode)
+    broken = _rule_with(healthy, forward=explode)
     path = GRAPH.make_path(key("MIS"), (broken,))
     with pytest.raises(ValueError) as exc_info:
         reduce_along(path, IndependentSet(P4))
@@ -190,13 +201,11 @@ class _PairError(Exception):
 
 
 def test_reduce_along_keeps_step_error_class_and_attributes():
-    import dataclasses
-
     def explode(instance):
         raise _PairError("u", "v")
 
     healthy = GRAPH.rule_named("MaximumIndependentSet->MinimumVertexCover")
-    broken = dataclasses.replace(healthy, forward=explode)
+    broken = _rule_with(healthy, forward=explode)
     path = GRAPH.make_path(key("MIS"), (broken,))
     with pytest.raises(_PairError) as exc_info:
         reduce_along(path, IndependentSet(P4))
@@ -270,7 +279,7 @@ def test_round_trip_check_reports_a_wrong_value_extractor():
         right = good.value_extractor(data, value)
         return AggregatedValue(right.kind, right.payload + 1, right.feasible)
 
-    bad = dataclasses.replace(good, value_extractor=off_by_one)
+    bad = _rule_with(good, value_extractor=off_by_one)
     report = round_trip_check(bad, IndependentSet(P4))
     assert not report.passed
     assert report.detail == "mismatch: 2 != 3"
@@ -287,7 +296,7 @@ def test_round_trip_check_without_a_witness_on_either_side():
 
 def test_graph_rejects_two_rules_on_one_pair():
     rule = GRAPH.rule_named("MaximumIndependentSet->MinimumVertexCover")
-    twin = dataclasses.replace(rule, name="another MaximumIndependentSet->MinimumVertexCover")
+    twin = _rule_with(rule, name="another MaximumIndependentSet->MinimumVertexCover")
     with pytest.raises(DuplicateRegistrationError):
         ReductionGraph(REGISTRY, [*GRAPH.rules, twin])
 

@@ -1,0 +1,109 @@
+"""Import budget: each CLI stage loads only the pred modules it runs.
+
+Every stage is a fresh process in a pipe, so a module it imports but does
+not use costs start-up time on every call. The stages run here as real
+interpreters (``python -m pred`` through ``runpy``), and each reports the
+modules that appeared in ``sys.modules`` while it ran.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+# Runs one stage as ``python -m pred`` would, then prints (to stderr, since
+# stdout carries the stage's own output) the modules the stage loaded.
+STAGE = """
+import json, runpy, sys
+before = set(sys.modules)
+sys.argv[0] = "pred"
+try:
+    runpy.run_module("pred", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(set(sys.modules) - before)
+sys.stderr.write(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+# Imports every submodule, then checks the package's lazy names.
+NAMES = """
+import importlib, json, pkgutil, sys
+import pred
+resolved = sorted(name for name in pred.__all__ if getattr(pred, name, None) is not None)
+for info in pkgutil.iter_modules(pred.__path__):
+    if info.name != "__main__":
+        importlib.import_module(f"pred.{info.name}")
+import pred.symbolic
+print(json.dumps({
+    "all": pred.__all__,
+    "resolved": resolved,
+    "dir_covers_all": set(pred.__all__) <= set(dir(pred)),
+    "canonical_is_the_normaliser": pred.canonical is pred.symbolic.canonical,
+}))
+"""
+
+MIS = {"problem": "MIS", "data": {"num_vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]]}}
+CORE = ["pred", "pred.cli", "pred.errors", "pred.model", "pred.problems", "pred.symbolic"]
+ROUTING = ["pred.graph", "pred.rules"]
+
+
+def run_stage(*argv: str, stdin: str = "") -> tuple[str, dict]:
+    result = subprocess.run(
+        [sys.executable, "-c", STAGE, *argv], input=stdin, capture_output=True, text=True
+    )
+    report = json.loads(result.stderr)
+    assert report["code"] in (None, 0), result.stderr
+    return result.stdout, report
+
+
+def pred_modules(report: dict) -> list[str]:
+    return sorted(m for m in report["loaded"] if m == "pred" or m.startswith("pred."))
+
+
+def test_create_from_flags_loads_only_the_registry():
+    _, report = run_stage("create", "MIS", "--graph", "0-1,1-2,2-3")
+    assert pred_modules(report) == CORE
+
+
+def test_create_example_adds_only_the_example_database():
+    _, report = run_stage("create", "GC", "--example")
+    assert pred_modules(report) == sorted([*CORE, "pred.examples"])
+
+
+def test_reduce_loads_routing_but_not_the_solvers():
+    _, report = run_stage("reduce", "-", "--to", "ILP", stdin=json.dumps(MIS))
+    assert pred_modules(report) == sorted([*CORE, *ROUTING])
+
+
+def test_solve_on_an_envelope_adds_the_solvers():
+    envelope, _ = run_stage("reduce", "-", "--to", "ILP", stdin=json.dumps(MIS))
+    _, report = run_stage("solve", "-", stdin=envelope)
+    assert pred_modules(report) == sorted([*CORE, *ROUTING, "pred.solvers"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("create", "MIS", "--example"),
+        ("create", "MIS", "--graph", "0-1"),
+        ("reduce", "-", "--to", "ILP"),
+        ("solve", "-"),
+    ],
+    ids=" ".join,
+)
+def test_no_stage_loads_dataclasses_or_inspect(argv):
+    _, report = run_stage(*argv, stdin=json.dumps(MIS))
+    assert "dataclasses" not in report["loaded"]
+    assert "inspect" not in report["loaded"]
+
+
+def test_every_public_name_resolves_and_canonical_stays_the_normaliser():
+    result = subprocess.run([sys.executable, "-c", NAMES], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["resolved"] == report["all"]
+    assert report["dir_covers_all"]
+    assert report["canonical_is_the_normaliser"]
