@@ -41,7 +41,7 @@ _EXPORTS = {
     "model": (
         "DEFAULT_CONFIG_BUDGET DEFAULT_NODE_BUDGET AggregatedValue DecisionProblem "
         "FoldResult Problem ProblemTypeDescriptor Registry SENSE_MAXIMIZE SENSE_MINIMIZE "
-        "SolveCapability ValueKind VariantKey combine decision_wrap evaluate fold_space "
+        "ValueKind VariantKey combine decision_wrap evaluate fold_space "
         "identity_value make_key validate_config"
     ),
     "problems": (

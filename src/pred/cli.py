@@ -2,7 +2,8 @@
 
 ``create`` emits an instance document, ``reduce`` carries it along a
 reduction path inside an envelope document, and ``solve`` solves the
-envelope's target and maps the witness back to the source. ``path``,
+envelope's target and maps the witness back to the source; both also take
+a bare instance document, read as an envelope with an empty path. ``path``,
 ``show``, ``list``, and ``evaluate`` are inspection commands. All machine
 output goes to stdout as JSON (one document per stream); diagnostics and the
 optional ``--pretty`` rendering go to stdout as plain lines only where
@@ -38,7 +39,6 @@ from .model import (
     DEFAULT_NODE_BUDGET,
     ValueKind,
     evaluate,
-    reported_witness,
 )
 from .problems import DATA_FIELDS, default_registry, instance_from_document, instance_to_document
 from .symbolic import render, render_overhead
@@ -124,6 +124,17 @@ def envelope_from_document(document: Mapping, graph: ReductionGraph) -> Reductio
     if instance_to_document(envelope.target_instance) != document["target"]:
         raise DocumentError("envelope target does not match the replayed reduction")
     return envelope
+
+
+def _load_envelope(source: str, graph: ReductionGraph) -> ReductionEnvelope:
+    """The input as an envelope: a bare instance is its own empty-path envelope."""
+    from .graph import ReductionEnvelope
+
+    document = _load_document(source)
+    if document.get("kind") == "envelope":
+        return envelope_from_document(document, graph)
+    instance = instance_from_document(document, graph.registry)
+    return ReductionEnvelope(instance, graph.make_path(instance.variant_key(), ()), instance, ())
 
 
 # --- create ------------------------------------------------------------------
@@ -247,18 +258,9 @@ def cmd_reduce(args) -> None:
 
     graph = default_graph()
     registry = graph.registry
-    document = _load_document(args.input)
-    if document.get("kind") == "envelope":
-        prior = envelope_from_document(document, graph)
-        source = prior.source_instance
-        current = prior.target_instance
-        prefix_steps = prior.path.steps
-        prefix_stack = prior.stack
-    else:
-        source = instance_from_document(document, registry)
-        current = source
-        prefix_steps = ()
-        prefix_stack = ()
+    prior = _load_envelope(args.input, graph)
+    source = prior.source_instance
+    current = prior.target_instance
     target = registry.lookup(args.to)
     segment = graph.find_path(current.variant_key(), target.key)
     if segment is None:
@@ -268,9 +270,9 @@ def cmd_reduce(args) -> None:
             f"{registry.display_name(target.key)}"
         )
     reduced = reduce_along(segment, current)
-    full_path = graph.make_path(source.variant_key(), prefix_steps + segment.steps)
+    full_path = graph.make_path(source.variant_key(), prior.path.steps + segment.steps)
     envelope = ReductionEnvelope(
-        source, full_path, reduced.target_instance, prefix_stack + reduced.stack
+        source, full_path, reduced.target_instance, prior.stack + reduced.stack
     )
     if args.show_path:
         _print_route(segment)
@@ -305,36 +307,24 @@ def _reject_infeasible(value) -> None:
 
 
 def cmd_solve(args) -> None:
-    from .graph import default_graph, extract_along
+    from .graph import default_graph, solution_along
     from .solvers import solve, solver_label
 
+    for flag, budget in (("--max-configs", args.max_configs), ("--max-nodes", args.max_nodes)):
+        if budget < 0:
+            raise DocumentError(f"{flag} must be at least 0")
     graph = default_graph()
-    registry = graph.registry
-    document = _load_document(args.input)
-    budgets = {"max_configs": args.max_configs, "max_nodes": args.max_nodes}
-    if document.get("kind") == "envelope":
-        envelope = envelope_from_document(document, graph)
-        source = envelope.source_instance
-        result = solve(envelope.target_instance, **budgets)
-        _reject_infeasible(result.value)
-        if result.witness is None:
-            # only satisfiability-style targets solve without a witness
-            value = result.value
-            witness = None
-        else:
-            config = extract_along(envelope, result.witness)
-            value = evaluate(source, config)
-            witness = reported_witness(value, config)
-        solver = solver_label(result, prefix_steps=envelope.path.steps)
-        problem_name = registry.display_name(source.variant_key())
+    envelope = _load_envelope(args.input, graph)
+    source = envelope.source_instance
+    result = solve(envelope.target_instance, args.max_configs, args.max_nodes)
+    _reject_infeasible(result.value)
+    if result.witness is None:
+        # only satisfiability-style targets solve without a witness
+        value, witness = result.value, None
     else:
-        instance = instance_from_document(document, registry)
-        result = solve(instance, **budgets)
-        _reject_infeasible(result.value)
-        value = result.value
-        witness = result.witness
-        solver = solver_label(result)
-        problem_name = registry.display_name(instance.variant_key())
+        value, witness = solution_along(envelope, result.witness)
+    solver = solver_label(result, prefix_steps=envelope.path.steps)
+    problem_name = graph.registry.display_name(source.variant_key())
     _print_solution(_solution_document(problem_name, solver, value, witness), args.pretty)
 
 
@@ -377,7 +367,9 @@ def cmd_show(args) -> None:
     print(f"  kind: {descriptor.kind.value}")
     print(f"  size measures: {', '.join(descriptor.size_measure_names)}")
     print(f"  complexity: {render(descriptor.complexity)}")
-    print(f"  solver tier: {descriptor.solve_capability.value}")
+    route = graph.solver_route(key)
+    tier = "brute_force_only" if route is None else "via_ilp" if route.steps else "dedicated"
+    print(f"  solver tier: {tier}")
     incoming = graph.incoming(key)
     outgoing = graph.outgoing(key)
     print(f"  incoming rules: {', '.join(r.name for r in incoming) if incoming else '(none)'}")

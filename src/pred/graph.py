@@ -23,6 +23,7 @@ from .model import (
     VariantKey,
     evaluate,
     fold_space,
+    reported_witness,
 )
 from .problems import default_registry
 from .rules import (
@@ -165,6 +166,12 @@ class ReductionGraph:
         visit(source, {source}, [])
         return best
 
+    def solver_route(self, key: VariantKey) -> ReductionPath | None:
+        """How ``solve`` treats instances of ``key``: the cheapest witness-capable
+        path to ILP, whose exact solver then runs on the reduced instance (the
+        empty path for ILP itself), or None when only brute force applies."""
+        return self.find_path(key, self.registry.lookup("IntegerLinearProgram").key)
+
     def topology_report(self) -> dict:
         """Reachability sets over all edges, as JSON-able sorted name lists."""
         ilp_key = self.registry.lookup("IntegerLinearProgram").key
@@ -249,6 +256,15 @@ def extract_along(envelope: ReductionEnvelope, target_config: Configuration) -> 
     return config
 
 
+def solution_along(
+    envelope: ReductionEnvelope, target_witness: Configuration
+) -> tuple[AggregatedValue, Configuration | None]:
+    """The source's value and reported witness for a witness of the envelope's target."""
+    config = extract_along(envelope, target_witness)
+    value = evaluate(envelope.source_instance, config)
+    return value, reported_witness(value, config)
+
+
 def extract_value_along(
     envelope: ReductionEnvelope, target_value: AggregatedValue
 ) -> AggregatedValue:
@@ -289,7 +305,7 @@ def round_trip_check(
                 else f"target produced no witness but source optimum is {source_fold.value.render()}"
             )
             return RoundTripReport(names, passed, source_fold.value, None, detail)
-        extracted = evaluate(instance, extract_along(envelope, target_fold.witness))
+        extracted, _ = solution_along(envelope, target_fold.witness)
     else:
         extracted = extract_value_along(envelope, target_fold.value)
 

@@ -338,18 +338,11 @@ def make_key(name: str, tags: Mapping[str, str]) -> VariantKey:
     return (name, tuple(sorted(tags.items())))
 
 
-class SolveCapability(Enum):
-    DEDICATED = "dedicated"
-    VIA_ILP = "via_ilp"
-    BRUTE_FORCE_ONLY = "brute_force_only"
-
-
 class ProblemTypeDescriptor(Record):
     name: str
     variant_tags: tuple[tuple[str, str], ...]
     size_measure_names: tuple[str, ...]
     complexity: Expr
-    solve_capability: SolveCapability
     kind: ValueKind
     alias: str | None = None
 

@@ -7,15 +7,16 @@ best known (or naive enumeration) complexity bound.
 
 Instance data is declared once, in the field table ``DATA_FIELDS``: for
 each canonical problem name, its required and optional data fields, the
-shape check each field's value must pass (integer, integer list, rows of
-integers, integer pairs or ILP constraints), and a one-line
-constructor. ``instance_from_data`` is the one decoder; JSON documents
-and ``pred create`` flags both go through it, so both accept and reject
-the same data.
+shape check each field's value must pass (integer, count up to
+``sys.maxsize``, integer list, rows of integers, integer pairs or ILP
+constraints), and a one-line constructor. ``instance_from_data`` is the one
+decoder; JSON documents and ``pred create`` flags both go through it, so
+both accept and reject the same data.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property, lru_cache
 from itertools import combinations, compress
 from typing import AbstractSet, Callable, Mapping
@@ -28,7 +29,6 @@ from .model import (
     Registry,
     SENSE_MAXIMIZE,
     SENSE_MINIMIZE,
-    SolveCapability,
     ValueKind,
 )
 from .symbolic import parse_expr
@@ -502,7 +502,6 @@ def _descriptor(
     measures: tuple[str, ...],
     complexity: str,
     kind: ValueKind,
-    capability: SolveCapability = SolveCapability.VIA_ILP,
     alias: str | None = None,
 ) -> ProblemTypeDescriptor:
     return ProblemTypeDescriptor(
@@ -510,7 +509,6 @@ def _descriptor(
         variant_tags=tuple(sorted(tags.items())),
         size_measure_names=measures,
         complexity=parse_expr(complexity),
-        solve_capability=capability,
         kind=kind,
         alias=alias,
     )
@@ -563,13 +561,7 @@ def register_catalogue(registry: Registry | None = None) -> Registry:
         _descriptor("SpinGlass", {}, ("n",), "2^n", ValueKind.MAX, alias="Ising"),
         _descriptor("GraphColoring", SIMPLE, ("V", "E", "k"), "k^V", ValueKind.OR, alias="GC"),
         _descriptor(
-            "IntegerLinearProgram",
-            {},
-            ("n", "c"),
-            "2^n",
-            ValueKind.EXTREMUM,
-            capability=SolveCapability.DEDICATED,
-            alias="ILP",
+            "IntegerLinearProgram", {}, ("n", "c"), "2^n", ValueKind.EXTREMUM, alias="ILP"
         ),
         _descriptor(
             "DecisionMaximumIndependentSet",
@@ -585,7 +577,6 @@ def register_catalogue(registry: Registry | None = None) -> Registry:
             ("V", "E"),
             mis_complexity,
             ValueKind.OR,
-            capability=SolveCapability.BRUTE_FORCE_ONLY,
             alias="DecisionVC",
         ),
     ]
@@ -634,6 +625,13 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _count(value, what: str) -> int:
+    # a count sizes ranges and sequences, which hold at most sys.maxsize items
+    if _int(value, what) > sys.maxsize:
+        raise DocumentError(f"{what} must be at most {sys.maxsize}")
+    return value
+
+
 def _list(values, what: str) -> list | tuple:
     if not isinstance(values, (list, tuple)):
         raise DocumentError(f"{what} must be a list")
@@ -678,8 +676,8 @@ def _cnf(data: Mapping) -> CnfData:
     return CnfData(data["num_variables"], data["clauses"])
 
 
-_GRAPH = {"num_vertices": _int, "edges": _int_pairs}
-_CNF = {"num_variables": _int, "clauses": _int_rows}
+_GRAPH = {"num_vertices": _count, "edges": _int_pairs}
+_CNF = {"num_variables": _count, "clauses": _int_rows}
 
 # Canonical problem name -> (required fields, optional fields, constructor).
 # Each field maps to the shape check its value must pass; the constructor
@@ -695,22 +693,22 @@ DATA_FIELDS: dict[str, tuple[dict, dict, Callable[[Mapping], Problem]]] = {
     "MinimumDominatingSet": (_GRAPH, {}, lambda d: DominatingSet(_graph(d))),
     "MaxCut": (_GRAPH, {}, lambda d: MaxCut(_graph(d))),
     "GraphColoring": (
-        {**_GRAPH, "colors": _int}, {}, lambda d: GraphColoring(_graph(d), d["colors"])
+        {**_GRAPH, "colors": _count}, {}, lambda d: GraphColoring(_graph(d), d["colors"])
     ),
     "MinimumSetCover": (
-        {"num_elements": _int, "sets": _int_rows},
+        {"num_elements": _count, "sets": _int_rows},
         {},
         lambda d: SetCover(SetCoverData(d["num_elements"], d["sets"])),
     ),
-    "QUBO": ({"n": _int, "q": _int_rows}, {}, lambda d: Qubo(QuboData(d["n"], d["q"]))),
+    "QUBO": ({"n": _count, "q": _int_rows}, {}, lambda d: Qubo(QuboData(d["n"], d["q"]))),
     "SpinGlass": (
-        {"n": _int, "j": _int_rows, "h": _int_list},
+        {"n": _count, "j": _int_rows, "h": _int_list},
         {},
         lambda d: SpinGlass(IsingData(d["n"], d["j"], d["h"])),
     ),
     "IntegerLinearProgram": (
         {
-            "num_vars": _int,
+            "num_vars": _count,
             "bounds": _int_pairs,
             "constraints": _ilp_constraints,
             "objective": _int_list,

@@ -1,8 +1,9 @@
 """Solver dispatch and the exact branch-and-bound ILP backend.
 
-Dispatch order: a dedicated solver when the type has one (only ILP in the
-shipped catalogue), otherwise the cheapest witness-capable reduction path to
-ILP, otherwise brute-force enumeration.
+The reduction graph makes the one dispatch decision
+(``ReductionGraph.solver_route``): an instance with a witness-capable path to
+ILP is carried along it and solved by the ILP backend, ILP itself being the
+empty path, and any other instance is enumerated by brute force.
 
 The ILP backend is an exact depth-first branch-and-bound that maximises; a
 min program is searched on its negated objective. Each constraint is stored
@@ -47,7 +48,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import BudgetExceededError, Record
-from .graph import ReductionPath, default_graph, extract_along, reduce_along
+from .graph import ReductionPath, default_graph, reduce_along, solution_along
 from .model import (
     AggregatedValue,
     Configuration,
@@ -56,13 +57,10 @@ from .model import (
     Problem,
     SENSE_MAXIMIZE,
     SENSE_MINIMIZE,
-    SolveCapability,
     ValueKind,
-    evaluate,
     fold_space,
-    reported_witness,
 )
-from .problems import Ilp, IlpData
+from .problems import IlpData
 
 
 class SolveResult(Record):
@@ -330,22 +328,20 @@ def solve(
     max_configs: int = DEFAULT_CONFIG_BUDGET,
     max_nodes: int = DEFAULT_NODE_BUDGET,
 ) -> SolveResult:
-    """Dispatch in priority order: dedicated, ILP route, brute force."""
-    graph = default_graph()
-    descriptor = graph.registry.lookup_key(instance.variant_key())
-    if descriptor.solve_capability is SolveCapability.DEDICATED:
-        if isinstance(instance, Ilp):
-            return solve_ilp(instance.data, max_nodes)
-        raise NotImplementedError(f"no dedicated solver wired for {descriptor.name}")
-    if descriptor.solve_capability is SolveCapability.VIA_ILP:
-        ilp_key = graph.registry.lookup("IntegerLinearProgram").key
-        path = graph.find_path(instance.variant_key(), ilp_key, require_witness=True)
-        if path is not None and path.steps:
-            envelope = reduce_along(path, instance)
-            ilp_result = solve_ilp(envelope.target_instance.data, max_nodes)
-            if ilp_result.witness is not None:
-                config = extract_along(envelope, ilp_result.witness)
-                value = evaluate(instance, config)
-                return SolveResult(value, reported_witness(value, config), "ilp", route=path)
-            # a reduced ILP should never be infeasible; fall through defensively
-    return solve_brute(instance, max_configs)
+    """Solve along the graph's solver route, or by brute force when it has none.
+
+    The ILP's witness is mapped back and evaluated at the instance. An ILP is
+    its own empty route, so it gets ``solve_ilp``'s result as it is, and so
+    does a reduced ILP that comes back infeasible.
+    """
+    route = default_graph().solver_route(instance.variant_key())
+    if route is None:
+        return solve_brute(instance, max_configs)
+    if not route.steps:
+        return solve_ilp(instance.data, max_nodes)
+    envelope = reduce_along(route, instance)
+    result = solve_ilp(envelope.target_instance.data, max_nodes)
+    if result.witness is None:
+        return result
+    value, witness = solution_along(envelope, result.witness)
+    return SolveResult(value, witness, "ilp", route=route)

@@ -263,6 +263,25 @@ def test_exit_4_on_node_budget():
     assert "branch-and-bound exceeded 2 nodes" in result.stderr
 
 
+# Clique solves through ILP, DecisionVC by brute force
+@pytest.mark.parametrize("problem", ["Clique", "DecisionVC"])
+@pytest.mark.parametrize("flag", ["--max-nodes", "--max-configs"])
+def test_exit_2_on_negative_budget(problem, flag):
+    created = run_cli("create", problem, "--example")
+    result = run_cli("solve", "-", flag, "-1", stdin=created.stdout)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"pred: {flag} must be at least 0\n"
+
+
+@pytest.mark.parametrize(
+    "problem,flag", [("Clique", "--max-nodes"), ("DecisionVC", "--max-configs")]
+)
+def test_exit_4_on_zero_budget(problem, flag):
+    created = run_cli("create", problem, "--example")
+    result = run_cli("solve", "-", flag, "0", stdin=created.stdout)
+    assert (result.returncode, result.stdout) == (4, "")
+
+
 def test_exit_5_on_infeasible_program(tmp_path):
     document = {
         "problem": "IntegerLinearProgram",

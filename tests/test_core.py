@@ -25,12 +25,12 @@ from pred import (
     Problem,
     Registry,
     Satisfiability,
-    SolveCapability,
     UnknownProblemError,
     ValueKind,
     VertexCover,
     combine,
     decision_wrap,
+    default_graph,
     evaluate,
     fold_space,
     identity_value,
@@ -328,7 +328,8 @@ def test_registry_lookup_and_aliases():
     mis = registry.lookup("MIS")
     assert mis.name == "MaximumIndependentSet"
     assert registry.lookup("MaximumIndependentSet") is mis
-    assert registry.lookup("ILP").solve_capability is SolveCapability.DEDICATED
+    # ILP's solver runs on it directly: its solver route is the empty path
+    assert default_graph().solver_route(registry.lookup("ILP").key).steps == ()
     with pytest.raises(UnknownProblemError):
         registry.lookup("NoSuchProblem")
 

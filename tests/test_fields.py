@@ -2,9 +2,10 @@
 
 ``pred create`` turns its data flags into a data dict and decodes it with the
 same table as ``pred solve``, so whatever ``create`` emits, ``solve`` accepts.
-The property tests hold the exit-code contract for drawn documents and drawn
-flag text: a document is either an instance or a ``PredError``, and ``create``
-exits 0 or 2 without a traceback.
+The property tests hold the exit-code contract for drawn documents, drawn
+flag text and envelopes with one node replaced: a document is either an
+instance or a ``PredError``, ``create`` exits 0 or 2, and ``solve`` and
+``reduce`` exit with a contract code, all without a traceback.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -48,10 +51,11 @@ FLAG_CASES = {
 }
 
 
-def run_main(argv: list[str]) -> tuple[int, str, str]:
+def run_main(argv: list[str], stdin: str = "") -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        with mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+            code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -144,8 +148,9 @@ def _decodes_or_rejects(document: dict) -> None:
         return
     encoded = instance_to_document(instance)
     assert instance_to_document(instance_from_document(encoded, REGISTRY)) == encoded
-    # a count like 2**64 decodes, but its configuration space cannot be built
-    # (OverflowError); only instances of at most 64 variables are evaluated
+    # a count above sys.maxsize is rejected, but one like 2**40 still decodes and
+    # its configuration space cannot be built in memory (ROADMAP item 6); only
+    # instances of at most 64 variables are evaluated
     if max(instance.size_measures().values(), default=0) <= 64:
         evaluate(instance, (0,) * len(instance.config_dims()))
 
@@ -178,6 +183,75 @@ def test_every_one_node_replacement_raises_nothing_but_pred_errors(example):
             _decodes_or_rejects(dict(document, data=_replaced(document["data"], path, value)))
     for stray in ("stray", "weights", "bound", "colors"):
         _decodes_or_rejects(dict(document, data={**document["data"], stray: 1}))
+
+
+# the count fields size ranges and sequences, so none may exceed sys.maxsize
+COUNTS = ("num_vertices", "num_variables", "num_elements", "n", "num_vars", "colors")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_count_too_large_to_index_exits_2(name):
+    # Counts that fit an index can still exhaust memory (a 10**8-vertex graph,
+    # say); those stay open under ROADMAP item 6.
+    example = next(e for e in EXAMPLES.values() if e.instance.type_name == name)
+    document = instance_to_document(example.instance)
+    fields = [field for field in COUNTS if field in document["data"]]
+    assert fields
+    for field in fields:
+        for count in (sys.maxsize + 1, 2**64):
+            text = json.dumps(dict(document, data={**document["data"], field: count}))
+            for command in ("solve", "reduce --to ILP", "evaluate --config 0"):
+                code, out, err = run_main([*command.split(), "-"], text)
+                assert (code, out) == (2, ""), err
+                assert err == f"pred: {field} must be at most {sys.maxsize}\n"
+
+
+def test_create_rejects_a_count_too_large_to_index():
+    code, out, err = run_main(["create", "MIS", "--vertices", str(2**64)])
+    assert (code, out, err) == (2, "", f"pred: num_vertices must be at most {sys.maxsize}\n")
+
+
+def _envelope_to_ilp(example) -> dict | None:
+    document = json.dumps(instance_to_document(example.instance))
+    code, out, _ = run_main(["reduce", "-", "--to", "ILP"], document)
+    return json.loads(out) if code == 0 else None
+
+
+# each canonical example with a witness-capable route to ILP, as its envelope
+ENVELOPES = {
+    example.id: envelope
+    for example in EXAMPLES.values()
+    if (envelope := _envelope_to_ilp(example)) is not None
+}
+
+
+def _exits_cleanly(envelope: dict) -> None:
+    """``solve`` and ``reduce`` of the envelope exit with a contract code, and
+    print nothing to stdout when they fail."""
+    text = json.dumps(envelope)
+    for argv in (["solve", "-"], ["reduce", "-", "--to", "ILP"]):
+        code, out, err = run_main(argv, text)
+        assert code in (0, 2, 3, 4, 5), (argv, err)
+        assert code == 0 or out == "", (argv, out)
+
+
+@pytest.mark.parametrize("example_id", sorted(ENVELOPES))
+def test_every_odd_source_field_in_an_envelope_exits_cleanly(example_id):
+    envelope = ENVELOPES[example_id]
+    for field in envelope["source"]["data"]:
+        for value in ODD_VALUES:
+            _exits_cleanly(_replaced(envelope, ("source", "data", field), value))
+
+
+@pytest.mark.parametrize("example_id", sorted(ENVELOPES))
+@PROPERTY
+@given(data=st.data())
+def test_one_node_replaced_in_an_envelope_exits_cleanly(example_id, data):
+    """A top-level field first, then a node inside it, so every section is hit."""
+    envelope = ENVELOPES[example_id]
+    section = data.draw(st.sampled_from(sorted(envelope)))
+    path = data.draw(st.sampled_from(list(_paths(envelope[section], (section,)))))
+    _exits_cleanly(_replaced(envelope, path, data.draw(st.sampled_from(ODD_VALUES))))
 
 
 # data flag -> the data field it fills (README, "CLI tour")

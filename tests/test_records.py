@@ -47,7 +47,6 @@ from pred import (
     Satisfiability,
     SetCover,
     SetCoverData,
-    SolveCapability,
     SolveResult,
     SpinGlass,
     ThreeSatisfiability,
@@ -87,12 +86,9 @@ CASES = {
     ),
     FoldResult: (("value", "witness"), (MAX2, (1, 0)), (MAX2, None)),
     ProblemTypeDescriptor: (
-        (
-            "name", "variant_tags", "size_measure_names", "complexity",
-            "solve_capability", "kind", "alias",
-        ),
-        ("X", (), ("n",), Var("n"), SolveCapability.VIA_ILP, ValueKind.MAX, None),
-        ("X", (), ("n",), Var("n"), SolveCapability.VIA_ILP, ValueKind.MAX, "Y"),
+        ("name", "variant_tags", "size_measure_names", "complexity", "kind", "alias"),
+        ("X", (), ("n",), Var("n"), ValueKind.MAX, None),
+        ("X", (), ("n",), Var("n"), ValueKind.MAX, "Y"),
     ),
     GraphData: (
         ("num_vertices", "edges", "vertex_weights"),

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+import sys
 import zlib
+from unittest import mock
 
 import pytest
 
@@ -29,6 +34,7 @@ from pred import (
     ValueKind,
     VertexCover,
     DominatingSet,
+    cli,
     default_graph,
     evaluate,
     fold_space,
@@ -261,6 +267,29 @@ def test_solver_label_with_prefix_steps():
     qubo = Qubo(QuboData(2, ((1, -2), (-2, 1))))
     result = solve(qubo)
     assert solver_label(result, prefix_steps=(rule,)) == "ilp (via QUBO -> ILP)"
+
+
+def _stdout(argv: list[str], stdin: str = "") -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "name", [REGISTRY.display_name(d.key) for d in REGISTRY.variants()]
+)
+def test_show_tier_names_the_solver_that_solve_runs(name):
+    example = _stdout(["create", name, "--example"])
+    solver = json.loads(_stdout(["solve", "-"], example))["solver"]
+    if solver == "brute-force":
+        tier = "brute_force_only"
+    elif solver == "ilp":
+        tier = "dedicated"
+    else:
+        assert solver.startswith("ilp (via ")
+        tier = "via_ilp"
+    assert f"\n  solver tier: {tier}\n" in _stdout(["show", name])
 
 
 def test_solve_witness_reevaluates_to_reported_value():
