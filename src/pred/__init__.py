@@ -12,8 +12,12 @@ solvable type and translating the answer back.
 Every name in ``__all__`` is importable from ``pred``, but a submodule is
 loaded only when one of its names is first used (PEP 562), so a ``pred``
 command pays only for the modules it runs: ``create`` never loads the rule
-catalogue or the solvers, for instance. ``canonical`` is the expression
-normaliser from ``pred.symbolic``; the example database is ``pred.examples``.
+catalogue or the solvers, for instance. Overhead and complexity expressions
+stay as their declared text until something reads them, so importing the
+package and building the graph (``default_graph()``) do not load the
+symbolic algebra, ``pred.symbolic``; routing loads it when it first compares
+two routes. ``canonical`` is the expression normaliser from
+``pred.symbolic``; the example database is ``pred.examples``.
 """
 
 from __future__ import annotations

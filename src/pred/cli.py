@@ -16,7 +16,13 @@ Each command is one process in a pipe, so each imports only what it runs:
 ``create`` and ``evaluate`` need the problem registry alone, the reduction
 graph (rules and routing) is imported by the commands that route, the
 solvers by ``solve``, and the example database by ``create --example`` and
-``show``.
+``show``. The symbolic algebra (``pred.symbolic``) is loaded only where an
+overhead or complexity expression is read: when routing compares two
+candidate routes (``reduce``, ``path``, and ``solve`` when the instance it
+solves has more than one route to ILP), and when ``path``, ``show``,
+``list`` and ``reduce --path`` print one. ``solve`` on an envelope to ILP
+replays the envelope's path and solves along the empty route, so it reads
+no expression.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from .model import (
     evaluate,
 )
 from .problems import DATA_FIELDS, default_registry, instance_from_document, instance_to_document
-from .symbolic import render, render_overhead
 
 if TYPE_CHECKING:
     from .graph import ReductionEnvelope, ReductionGraph
@@ -66,6 +71,8 @@ def _load_document(source: str) -> dict:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON input: {exc}") from exc
+    except RecursionError:
+        raise DocumentError("invalid JSON input: nested too deeply") from None
     if not isinstance(document, dict):
         raise DocumentError("top-level JSON document must be an object")
     return document
@@ -246,6 +253,8 @@ def cmd_create(args) -> None:
 # --- reduce ------------------------------------------------------------------
 
 def _print_route(path) -> None:
+    from .symbolic import render, render_overhead
+
     print(f"route: {len(path.steps)} step(s)", file=sys.stderr)
     for rule in path.steps:
         print(f"  {rule.name}  {render_overhead(rule.overhead)}", file=sys.stderr)
@@ -332,6 +341,7 @@ def cmd_solve(args) -> None:
 
 def cmd_path(args) -> None:
     from .graph import default_graph
+    from .symbolic import render, render_overhead
 
     graph = default_graph()
     registry = graph.registry
@@ -355,6 +365,7 @@ def cmd_path(args) -> None:
 def cmd_show(args) -> None:
     from .examples import build_examples, get_example
     from .graph import default_graph
+    from .symbolic import render
 
     graph = default_graph()
     registry = graph.registry
@@ -387,6 +398,7 @@ def cmd_show(args) -> None:
 
 def cmd_list(args) -> None:
     from .graph import default_graph
+    from .symbolic import render
 
     graph = default_graph()
     registry = graph.registry

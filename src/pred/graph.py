@@ -6,11 +6,19 @@ compared asymptotically after collapsing every size measure onto a single
 scale symbol. Ties fall back to edge count, then rule names. The graph is
 small, so routing enumerates all simple paths, which is exact regardless of
 how node complexities vary along a path.
+
+Building the graph reads no expression: a rule's overhead, a type's
+complexity and a path's composite overhead and cost are each worked out the
+first time they are read. The symbolic algebra that routing uses is bound in
+this module only then (``_bind_symbolic``), so a process that builds paths
+but never compares two of them or prints one (``solve`` on an envelope to
+ILP, for instance) never loads ``pred.symbolic``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 from .errors import CapabilityError, DuplicateRegistrationError, Record, UnknownProblemError
 from .model import (
@@ -34,30 +42,62 @@ from .rules import (
     extract_value,
     shipped_rules,
 )
-from .symbolic import (
-    Comparison,
-    Expr,
-    OverheadMap,
-    Var,
-    canonical,
-    compare,
-    compose,
-    identity_overhead,
-    subst,
-    vars_of,
+
+if TYPE_CHECKING:
+    from .symbolic import Expr, OverheadMap
+
+# Routing's algebra from pred.symbolic, bound as globals of this module on
+# first use rather than at import; a profiler that replaces one of these names
+# here sees every call routing makes.
+_SYMBOLIC = (
+    "Comparison", "Var", "canonical", "compare", "compose", "identity_overhead", "subst", "vars_of"
 )
 
-_SCALE = Var("t")
+
+def _bind_symbolic() -> None:
+    from . import symbolic
+
+    for name in _SYMBOLIC:
+        # setdefault: a name already bound (or replaced by a caller) stays as it is
+        globals().setdefault(name, getattr(symbolic, name))
+
+
+def __getattr__(name: str):
+    if name in _SYMBOLIC:
+        _bind_symbolic()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ReductionPath(Record):
-    """An ordered chain of endpoint-compatible rules with composed overhead."""
+    """An ordered chain of endpoint-compatible rules from ``source_type`` to
+    ``target_type``; the composed overhead and the estimated cost are derived
+    on first read."""
 
-    source: VariantKey
-    target: VariantKey
+    source_type: ProblemTypeDescriptor
+    target_type: ProblemTypeDescriptor
     steps: tuple[ReductionRule, ...]
-    composite_overhead: OverheadMap
-    estimated_cost: Expr
+
+    @property
+    def source(self) -> VariantKey:
+        return self.source_type.key
+
+    @property
+    def target(self) -> VariantKey:
+        return self.target_type.key
+
+    @cached_property
+    def composite_overhead(self) -> OverheadMap:
+        _bind_symbolic()
+        composite = identity_overhead(self.source_type.size_measure_names)
+        for rule in self.steps:
+            composite = compose(rule.overhead, composite)
+        return composite
+
+    @cached_property
+    def estimated_cost(self) -> Expr:
+        _bind_symbolic()
+        return canonical(subst(self.target_type.complexity, self.composite_overhead))
 
     @property
     def witness_capable(self) -> bool:
@@ -85,7 +125,11 @@ class RoundTripReport(Record):
 
 
 class ReductionGraph:
-    """Immutable rule registry keyed by source variant."""
+    """Immutable rule registry keyed by source variant.
+
+    Since nothing changes after construction, each variant's solver route is
+    searched once and then remembered.
+    """
 
     def __init__(self, registry: Registry, rules: list[ReductionRule]) -> None:
         self.registry = registry
@@ -110,6 +154,7 @@ class ReductionGraph:
             self._incoming[rule.target.key].append(rule)
         for bucket in (*self._outgoing.values(), *self._incoming.values()):
             bucket.sort(key=lambda r: r.name)
+        self._solver_routes: dict[VariantKey, ReductionPath | None] = {}
 
     def outgoing(self, key: VariantKey) -> tuple[ReductionRule, ...]:
         return tuple(self._outgoing[key])
@@ -129,7 +174,9 @@ class ReductionGraph:
         if steps and steps[0].source.key != source:
             raise UnknownProblemError(f"path does not start at {source}")
         target = steps[-1].target.key if steps else source
-        return _chain(self.registry.lookup_key(source), self.registry.lookup_key(target), steps)
+        return ReductionPath(
+            self.registry.lookup_key(source), self.registry.lookup_key(target), steps
+        )
 
     def find_path(
         self,
@@ -170,7 +217,10 @@ class ReductionGraph:
         """How ``solve`` treats instances of ``key``: the cheapest witness-capable
         path to ILP, whose exact solver then runs on the reduced instance (the
         empty path for ILP itself), or None when only brute force applies."""
-        return self.find_path(key, self.registry.lookup("IntegerLinearProgram").key)
+        if key not in self._solver_routes:
+            ilp = self.registry.lookup("IntegerLinearProgram").key
+            self._solver_routes[key] = self.find_path(key, ilp)
+        return self._solver_routes[key]
 
     def topology_report(self) -> dict:
         """Reachability sets over all edges, as JSON-able sorted name lists."""
@@ -204,24 +254,13 @@ class ReductionGraph:
         return reached
 
 
-def _chain(
-    source: ProblemTypeDescriptor,
-    target: ProblemTypeDescriptor,
-    steps: tuple[ReductionRule, ...],
-) -> ReductionPath:
-    """The path of endpoint-compatible ``steps``, with composed overhead and cost."""
-    composite = identity_overhead(source.size_measure_names)
-    for rule in steps:
-        composite = compose(rule.overhead, composite)
-    cost = canonical(subst(target.complexity, composite))
-    return ReductionPath(source.key, target.key, tuple(steps), composite, cost)
-
-
 def _single_scale(expr: Expr) -> Expr:
-    return subst(expr, {name: _SCALE for name in vars_of(expr)})
+    scale = Var("t")
+    return subst(expr, {name: scale for name in vars_of(expr)})
 
 
 def _cheaper(a: ReductionPath, b: ReductionPath) -> bool:
+    _bind_symbolic()
     verdict = compare(_single_scale(a.estimated_cost), _single_scale(b.estimated_cost))
     if verdict is Comparison.LOWER_GROWTH:
         return True
@@ -286,7 +325,7 @@ def round_trip_check(
     """Brute-force both endpoints of a reduction and compare via extraction."""
     path = rule_or_path
     if isinstance(path, ReductionRule):
-        path = _chain(path.source, path.target, (path,))
+        path = ReductionPath(path.source, path.target, (path,))
     names = path.rule_names()
     if not (path.witness_capable or all(rule.value_capable for rule in path.steps)):
         raise CapabilityError(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -31,7 +31,9 @@ from .errors import (
     RegistrationError,
     UnknownProblemError,
 )
-from .symbolic import Expr, vars_of
+
+if TYPE_CHECKING:
+    from .symbolic import Expr
 
 Configuration = tuple[int, ...]
 
@@ -339,12 +341,39 @@ def make_key(name: str, tags: Mapping[str, str]) -> VariantKey:
 
 
 class ProblemTypeDescriptor(Record):
+    """One registered problem variant.
+
+    ``complexity`` is declared as text (or as an ``Expr``) and kept that way
+    until it is first read; that read parses it and checks it against the
+    size measures, once. Only routing and the printing commands read it, so
+    building the registry never loads ``pred.symbolic``.
+    """
+
     name: str
     variant_tags: tuple[tuple[str, str], ...]
     size_measure_names: tuple[str, ...]
     complexity: Expr
     kind: ValueKind
     alias: str | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_declared_complexity", self.__dict__.pop("complexity"))
+
+    def __getattr__(self, name: str):
+        if name != "complexity" or "_declared_complexity" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        from .symbolic import parse_expr, vars_of
+
+        expr = self._declared_complexity
+        if isinstance(expr, str):
+            expr = parse_expr(expr)
+        stray = set(vars_of(expr)) - set(self.size_measure_names)
+        if stray:
+            raise RegistrationError(
+                f"{self.name}: complexity uses unknown size measure(s) {sorted(stray)}"
+            )
+        object.__setattr__(self, "complexity", expr)
+        return expr
 
     @property
     def key(self) -> VariantKey:
@@ -365,11 +394,6 @@ class Registry:
             raise RegistrationError("registry is frozen")
         if descriptor.key in self._by_key:
             raise DuplicateRegistrationError(f"variant already registered: {descriptor.key}")
-        stray = set(vars_of(descriptor.complexity)) - set(descriptor.size_measure_names)
-        if stray:
-            raise RegistrationError(
-                f"{descriptor.name}: complexity uses unknown size measure(s) {sorted(stray)}"
-            )
         self._by_key[descriptor.key] = descriptor
         self._default.setdefault(descriptor.name, descriptor.key)
         if descriptor.alias:

@@ -31,7 +31,6 @@ from .model import (
     SENSE_MINIMIZE,
     ValueKind,
 )
-from .symbolic import parse_expr
 
 Edge = tuple[int, int]
 
@@ -508,7 +507,7 @@ def _descriptor(
         name=name,
         variant_tags=tuple(sorted(tags.items())),
         size_measure_names=measures,
-        complexity=parse_expr(complexity),
+        complexity=complexity,
         kind=kind,
         alias=alias,
     )

@@ -10,7 +10,7 @@ coefficients bounding every target size measure by the source measures.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import (
     CapabilityError,
@@ -50,7 +50,9 @@ from .problems import (
     VertexCover,
 )
 from .model import DecisionProblem
-from .symbolic import OverheadMap, is_polynomial, parse_expr, to_poly, vars_of
+
+if TYPE_CHECKING:
+    from .symbolic import OverheadMap
 
 ForwardFn = Callable[[Problem], tuple[Problem, dict]]
 ConfigExtractor = Callable[[Mapping, Configuration], Configuration]
@@ -58,7 +60,14 @@ ValueExtractor = Callable[[Mapping, AggregatedValue], AggregatedValue]
 
 
 class ReductionRule(Record, eq=False):
-    """One directed edge of the reduction graph."""
+    """One directed edge of the reduction graph.
+
+    ``overhead`` maps each target size measure to an expression, declared as
+    text (or as an ``Expr``), and stays as declared until it is first read;
+    that read parses it and checks it against the rule's endpoints
+    (``_parsed_overhead``), once. Only routing and the printing commands read
+    it, so building the catalogue never loads ``pred.symbolic``.
+    """
 
     name: str
     source: ProblemTypeDescriptor
@@ -67,6 +76,16 @@ class ReductionRule(Record, eq=False):
     forward: ForwardFn
     config_extractor: ConfigExtractor | None = None
     value_extractor: ValueExtractor | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_declared_overhead", self.__dict__.pop("overhead"))
+
+    def __getattr__(self, name: str):
+        if name != "overhead" or "_declared_overhead" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        overhead = _parsed_overhead(self, self._declared_overhead)
+        object.__setattr__(self, "overhead", overhead)
+        return overhead
 
     @property
     def witness_capable(self) -> bool:
@@ -404,16 +423,21 @@ UNIT = {"graph": "simple", "weight": "unit"}
 INTEGER = {"graph": "simple", "weight": "integer"}
 
 
-def _validate_rule(rule: ReductionRule) -> None:
-    declared = set(rule.overhead)
+def _parsed_overhead(rule: ReductionRule, declared: Mapping) -> OverheadMap:
+    """The rule's declared overhead, parsed and checked against its endpoints."""
+    from .symbolic import is_polynomial, parse_expr, to_poly, vars_of
+
     expected = set(rule.target.size_measure_names)
-    if declared != expected:
+    if set(declared) != expected:
         raise RegistrationError(
             f"rule {rule.name}: overhead covers {sorted(declared)}, "
             f"target measures are {sorted(expected)}"
         )
     source_measures = set(rule.source.size_measure_names)
-    for measure, expr in rule.overhead.items():
+    overhead = {}
+    for measure, expr in declared.items():
+        if isinstance(expr, str):
+            expr = parse_expr(expr)
         if not is_polynomial(expr):
             raise RegistrationError(f"rule {rule.name}: overhead for {measure} is not polynomial")
         used = vars_of(expr)
@@ -431,8 +455,19 @@ def _validate_rule(rule: ReductionRule) -> None:
             raise RegistrationError(
                 f"rule {rule.name}: overhead for {measure} has a negative coefficient"
             )
+        overhead[measure] = expr
+    return overhead
+
+
+def _check_inverse(rule: ReductionRule) -> None:
     if rule.config_extractor is None and rule.value_extractor is None:
         raise RegistrationError(f"rule {rule.name} declares no inverse capability")
+
+
+def _validate_rule(rule: ReductionRule) -> None:
+    """Every registration check on ``rule``; reading its overhead runs the overhead checks."""
+    rule.overhead
+    _check_inverse(rule)
 
 
 def _rule(
@@ -450,17 +485,22 @@ def _rule(
         name=f"{registry.display_name(src.key)}->{registry.display_name(tgt.key)}",
         source=src,
         target=tgt,
-        overhead={k: parse_expr(v) for k, v in overhead.items()},
+        overhead=overhead,
         forward=forward,
         config_extractor=config_extractor,
         value_extractor=value_extractor,
     )
-    _validate_rule(rule)
+    # the overhead checks wait for the first read of rule.overhead
+    _check_inverse(rule)
     return rule
 
 
 def shipped_rules(registry: Registry) -> list[ReductionRule]:
-    """Build and validate the full edge catalogue against a registry."""
+    """Build the full edge catalogue against a registry.
+
+    Each rule's inverse capability is checked here; its overhead is parsed
+    and checked on first read (``ReductionRule``).
+    """
     return [
         _rule(
             registry,

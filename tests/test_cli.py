@@ -158,6 +158,25 @@ def test_exit_2_on_bad_json():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "-"),
+        ("reduce", "-", "--to", "ILP"),
+        ("evaluate", "-", "--config", "0"),
+        ("create", "MIS", "--file", "-"),
+    ],
+    ids=" ".join,
+)
+def test_exit_2_on_deeply_nested_json(argv):
+    # json.loads recurses once per level; past the interpreter's limit it
+    # raises RecursionError, which must reach the user as bad input
+    result = run_cli(*argv, stdin="[" * 100_000 + "\n")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "pred: invalid JSON input: nested too deeply\n"
+
+
 ILP_DATA = {"num_vars": 1, "bounds": [[0, 1]], "constraints": [], "objective": [1], "sense": "max"}
 ENVELOPE = {"kind": "envelope", "trace_version": 1, "source": {}, "path": [], "target": {}}
 

@@ -3,7 +3,9 @@
 Every stage is a fresh process in a pipe, so a module it imports but does
 not use costs start-up time on every call. The stages run here as real
 interpreters (``python -m pred`` through ``runpy``), and each reports the
-modules that appeared in ``sys.modules`` while it ran.
+modules that appeared in ``sys.modules`` while it ran. The symbolic algebra
+(``pred.symbolic``, which brings in ``fractions``) belongs only to the
+stages that compare routes or print an expression.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import sys
 import pytest
 
 # Runs one stage as ``python -m pred`` would, then prints (to stderr, since
-# stdout carries the stage's own output) the modules the stage loaded.
+# stdout carries the stage's own output) the modules the stage loaded, as the
+# last line after any diagnostics of the stage's own.
 STAGE = """
 import json, runpy, sys
 before = set(sys.modules)
@@ -45,16 +48,26 @@ print(json.dumps({
 }))
 """
 
+# Imports the command line and builds the graph, then lists what that loaded.
+GRAPH_BUILD = """
+import json, sys
+before = set(sys.modules)
+import pred.cli, pred
+pred.default_graph()
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
 MIS = {"problem": "MIS", "data": {"num_vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]]}}
-CORE = ["pred", "pred.cli", "pred.errors", "pred.model", "pred.problems", "pred.symbolic"]
+CORE = ["pred", "pred.cli", "pred.errors", "pred.model", "pred.problems"]
 ROUTING = ["pred.graph", "pred.rules"]
+SYMBOLIC = ("pred.symbolic", "fractions")
 
 
 def run_stage(*argv: str, stdin: str = "") -> tuple[str, dict]:
     result = subprocess.run(
         [sys.executable, "-c", STAGE, *argv], input=stdin, capture_output=True, text=True
     )
-    report = json.loads(result.stderr)
+    report = json.loads(result.stderr.splitlines()[-1])
     assert report["code"] in (None, 0), result.stderr
     return result.stdout, report
 
@@ -63,25 +76,61 @@ def pred_modules(report: dict) -> list[str]:
     return sorted(m for m in report["loaded"] if m == "pred" or m.startswith("pred."))
 
 
+def assert_no_symbolic(report: dict) -> None:
+    assert not set(SYMBOLIC) & set(report["loaded"])
+
+
 def test_create_from_flags_loads_only_the_registry():
     _, report = run_stage("create", "MIS", "--graph", "0-1,1-2,2-3")
     assert pred_modules(report) == CORE
+    assert_no_symbolic(report)
 
 
 def test_create_example_adds_only_the_example_database():
     _, report = run_stage("create", "GC", "--example")
     assert pred_modules(report) == sorted([*CORE, "pred.examples"])
+    assert_no_symbolic(report)
+
+
+def test_evaluate_loads_only_the_registry():
+    _, report = run_stage("evaluate", "-", "--config", "1,0,1,0", stdin=json.dumps(MIS))
+    assert pred_modules(report) == CORE
+    assert_no_symbolic(report)
+
+
+def test_import_and_graph_build_leave_the_algebra_unloaded():
+    result = subprocess.run([sys.executable, "-c", GRAPH_BUILD], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout)
+    assert {*ROUTING, "pred.cli"} <= set(loaded)
+    assert not set(SYMBOLIC) & set(loaded)
 
 
 def test_reduce_loads_routing_but_not_the_solvers():
     _, report = run_stage("reduce", "-", "--to", "ILP", stdin=json.dumps(MIS))
-    assert pred_modules(report) == sorted([*CORE, *ROUTING])
+    assert pred_modules(report) == sorted([*CORE, *ROUTING, "pred.symbolic"])
 
 
 def test_solve_on_an_envelope_adds_the_solvers():
     envelope, _ = run_stage("reduce", "-", "--to", "ILP", stdin=json.dumps(MIS))
     _, report = run_stage("solve", "-", stdin=envelope)
     assert pred_modules(report) == sorted([*CORE, *ROUTING, "pred.solvers"])
+    assert_no_symbolic(report)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "-", "--to", "ILP", "--path"),
+        ("path", "3SAT", "ILP"),
+        ("show", "MIS"),
+        ("list",),
+    ],
+    ids=" ".join,
+)
+def test_commands_that_read_expressions_load_the_algebra(argv):
+    _, report = run_stage(*argv, stdin=json.dumps(MIS))
+    assert "pred.symbolic" in report["loaded"]
 
 
 @pytest.mark.parametrize(

@@ -121,7 +121,7 @@ CASES = {
             "name", "source", "target", "overhead", "forward",
             "config_extractor", "value_extractor",
         ),
-        ("r", DESCRIPTOR, DESCRIPTOR, {}, None, None, None),
+        ("r", DESCRIPTOR, DESCRIPTOR, {"V": Var("V"), "E": Var("E")}, None, None, None),
         None,
     ),
     ReductionOutcome: (
@@ -130,9 +130,9 @@ CASES = {
         None,
     ),
     ReductionPath: (
-        ("source", "target", "steps", "composite_overhead", "estimated_cost"),
-        (PATH.source, PATH.target, PATH.steps, PATH.composite_overhead, PATH.estimated_cost),
-        (PATH.source, PATH.source, (), {}, Const(Fraction(1))),
+        ("source_type", "target_type", "steps"),
+        (PATH.source_type, PATH.target_type, PATH.steps),
+        (PATH.source_type, PATH.source_type, ()),
     ),
     ReductionEnvelope: (
         ("source_instance", "path", "target_instance", "stack"),

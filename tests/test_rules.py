@@ -34,14 +34,17 @@ from pred import (
     evaluate_expr,
     round_trip_check,
 )
-from pred.model import SENSE_MAXIMIZE
+from pred.model import SENSE_MAXIMIZE, ProblemTypeDescriptor
+from pred.problems import register_catalogue
 from pred.rules import (
     ReductionRule,
     _validate_rule,
     apply,
     extract_solution,
     extract_value,
+    shipped_rules,
 )
+from pred.symbolic import vars_of
 
 import oracles
 from generators import (
@@ -454,3 +457,52 @@ def test_rule_requires_some_extractor():
     )
     with pytest.raises(RegistrationError):
         _validate_rule(broken)
+
+
+def test_every_shipped_expression_parses_and_passes_its_checks():
+    # building the catalogue leaves the expressions as declared text, so a bad
+    # entry shows only when it is read: read them all, on a fresh catalogue
+    registry = register_catalogue()
+    for descriptor in registry.variants():
+        assert set(vars_of(descriptor.complexity)) <= set(descriptor.size_measure_names)
+    rules = shipped_rules(registry)
+    assert rules
+    for rule_obj in rules:
+        _validate_rule(rule_obj)
+
+
+def test_declared_overhead_is_checked_on_first_read():
+    good = rule("MaximumIndependentSet->IntegerLinearProgram")
+    broken = ReductionRule(
+        name="broken",
+        source=good.source,
+        target=good.target,
+        overhead={"n": "2^V", "c": "E"},
+        forward=good.forward,
+        config_extractor=good.config_extractor,
+    )
+    for _ in range(2):  # a failed read leaves nothing behind for the next one
+        with pytest.raises(
+            RegistrationError, match="^rule broken: overhead for n is not polynomial$"
+        ):
+            broken.overhead
+    fine = ReductionRule(
+        name="fine",
+        source=good.source,
+        target=good.target,
+        overhead={"n": "V", "c": "E"},
+        forward=good.forward,
+        config_extractor=good.config_extractor,
+    )
+    assert fine.overhead == {"n": parse_expr("V"), "c": parse_expr("E")}
+    assert fine.overhead is fine.overhead
+
+
+def test_declared_complexity_is_checked_on_first_read():
+    descriptor = ProblemTypeDescriptor("X", (), ("n",), "2^m", ValueKind.MAX)
+    with pytest.raises(
+        RegistrationError, match=r"^X: complexity uses unknown size measure\(s\) \['m'\]$"
+    ):
+        descriptor.complexity
+    fine = ProblemTypeDescriptor("X", (), ("n",), "2^n", ValueKind.MAX)
+    assert fine.complexity == parse_expr("2^n")

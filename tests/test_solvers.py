@@ -23,6 +23,7 @@ from pred import (
     MaxCut,
     Qubo,
     QuboData,
+    ReductionGraph,
     SENSE_MAXIMIZE,
     SENSE_MINIMIZE,
     Satisfiability,
@@ -43,6 +44,7 @@ from pred import (
     solve_brute,
     solve_ilp,
     solver_label,
+    shipped_rules,
 )
 
 from generators import (
@@ -466,3 +468,22 @@ def test_solve_matches_highs_beyond_brute_force():
         assert result.value.payload == expected
         assert evaluate(instance, result.witness).payload == expected
     _assert_mis_matches_highs(50, _gnp(rng, 50, 0.15))
+
+
+def test_solver_route_is_searched_once_per_variant(monkeypatch):
+    registry = default_graph().registry
+    graph = ReductionGraph(registry, shipped_rules(registry))
+    monkeypatch.setattr("pred.solvers.default_graph", lambda: graph)
+    searches = []
+    find_path = graph.find_path
+
+    def counting_find_path(*args, **kwargs):
+        searches.append(args)
+        return find_path(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "find_path", counting_find_path)
+    first = solve(GraphColoring(GraphData(3, ((0, 1), (1, 2))), 2))
+    second = solve(GraphColoring(GraphData(4, ((0, 1), (1, 2), (2, 3))), 2))
+    assert len(searches) == 1
+    assert first.route is second.route and first.route.steps
+    assert first.value.payload is True and second.value.payload is True
