@@ -8,13 +8,19 @@ empty path, and any other instance is enumerated by brute force.
 The ILP backend is an exact depth-first branch-and-bound that maximises; a
 min program is searched on its negated objective. Each constraint is stored
 once as a sparse ``<=`` row of its nonzero ``(index, coeff)`` pairs (a
-``>=`` row negated, an ``=`` row split in two), and a FIFO worklist of rows
-tightens variable bounds until nothing moves. A node's optimistic bound
-takes every nonzero objective term at its better domain end. The search
-walks an explicit stack, branching on the lowest-index unfixed variable in
-ascending value order, so its depth is not limited by Python's recursion.
-A child's bound before propagation falls by ``|c|`` per step away from the
-end the parent's bound used, so the values not yet prunable form one window
+``>=`` row negated, an ``=`` row split in two). Rows tighten variable bounds
+until nothing moves; every row rule is monotone, so the order rows are
+visited in does not change the fixpoint. A row's rule reads only its least
+activity, which uses ``lo[j]`` where the coefficient is positive and
+``hi[j]`` where it is negative, so a bound move, a branch's or a row's,
+wakes only the rows that read the moved bound. A node's optimistic bound
+takes every nonzero objective term at its better domain end; it is summed
+at the root and carried down, a child's bound being its parent's, moved by
+the branch, less what propagation took from it. The search walks an
+explicit stack, branching on the lowest-index unfixed variable in ascending
+value order, so its depth is not limited by Python's recursion. A child's
+bound before propagation falls by ``|c|`` per step away from the end the
+parent's bound used, so the values not yet prunable form one window
 computed in O(1) per sibling; only those are charged as nodes.
 
 A node the optimistic bound leaves open while an incumbent exists is then
@@ -25,11 +31,12 @@ VC edge and SetCover element rows) over variables boxed in [0, 1]. Each free
 variable in turn takes its first binding row whose free variables no row
 taken so far holds. A packing row keeps its best ``r`` positive gains; a
 covering row keeps every positive gain plus the least-bad of the rest. The
-taken rows share no free variable, so their one-row optima plus every other
-variable at its better end bound the node, which closes when that is no
-better than the incumbent. The sibling window keeps the plain optimistic
-bound: only that bound falls by exactly ``|c|`` per step of the branch
-value, which is what the window's arithmetic relies on.
+gains a row may give up are sorted once, when the search starts, so a node
+sums a prefix of its free ones. The taken rows share no free variable, so
+their one-row optima plus every other variable at its better end bound the
+node, which closes when that is no better than the incumbent. The sibling
+window keeps the plain optimistic bound: only that bound falls by exactly
+``|c|`` per step of the branch value, which the window's arithmetic needs.
 
 A node whose optimistic point (positive gains at ``hi``, the rest at
 ``lo``) satisfies every row closes with that point as its incumbent: every
@@ -45,7 +52,7 @@ lexicographically smallest optimal point.
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import compress
 
 from .errors import BudgetExceededError, Record
 from .graph import ReductionPath, default_graph, reduce_along, solution_along
@@ -95,69 +102,88 @@ class _Search:
         # every row reads sum(a * x) <= rhs over its nonzero (index, a) pairs
         self.rows: list[tuple[tuple[tuple[int, int], ...], int]] = []
         for coeffs, rel, rhs in data.constraints:
-            pairs = tuple((j, a) for j, a in enumerate(coeffs) if a)
+            pairs = tuple((j, coeffs[j]) for j in compress(range(data.num_vars), coeffs))
             if rel in ("<=", "="):
                 self.rows.append((pairs, rhs))
             if rel in (">=", "="):
                 self.rows.append((tuple((j, -a) for j, a in pairs), -rhs))
-        # row indices touching each variable, for worklist propagation
-        self.touching: list[list[int]] = [[] for _ in range(data.num_vars)]
-        for index, (pairs, _) in enumerate(self.rows):
-            for j, _ in pairs:
-                self.touching[j].append(index)
+        # raising lo[j] wakes ``lo_rows[j]`` (a > 0), lowering hi[j] ``hi_rows[j]``;
         # ``against[j]`` lists the rows that x_j at its optimistic end pushes
         # toward violation, the only rows the attained-point test must read;
         # ``cardinal[j]`` lists, in row order, the cardinality rows holding x_j
-        # as (members, r or k, packing)
+        # as (mask, members, r or k, packing, ranked), ``ranked`` being the
+        # (gain, k) the one-row optimum may give up, best kept first
         binary = [0 <= l and h <= 1 for l, h in data.var_bounds]
+        self.lo_rows: list[list[int]] = [[] for _ in range(data.num_vars)]
+        self.hi_rows: list[list[int]] = [[] for _ in range(data.num_vars)]
         self.against: list[list[int]] = [[] for _ in range(data.num_vars)]
         self.cardinal: list[list[tuple]] = [[] for _ in range(data.num_vars)]
         for index, (pairs, rhs) in enumerate(self.rows):
             for j, a in pairs:
+                (self.lo_rows if a > 0 else self.hi_rows)[j].append(index)
                 if (a > 0) == (self.gain[j] > 0):
                     self.against[j].append(index)
             if len({a for _, a in pairs}) == 1 and abs(pairs[0][1]) == 1 and all(
                 binary[j] for j, _ in pairs
             ):
                 packing = pairs[0][1] == 1
-                row = (tuple(j for j, _ in pairs), rhs if packing else -rhs, packing)
-                for j, _ in pairs:
+                members = tuple(j for j, _ in pairs)
+                # a packing row gives up its least positive gains first, a
+                # covering row takes its least-bad other gains first
+                ranked = sorted(
+                    ((self.gain[k], k) for k in members if (self.gain[k] > 0) == packing),
+                    reverse=not packing,
+                )
+                mask = sum(1 << j for j in members)
+                row = (mask, members, rhs if packing else -rhs, packing, tuple(ranked))
+                for j in members:
                     self.cardinal[j].append(row)
         self.has_cardinal = any(self.cardinal)
         self.var_bounds = data.var_bounds
         self.best_value: int | None = None
         self.best_point: tuple[int, ...] | None = None
 
-    def _propagate(self, lo: list[int], hi: list[int], queue) -> bool:
-        pending = deque(dict.fromkeys(queue))
+    def _propagate(self, lo: list[int], hi: list[int], pending: list[int]) -> int | None:
+        """Tighten bounds from the distinct rows in the ``pending`` stack to a fixpoint.
+
+        A bound move wakes only the rows whose least activity reads it. Returns
+        what the moves took from the optimistic bound, or None if a row fails.
+        """
         enqueued = set(pending)
         rows = self.rows
-        touching = self.touching
+        gain = self.gain
+        loss = 0
         while pending:
-            row_index = pending.popleft()
+            row_index = pending.pop()
             enqueued.discard(row_index)
             pairs, slack = rows[row_index]
             for j, a in pairs:
                 slack -= a * (lo[j] if a > 0 else hi[j])
             if slack < 0:
-                return False
+                return None
             # slack >= 0, so no tightened bound can cross its opposite bound
             for j, a in pairs:
                 if a > 0:
                     tightened = lo[j] + slack // a
                     if tightened >= hi[j]:
                         continue
+                    if gain[j] > 0:
+                        loss += gain[j] * (hi[j] - tightened)
                     hi[j] = tightened
+                    woken = self.hi_rows[j]
                 else:
                     tightened = hi[j] - slack // -a
                     if tightened <= lo[j]:
                         continue
+                    if gain[j] < 0:
+                        loss -= gain[j] * (tightened - lo[j])
                     lo[j] = tightened
-                for other in touching[j]:
+                    woken = self.lo_rows[j]
+                for other in woken:
                     if other not in enqueued:
                         pending.append(other)
                         enqueued.add(other)
-        return True
+        return loss
 
     def _optimistic(self, lo: list[int], hi: list[int]) -> int:
         total = 0
@@ -170,37 +196,43 @@ class _Search:
     ) -> bool:
         """Whether the cardinality-row relaxation of a node is at most ``best``.
 
-        Each free variable not yet covered takes its first binding row whose
-        free variables are all uncovered; a taken row gets its exact one-row
-        optimum and every other variable keeps its optimistic end.
+        Each free variable not yet covered, in index order, takes its first
+        binding row whose free variables are all uncovered; a taken row gets
+        its exact one-row optimum, read off a prefix of its presorted gains,
+        and every other variable keeps its optimistic end.
         """
-        gain = self.gain
-        taken: set[int] = set()
+        # a set of variables is an int with bit j for x_j
+        free_mask = 0
         for j in range(branch, self.num_vars):
-            if lo[j] == hi[j] or j in taken:
+            if lo[j] < hi[j]:
+                free_mask |= 1 << j
+        taken = 0
+        for j in range(branch, self.num_vars):
+            if lo[j] == hi[j] or taken >> j & 1:
                 continue
-            for members, rhs, packing in self.cardinal[j]:
-                free = [k for k in members if lo[k] < hi[k]]
+            for mask, members, rhs, packing, ranked in self.cardinal[j]:
+                free = mask & free_mask
                 # propagation leaves every row with slack, so a row binds
                 # only when it has at least two free variables
-                if len(free) < 2 or not taken.isdisjoint(free):
+                if not free & (free - 1) or free & taken:
                     continue
                 fixed = sum(lo[k] for k in members)  # free variables have lo == 0
+                gains = [g for g, k in ranked if lo[k] < hi[k]]
                 if packing:
-                    ups = sorted(gain[k] for k in free if gain[k] > 0)
-                    excess = len(ups) - (rhs - fixed)
+                    # at most rhs - fixed of the positive gains are kept
+                    excess = len(gains) - (rhs - fixed)
                     if excess <= 0:
                         continue
-                    bound -= sum(ups[:excess])
+                    bound -= sum(gains[:excess])
                 else:
-                    downs = sorted((gain[k] for k in free if gain[k] <= 0), reverse=True)
-                    short = rhs - fixed - (len(free) - len(downs))
+                    # at least rhs - fixed ones, the positive gains among them
+                    short = rhs - fixed - (free.bit_count() - len(gains))
                     if short <= 0:
                         continue
-                    bound += sum(downs[:short])
+                    bound += sum(gains[:short])
                 if bound <= best:
                     return True
-                taken.update(free)
+                taken |= free
                 break
         return False
 
@@ -235,9 +267,8 @@ class _Search:
                 incumbent=None if self.best_value is None else self.sign * self.best_value,
             )
 
-    def _enter(self, lo: list[int], hi: list[int], start: int) -> list | None:
-        """Bound a propagated node: its open frame, or None when it is closed."""
-        bound = self._optimistic(lo, hi)
+    def _enter(self, lo: list[int], hi: list[int], start: int, bound: int) -> list | None:
+        """Bound a propagated node of optimistic bound ``bound``: its open frame, or None."""
         best = self.best_value
         if best is not None and bound <= best:
             return None
@@ -263,15 +294,16 @@ class _Search:
         lo = [l for l, _ in self.var_bounds]
         hi = [h for _, h in self.var_bounds]
         self._charge_node()
-        if not self._propagate(lo, hi, range(len(self.rows))):
+        if self._propagate(lo, hi, list(range(len(self.rows)))) is None:
             return
         # a frame is [lo, hi, branch, bound, next value of the branch variable]
-        frame = self._enter(lo, hi, 0)
+        frame = self._enter(lo, hi, 0, self._optimistic(lo, hi))
         stack = [frame] if frame is not None else []
         while stack:
             frame = stack[-1]
             lo, hi, branch, bound, value = frame
             last = hi[branch]
+            c = self.gain[branch]
             if self.best_value is not None:
                 # Before propagation the child at ``v`` is bounded by ``bound``
                 # less |c| per step of ``v`` away from the end ``bound`` used,
@@ -281,7 +313,6 @@ class _Search:
                 if slack <= 0:
                     stack.pop()
                     continue
-                c = self.gain[branch]
                 if c > 0:
                     value = max(value, hi[branch] - (slack - 1) // c)
                 elif c < 0:
@@ -294,8 +325,15 @@ class _Search:
             child_lo = lo.copy()
             child_hi = hi.copy()
             child_lo[branch] = child_hi[branch] = value
-            if self._propagate(child_lo, child_hi, self.touching[branch]):
-                child = self._enter(child_lo, child_hi, branch + 1)
+            # only the rows reading a bound the branch moved can tighten
+            pending = self.lo_rows[branch].copy() if value > lo[branch] else []
+            if value < hi[branch]:
+                pending += self.hi_rows[branch]
+            loss = self._propagate(child_lo, child_hi, pending)
+            if loss is not None:
+                end = hi[branch] if c > 0 else lo[branch]
+                child_bound = bound + c * (value - end) - loss
+                child = self._enter(child_lo, child_hi, branch + 1, child_bound)
                 if child is not None:
                     stack.append(child)
 

@@ -43,6 +43,11 @@ def random_graph(rng, max_vertices=8, min_vertices=2, weighted=False):
     return n, edges, weights
 
 
+def gnp_edges(rng, n, p):
+    """Edges of G(n, p): each pair of the n vertices joined with probability p."""
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p)
+
+
 def random_graph_data(rng, max_vertices=8, weighted=False):
     n, edges, weights = random_graph(rng, max_vertices, weighted=weighted)
     return GraphData(n, tuple(edges), weights), (n, edges, weights)
@@ -100,8 +105,8 @@ def random_3sat(rng, max_variables=4, max_clauses=4):
     return ThreeSatisfiability(data), plain
 
 
-def random_qubo(rng, max_n=5):
-    n = rng.randint(1, max_n)
+def random_qubo(rng, max_n=5, min_n=1):
+    n = rng.randint(min_n, max_n)
     q = [[0] * n for _ in range(n)]
     for i in range(n):
         q[i][i] = rng.randint(-3, 3)
@@ -132,6 +137,19 @@ def random_set_cover(rng, max_sets=5, max_elements=6):
     rng.shuffle(sets)
     sets = tuple(sets)
     return SetCover(SetCoverData(num_elements, sets)), (num_elements, [list(s) for s in sets])
+
+
+def partition_set_cover(rng, num_elements=24, size=3, rounds=3):
+    """SetCover of ``rounds`` random partitions of the universe into ``size``-sets.
+
+    Each element lies in exactly ``rounds`` sets, and any one round is a cover.
+    """
+    sets = []
+    for _ in range(rounds):
+        order = rng.sample(range(num_elements), num_elements)
+        sets.extend(tuple(sorted(order[i:i + size])) for i in range(0, num_elements, size))
+    plain = (num_elements, [list(s) for s in sets])
+    return SetCover(SetCoverData(num_elements, tuple(sets))), plain
 
 
 def random_ilp(rng, max_vars=6, max_constraints=5):

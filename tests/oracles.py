@@ -199,6 +199,46 @@ def best_ilp(bounds, constraints, objective, sense):
     return best, winners
 
 
+def propagate_bounds(lo, hi, constraints):
+    """(lo, hi) after single-row bound propagation settles, or None if a row cannot hold.
+
+    The naive form: sweep every row, read as ``<=`` rows (a ``>=`` row
+    negated, an ``=`` row both ways), and bound each variable by what the row
+    leaves it once every other term is at its least, until a whole sweep
+    moves nothing.
+    """
+    lo, hi = list(lo), list(hi)
+    rows = []
+    for coeffs, rel, rhs in constraints:
+        if rel in ("<=", "="):
+            rows.append((list(coeffs), rhs))
+        if rel in (">=", "="):
+            rows.append(([-a for a in coeffs], -rhs))
+
+    def least(a, j):
+        return a * lo[j] if a > 0 else a * hi[j]
+
+    moved = True
+    while moved:
+        moved = False
+        for coeffs, rhs in rows:
+            if sum(least(a, j) for j, a in enumerate(coeffs)) > rhs:
+                return None
+            for j, a in enumerate(coeffs):
+                if a == 0:
+                    continue
+                room = rhs - sum(least(b, k) for k, b in enumerate(coeffs) if k != j)
+                if a > 0 and room // a < hi[j]:
+                    hi[j] = room // a
+                    moved = True
+                elif a < 0 and -(room // -a) > lo[j]:
+                    lo[j] = -(room // -a)
+                    moved = True
+                if lo[j] > hi[j]:
+                    return None
+    return lo, hi
+
+
 def reference_fold(instance):
     """(value, witness) of folding ``combine`` over ``evaluate`` across the space.
 

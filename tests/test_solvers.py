@@ -10,8 +10,11 @@ import zlib
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pred import (
+    DEFAULT_NODE_BUDGET,
     BudgetExceededError,
     CnfData,
     Clique,
@@ -40,15 +43,19 @@ from pred import (
     evaluate,
     fold_space,
     instance_from_document,
+    reduce_along,
     solve,
     solve_brute,
     solve_ilp,
     solver_label,
     shipped_rules,
 )
+from pred.solvers import _Search
 
 from generators import (
+    gnp_edges,
     make_rng,
+    partition_set_cover,
     random_cardinality_ilp,
     random_clique,
     random_coloring,
@@ -63,14 +70,10 @@ from generators import (
     random_3sat,
     random_vc,
 )
-from oracles import best_ilp, ilp_feasible
+from oracles import best_ilp, ilp_feasible, propagate_bounds
 
 REGISTRY = default_graph().registry
 P4 = GraphData(4, ((0, 1), (1, 2), (2, 3)))
-
-
-def _gnp(rng, n, p):
-    return tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p)
 
 
 def _point(data: IlpData, witness):
@@ -156,7 +159,7 @@ def test_budget_exhaustion_reports_the_incumbent_so_far():
     n = 40
     rows = tuple(
         (tuple(1 if k in edge else 0 for k in range(n)), "<=", 1)
-        for edge in _gnp(make_rng(4), n, 0.15)
+        for edge in gnp_edges(make_rng(4), n, 0.15)
     )
     data = IlpData(n, ((0, 1),) * n, rows, (1,) * n, "max")
     optimum = solve_ilp(data).value.payload
@@ -201,6 +204,132 @@ def test_cardinality_row_bound_keeps_the_first_optimum():
         else:
             assert result.value.payload == expected
             assert _point(ilp.data, result.witness) == winners[0]
+
+
+# --- the kernel: propagation fixpoint, carried bound, pinned search -------------
+
+
+def _assert_propagates_like_the_reference(data, lo, hi):
+    search = _Search(data, DEFAULT_NODE_BUDGET)
+    expected = propagate_bounds(lo, hi, data.constraints)
+    got_lo, got_hi = list(lo), list(hi)
+    loss = search._propagate(got_lo, got_hi, list(range(len(search.rows))))
+    if expected is None:
+        assert loss is None
+    else:
+        assert (got_lo, got_hi) == expected
+        assert loss == search._optimistic(lo, hi) - search._optimistic(got_lo, got_hi)
+
+
+def _search_checked(data):
+    """Run the search, checking every propagation against the reference from
+    scratch and every node's carried bound against a full recompute."""
+    propagate, enter = _Search._propagate, _Search._enter
+
+    def checked_propagate(self, lo, hi, pending):
+        before = list(lo), list(hi)
+        loss = propagate(self, lo, hi, pending)
+        expected = propagate_bounds(*before, data.constraints)
+        if expected is None:
+            assert loss is None
+        else:
+            assert (lo, hi) == expected
+            assert loss == self._optimistic(*before) - self._optimistic(lo, hi)
+        return loss
+
+    def checked_enter(self, lo, hi, start, bound):
+        assert bound == self._optimistic(lo, hi)
+        return enter(self, lo, hi, start, bound)
+
+    with mock.patch.object(_Search, "_propagate", checked_propagate), mock.patch.object(
+        _Search, "_enter", checked_enter
+    ):
+        _Search(data, DEFAULT_NODE_BUDGET).run()
+
+
+def test_propagation_reaches_the_reference_fixpoint():
+    # negative coefficients, ``>=`` and ``=`` rows and boxes up to five wide,
+    # propagated from random partial fixings and inside whole searches
+    rng = make_rng(2007)
+    for index in range(400):
+        if index % 4 == 3:
+            ilp, (bounds, _, _, _) = random_cardinality_ilp(rng)
+        else:
+            ilp, (bounds, _, _, _) = random_ilp(rng)
+        lo, hi = [l for l, _ in bounds], [h for _, h in bounds]
+        for j in range(len(bounds)):
+            if rng.random() < 0.3:
+                lo[j] = hi[j] = rng.randint(lo[j], hi[j])
+        _assert_propagates_like_the_reference(ilp.data, lo, hi)
+        _search_checked(ilp.data)
+
+
+@st.composite
+def _fixed_ilps(draw):
+    """A bounded ILP and a box inside its bounds with some variables fixed."""
+    n = draw(st.integers(1, 5))
+    bounds = []
+    for _ in range(n):
+        low = draw(st.integers(-3, 2))
+        bounds.append((low, low + draw(st.integers(0, 4))))
+    coeffs = st.tuples(*[st.integers(-3, 3)] * n)
+    rows = draw(st.lists(
+        st.tuples(coeffs, st.sampled_from(("<=", ">=", "=")), st.integers(-8, 8)), max_size=5
+    ))
+    objective = draw(coeffs)
+    data = IlpData(n, tuple(bounds), tuple(rows), objective, draw(st.sampled_from(("max", "min"))))
+    fixed = [draw(st.none() | st.integers(l, h)) for l, h in bounds]
+    lo = [l if f is None else f for (l, _), f in zip(bounds, fixed)]
+    hi = [h if f is None else f for (_, h), f in zip(bounds, fixed)]
+    return data, lo, hi
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(case=_fixed_ilps())
+def test_drawn_propagation_reaches_the_reference_fixpoint(case):
+    data, lo, hi = case
+    _assert_propagates_like_the_reference(data, lo, hi)
+    _search_checked(data)
+
+
+# (family, seed, B&B nodes, value, witness) of searches whose node counts are
+# pinned: a change to propagation or pruning that visits other nodes must
+# update them on purpose
+SEARCH_PINS = [
+    ("mis", 1, 675, 13, "001101011100110010000000101110"),
+    ("mis", 2, 587, 14, "110000110000110100001001011111"),
+    ("setcover", 1, 47, 8, "000000000000000011111111"),
+    ("setcover", 2, 66, 8, "000000000000000011111111"),
+    ("qubo", 1, 215, 28, "11110100"),
+    ("qubo", 2, 111, 33, "10110110"),
+    ("gc", 5, 1057, True, "2112"),
+    ("gc", 10, 1331, True, "2121"),
+]
+
+
+def _pinned_instance(family, seed):
+    rng = make_rng(seed)
+    if family == "mis":
+        return IndependentSet(GraphData(30, gnp_edges(rng, 30, 0.15)))
+    if family == "setcover":
+        return partition_set_cover(rng)[0]
+    if family == "qubo":
+        return random_qubo(rng, 8, min_n=8)[0]
+    return random_coloring(rng, max_vertices=4, colors=3)[0]
+
+
+@pytest.mark.parametrize(
+    "family,seed,nodes,value,witness", SEARCH_PINS, ids=[f"{p[0]}-{p[1]}" for p in SEARCH_PINS]
+)
+def test_search_nodes_and_witness_are_pinned(family, seed, nodes, value, witness):
+    instance = _pinned_instance(family, seed)
+    route = default_graph().solver_route(instance.variant_key())
+    search = _Search(reduce_along(route, instance).target_instance.data, DEFAULT_NODE_BUDGET)
+    search.run()
+    result = solve(instance)
+    assert search.nodes == nodes
+    assert result.value.payload == value
+    assert "".join(map(str, result.witness)) == witness
 
 
 # --- dispatch ---------------------------------------------------------------------
@@ -419,7 +548,7 @@ def test_routed_coloring_solves_within_a_node_budget():
 
 
 def test_mis_g40_solves_within_a_node_budget():
-    instance = IndependentSet(GraphData(40, _gnp(make_rng(40), 40, 0.15)))
+    instance = IndependentSet(GraphData(40, gnp_edges(make_rng(40), 40, 0.15)))
     result = solve(instance, max_nodes=5_000)
     assert evaluate(instance, result.witness).payload == result.value.payload
 
@@ -455,7 +584,7 @@ def test_solve_matches_highs_beyond_brute_force():
     pytest.importorskip("scipy")
     rng = make_rng(1960)
     for _ in range(3):
-        _assert_mis_matches_highs(30, _gnp(rng, 30, 0.15))
+        _assert_mis_matches_highs(30, gnp_edges(rng, 30, 0.15))
     for _ in range(3):
         num_elements = 24
         sets = [tuple(sorted(rng.sample(range(num_elements), 4))) for _ in range(20)]
@@ -467,7 +596,7 @@ def test_solve_matches_highs_beyond_brute_force():
         result = solve(instance)
         assert result.value.payload == expected
         assert evaluate(instance, result.witness).payload == expected
-    _assert_mis_matches_highs(50, _gnp(rng, 50, 0.15))
+    _assert_mis_matches_highs(50, gnp_edges(rng, 50, 0.15))
 
 
 def test_solver_route_is_searched_once_per_variant(monkeypatch):
