@@ -9,9 +9,12 @@ Solving by brute force is a per-kind fold over the whole space in
 lexicographic order that gives the same value and witness as folding
 ``combine`` over ``evaluate`` from the identity: Max, Min and Extremum keep
 the first configuration of best ``(feasible, payload)`` score, Sum adds,
-and Or and And stop at the first configuration that reaches their absorbing
-value (true for Or, false for And). Everything else in the library
-(reductions, routing, the ILP path) only ever talks to this interface.
+and And stops at the first false configuration. Or walks the same order one
+variable at a time and skips every prefix the instance rules out
+(``Problem._may_hold``), so it stops at the same first true configuration
+having measured fewer. The enumeration budget counts the full space for
+every kind. Everything else in the library (reductions, routing, the ILP
+path) only ever talks to this interface.
 """
 
 from __future__ import annotations
@@ -187,6 +190,28 @@ class Problem(ABC):
         is the brute-force fold's inner loop, so it builds no value objects.
         """
 
+    def _may_hold(self, prefix: Configuration) -> bool:
+        """Whether some configuration extending ``prefix`` may measure true.
+
+        The Or fold asks this about every nonempty prefix it reaches, full
+        configurations included, before it goes on from it, and only about
+        prefixes whose shorter prefixes all passed, so an implementation may
+        check only what the newest value decides. It may answer False only
+        when no completion of ``prefix`` measures true; this default prunes
+        nothing.
+        """
+        return True
+
+    def _optimistic_payload(self, prefix: Configuration) -> int | float | None:
+        """Best payload over the feasible completions of ``prefix``, or a bound on it.
+
+        For Max kinds an upper bound, for Min kinds a lower one; None when
+        no completion is feasible. Same calling terms as ``_may_hold``,
+        which ``DecisionProblem`` answers from it. This default knows
+        nothing and reports an unbounded payload.
+        """
+        return float("-inf") if self.kind is ValueKind.MIN else float("inf")
+
     def _evaluate(self, config: Configuration) -> AggregatedValue:
         payload, feasible = self._measure(config)
         return AggregatedValue(self.kind, payload, feasible, self.sense)
@@ -233,9 +258,13 @@ def fold_space(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> F
     order from the kind's identity, with the witness taken on strict
     improvements only: the first optimal configuration for Max, Min and
     Extremum (none if no configuration is feasible), the first true one for
-    Or, none for Sum and And. Or and And stop at their absorbing value, but
-    the budget always applies to the full space size. An instance with zero
-    variables has exactly one, empty, configuration.
+    Or, none for Sum and And. And stops at its first false configuration.
+    Or walks prefixes depth first in the same order, values ascending,
+    skips each prefix the instance's ``_may_hold`` rules out, and returns
+    the first full configuration that measures true: a skipped prefix holds
+    no true configuration, so that is the same witness. The budget always
+    applies to the full space size. An instance with zero variables has
+    exactly one, empty, configuration.
     """
     dims = instance.config_dims()
     total = 1
@@ -247,13 +276,11 @@ def fold_space(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> F
             limit=max_configs,
         )
     kind = instance.kind
+    if kind is ValueKind.OR:
+        witness = _first_true(instance, dims)
+        return FoldResult(AggregatedValue(kind, witness is not None), witness)
     measure = instance._measure
     configs = itertools.product(*(range(d) for d in dims))
-    if kind is ValueKind.OR:
-        for config in configs:
-            if measure(config)[0]:
-                return FoldResult(AggregatedValue(kind, True), config)
-        return FoldResult(AggregatedValue(kind, False), None)
     if kind is ValueKind.AND:
         for config in configs:
             if not measure(config)[0]:
@@ -275,6 +302,32 @@ def fold_space(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> F
     feasible = best_key[0]
     value = AggregatedValue(kind, best_payload, feasible, sense)
     return FoldResult(value, witness if feasible else None)
+
+
+def _first_true(instance: Problem, dims: tuple[int, ...]) -> Configuration | None:
+    """The lexicographically first configuration that measures true, if any.
+
+    An iterative depth-first walk (no recursion, so any number of variables
+    is fine): ``value`` is the next value to try at position ``len(prefix)``.
+    """
+    may_hold, measure = instance._may_hold, instance._measure
+    prefix: Configuration = ()
+    value = 0
+    while True:
+        depth = len(prefix)
+        if depth == len(dims):
+            if measure(prefix)[0]:
+                return prefix
+        elif value < dims[depth]:
+            child = prefix + (value,)
+            if may_hold(child):
+                prefix, value = child, 0
+            else:
+                value += 1
+            continue
+        if not prefix:
+            return None
+        prefix, value = prefix[:-1], prefix[-1] + 1
 
 
 class DecisionProblem(Problem):
@@ -303,13 +356,18 @@ class DecisionProblem(Problem):
     def size_measures(self) -> dict[str, int]:
         return self.inner.size_measures()
 
+    def _meets(self, payload: int | float) -> bool:
+        if self.inner.kind is ValueKind.MAX:
+            return payload >= self.bound
+        return payload <= self.bound
+
     def _measure(self, config: Configuration) -> tuple[bool, bool]:
         payload, feasible = self.inner._measure(config)
-        if not feasible:
-            return False, True
-        if self.inner.kind is ValueKind.MAX:
-            return payload >= self.bound, True
-        return payload <= self.bound, True
+        return feasible and self._meets(payload), True
+
+    def _may_hold(self, prefix: Configuration) -> bool:
+        best = self.inner._optimistic_payload(prefix)
+        return best is not None and self._meets(best)
 
     def to_data(self) -> dict:
         data = self.inner.to_data()

@@ -98,6 +98,15 @@ class GraphData(Record):
             hoods[v].add(u)
         return tuple(tuple(sorted(hood)) for hood in hoods)
 
+    @cached_property
+    def lower_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours of smaller index: the edges that a prefix
+        of the vertex order closes when it reaches that vertex."""
+        lower: list[list[int]] = [[] for _ in range(self.num_vertices)]
+        for u, v in self.edges:
+            lower[v].append(u)
+        return tuple(map(tuple, lower))
+
 
 class CnfData(Record):
     """CNF over 1-indexed variables; literals are signed, clauses non-empty."""
@@ -300,6 +309,14 @@ class VertexCover(_GraphProblem):
     def _measure(self, config) -> tuple[int, bool]:
         feasible = all(config[u] or config[v] for u, v in self.graph.edges)
         return sum(config), feasible
+
+    def _optimistic_payload(self, prefix) -> int | None:
+        # earlier prefixes passed, so only edges closing at the newest vertex
+        # can be uncovered; every completion keeps the ones chosen so far
+        last = len(prefix) - 1
+        if not prefix[last] and not all(prefix[u] for u in self.graph.lower_neighbors[last]):
+            return None
+        return sum(prefix)
 
 
 class Clique(_GraphProblem):

@@ -133,7 +133,9 @@ def random_set_cover(rng, max_sets=5, max_elements=6):
     for _ in range(rng.randint(1, max_sets - 1)):
         size = rng.randint(1, num_elements)
         sets.append(tuple(sorted(rng.sample(range(num_elements), size))))
-    sets.append(tuple(range(num_elements)))  # guarantee coverability
+    uncovered = set(range(num_elements)).difference(*sets)
+    if uncovered:  # guarantee coverability without handing out a one-set cover
+        sets.append(tuple(sorted(uncovered)))
     rng.shuffle(sets)
     sets = tuple(sets)
     return SetCover(SetCoverData(num_elements, sets)), (num_elements, [list(s) for s in sets])

@@ -7,6 +7,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pred import (
     AggregatedValue,
@@ -17,6 +19,7 @@ from pred import (
     DimensionMismatchError,
     DomainError,
     DuplicateRegistrationError,
+    GraphColoring,
     GraphData,
     Ilp,
     IlpData,
@@ -296,6 +299,132 @@ def test_or_fold_budget_counts_the_full_space():
         fold_space(wrapped, max_configs=255)
     result = fold_space(wrapped, max_configs=256)
     assert result.witness == (0,) * 8
+
+
+def _decision_vc_cases(rng):
+    """DecisionVC on seeded graphs at every bound from -1 to V+1, both ends included."""
+    graphs = [generators.random_graph_data(rng)[0] for _ in range(40)]
+    graphs += [GraphData(6, ()), GraphData(0, ())]
+    for graph in graphs:
+        for bound in range(-1, graph.num_vertices + 2):
+            yield decision_wrap(VertexCover(graph), bound)
+
+
+def _check_prefix_calls(monkeypatch):
+    """Wrap ``DecisionProblem._may_hold`` to assert that every call is on a
+    nonempty prefix whose shorter prefixes all passed; returns the answers
+    so far, for the caller to clear between instances."""
+    answers = {}
+    may_hold = DecisionProblem._may_hold
+
+    def recorded(self, prefix):
+        assert prefix and all(answers[prefix[:k]] for k in range(1, len(prefix)))
+        answers[prefix] = may_hold(self, prefix)
+        return answers[prefix]
+
+    monkeypatch.setattr(DecisionProblem, "_may_hold", recorded)
+    return answers
+
+
+def _assert_walk_matches_reference(wrapped):
+    value, witness = oracles.reference_fold(wrapped)
+    result = fold_space(wrapped)
+    assert (result.value, result.witness) == (value, witness), (wrapped.inner.graph, wrapped.bound)
+    return value.payload
+
+
+def test_decision_vc_walk_matches_reference_fold(monkeypatch):
+    answers = _check_prefix_calls(monkeypatch)
+    seen = set()
+    for wrapped in _decision_vc_cases(make_rng(406)):
+        answers.clear()
+        seen.add(_assert_walk_matches_reference(wrapped))
+    assert seen == {True, False}
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(data=st.data())
+def test_drawn_decision_vc_walk_matches_reference_fold(data):
+    n = data.draw(st.integers(0, 9), label="n")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    bound = data.draw(st.integers(-1, n + 1), label="bound")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_prefix_calls(monkeypatch)
+        _assert_walk_matches_reference(decision_wrap(VertexCover(GraphData(n, tuple(edges))), bound))
+
+
+def test_vertex_cover_optimistic_payload_is_sound():
+    """None only when no completion is a cover; otherwise at most the
+    smallest cover among the completions, given that shorter prefixes passed."""
+    rng = make_rng(407)
+    for _ in range(30):
+        vc = generators.random_vc(rng)[0]
+        n = vc.graph.num_vertices
+        space = list(itertools.product((0, 1), repeat=n))
+        passed = {()}
+        for length in range(1, n + 1):
+            for prefix in {c[:length] for c in space}:
+                if prefix[:-1] not in passed:
+                    continue
+                covers = [sum(c) for c in space if c[:length] == prefix and evaluate(vc, c).feasible]
+                best = vc._optimistic_payload(prefix)
+                if best is None:
+                    assert not covers, prefix
+                else:
+                    passed.add(prefix)
+                    assert not covers or best <= min(covers), prefix
+
+
+# The Or walk on DecisionVC, n=16, G(16, 0.15) from seed 408, each graph at
+# bounds 5 and 8: (answer, configurations the plain fold measures, _measure
+# calls of the walk, prefixes it asks about). The plain fold measures
+# lex-rank + 1 configurations for a true answer and all 65,536 for a false
+# one. A change to the pruning must update these on purpose.
+WALK_MEASURES = [
+    (False, 65536, 0, 246),
+    (True, 15236, 1, 120),
+    (False, 65536, 0, 542),
+    (True, 3534, 1, 24),
+    (False, 65536, 0, 2100),
+    (True, 254, 1, 23),
+    (False, 65536, 0, 738),
+    (True, 10362, 1, 23),
+]
+
+
+def test_or_walk_measures_fewer_configurations(monkeypatch):
+    calls, prefixes = [], []
+    measure, optimistic = VertexCover._measure, VertexCover._optimistic_payload
+
+    def counted(self, config):
+        calls.append(config)
+        return measure(self, config)
+
+    def visited(self, prefix):
+        prefixes.append(prefix)
+        return optimistic(self, prefix)
+
+    monkeypatch.setattr(VertexCover, "_measure", counted)
+    monkeypatch.setattr(VertexCover, "_optimistic_payload", visited)
+    rng = make_rng(408)
+    counts = []
+    for _ in range(4):
+        inner = VertexCover(GraphData(16, generators.gnp_edges(rng, 16, 0.15)))
+        for bound in (5, 8):
+            calls.clear()
+            prefixes.clear()
+            result = fold_space(decision_wrap(inner, bound))
+            answer = result.value.payload
+            plain = _lex_rank(result.witness, inner.config_dims()) + 1 if answer else 1 << 16
+            assert len(calls) < plain
+            assert calls == sorted(calls) and (not answer or calls[-1] == result.witness)
+            counts.append((answer, plain, len(calls), len(prefixes)))
+    assert counts == WALK_MEASURES
+
+
+def test_or_walk_reaches_any_depth():
+    assert fold_space(GraphColoring(GraphData(5000, ()), 1)).witness == (0,) * 5000
 
 
 def test_decision_wrap_thresholds():

@@ -192,6 +192,7 @@ FAMILIES = [
 @pytest.mark.parametrize("builder,oracle", FAMILIES, ids=lambda f: getattr(f, "__name__", "case"))
 def test_fold_matches_oracle(builder, oracle):
     rng = make_rng(zlib.crc32(getattr(builder, "__name__", "w").encode()) & 0xFFFF)
+    optima = []
     for _ in range(TRIALS):
         instance, plain = builder(rng)
         result = fold_space(instance)
@@ -199,6 +200,9 @@ def test_fold_matches_oracle(builder, oracle):
         assert result.value.payload == expected
         assert result.value.feasible
         assert evaluate(instance, result.witness).payload == expected
+        optima.append(expected)
+    if builder is random_set_cover:  # the draws include covers of two or more sets
+        assert max(optima) >= 2
 
 
 def test_sat_fold_matches_oracle():
