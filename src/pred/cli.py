@@ -15,14 +15,14 @@ Exit codes: 0 ok, 2 bad input, 3 no reduction path, 4 budget exhausted,
 Each command is one process in a pipe, so each imports only what it runs:
 ``create`` and ``evaluate`` need the problem registry alone, the reduction
 graph (rules and routing) is imported by the commands that route, the
-solvers by ``solve``, and the example database by ``create --example`` and
-``show``. The symbolic algebra (``pred.symbolic``) is loaded only where an
-overhead or complexity expression is read: when routing compares two
-candidate routes (``reduce``, ``path``, and ``solve`` when the instance it
-solves has more than one route to ILP), and when ``path``, ``show``,
-``list`` and ``reduce --path`` print one. ``solve`` on an envelope to ILP
-replays the envelope's path and solves along the empty route, so it reads
-no expression.
+solvers by ``solve`` and ``show``, and the example database by ``create
+--example`` and ``show``. The symbolic algebra (``pred.symbolic``) is loaded
+only where an overhead or complexity expression is read: when routing
+compares two candidate routes (``reduce``, ``path``, and ``solve`` when the
+instance it solves has more than one route to a solver node), and when
+``path``, ``show``, ``list`` and ``reduce --path`` print one. ``solve`` on
+an envelope to ILP replays the envelope's path and solves along the empty
+route, so it reads no expression.
 """
 
 from __future__ import annotations
@@ -365,6 +365,7 @@ def cmd_path(args) -> None:
 def cmd_show(args) -> None:
     from .examples import build_examples, get_example
     from .graph import default_graph
+    from .solvers import SOLVERS
     from .symbolic import render
 
     graph = default_graph()
@@ -379,7 +380,13 @@ def cmd_show(args) -> None:
     print(f"  size measures: {', '.join(descriptor.size_measure_names)}")
     print(f"  complexity: {render(descriptor.complexity)}")
     route = graph.solver_route(key)
-    tier = "brute_force_only" if route is None else "via_ilp" if route.steps else "dedicated"
+    if route is None:
+        tier = "brute_force_only"
+    elif route.steps:
+        solver_name, _ = SOLVERS[route.target_type.name]
+        tier = f"via_{solver_name}"
+    else:
+        tier = "dedicated"
     print(f"  solver tier: {tier}")
     incoming = graph.incoming(key)
     outgoing = graph.outgoing(key)
@@ -456,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument(
         "--max-nodes", type=int, default=DEFAULT_NODE_BUDGET,
-        help="branch-and-bound node budget",
+        help="node budget of the ILP branch-and-bound and the QUBO bounded search",
     )
     p_solve.set_defaults(handler=cmd_solve)
 

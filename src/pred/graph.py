@@ -215,11 +215,24 @@ class ReductionGraph:
 
     def solver_route(self, key: VariantKey) -> ReductionPath | None:
         """How ``solve`` treats instances of ``key``: the cheapest witness-capable
-        path to ILP, whose exact solver then runs on the reduced instance (the
-        empty path for ILP itself), or None when only brute force applies."""
+        path to a solver node (a problem named in ``pred.solvers.SOLVERS``),
+        whose solver then runs on the reduced instance, or None when only
+        brute force applies. A solver node's route is the empty path, taken
+        without a search, and routes to two nodes are compared only when both
+        exist, so a route that needs no comparison never loads the algebra."""
         if key not in self._solver_routes:
-            ilp = self.registry.lookup("IntegerLinearProgram").key
-            self._solver_routes[key] = self.find_path(key, ilp)
+            from .solvers import SOLVERS
+
+            nodes = [self.registry.lookup(name).key for name in SOLVERS]
+            if key in nodes:
+                route = self.make_path(key, ())
+            else:
+                route = None
+                for node in nodes:
+                    candidate = self.find_path(key, node)
+                    if candidate is not None and (route is None or _cheaper(candidate, route)):
+                        route = candidate
+            self._solver_routes[key] = route
         return self._solver_routes[key]
 
     def topology_report(self) -> dict:

@@ -12,9 +12,14 @@ the first configuration of best ``(feasible, payload)`` score, Sum adds,
 and And stops at the first false configuration. Or walks the same order one
 variable at a time and skips every prefix the instance rules out
 (``Problem._may_hold``), so it stops at the same first true configuration
-having measured fewer. The enumeration budget counts the full space for
-every kind. Everything else in the library (reductions, routing, the ILP
-path) only ever talks to this interface.
+having measured fewer. Max, Min and Extremum walk it the same way when the
+instance bounds its prefixes (``Problem._optimistic_payload``): once a
+feasible incumbent exists, a prefix whose bound cannot strictly beat it is
+skipped, so the walk keeps the same first best configuration. The
+enumeration budget counts the full space for every kind; the QUBO solver
+runs the bounded walk under a node budget instead. Everything else in the
+library (reductions, routing, the ILP path) only ever talks to this
+interface.
 """
 
 from __future__ import annotations
@@ -205,10 +210,16 @@ class Problem(ABC):
     def _optimistic_payload(self, prefix: Configuration) -> int | float | None:
         """Best payload over the feasible completions of ``prefix``, or a bound on it.
 
-        For Max kinds an upper bound, for Min kinds a lower one; None when
-        no completion is feasible. Same calling terms as ``_may_hold``,
-        which ``DecisionProblem`` answers from it. This default knows
-        nothing and reports an unbounded payload.
+        An upper bound for Max (and maximising Extremum) kinds, a lower one
+        for Min (and minimising Extremum) kinds; None when no completion is
+        feasible. ``DecisionProblem`` answers ``_may_hold`` from it, on the
+        same calling terms. The bounded fold (``_first_best``) asks only
+        about prefixes shorter than a full configuration, once it holds a
+        feasible incumbent, so shorter prefixes may not have been asked; a
+        check of only what the newest value decides is still sound, as a
+        prefix with no feasible completion admits any bound. This default
+        knows nothing and reports an unbounded payload; a class that
+        overrides it has its Max, Min and Extremum folds walked by prefix.
         """
         return float("-inf") if self.kind is ValueKind.MIN else float("inf")
 
@@ -262,9 +273,12 @@ def fold_space(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> F
     Or walks prefixes depth first in the same order, values ascending,
     skips each prefix the instance's ``_may_hold`` rules out, and returns
     the first full configuration that measures true: a skipped prefix holds
-    no true configuration, so that is the same witness. The budget always
-    applies to the full space size. An instance with zero variables has
-    exactly one, empty, configuration.
+    no true configuration, so that is the same witness. Max, Min and
+    Extremum take the same walk (``_first_best``) when the instance's class
+    bounds its prefixes; every other instance is measured in full, which is
+    faster when nothing can be skipped. The budget always applies to the
+    full space size. An instance with zero variables has exactly one, empty,
+    configuration.
     """
     dims = instance.config_dims()
     total = 1
@@ -288,19 +302,31 @@ def fold_space(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> F
         return FoldResult(AggregatedValue(kind, True), None)
     if kind is ValueKind.SUM:
         return FoldResult(AggregatedValue(kind, sum(measure(c)[0] for c in configs)), None)
-    # Max, Min, Extremum: the order _score defines, feasible first
-    sense = instance.sense
-    sign = -1 if kind is ValueKind.MIN or sense == SENSE_MINIMIZE else 1
-    best_key = None
+    # Max, Min, Extremum: the order _score defines, feasible first; walked by
+    # prefix when the instance's class bounds its prefixes
+    if type(instance)._optimistic_payload is not Problem._optimistic_payload:
+        return _first_best(instance)
+    sign = _sign(instance)
+    best_key = best_payload = witness = None
     for config in configs:
         payload, feasible = measure(config)
         key = (feasible, sign * payload)
         if best_key is None or key > best_key:
             best_key, best_payload, witness = key, payload, config
+    return _best_result(instance, best_key, best_payload, witness)
+
+
+def _sign(instance: Problem) -> int:
+    """+1 where a larger payload is better, -1 where a smaller one is."""
+    return -1 if instance.kind is ValueKind.MIN or instance.sense == SENSE_MINIMIZE else 1
+
+
+def _best_result(instance: Problem, best_key, payload, witness) -> FoldResult:
+    """The fold's result from its best ``(feasible, signed payload)`` key, if any."""
     if best_key is None:
-        return FoldResult(identity_value(kind, sense), None)
+        return FoldResult(identity_value(instance.kind, instance.sense), None)
     feasible = best_key[0]
-    value = AggregatedValue(kind, best_payload, feasible, sense)
+    value = AggregatedValue(instance.kind, payload, feasible, instance.sense)
     return FoldResult(value, witness if feasible else None)
 
 
@@ -327,6 +353,58 @@ def _first_true(instance: Problem, dims: tuple[int, ...]) -> Configuration | Non
             continue
         if not prefix:
             return None
+        prefix, value = prefix[:-1], prefix[-1] + 1
+
+
+def _first_best(instance: Problem, max_nodes: int | None = None) -> FoldResult:
+    """The Max, Min or Extremum fold of ``instance`` by a bounded prefix walk.
+
+    The same iterative depth-first walk as ``_first_true``, in product order.
+    Full configurations are measured; a shorter child prefix is first bounded
+    by ``_optimistic_payload`` once a feasible incumbent exists, and skipped
+    when its bound is None or cannot strictly beat the incumbent. The
+    incumbent moves only on a strict improvement of ``(feasible, payload)``,
+    as in the plain fold, and a skipped prefix holds no configuration that
+    would have moved it, so the value and witness are the plain fold's: the
+    lexicographically smallest optimum, or the best infeasible payload with
+    no witness when nothing is feasible. With ``max_nodes``, each prefix
+    asked counts as one node, and asking one more than ``max_nodes`` raises
+    ``BudgetExceededError``, as the branch-and-bound search does.
+    """
+    dims = instance.config_dims()
+    optimistic, measure = instance._optimistic_payload, instance._measure
+    sign = _sign(instance)
+    last = len(dims) - 1
+    nodes = 0
+    best_key = best_payload = witness = None
+    prefix: Configuration = ()
+    value = 0
+    while True:
+        depth = len(prefix)
+        if depth > last:
+            payload, feasible = measure(prefix)
+            key = (feasible, sign * payload)
+            if best_key is None or key > best_key:
+                best_key, best_payload, witness = key, payload, prefix
+        elif value < dims[depth]:
+            child = prefix + (value,)
+            value += 1
+            if depth < last and best_key is not None and best_key[0]:
+                nodes += 1
+                if max_nodes is not None and nodes > max_nodes:
+                    raise BudgetExceededError(
+                        f"bounded search exceeded {max_nodes} nodes",
+                        limit=max_nodes,
+                        nodes=max_nodes,
+                        incumbent=best_payload,
+                    )
+                bound = optimistic(child)
+                if bound is None or sign * bound <= best_key[1]:
+                    continue
+            prefix, value = child, 0
+            continue
+        if not prefix:
+            return _best_result(instance, best_key, best_payload, witness)
         prefix, value = prefix[:-1], prefix[-1] + 1
 
 

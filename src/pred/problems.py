@@ -208,6 +208,15 @@ class QuboData(Record):
                     total += row[j]
         return total
 
+    @cached_property
+    def coupling_tails(self) -> tuple[int, ...]:
+        """Entry k sums the positive couplings ``2*q[j][l]`` over k <= j < l: the
+        most that pairs of variables from k on can add together."""
+        tails = [0] * (self.n + 1)
+        for j in range(self.n - 1, -1, -1):
+            tails[j] = tails[j + 1] + 2 * sum(c for c in self.q[j][j + 1:] if c > 0)
+        return tuple(tails)
+
 
 class IsingData(Record):
     """Pair couplings (symmetric, zero diagonal) and local fields over spins."""
@@ -382,6 +391,23 @@ class Qubo(Record, Problem):
 
     def _measure(self, config) -> tuple[int, bool]:
         return self.data.value(config), True
+
+    def _optimistic_payload(self, prefix) -> int:
+        # x^T Q x over binary x is sum_j q_jj x_j + 2 sum_{j<l} q_jl x_j x_l:
+        # the part the prefix fixes, plus each free variable's marginal gain
+        # given the prefix's ones where positive, plus every positive coupling
+        # between two free variables (Pardalos & Rodgers, 1990)
+        q = self.data.q
+        k = len(prefix)
+        bound = self.data.coupling_tails[k]
+        for i in compress(range(k), prefix):
+            bound += sum(compress(q[i], prefix))
+        for j in range(k, self.data.n):
+            row = q[j]
+            gain = row[j] + 2 * sum(compress(row, prefix))
+            if gain > 0:
+                bound += gain
+        return bound
 
     def to_data(self) -> dict:
         return {"n": self.data.n, "q": [list(row) for row in self.data.q]}

@@ -1,9 +1,13 @@
-"""Solver dispatch and the exact branch-and-bound ILP backend.
+"""Solver dispatch, the solver table and the exact branch-and-bound ILP backend.
 
-The reduction graph makes the one dispatch decision
+``SOLVERS`` names the solver nodes of the reduction graph and the solver
+each one runs: ILP has the branch-and-bound search below, and QUBO the
+bounded prefix walk of ``pred.model`` (``_first_best``) under its node
+budget. The reduction graph makes the one dispatch decision
 (``ReductionGraph.solver_route``): an instance with a witness-capable path to
-ILP is carried along it and solved by the ILP backend, ILP itself being the
-empty path, and any other instance is enumerated by brute force.
+a solver node is carried along the cheapest one and solved there, a solver
+node itself being the empty path, and any other instance is enumerated by
+brute force. Adding a solver is one entry in the table.
 
 The ILP backend is an exact depth-first branch-and-bound that maximises; a
 min program is searched on its negated objective. Each constraint is stored
@@ -65,6 +69,7 @@ from .model import (
     SENSE_MAXIMIZE,
     SENSE_MINIMIZE,
     ValueKind,
+    _first_best,
     fold_space,
 )
 from .problems import IlpData
@@ -361,25 +366,37 @@ def solve_brute(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> 
     return SolveResult(result.value, result.witness, "brute-force")
 
 
+# The solver nodes, by problem name: each runs ``(instance, max_nodes)`` and
+# returns the instance's value and witness, charging its search against the
+# node budget. Its name is the solver's label.
+SOLVERS = {
+    "IntegerLinearProgram": ("ilp", lambda ilp, max_nodes: solve_ilp(ilp.data, max_nodes)),
+    "QUBO": ("qubo", _first_best),
+}
+
+
 def solve(
     instance: Problem,
     max_configs: int = DEFAULT_CONFIG_BUDGET,
     max_nodes: int = DEFAULT_NODE_BUDGET,
 ) -> SolveResult:
-    """Solve along the graph's solver route, or by brute force when it has none.
+    """Solve at the solver node the graph routes ``instance`` to, or by brute
+    force when it has no route.
 
-    The ILP's witness is mapped back and evaluated at the instance. An ILP is
-    its own empty route, so it gets ``solve_ilp``'s result as it is, and so
-    does a reduced ILP that comes back infeasible.
+    The solver's witness is mapped back and evaluated at the instance. A
+    solver node is its own empty route, so it gets its solver's result as it
+    is, and so does a reduced instance that comes back with no witness.
     """
     route = default_graph().solver_route(instance.variant_key())
     if route is None:
         return solve_brute(instance, max_configs)
+    name, run = SOLVERS[route.target_type.name]
     if not route.steps:
-        return solve_ilp(instance.data, max_nodes)
+        result = run(instance, max_nodes)
+        return SolveResult(result.value, result.witness, name)
     envelope = reduce_along(route, instance)
-    result = solve_ilp(envelope.target_instance.data, max_nodes)
+    result = run(envelope.target_instance, max_nodes)
     if result.witness is None:
-        return result
+        return SolveResult(result.value, None, name)
     value, witness = solution_along(envelope, result.witness)
-    return SolveResult(value, witness, "ilp", route=route)
+    return SolveResult(value, witness, name, route=route)

@@ -282,6 +282,19 @@ def test_exit_4_on_node_budget():
     assert "branch-and-bound exceeded 2 nodes" in result.stderr
 
 
+def test_exit_4_on_qubo_node_budget(tmp_path):
+    # the bounded QUBO search charges each prefix it bounds as one node
+    n = 20
+    q = [[(3 * i + 5 * j + i * j) % 7 - 3 for j in range(n)] for i in range(n)]
+    q = [[q[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    path = tmp_path / "qubo.json"
+    path.write_text(json.dumps({"problem": "QUBO", "data": {"n": n, "q": q}}))
+    result = run_cli("solve", str(path), "--max-nodes", "10")
+    assert (result.returncode, result.stdout) == (4, "")
+    assert "bounded search exceeded 10 nodes" in result.stderr
+    assert run_cli("solve", str(path)).returncode == 0
+
+
 # Clique solves through ILP, DecisionVC by brute force
 @pytest.mark.parametrize("problem", ["Clique", "DecisionVC"])
 @pytest.mark.parametrize("flag", ["--max-nodes", "--max-configs"])
@@ -416,6 +429,14 @@ def test_show_command():
     assert "  complexity: 1.1996^V" in lines
     assert "  solver tier: via_ilp" in lines
     assert any(line.startswith("  example: mis-path4") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "problem,tier", [("QUBO", "dedicated"), ("MaxCut", "via_qubo"), ("ILP", "dedicated")]
+)
+def test_show_names_the_solver_node_of_the_route(problem, tier):
+    lines = run_cli("show", problem).stdout.splitlines()
+    assert f"  solver tier: {tier}" in lines
 
 
 def test_show_weighted_variant_tags():

@@ -26,6 +26,8 @@ from pred import (
     IndependentSet,
     KindError,
     Problem,
+    Qubo,
+    QuboData,
     Registry,
     Satisfiability,
     UnknownProblemError,
@@ -374,6 +376,63 @@ def test_vertex_cover_optimistic_payload_is_sound():
                 else:
                     passed.add(prefix)
                     assert not covers or best <= min(covers), prefix
+
+
+def _assert_qubo_bound_is_sound(qubo, q):
+    """At least the best completion of every prefix, exact on full configurations."""
+    n = len(q)
+    best = {c: oracles.qubo_value(q, c) for c in itertools.product((0, 1), repeat=n)}
+    for length in range(n, -1, -1):
+        for prefix in itertools.product((0, 1), repeat=length):
+            if length < n:
+                best[prefix] = max(best[prefix + (0,)], best[prefix + (1,)])
+            bound = qubo._optimistic_payload(prefix)
+            if length == n:
+                assert bound == best[prefix], (q, prefix)
+            else:
+                assert bound >= best[prefix], (q, prefix)
+
+
+def test_qubo_optimistic_payload_is_sound():
+    rng = make_rng(409)
+    for size in range(40):
+        n = size % 11  # n = 0 to 10, each size at least three times
+        qubo, q = generators.random_qubo(rng, max_n=n, min_n=n)
+        _assert_qubo_bound_is_sound(qubo, q)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(data=st.data())
+def test_drawn_qubo_optimistic_payload_is_sound(data):
+    n = data.draw(st.integers(0, 7), label="n")
+    q = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            q[i][j] = q[j][i] = data.draw(st.integers(-6, 6))
+    _assert_qubo_bound_is_sound(Qubo(QuboData(n, tuple(map(tuple, q)))), q)
+
+
+def test_bounded_fold_matches_reference_fold(monkeypatch):
+    """The Max/Min folds of VertexCover and QUBO walk prefixes; the result is the plain law's."""
+    asked = []
+    for cls in (VertexCover, Qubo):
+        bound = cls._optimistic_payload
+
+        def recorded(self, prefix, bound=bound):
+            asked.append((prefix, len(self.config_dims())))
+            return bound(self, prefix)
+
+        monkeypatch.setattr(cls, "_optimistic_payload", recorded)
+    rng = make_rng(410)
+    instances = [generators.random_vc(rng, max_vertices=9)[0] for _ in range(60)]
+    instances += [generators.random_qubo(rng, max_n=9, min_n=0)[0] for _ in range(60)]
+    instances += [VertexCover(GraphData(0, ())), VertexCover(GraphData(7, ()))]
+    for instance in instances:
+        value, witness = oracles.reference_fold(instance)
+        result = fold_space(instance)
+        assert (result.value, result.witness) == (value, witness), instance
+    # asked only about nonempty prefixes shorter than a full configuration
+    assert asked and all(0 < len(prefix) < n for prefix, n in asked)
 
 
 # The Or walk on DecisionVC, n=16, G(16, 0.15) from seed 408, each graph at

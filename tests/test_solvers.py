@@ -50,7 +50,7 @@ from pred import (
     solver_label,
     shipped_rules,
 )
-from pred.solvers import _Search
+from pred.solvers import SOLVERS, _Search
 
 from generators import (
     gnp_edges,
@@ -70,7 +70,7 @@ from generators import (
     random_3sat,
     random_vc,
 )
-from oracles import best_ilp, ilp_feasible, propagate_bounds
+from oracles import best_ilp, ilp_feasible, propagate_bounds, reference_fold
 
 REGISTRY = default_graph().registry
 P4 = GraphData(4, ((0, 1), (1, 2), (2, 3)))
@@ -294,7 +294,8 @@ def test_drawn_propagation_reaches_the_reference_fixpoint(case):
 
 # (family, seed, B&B nodes, value, witness) of searches whose node counts are
 # pinned: a change to propagation or pruning that visits other nodes must
-# update them on purpose
+# update them on purpose. Each search runs on the instance's ILP encoding;
+# ``solve`` must give the same value and witness whatever node it solves at.
 SEARCH_PINS = [
     ("mis", 1, 675, 13, "001101011100110010000000101110"),
     ("mis", 2, 587, 14, "110000110000110100001001011111"),
@@ -323,13 +324,80 @@ def _pinned_instance(family, seed):
 )
 def test_search_nodes_and_witness_are_pinned(family, seed, nodes, value, witness):
     instance = _pinned_instance(family, seed)
-    route = default_graph().solver_route(instance.variant_key())
+    route = default_graph().find_path(instance.variant_key(), REGISTRY.lookup("ILP").key)
     search = _Search(reduce_along(route, instance).target_instance.data, DEFAULT_NODE_BUDGET)
     search.run()
     result = solve(instance)
     assert search.nodes == nodes
     assert result.value.payload == value
     assert "".join(map(str, result.witness)) == witness
+
+
+# (seed, prefixes asked, value, witness) of the bounded QUBO search on seeded
+# n=12 instances, each far below the 4,096 configurations of the space: a
+# change to the bound or the walk that asks about other prefixes must update
+# them on purpose
+QUBO_PINS = [
+    (1, 841, 60, "111100011011"),
+    (2, 391, 58, "101101111010"),
+    (3, 289, 53, "011111001111"),
+    (4, 275, 51, "011100111011"),
+    (5, 303, 52, "101100110001"),
+    (6, 393, 82, "111111111110"),
+    (7, 329, 23, "001100011001"),
+    (8, 333, 34, "011010101101"),
+]
+
+
+def test_qubo_search_prefixes_are_pinned(monkeypatch):
+    asked = []
+    bound = Qubo._optimistic_payload
+
+    def counted(self, prefix):
+        asked.append(prefix)
+        return bound(self, prefix)
+
+    monkeypatch.setattr(Qubo, "_optimistic_payload", counted)
+    for seed, prefixes, value, witness in QUBO_PINS:
+        instance = random_qubo(make_rng(seed), 12, min_n=12)[0]
+        asked.clear()
+        result = solve(instance)
+        assert solver_label(result) == "qubo"
+        assert len(asked) < 1 << 12
+        assert (len(asked), result.value.payload) == (prefixes, value)
+        assert "".join(map(str, result.witness)) == witness
+
+
+def test_qubo_search_charges_each_prefix_against_the_node_budget():
+    instance = random_qubo(make_rng(1), 12, min_n=12)[0]
+    assert solve(instance, max_nodes=841).value.payload == 60
+    with pytest.raises(BudgetExceededError) as caught:
+        solve(instance, max_nodes=840)
+    error = caught.value
+    assert (error.limit, error.nodes) == (840, 840)
+    assert error.incumbent is not None and error.incumbent <= 60
+    # the full-space budget is brute force's, not the solver's
+    assert solve(instance, max_configs=1).value.payload == 60
+    with pytest.raises(BudgetExceededError):
+        solve_brute(instance, max_configs=4095)
+
+
+@pytest.mark.parametrize(
+    "name,build",
+    [
+        ("qubo", lambda rng: random_qubo(rng, max_n=9, min_n=0)[0]),
+        ("maxcut", lambda rng: random_maxcut(rng, max_vertices=9)[0]),
+    ],
+    ids=["qubo", "maxcut"],
+)
+def test_quadratic_solve_matches_reference_fold(name, build):
+    """QUBO and MaxCut solve at the QUBO node: value and witness are the plain fold's."""
+    rng = make_rng(zlib.crc32(name.encode()))
+    for _ in range(60):
+        instance = build(rng)
+        result = solve(instance)
+        assert result.solver_name == "qubo"
+        assert (result.value, result.witness) == reference_fold(instance), instance
 
 
 # --- dispatch ---------------------------------------------------------------------
@@ -352,10 +420,10 @@ LABEL_CASES = [
     (IndependentSet(GraphData(3, ((0, 1),), (2, 1, 3))), "ilp (via ILP)"),
     (VertexCover(P4), "ilp (via ILP)"),
     (Clique(GraphData(4, ((0, 1), (1, 2), (2, 3), (0, 2)))), "ilp (via MIS -> ILP)"),
-    (MaxCut(GraphData(3, ((0, 1), (1, 2)))), "ilp (via QUBO -> ILP)"),
+    (MaxCut(GraphData(3, ((0, 1), (1, 2)))), "qubo (via QUBO)"),
     (SetCover(SetCoverData(3, ((0, 1), (1, 2), (0, 2)))), "ilp (via ILP)"),
     (DominatingSet(P4), "ilp (via SetCover -> ILP)"),
-    (Qubo(QuboData(2, ((1, -2), (-2, 1)))), "ilp (via ILP)"),
+    (Qubo(QuboData(2, ((1, -2), (-2, 1)))), "qubo"),
     (Satisfiability(CnfData(2, ((1, 2), (-1, -2)))), "ilp (via 3SAT -> MIS -> ILP)"),
     (
         ThreeSatisfiability(CnfData(3, ((1, 2, 3), (-1, -2, -3)))),
@@ -397,7 +465,7 @@ def test_solver_label_with_prefix_steps():
     rule = default_graph().rule_named("MaxCut->QUBO")
     qubo = Qubo(QuboData(2, ((1, -2), (-2, 1))))
     result = solve(qubo)
-    assert solver_label(result, prefix_steps=(rule,)) == "ilp (via QUBO -> ILP)"
+    assert solver_label(result, prefix_steps=(rule,)) == "qubo (via QUBO)"
 
 
 def _stdout(argv: list[str], stdin: str = "") -> str:
@@ -413,13 +481,14 @@ def _stdout(argv: list[str], stdin: str = "") -> str:
 def test_show_tier_names_the_solver_that_solve_runs(name):
     example = _stdout(["create", name, "--example"])
     solver = json.loads(_stdout(["solve", "-"], example))["solver"]
+    name_of_solver, via, _ = solver.partition(" (via ")
+    assert name_of_solver in ("brute-force", "ilp", "qubo")
     if solver == "brute-force":
         tier = "brute_force_only"
-    elif solver == "ilp":
-        tier = "dedicated"
+    elif via:
+        tier = f"via_{name_of_solver}"
     else:
-        assert solver.startswith("ilp (via ")
-        tier = "via_ilp"
+        tier = "dedicated"
     assert f"\n  solver tier: {tier}\n" in _stdout(["show", name])
 
 
@@ -599,6 +668,29 @@ def test_solve_matches_highs_beyond_brute_force():
     _assert_mis_matches_highs(50, gnp_edges(rng, 50, 0.15))
 
 
+def test_maxcut_through_qubo_matches_highs_beyond_brute_force():
+    """MaxCut G(22, 0.3) solves at the QUBO node within the CLI's 300k-node
+    budget, where the QUBO -> ILP route runs out of it."""
+    pytest.importorskip("scipy")
+    n = 22
+    edges = gnp_edges(make_rng(2022), n, 0.3)
+    # x_v per vertex and y_e per edge, y_e <= x_u + x_v and y_e <= 2 - x_u - x_v
+    rows, upper = [], []
+    for e, (u, v) in enumerate(edges):
+        for sign, rhs in ((-1, 0), (1, 2)):
+            row = [0] * (n + len(edges))
+            row[u] = row[v] = sign
+            row[n + e] = 1
+            rows.append(row)
+            upper.append(rhs)
+    expected = _milp_optimum([0] * n + [1] * len(edges), rows, -INF, upper, "max")
+    instance = MaxCut(GraphData(n, edges))
+    result = solve(instance, max_nodes=300_000)
+    assert solver_label(result) == "qubo (via QUBO)"
+    assert result.value.payload == expected
+    assert evaluate(instance, result.witness).payload == expected
+
+
 def test_solver_route_is_searched_once_per_variant(monkeypatch):
     registry = default_graph().registry
     graph = ReductionGraph(registry, shipped_rules(registry))
@@ -612,7 +704,11 @@ def test_solver_route_is_searched_once_per_variant(monkeypatch):
 
     monkeypatch.setattr(graph, "find_path", counting_find_path)
     first = solve(GraphColoring(GraphData(3, ((0, 1), (1, 2))), 2))
+    # one search towards each solver node, all made by the first solve
+    assert [target for _, target in searches] == [
+        registry.lookup(name).key for name in SOLVERS
+    ]
     second = solve(GraphColoring(GraphData(4, ((0, 1), (1, 2), (2, 3))), 2))
-    assert len(searches) == 1
+    assert len(searches) == len(SOLVERS)
     assert first.route is second.route and first.route.steps
     assert first.value.payload is True and second.value.payload is True
