@@ -9,15 +9,16 @@ Solving by brute force is a per-kind fold over the whole space in
 lexicographic order that gives the same value and witness as folding
 ``combine`` over ``evaluate`` from the identity: Max, Min and Extremum keep
 the first configuration of best ``(feasible, payload)`` score, Sum adds,
-and And stops at the first false configuration. Or walks the same order one
-variable at a time and skips every prefix the instance rules out
-(``Problem._may_hold``), so it stops at the same first true configuration
-having measured fewer. Max, Min and Extremum walk it the same way when the
-instance bounds its prefixes (``Problem._optimistic_payload``): once a
-feasible incumbent exists, a prefix whose bound cannot strictly beat it is
-skipped, so the walk keeps the same first best configuration. The
+and And stops at the first false configuration. One prefix walk, with one
+hook, serves every fold that can skip: it goes through the same order one
+variable at a time, and once a feasible incumbent exists it skips every
+prefix whose bound (``Problem._optimistic_payload``) cannot strictly beat
+it, so it keeps the same first best configuration having measured fewer.
+Or folds always take it, starting from the identity false as their
+incumbent and stopping at the first true configuration; Max, Min and
+Extremum folds take it when the instance bounds its prefixes. The
 enumeration budget counts the full space for every kind; the QUBO solver
-runs the bounded walk under a node budget instead. Everything else in the
+runs the same walk under a node budget instead. Everything else in the
 library (reductions, routing, the ILP path) only ever talks to this
 interface.
 """
@@ -121,6 +122,11 @@ def identity_value(kind: ValueKind, sense: str | None = None) -> AggregatedValue
     return AggregatedValue(kind, 0)
 
 
+def _sign(kind: ValueKind, sense: str | None) -> int:
+    """+1 where a larger payload is better, -1 where a smaller one is."""
+    return -1 if kind is ValueKind.MIN or sense == SENSE_MINIMIZE else 1
+
+
 def _score(value: AggregatedValue) -> tuple:
     """Total order used by Max/Min/Extremum combines.
 
@@ -129,11 +135,7 @@ def _score(value: AggregatedValue) -> tuple:
     never win against feasible ones but still combine deterministically.
     """
     has_payload = value.payload is not None
-    payload = value.payload if has_payload else 0
-    if value.kind is ValueKind.MIN or (
-        value.kind is ValueKind.EXTREMUM and value.sense == SENSE_MINIMIZE
-    ):
-        payload = -payload
+    payload = _sign(value.kind, value.sense) * value.payload if has_payload else 0
     return (value.feasible, has_payload, payload)
 
 
@@ -157,8 +159,8 @@ class FoldResult(Record):
 
 
 def reported_witness(value: AggregatedValue, witness: Configuration | None):
-    """The witness shown with ``value``: a false Or value has none."""
-    if value.kind is ValueKind.OR and not value.payload:
+    """The witness shown with ``value``: an infeasible or false Or value has none."""
+    if not value.feasible or (value.kind is ValueKind.OR and not value.payload):
         return None
     return witness
 
@@ -195,33 +197,28 @@ class Problem(ABC):
         is the brute-force fold's inner loop, so it builds no value objects.
         """
 
-    def _may_hold(self, prefix: Configuration) -> bool:
-        """Whether some configuration extending ``prefix`` may measure true.
-
-        The Or fold asks this about every nonempty prefix it reaches, full
-        configurations included, before it goes on from it, and only about
-        prefixes whose shorter prefixes all passed, so an implementation may
-        check only what the newest value decides. It may answer False only
-        when no completion of ``prefix`` measures true; this default prunes
-        nothing.
-        """
-        return True
-
-    def _optimistic_payload(self, prefix: Configuration) -> int | float | None:
+    def _optimistic_payload(self, prefix: Configuration) -> int | float | bool | None:
         """Best payload over the feasible completions of ``prefix``, or a bound on it.
 
         An upper bound for Max (and maximising Extremum) kinds, a lower one
         for Min (and minimising Extremum) kinds; None when no completion is
-        feasible. ``DecisionProblem`` answers ``_may_hold`` from it, on the
-        same calling terms. The bounded fold (``_first_best``) asks only
-        about prefixes shorter than a full configuration, once it holds a
-        feasible incumbent, so shorter prefixes may not have been asked; a
-        check of only what the newest value decides is still sound, as a
-        prefix with no feasible completion admits any bound. This default
-        knows nothing and reports an unbounded payload; a class that
-        overrides it has its Max, Min and Extremum folds walked by prefix.
+        feasible. For Or kinds, whether some completion may measure true:
+        False only when none does (``DecisionProblem`` answers whether its
+        inner problem's bound meets the threshold). The prefix walk
+        (``_first_best``) asks only about nonempty prefixes shorter than a
+        full configuration, once it holds a feasible incumbent. An Or walk
+        holds one from the start, so it asks about a prefix only after all
+        its shorter nonempty prefixes passed, and an implementation may
+        check only what the newest value decides. A Max, Min or Extremum
+        walk may not have asked the shorter prefixes; such a check is still
+        sound there, as a prefix with no feasible completion admits any
+        bound. This default knows nothing and reports an unbounded payload
+        (True for Or). A class that overrides it has its Max, Min and
+        Extremum folds walked by prefix; an Or fold is always walked.
         """
-        return float("-inf") if self.kind is ValueKind.MIN else float("inf")
+        if self.kind is ValueKind.OR:
+            return True
+        return _sign(self.kind, self.sense) * float("inf")
 
     def _evaluate(self, config: Configuration) -> AggregatedValue:
         payload, feasible = self._measure(config)
@@ -269,16 +266,14 @@ def fold_space(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> F
     order from the kind's identity, with the witness taken on strict
     improvements only: the first optimal configuration for Max, Min and
     Extremum (none if no configuration is feasible), the first true one for
-    Or, none for Sum and And. And stops at its first false configuration.
-    Or walks prefixes depth first in the same order, values ascending,
-    skips each prefix the instance's ``_may_hold`` rules out, and returns
-    the first full configuration that measures true: a skipped prefix holds
-    no true configuration, so that is the same witness. Max, Min and
-    Extremum take the same walk (``_first_best``) when the instance's class
-    bounds its prefixes; every other instance is measured in full, which is
-    faster when nothing can be skipped. The budget always applies to the
-    full space size. An instance with zero variables has exactly one, empty,
-    configuration.
+    Or, none for Sum and And. Sum measures every configuration and And stops
+    at its first false one. Every Or instance, and every Max, Min or
+    Extremum instance whose class bounds its prefixes, takes the pruned
+    prefix walk (``_first_best``), which gives the same value and witness
+    having measured fewer configurations. Any other Max, Min or Extremum
+    instance is measured in full, which is faster when nothing can be
+    skipped. The budget always applies to the full space size. An instance
+    with zero variables has exactly one, empty, configuration.
     """
     dims = instance.config_dims()
     total = 1
@@ -290,9 +285,6 @@ def fold_space(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> F
             limit=max_configs,
         )
     kind = instance.kind
-    if kind is ValueKind.OR:
-        witness = _first_true(instance, dims)
-        return FoldResult(AggregatedValue(kind, witness is not None), witness)
     measure = instance._measure
     configs = itertools.product(*(range(d) for d in dims))
     if kind is ValueKind.AND:
@@ -302,11 +294,10 @@ def fold_space(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> F
         return FoldResult(AggregatedValue(kind, True), None)
     if kind is ValueKind.SUM:
         return FoldResult(AggregatedValue(kind, sum(measure(c)[0] for c in configs)), None)
-    # Max, Min, Extremum: the order _score defines, feasible first; walked by
-    # prefix when the instance's class bounds its prefixes
-    if type(instance)._optimistic_payload is not Problem._optimistic_payload:
+    if kind is ValueKind.OR or type(instance)._optimistic_payload is not Problem._optimistic_payload:
         return _first_best(instance)
-    sign = _sign(instance)
+    # Max, Min, Extremum with no prefix bound: the order _score defines, feasible first
+    sign = _sign(kind, instance.sense)
     best_key = best_payload = witness = None
     for config in configs:
         payload, feasible = measure(config)
@@ -316,67 +307,41 @@ def fold_space(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> F
     return _best_result(instance, best_key, best_payload, witness)
 
 
-def _sign(instance: Problem) -> int:
-    """+1 where a larger payload is better, -1 where a smaller one is."""
-    return -1 if instance.kind is ValueKind.MIN or instance.sense == SENSE_MINIMIZE else 1
-
-
 def _best_result(instance: Problem, best_key, payload, witness) -> FoldResult:
     """The fold's result from its best ``(feasible, signed payload)`` key, if any."""
     if best_key is None:
         return FoldResult(identity_value(instance.kind, instance.sense), None)
-    feasible = best_key[0]
-    value = AggregatedValue(instance.kind, payload, feasible, instance.sense)
-    return FoldResult(value, witness if feasible else None)
-
-
-def _first_true(instance: Problem, dims: tuple[int, ...]) -> Configuration | None:
-    """The lexicographically first configuration that measures true, if any.
-
-    An iterative depth-first walk (no recursion, so any number of variables
-    is fine): ``value`` is the next value to try at position ``len(prefix)``.
-    """
-    may_hold, measure = instance._may_hold, instance._measure
-    prefix: Configuration = ()
-    value = 0
-    while True:
-        depth = len(prefix)
-        if depth == len(dims):
-            if measure(prefix)[0]:
-                return prefix
-        elif value < dims[depth]:
-            child = prefix + (value,)
-            if may_hold(child):
-                prefix, value = child, 0
-            else:
-                value += 1
-            continue
-        if not prefix:
-            return None
-        prefix, value = prefix[:-1], prefix[-1] + 1
+    value = AggregatedValue(instance.kind, payload, best_key[0], instance.sense)
+    return FoldResult(value, reported_witness(value, witness))
 
 
 def _first_best(instance: Problem, max_nodes: int | None = None) -> FoldResult:
-    """The Max, Min or Extremum fold of ``instance`` by a bounded prefix walk.
+    """The Or, Max, Min or Extremum fold of ``instance`` by a pruned prefix walk.
 
-    The same iterative depth-first walk as ``_first_true``, in product order.
-    Full configurations are measured; a shorter child prefix is first bounded
-    by ``_optimistic_payload`` once a feasible incumbent exists, and skipped
-    when its bound is None or cannot strictly beat the incumbent. The
-    incumbent moves only on a strict improvement of ``(feasible, payload)``,
-    as in the plain fold, and a skipped prefix holds no configuration that
-    would have moved it, so the value and witness are the plain fold's: the
-    lexicographically smallest optimum, or the best infeasible payload with
-    no witness when nothing is feasible. With ``max_nodes``, each prefix
-    asked counts as one node, and asking one more than ``max_nodes`` raises
-    ``BudgetExceededError``, as the branch-and-bound search does.
+    An iterative depth-first walk in product order (no recursion, so any
+    number of variables is fine): ``value`` is the next value to try at
+    position ``len(prefix)``. Full configurations are measured; a shorter
+    child prefix is first bounded by ``_optimistic_payload`` once a feasible
+    incumbent exists, and skipped when its bound is None or cannot strictly
+    beat the incumbent. The incumbent moves only on a strict improvement of
+    ``(feasible, payload)``, as in the plain fold, and a skipped prefix holds
+    no configuration that would have moved it, so the value and witness are
+    the plain fold's: the lexicographically smallest optimum, or the best
+    infeasible payload with no witness when nothing is feasible. An Or walk
+    starts from its identity, false, as a feasible incumbent with no
+    witness, so it bounds prefixes from the first one, and it stops at its
+    first true configuration, which nothing beats. With ``max_nodes``, each
+    prefix asked counts as one node, and asking one more than ``max_nodes``
+    raises ``BudgetExceededError``, as the branch-and-bound search does.
     """
     dims = instance.config_dims()
     optimistic, measure = instance._optimistic_payload, instance._measure
-    sign = _sign(instance)
+    kind = instance.kind
+    sign = _sign(kind, instance.sense)
     last = len(dims) - 1
     nodes = 0
-    best_key = best_payload = witness = None
+    best_key, best_payload = ((True, 0), False) if kind is ValueKind.OR else (None, None)
+    witness = None
     prefix: Configuration = ()
     value = 0
     while True:
@@ -386,6 +351,8 @@ def _first_best(instance: Problem, max_nodes: int | None = None) -> FoldResult:
             key = (feasible, sign * payload)
             if best_key is None or key > best_key:
                 best_key, best_payload, witness = key, payload, prefix
+                if kind is ValueKind.OR:
+                    break
         elif value < dims[depth]:
             child = prefix + (value,)
             value += 1
@@ -404,8 +371,9 @@ def _first_best(instance: Problem, max_nodes: int | None = None) -> FoldResult:
             prefix, value = child, 0
             continue
         if not prefix:
-            return _best_result(instance, best_key, best_payload, witness)
+            break
         prefix, value = prefix[:-1], prefix[-1] + 1
+    return _best_result(instance, best_key, best_payload, witness)
 
 
 class DecisionProblem(Problem):
@@ -443,7 +411,7 @@ class DecisionProblem(Problem):
         payload, feasible = self.inner._measure(config)
         return feasible and self._meets(payload), True
 
-    def _may_hold(self, prefix: Configuration) -> bool:
+    def _optimistic_payload(self, prefix: Configuration) -> bool:
         best = self.inner._optimistic_payload(prefix)
         return best is not None and self._meets(best)
 

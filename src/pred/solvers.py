@@ -2,12 +2,14 @@
 
 ``SOLVERS`` names the solver nodes of the reduction graph and the solver
 each one runs: ILP has the branch-and-bound search below, and QUBO the
-bounded prefix walk of ``pred.model`` (``_first_best``) under its node
-budget. The reduction graph makes the one dispatch decision
-(``ReductionGraph.solver_route``): an instance with a witness-capable path to
-a solver node is carried along the cheapest one and solved there, a solver
-node itself being the empty path, and any other instance is enumerated by
-brute force. Adding a solver is one entry in the table.
+pruned prefix walk of ``pred.model`` (``_first_best``) under its node
+budget. Brute force takes the same walk for every Or fold and for every
+class that bounds its prefixes, QUBO's included. The reduction graph makes
+the one dispatch decision (``ReductionGraph.solver_route``): an instance
+with a witness-capable path to a solver node is carried along the cheapest
+one and solved there, a solver node itself being the empty path, and any
+other instance is enumerated by brute force. Adding a solver is one entry
+in the table.
 
 The ILP backend is an exact depth-first branch-and-bound that maximises; a
 min program is searched on its negated objective. Each constraint is stored

@@ -4,6 +4,7 @@ variant registry, and configuration validation."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -266,25 +267,30 @@ def test_fold_space_matches_reference_fold():
 
 def test_or_and_folds_stop_at_their_absorbing_value(monkeypatch):
     calls = []
-    measure = IndependentSet._measure
+    for cls in (IndependentSet, Satisfiability, GraphColoring):
 
-    def counted(self, config):
-        calls.append(config)
-        return measure(self, config)
+        def counted(self, config, measure=cls._measure):
+            calls.append(config)
+            return measure(self, config)
 
-    monkeypatch.setattr(IndependentSet, "_measure", counted)
+        monkeypatch.setattr(cls, "_measure", counted)
+
+    def assert_stops_when_true(instance):
+        calls.clear()
+        result = fold_space(instance)
+        dims = instance.config_dims()
+        if result.value.payload:
+            assert len(calls) == _lex_rank(result.witness, dims) + 1, instance
+            assert calls[-1] == result.witness
+        else:
+            assert len(calls) == math.prod(dims), instance
+        return result.value.payload
+
     rng = make_rng(405)
     for _ in range(20):
         inner, _ = random_mis(rng)
-        dims = inner.config_dims()
         for bound in range(inner.graph.num_vertices + 2):
-            calls.clear()
-            result = fold_space(decision_wrap(inner, bound))
-            if result.value.payload:
-                assert len(calls) == _lex_rank(result.witness, dims) + 1
-                assert calls[-1] == result.witness
-            else:
-                assert len(calls) == 2 ** len(dims)
+            assert_stops_when_true(decision_wrap(inner, bound))
     for _ in range(20):
         table = _random_table(rng, ValueKind.AND)
         result = fold_space(table)
@@ -292,6 +298,17 @@ def test_or_and_folds_stop_at_their_absorbing_value(monkeypatch):
         falses = [c for c in space if not table.table[c]]
         assert result.value.payload is (not falses)
         assert table.calls == (_lex_rank(falses[0], table.dims) + 1 if falses else len(table.table))
+    # Or classes with no prefix bound, whose walk every prefix passes
+    unbounded = [generators.random_sat(rng, max_variables=6, max_clauses=12)[0] for _ in range(30)]
+    unbounded += [generators.random_3sat(rng, max_variables=6, max_clauses=12)[0] for _ in range(30)]
+    unbounded += [
+        generators.random_coloring(rng, max_vertices=6, colors=colors)[0]
+        for colors in (1, 2, 3)
+        for _ in range(10)
+    ]
+    seen = {(type(i).__name__, assert_stops_when_true(i)) for i in unbounded}
+    for name in ("Satisfiability", "ThreeSatisfiability", "GraphColoring"):
+        assert {(name, True), (name, False)} <= seen
 
 
 def test_or_fold_budget_counts_the_full_space():
@@ -313,18 +330,18 @@ def _decision_vc_cases(rng):
 
 
 def _check_prefix_calls(monkeypatch):
-    """Wrap ``DecisionProblem._may_hold`` to assert that every call is on a
-    nonempty prefix whose shorter prefixes all passed; returns the answers
-    so far, for the caller to clear between instances."""
+    """Wrap ``DecisionProblem._optimistic_payload`` to assert that every call
+    is on a nonempty prefix whose shorter prefixes all passed; returns the
+    answers so far, for the caller to clear between instances."""
     answers = {}
-    may_hold = DecisionProblem._may_hold
+    optimistic = DecisionProblem._optimistic_payload
 
     def recorded(self, prefix):
         assert prefix and all(answers[prefix[:k]] for k in range(1, len(prefix)))
-        answers[prefix] = may_hold(self, prefix)
+        answers[prefix] = optimistic(self, prefix)
         return answers[prefix]
 
-    monkeypatch.setattr(DecisionProblem, "_may_hold", recorded)
+    monkeypatch.setattr(DecisionProblem, "_optimistic_payload", recorded)
     return answers
 
 
@@ -376,6 +393,14 @@ def test_vertex_cover_optimistic_payload_is_sound():
                 else:
                     passed.add(prefix)
                     assert not covers or best <= min(covers), prefix
+
+
+def test_default_optimistic_payload_is_unbounded_in_the_better_direction():
+    assert IndependentSet(P4)._optimistic_payload((0,)) == float("inf")
+    assert Problem._optimistic_payload(VertexCover(P4), (0,)) == float("-inf")
+    assert Ilp(IlpData(1, ((0, 1),), (), (1,), "max"))._optimistic_payload((0,)) == float("inf")
+    assert Ilp(IlpData(1, ((0, 1),), (), (1,), "min"))._optimistic_payload((0,)) == float("-inf")
+    assert Satisfiability(CnfData(1, ((1,),)))._optimistic_payload((0,)) is True
 
 
 def _assert_qubo_bound_is_sound(qubo, q):
@@ -442,13 +467,13 @@ def test_bounded_fold_matches_reference_fold(monkeypatch):
 # one. A change to the pruning must update these on purpose.
 WALK_MEASURES = [
     (False, 65536, 0, 246),
-    (True, 15236, 1, 120),
+    (True, 15236, 4, 116),
     (False, 65536, 0, 542),
-    (True, 3534, 1, 24),
-    (False, 65536, 0, 2100),
-    (True, 254, 1, 23),
+    (True, 3534, 2, 22),
+    (False, 65536, 6, 2094),
+    (True, 254, 2, 21),
     (False, 65536, 0, 738),
-    (True, 10362, 1, 23),
+    (True, 10362, 2, 21),
 ]
 
 

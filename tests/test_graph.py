@@ -36,6 +36,7 @@ from pred import (
     round_trip_check,
     subst,
 )
+from pred.graph import solution_along
 from pred.symbolic import vars_of
 
 from generators import make_rng, random_mis
@@ -170,6 +171,15 @@ def test_reduce_along_and_extract_along_two_hops():
     target_best = fold_space(envelope.target_instance)
     config = extract_along(envelope, target_best.witness)
     assert evaluate(three, config).payload is True
+
+
+def test_solution_along_withholds_the_witness_of_an_infeasible_value():
+    path = GRAPH.find_path(key("MIS"), key("ILP"))
+    envelope = reduce_along(path, IndependentSet(GraphData(3, ((0, 1), (1, 2)))))
+    value, witness = solution_along(envelope, (1, 1, 0))
+    assert (value.render(), value.feasible, witness) == ("Max(2)", False, None)
+    value, witness = solution_along(envelope, (1, 0, 1))
+    assert (value.render(), value.feasible, witness) == ("Max(2)", True, (1, 0, 1))
 
 
 def test_reduce_along_rejects_wrong_source_instance():
