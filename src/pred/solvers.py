@@ -29,20 +29,33 @@ bound before propagation falls by ``|c|`` per step away from the end the
 parent's bound used, so the values not yet prunable form one window
 computed in O(1) per sibling; only those are charged as nodes.
 
-A node the optimistic bound leaves open while an incumbent exists is then
-bounded by a cardinality-row relaxation. Cardinality rows, collected once,
-are the ``<=`` rows whose coefficients are all +1 (packing: at most ``r``
-ones, as in MIS edge rows) or all -1 (covering: at least ``k`` ones, as in
-VC edge and SetCover element rows) over variables boxed in [0, 1]. Each free
+The search holds its nodes in one of two states, chosen from the program
+alone (``_kernel``). The 0-1 kernel (``_BitSearch``) runs a program whose
+every box lies in [0, 1], pre-fixed boxes included, and whose every stored
+row is a cardinality row: all coefficients +1 (packing: at most ``r`` ones,
+as in MIS edge rows) or all -1 (covering: at least ``k`` ones, that is at
+most ``size - k`` zeros, as in VC edge and SetCover element rows). A node
+is two ints, ``ones`` and ``zeros``, with bit j set where x_j is fixed at 1
+or at 0; a row reads one popcount, a full row fixes its free members on the
+other side, and a child sets one bit. The box kernel (``_BoxSearch``) runs
+every other program on two lists of bounds. Both run the same search loop,
+sibling window, node budget and incumbent rule (``_Search``), so on a 0-1
+cardinality program either kernel visits the same nodes.
+
+A node of the 0-1 kernel that the optimistic bound leaves open while an
+incumbent exists is then bounded by a cardinality-row relaxation. Each free
 variable in turn takes its first binding row whose free variables no row
 taken so far holds. A packing row keeps its best ``r`` positive gains; a
 covering row keeps every positive gain plus the least-bad of the rest. The
-gains a row may give up are sorted once, when the search starts, so a node
-sums a prefix of its free ones. The taken rows share no free variable, so
-their one-row optima plus every other variable at its better end bound the
-node, which closes when that is no better than the incumbent. The sibling
-window keeps the plain optimistic bound: only that bound falls by exactly
-``|c|`` per step of the branch value, which the window's arithmetic needs.
+gains a row may give up are sorted once, when the search starts, and a node
+reads how many it gives up from popcounts, summing a prefix of the free
+ones, or multiplying when the row's gains are equal. The taken rows share
+no free variable, so their one-row optima plus every other variable at its
+better end bound the node, which closes when that is no better than the
+incumbent. The box kernel has no relaxation: no forward map emits a
+program that mixes cardinality rows with other rows. The sibling window
+keeps the plain optimistic bound: only that bound falls by exactly ``|c|``
+per step of the branch value, which the window's arithmetic needs.
 
 A node whose optimistic point (positive gains at ``hi``, the rest at
 ``lo``) satisfies every row closes with that point as its incumbent: every
@@ -96,66 +109,144 @@ def solver_label(result: SolveResult, prefix_steps: tuple = ()) -> str:
     return f"{result.solver_name} (via {hops})"
 
 
+Row = tuple[tuple[tuple[int, int], ...], int]
+
+
 class _Search:
-    """One exact DFS over a bounded ILP, maximising ``sign * objective``."""
+    """One exact DFS over a bounded ILP, maximising ``sign * objective``.
+
+    The search loop, the sibling window, the node budget and the incumbent
+    rule are here, once. A subclass holds the node state and answers for it:
+    ``_state`` builds a state from bound lists and ``_optimistic`` sums its
+    bound; ``_propagate`` tightens one from a set of pending rows (every row:
+    ``_all_rows``) to the fixpoint and ``_child`` fixes the branch variable
+    and propagates; ``_first_free``, ``_domain``, ``_closes`` and
+    ``_attained`` bound an open node, and ``witness`` reads the best point
+    back.
+    """
 
     def __init__(self, data: IlpData, max_nodes: int) -> None:
         self.max_nodes = max_nodes
         self.nodes = 0
         self.num_vars = data.num_vars
+        self.var_bounds = data.var_bounds
         self.sign = 1 if data.sense == "max" else -1
         self.gain = [self.sign * c for c in data.objective]
         self.objective = tuple((j, c) for j, c in enumerate(self.gain) if c)
-        # every row reads sum(a * x) <= rhs over its nonzero (index, a) pairs
-        self.rows: list[tuple[tuple[tuple[int, int], ...], int]] = []
-        for coeffs, rel, rhs in data.constraints:
-            pairs = tuple((j, coeffs[j]) for j in compress(range(data.num_vars), coeffs))
-            if rel in ("<=", "="):
-                self.rows.append((pairs, rhs))
-            if rel in (">=", "="):
-                self.rows.append((tuple((j, -a) for j, a in pairs), -rhs))
+        self.best_value: int | None = None
+        self.best_point = None
+
+    def _closes(self, state, branch: int, bound: int, best: int) -> bool:
+        """Whether a relaxation shows the node cannot beat ``best``; none here."""
+        return False
+
+    def _charge_node(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.max_nodes:
+            raise BudgetExceededError(
+                f"branch-and-bound exceeded {self.max_nodes} nodes",
+                limit=self.max_nodes,
+                nodes=self.max_nodes,
+                incumbent=None if self.best_value is None else self.sign * self.best_value,
+            )
+
+    def _enter(self, state, start: int, bound: int) -> list | None:
+        """Bound a propagated node of optimistic bound ``bound``: its open frame, or None."""
+        best = self.best_value
+        if best is not None and bound <= best:
+            return None
+        # variables before ``start`` were fixed by an ancestor's branching
+        branch = self._first_free(state, start)
+        if best is not None and self._closes(state, branch, bound, best):
+            return None
+        point = self._attained(state, branch)
+        if point is not None:
+            # a feasible optimistic point is the subtree's optimum, and the
+            # lexicographically smallest one, since every optimum shares its
+            # nonzero-gain values and its zero-gain values sit at ``lo``
+            self.best_value = bound
+            self.best_point = point
+            return None
+        low, high = self._domain(state, branch)
+        return [state, branch, bound, low, low, high]
+
+    def run(self) -> None:
+        self._charge_node()
+        lo = [l for l, _ in self.var_bounds]
+        hi = [h for _, h in self.var_bounds]
+        root = self._propagate(self._state(lo, hi), self._all_rows())
+        if root is None:
+            return
+        state = root[0]
+        # a frame is [state, branch, bound, next value, lo and hi of the branch variable]
+        frame = self._enter(state, 0, self._optimistic(state))
+        stack = [frame] if frame is not None else []
+        gain = self.gain
+        while stack:
+            frame = stack[-1]
+            state, branch, bound, value, low, high = frame
+            last = high
+            c = gain[branch]
+            if self.best_value is not None:
+                # Before propagation the child at ``v`` is bounded by ``bound``
+                # less |c| per step of ``v`` away from the end ``bound`` used,
+                # so the values it cannot prune form one window. The incumbent
+                # only grows, so the window only shrinks as siblings finish.
+                slack = bound - self.best_value
+                if slack <= 0:
+                    stack.pop()
+                    continue
+                if c > 0:
+                    value = max(value, high - (slack - 1) // c)
+                elif c < 0:
+                    last = min(last, low + (slack - 1) // -c)
+            if value > last:
+                stack.pop()
+                continue
+            frame[3] = value + 1
+            self._charge_node()
+            child = self._child(state, branch, value)
+            if child is not None:
+                child_state, loss = child
+                child_bound = bound + c * (value - (high if c > 0 else low)) - loss
+                child = self._enter(child_state, branch + 1, child_bound)
+                if child is not None:
+                    stack.append(child)
+
+
+class _BoxSearch(_Search):
+    """The box kernel: a node is ``(lo, hi)``, two lists of variable bounds."""
+
+    def __init__(self, data: IlpData, rows: list[Row], max_nodes: int) -> None:
+        super().__init__(data, max_nodes)
+        self.rows = rows
         # raising lo[j] wakes ``lo_rows[j]`` (a > 0), lowering hi[j] ``hi_rows[j]``;
         # ``against[j]`` lists the rows that x_j at its optimistic end pushes
-        # toward violation, the only rows the attained-point test must read;
-        # ``cardinal[j]`` lists, in row order, the cardinality rows holding x_j
-        # as (mask, members, r or k, packing, ranked), ``ranked`` being the
-        # (gain, k) the one-row optimum may give up, best kept first
-        binary = [0 <= l and h <= 1 for l, h in data.var_bounds]
+        # toward violation, the only rows the attained-point test must read
         self.lo_rows: list[list[int]] = [[] for _ in range(data.num_vars)]
         self.hi_rows: list[list[int]] = [[] for _ in range(data.num_vars)]
         self.against: list[list[int]] = [[] for _ in range(data.num_vars)]
-        self.cardinal: list[list[tuple]] = [[] for _ in range(data.num_vars)]
-        for index, (pairs, rhs) in enumerate(self.rows):
+        for index, (pairs, _) in enumerate(rows):
             for j, a in pairs:
                 (self.lo_rows if a > 0 else self.hi_rows)[j].append(index)
                 if (a > 0) == (self.gain[j] > 0):
                     self.against[j].append(index)
-            if len({a for _, a in pairs}) == 1 and abs(pairs[0][1]) == 1 and all(
-                binary[j] for j, _ in pairs
-            ):
-                packing = pairs[0][1] == 1
-                members = tuple(j for j, _ in pairs)
-                # a packing row gives up its least positive gains first, a
-                # covering row takes its least-bad other gains first
-                ranked = sorted(
-                    ((self.gain[k], k) for k in members if (self.gain[k] > 0) == packing),
-                    reverse=not packing,
-                )
-                mask = sum(1 << j for j in members)
-                row = (mask, members, rhs if packing else -rhs, packing, tuple(ranked))
-                for j in members:
-                    self.cardinal[j].append(row)
-        self.has_cardinal = any(self.cardinal)
-        self.var_bounds = data.var_bounds
-        self.best_value: int | None = None
-        self.best_point: tuple[int, ...] | None = None
 
-    def _propagate(self, lo: list[int], hi: list[int], pending: list[int]) -> int | None:
-        """Tighten bounds from the distinct rows in the ``pending`` stack to a fixpoint.
+    def _state(self, lo: list[int], hi: list[int]) -> tuple[list[int], list[int]]:
+        return lo, hi
+
+    def _all_rows(self) -> list[int]:
+        return list(range(len(self.rows)))
+
+    def _propagate(self, state, pending: list[int]) -> tuple | None:
+        """Tighten ``state`` in place from the distinct rows in the ``pending`` stack
+        to a fixpoint.
 
         A bound move wakes only the rows whose least activity reads it. Returns
-        what the moves took from the optimistic bound, or None if a row fails.
+        the state and what the moves took from the optimistic bound, or None if
+        a row fails.
         """
+        lo, hi = state
         enqueued = set(pending)
         rows = self.rows
         gain = self.gain
@@ -190,61 +281,37 @@ class _Search:
                     if other not in enqueued:
                         pending.append(other)
                         enqueued.add(other)
-        return loss
+        return state, loss
 
-    def _optimistic(self, lo: list[int], hi: list[int]) -> int:
+    def _optimistic(self, state) -> int:
+        lo, hi = state
         total = 0
         for j, c in self.objective:
             total += c * (hi[j] if c > 0 else lo[j])
         return total
 
-    def _rows_close(
-        self, lo: list[int], hi: list[int], branch: int, bound: int, best: int
-    ) -> bool:
-        """Whether the cardinality-row relaxation of a node is at most ``best``.
+    def _child(self, state, branch: int, value: int) -> tuple | None:
+        lo, hi = state
+        child_lo = lo.copy()
+        child_hi = hi.copy()
+        child_lo[branch] = child_hi[branch] = value
+        # only the rows reading a bound the branch moved can tighten
+        pending = self.lo_rows[branch].copy() if value > lo[branch] else []
+        if value < hi[branch]:
+            pending += self.hi_rows[branch]
+        return self._propagate((child_lo, child_hi), pending)
 
-        Each free variable not yet covered, in index order, takes its first
-        binding row whose free variables are all uncovered; a taken row gets
-        its exact one-row optimum, read off a prefix of its presorted gains,
-        and every other variable keeps its optimistic end.
-        """
-        # a set of variables is an int with bit j for x_j
-        free_mask = 0
-        for j in range(branch, self.num_vars):
-            if lo[j] < hi[j]:
-                free_mask |= 1 << j
-        taken = 0
-        for j in range(branch, self.num_vars):
-            if lo[j] == hi[j] or taken >> j & 1:
-                continue
-            for mask, members, rhs, packing, ranked in self.cardinal[j]:
-                free = mask & free_mask
-                # propagation leaves every row with slack, so a row binds
-                # only when it has at least two free variables
-                if not free & (free - 1) or free & taken:
-                    continue
-                fixed = sum(lo[k] for k in members)  # free variables have lo == 0
-                gains = [g for g, k in ranked if lo[k] < hi[k]]
-                if packing:
-                    # at most rhs - fixed of the positive gains are kept
-                    excess = len(gains) - (rhs - fixed)
-                    if excess <= 0:
-                        continue
-                    bound -= sum(gains[:excess])
-                else:
-                    # at least rhs - fixed ones, the positive gains among them
-                    short = rhs - fixed - (free.bit_count() - len(gains))
-                    if short <= 0:
-                        continue
-                    bound += sum(gains[:short])
-                if bound <= best:
-                    return True
-                taken |= free
-                break
-        return False
+    def _first_free(self, state, start: int) -> int:
+        lo, hi = state
+        return next((j for j in range(start, self.num_vars) if lo[j] < hi[j]), self.num_vars)
 
-    def _attained(self, lo: list[int], hi: list[int], branch: int) -> tuple | None:
+    def _domain(self, state, branch: int) -> tuple[int, int]:
+        lo, hi = state
+        return lo[branch], hi[branch]
+
+    def _attained(self, state, branch: int) -> tuple | None:
         """The node's optimistic point when it satisfies every row, else None."""
+        lo, hi = state
         gain = self.gain
         rows = self.rows
         seen: set[int] = set()
@@ -264,101 +331,224 @@ class _Search:
                     return None
         return tuple(hi[j] if gain[j] > 0 else lo[j] for j in range(self.num_vars))
 
-    def _charge_node(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise BudgetExceededError(
-                f"branch-and-bound exceeded {self.max_nodes} nodes",
-                limit=self.max_nodes,
-                nodes=self.max_nodes,
-                incumbent=None if self.best_value is None else self.sign * self.best_value,
-            )
+    def witness(self) -> Configuration:
+        return tuple(x - l for x, (l, _) in zip(self.best_point, self.var_bounds))
 
-    def _enter(self, lo: list[int], hi: list[int], start: int, bound: int) -> list | None:
-        """Bound a propagated node of optimistic bound ``bound``: its open frame, or None."""
-        best = self.best_value
-        if best is not None and bound <= best:
-            return None
-        # variables before ``start`` were fixed by an ancestor's branching
-        branch = next((j for j in range(start, self.num_vars) if lo[j] < hi[j]), self.num_vars)
-        if (
-            best is not None
-            and self.has_cardinal
-            and self._rows_close(lo, hi, branch, bound, best)
-        ):
-            return None
-        point = self._attained(lo, hi, branch)
-        if point is not None:
-            # a feasible optimistic point is the subtree's optimum, and the
-            # lexicographically smallest one, since every optimum shares its
-            # nonzero-gain values and its zero-gain values sit at ``lo``
-            self.best_value = bound
-            self.best_point = point
-            return None
-        return [lo, hi, branch, bound, lo[branch]]
 
-    def run(self) -> None:
-        lo = [l for l, _ in self.var_bounds]
-        hi = [h for _, h in self.var_bounds]
-        self._charge_node()
-        if self._propagate(lo, hi, list(range(len(self.rows)))) is None:
-            return
-        # a frame is [lo, hi, branch, bound, next value of the branch variable]
-        frame = self._enter(lo, hi, 0, self._optimistic(lo, hi))
-        stack = [frame] if frame is not None else []
-        while stack:
-            frame = stack[-1]
-            lo, hi, branch, bound, value = frame
-            last = hi[branch]
-            c = self.gain[branch]
-            if self.best_value is not None:
-                # Before propagation the child at ``v`` is bounded by ``bound``
-                # less |c| per step of ``v`` away from the end ``bound`` used,
-                # so the values it cannot prune form one window. The incumbent
-                # only grows, so the window only shrinks as siblings finish.
-                slack = bound - self.best_value
-                if slack <= 0:
-                    stack.pop()
-                    continue
-                if c > 0:
-                    value = max(value, hi[branch] - (slack - 1) // c)
-                elif c < 0:
-                    last = min(last, lo[branch] + (slack - 1) // -c)
-            if value > last:
-                stack.pop()
+class _BitSearch(_Search):
+    """The 0-1 kernel: a node is ``(ones, zeros)``, two ints with bit j set
+    where x_j is fixed at 1 and at 0.
+
+    Each stored row caps how many of its members sit on one side: a packing
+    row (all +1, rhs ``r``) at most ``r`` ones, a covering row (all -1, rhs
+    ``-k``) at most ``size - k`` zeros, so a row reads one popcount. A full
+    row fixes its free members on the other side.
+    """
+
+    def __init__(self, data: IlpData, rows: list[Row], max_nodes: int) -> None:
+        super().__init__(data, max_nodes)
+        n = data.num_vars
+        self.full = (1 << n) - 1
+        self.positive = sum(1 << j for j, g in enumerate(self.gain) if g > 0)
+        # ``caps`` holds (mask, cap, packing) per row; fixing x_j at 1 wakes the
+        # rows of bitmask ``wake_one[j]`` and takes ``drop_one[j]`` from the
+        # optimistic bound, fixing it at 0 ``wake_zero[j]`` and ``drop_zero[j]``
+        self.caps: list[tuple[int, int, bool]] = []
+        self.wake_one = [0] * n
+        self.wake_zero = [0] * n
+        self.drop_one = [max(-g, 0) for g in self.gain]
+        self.drop_zero = [max(g, 0) for g in self.gain]
+        # ``against[j]`` lists the rows whose capped side holds x_j at its
+        # optimistic end, the only rows the attained-point test must read
+        self.against: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
+        # ``cardinal[j]`` lists, in row order, the rows holding x_j as (mask,
+        # cap, packing, ranked, costs, unit): ``ranked`` masks the members whose
+        # optimistic end is on the capped side, ``costs`` their (cost, bit)
+        # cheapest first, what the one-row optimum may give up, and ``unit``
+        # their one cost when all are equal
+        self.cardinal: list[list[tuple]] = [[] for _ in range(n)]
+        for index, (pairs, rhs) in enumerate(rows):
+            packing = not pairs or pairs[0][1] == 1
+            mask = sum(1 << j for j, _ in pairs)
+            cap = rhs if packing else len(pairs) + rhs
+            self.caps.append((mask, cap, packing))
+            for j, _ in pairs:
+                (self.wake_one if packing else self.wake_zero)[j] |= 1 << index
+            filling = [j for j, _ in pairs if (self.gain[j] > 0) == packing]
+            for j in filling:
+                self.against[j].append((mask, cap, packing))
+            costs = sorted((abs(self.gain[j]), 1 << j) for j in filling)
+            ranked = sum(bit for _, bit in costs)
+            unit = costs[0][0] if len({cost for cost, _ in costs}) == 1 else None
+            row = (mask, cap, packing, ranked, tuple(costs), unit)
+            for j, _ in pairs:
+                self.cardinal[j].append(row)
+
+    def _state(self, lo: list[int], hi: list[int]) -> tuple[int, int]:
+        ones = sum(1 << j for j, l in enumerate(lo) if l)
+        zeros = sum(1 << j for j, h in enumerate(hi) if not h)
+        return ones, zeros
+
+    def _all_rows(self) -> int:
+        return (1 << len(self.caps)) - 1
+
+    def _propagate(self, state, pending: int) -> tuple | None:
+        """Tighten ``state`` from the rows of bitmask ``pending`` to a fixpoint.
+
+        Returns the new state and what the fixings took from the optimistic
+        bound, or None if a row holds more than its cap.
+        """
+        ones, zeros = state
+        caps = self.caps
+        loss = 0
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            mask, cap, packing = caps[low.bit_length() - 1]
+            room = cap - (mask & (ones if packing else zeros)).bit_count()
+            if room:
+                if room < 0:
+                    return None
                 continue
-            frame[4] = value + 1
-            self._charge_node()
-            child_lo = lo.copy()
-            child_hi = hi.copy()
-            child_lo[branch] = child_hi[branch] = value
-            # only the rows reading a bound the branch moved can tighten
-            pending = self.lo_rows[branch].copy() if value > lo[branch] else []
-            if value < hi[branch]:
-                pending += self.hi_rows[branch]
-            loss = self._propagate(child_lo, child_hi, pending)
-            if loss is not None:
-                end = hi[branch] if c > 0 else lo[branch]
-                child_bound = bound + c * (value - end) - loss
-                child = self._enter(child_lo, child_hi, branch + 1, child_bound)
-                if child is not None:
-                    stack.append(child)
+            moved = mask & ~(ones | zeros)
+            if packing:
+                zeros |= moved
+                woken, dropped = self.wake_zero, self.drop_zero
+            else:
+                ones |= moved
+                woken, dropped = self.wake_one, self.drop_one
+            while moved:
+                bit = moved & -moved
+                moved ^= bit
+                j = bit.bit_length() - 1
+                pending |= woken[j]
+                loss += dropped[j]
+        return (ones, zeros), loss
+
+    def _optimistic(self, state) -> int:
+        ones, zeros = state
+        total = 0
+        for j, c in self.objective:
+            if (ones if c < 0 else ~zeros) >> j & 1:
+                total += c
+        return total
+
+    def _child(self, state, branch: int, value: int) -> tuple | None:
+        ones, zeros = state
+        bit = 1 << branch
+        if value:
+            return self._propagate((ones | bit, zeros), self.wake_one[branch])
+        return self._propagate((ones, zeros | bit), self.wake_zero[branch])
+
+    def _first_free(self, state, start: int) -> int:
+        ones, zeros = state
+        free = self.full & ~(ones | zeros)
+        return (free & -free).bit_length() - 1 if free else self.num_vars
+
+    def _domain(self, state, branch: int) -> tuple[int, int]:
+        return 0, 1
+
+    def _closes(self, state, branch: int, bound: int, best: int) -> bool:
+        """Whether the cardinality-row relaxation of a node is at most ``best``.
+
+        Each free variable not yet covered, in index order, takes its first
+        binding row whose free variables are all uncovered; a taken row gets
+        its exact one-row optimum, which gives up the cheapest of its free
+        members whose optimistic end overfills its capped side, and every
+        other variable keeps its optimistic end.
+        """
+        ones, zeros = state
+        free_all = rest = self.full & ~(ones | zeros)
+        taken = 0
+        cardinal = self.cardinal
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for row in cardinal[low.bit_length() - 1]:
+                free = row[0] & free_all
+                # propagation leaves every row with room, so a row binds
+                # only when it has at least two free variables
+                if not free & (free - 1) or free & taken:
+                    continue
+                mask, cap, packing, ranked, costs, unit = row
+                room = cap - (mask & (ones if packing else zeros)).bit_count()
+                over = (free & ranked).bit_count() - room
+                if over <= 0:
+                    continue
+                if unit is not None:
+                    bound -= unit * over
+                else:
+                    for cost, bit in costs:
+                        if free & bit:
+                            bound -= cost
+                            over -= 1
+                            if not over:
+                                break
+                if bound <= best:
+                    return True
+                taken |= free
+                rest &= ~free
+                break
+        return False
+
+    def _attained(self, state, branch: int) -> int | None:
+        """The node's optimistic point, as the mask of its ones, when it
+        satisfies every row, else None."""
+        ones, zeros = state
+        free = self.full & ~(ones | zeros)
+        point = ones | (free & self.positive)
+        unset = self.full & ~point
+        # only a row that a free variable's optimistic end fills can overflow
+        while free:
+            low = free & -free
+            free ^= low
+            for mask, cap, packing in self.against[low.bit_length() - 1]:
+                if (mask & (point if packing else unset)).bit_count() > cap:
+                    return None
+        return point
+
+    def witness(self) -> Configuration:
+        point = self.best_point
+        return tuple((point >> j & 1) - l for j, (l, _) in enumerate(self.var_bounds))
+
+
+def _stored_rows(data: IlpData) -> list[Row]:
+    """Every constraint as ``<=`` rows of its nonzero ``(index, coeff)`` pairs:
+    a ``>=`` row negated, an ``=`` row split in two, in constraint order."""
+    rows: list[Row] = []
+    for coeffs, rel, rhs in data.constraints:
+        pairs = tuple((j, coeffs[j]) for j in compress(range(data.num_vars), coeffs))
+        if rel in ("<=", "="):
+            rows.append((pairs, rhs))
+        if rel in (">=", "="):
+            rows.append((tuple((j, -a) for j, a in pairs), -rhs))
+    return rows
+
+
+def _kernel(data: IlpData, max_nodes: int) -> _Search:
+    """The search ``solve_ilp`` runs on ``data``: the 0-1 kernel when every box
+    lies in [0, 1] and every stored row is a cardinality row (an empty row
+    included), the box kernel otherwise."""
+    rows = _stored_rows(data)
+    zero_one = all(0 <= l and h <= 1 for l, h in data.var_bounds) and all(
+        a == pairs[0][1] and abs(a) == 1 for pairs, _ in rows for _, a in pairs
+    )
+    return (_BitSearch if zero_one else _BoxSearch)(data, rows, max_nodes)
 
 
 def solve_ilp(data: IlpData, max_nodes: int = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Exact optimum of a bounded integer linear program."""
     sense = SENSE_MAXIMIZE if data.sense == "max" else SENSE_MINIMIZE
-    search = _Search(data, max_nodes)
+    search = _kernel(data, max_nodes)
     search.run()
     if search.best_point is None:
         return SolveResult(
             AggregatedValue(ValueKind.EXTREMUM, None, False, sense), None, "ilp"
         )
-    witness = tuple(x - l for x, (l, _) in zip(search.best_point, data.var_bounds))
     value = search.sign * search.best_value
     return SolveResult(
         AggregatedValue(ValueKind.EXTREMUM, value, True, sense),
-        witness,
+        search.witness(),
         "ilp",
     )
 

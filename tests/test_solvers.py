@@ -50,7 +50,7 @@ from pred import (
     solver_label,
     shipped_rules,
 )
-from pred.solvers import SOLVERS, _Search
+from pred.solvers import SOLVERS, _BitSearch, _BoxSearch, _kernel
 
 from generators import (
     gnp_edges,
@@ -206,45 +206,102 @@ def test_cardinality_row_bound_keeps_the_first_optimum():
             assert _point(ilp.data, result.witness) == winners[0]
 
 
+# A 0-1 program of cardinality rows with tied optima: a packing row, a covering
+# row as ``>=``, one as ``<=`` over -1, and an ``=`` row, which is both
+CARDINAL_BOUNDS = ((0, 1),) * 5
+CARDINAL_ROWS = (
+    ((1, 1, 1, 0, 0), "<=", 2),
+    ((0, 0, 1, 1, 0), ">=", 1),
+    ((0, -1, 0, -1, -1), "<=", -1),
+    ((1, 0, 0, 1, 1), "=", 2),
+)
+KERNEL_CASES = [
+    ("zero-one", _BitSearch, CARDINAL_BOUNDS, CARDINAL_ROWS),
+    ("general-row", _BoxSearch, CARDINAL_BOUNDS, CARDINAL_ROWS + (((2, 1, 0, 0, 0), "<=", 2),)),
+    ("wide-box", _BoxSearch, ((0, 1),) * 4 + ((0, 2),), CARDINAL_ROWS),
+    ("zero-row", _BitSearch, CARDINAL_BOUNDS, CARDINAL_ROWS + (((0,) * 5, "<=", 0),)),
+    ("zero-row-fails", _BitSearch, CARDINAL_BOUNDS, CARDINAL_ROWS + (((0,) * 5, ">=", 1),)),
+    ("pre-fixed", _BitSearch, ((1, 1), (0, 1), (0, 0), (0, 1), (0, 1)), CARDINAL_ROWS),
+    ("empty", _BitSearch, (), ()),
+]
+
+
+@pytest.mark.parametrize("sense", ["max", "min"])
+@pytest.mark.parametrize("objective", [(1, 1, 1, 1, 1), (2, -1, 0, 3, -2)])
+@pytest.mark.parametrize(
+    "kernel,bounds,rows", [case[1:] for case in KERNEL_CASES], ids=[c[0] for c in KERNEL_CASES]
+)
+def test_kernel_is_selected_from_the_program_and_keeps_the_first_optimum(
+    kernel, bounds, rows, objective, sense
+):
+    n = len(bounds)
+    data = IlpData(n, bounds, rows, objective[:n], sense)
+    assert type(_kernel(data, DEFAULT_NODE_BUDGET)) is kernel
+    result = solve_ilp(data)
+    expected, winners = best_ilp(bounds, rows, objective[:n], sense)
+    if expected is None:
+        assert not result.value.feasible and result.witness is None
+    else:
+        assert result.value.payload == expected
+        assert _point(data, result.witness) == winners[0]
+
+
 # --- the kernel: propagation fixpoint, carried bound, pinned search -------------
 
 
+def _box(search, state):
+    """A node state of either kernel as (lo, hi) lists."""
+    if isinstance(search, _BitSearch):
+        ones, zeros = state
+        n = search.num_vars
+        return [ones >> j & 1 for j in range(n)], [1 - (zeros >> j & 1) for j in range(n)]
+    lo, hi = state
+    return list(lo), list(hi)
+
+
+def _optimistic(search, lo, hi):
+    return sum(c * (hi[j] if c > 0 else lo[j]) for j, c in enumerate(search.gain))
+
+
 def _assert_propagates_like_the_reference(data, lo, hi):
-    search = _Search(data, DEFAULT_NODE_BUDGET)
+    search = _kernel(data, DEFAULT_NODE_BUDGET)
     expected = propagate_bounds(lo, hi, data.constraints)
-    got_lo, got_hi = list(lo), list(hi)
-    loss = search._propagate(got_lo, got_hi, list(range(len(search.rows))))
+    out = search._propagate(search._state(list(lo), list(hi)), search._all_rows())
     if expected is None:
-        assert loss is None
+        assert out is None
     else:
-        assert (got_lo, got_hi) == expected
-        assert loss == search._optimistic(lo, hi) - search._optimistic(got_lo, got_hi)
+        assert _box(search, out[0]) == expected
+        assert out[1] == _optimistic(search, lo, hi) - _optimistic(search, *expected)
 
 
 def _search_checked(data):
-    """Run the search, checking every propagation against the reference from
-    scratch and every node's carried bound against a full recompute."""
-    propagate, enter = _Search._propagate, _Search._enter
+    """Run the search ``solve_ilp`` selects, checking every propagation against
+    the reference from scratch and every node's carried bound against a full
+    recompute; returns the finished search."""
+    search = _kernel(data, DEFAULT_NODE_BUDGET)
+    kernel = type(search)
+    propagate, enter = kernel._propagate, kernel._enter
 
-    def checked_propagate(self, lo, hi, pending):
-        before = list(lo), list(hi)
-        loss = propagate(self, lo, hi, pending)
+    def checked_propagate(self, state, pending):
+        before = _box(self, state)
+        out = propagate(self, state, pending)
         expected = propagate_bounds(*before, data.constraints)
         if expected is None:
-            assert loss is None
+            assert out is None
         else:
-            assert (lo, hi) == expected
-            assert loss == self._optimistic(*before) - self._optimistic(lo, hi)
-        return loss
+            assert _box(self, out[0]) == expected
+            assert out[1] == _optimistic(self, *before) - _optimistic(self, *expected)
+        return out
 
-    def checked_enter(self, lo, hi, start, bound):
-        assert bound == self._optimistic(lo, hi)
-        return enter(self, lo, hi, start, bound)
+    def checked_enter(self, state, start, bound):
+        assert bound == _optimistic(self, *_box(self, state))
+        return enter(self, state, start, bound)
 
-    with mock.patch.object(_Search, "_propagate", checked_propagate), mock.patch.object(
-        _Search, "_enter", checked_enter
+    with mock.patch.object(kernel, "_propagate", checked_propagate), mock.patch.object(
+        kernel, "_enter", checked_enter
     ):
-        _Search(data, DEFAULT_NODE_BUDGET).run()
+        search.run()
+    return search
 
 
 def test_propagation_reaches_the_reference_fixpoint():
@@ -262,6 +319,22 @@ def test_propagation_reaches_the_reference_fixpoint():
                 lo[j] = hi[j] = rng.randint(lo[j], hi[j])
         _assert_propagates_like_the_reference(ilp.data, lo, hi)
         _search_checked(ilp.data)
+
+
+def test_zero_one_kernel_propagates_and_bounds_like_the_reference():
+    # every cardinality program runs on the 0-1 kernel; its popcount rows must
+    # reach the reference fixpoint and carry the recomputed bound at every node
+    rng = make_rng(1313)
+    for _ in range(300):
+        ilp, (bounds, constraints, objective, sense) = random_cardinality_ilp(rng)
+        search = _search_checked(ilp.data)
+        assert isinstance(search, _BitSearch)
+        expected, winners = best_ilp(bounds, constraints, objective, sense)
+        if expected is None:
+            assert search.best_point is None
+        else:
+            assert search.sign * search.best_value == expected
+            assert _point(ilp.data, search.witness()) == winners[0]
 
 
 @st.composite
@@ -294,8 +367,9 @@ def test_drawn_propagation_reaches_the_reference_fixpoint(case):
 
 # (family, seed, B&B nodes, value, witness) of searches whose node counts are
 # pinned: a change to propagation or pruning that visits other nodes must
-# update them on purpose. Each search runs on the instance's ILP encoding;
-# ``solve`` must give the same value and witness whatever node it solves at.
+# update them on purpose. Each search runs on the instance's ILP encoding, on
+# the kernel ``solve_ilp`` selects for it; ``solve`` must give the same value
+# and witness whatever node it solves at.
 SEARCH_PINS = [
     ("mis", 1, 675, 13, "001101011100110010000000101110"),
     ("mis", 2, 587, 14, "110000110000110100001001011111"),
@@ -305,6 +379,13 @@ SEARCH_PINS = [
     ("qubo", 2, 111, 33, "10110110"),
     ("gc", 5, 1057, True, "2112"),
     ("gc", 10, 1331, True, "2121"),
+    # the MIS program of G(40, 0.15) as a hand-written ILP, then with one
+    # general row beside its cardinality rows: that sends it to the box
+    # kernel, which has no cardinality-row relaxation, so the same optimum
+    # costs 34,910 nodes against 1,473 (a change to that trade-off must
+    # update these on purpose)
+    ("ilp", 4, 1473, 14, "0000000110001110101011000001100010010001"),
+    ("ilp-mixed", 4, 34910, 14, "0000000110001110101011000001100010010001"),
 ]
 
 
@@ -316,6 +397,15 @@ def _pinned_instance(family, seed):
         return partition_set_cover(rng)[0]
     if family == "qubo":
         return random_qubo(rng, 8, min_n=8)[0]
+    if family.startswith("ilp"):
+        n = 40
+        rows = tuple(
+            (tuple(1 if k in edge else 0 for k in range(n)), "<=", 1)
+            for edge in gnp_edges(rng, n, 0.15)
+        )
+        if family == "ilp-mixed":
+            rows += ((tuple([2, 1] + [0] * (n - 2)), "<=", 2),)
+        return Ilp(IlpData(n, ((0, 1),) * n, rows, (1,) * n, "max"))
     return random_coloring(rng, max_vertices=4, colors=3)[0]
 
 
@@ -325,9 +415,12 @@ def _pinned_instance(family, seed):
 def test_search_nodes_and_witness_are_pinned(family, seed, nodes, value, witness):
     instance = _pinned_instance(family, seed)
     route = default_graph().find_path(instance.variant_key(), REGISTRY.lookup("ILP").key)
-    search = _Search(reduce_along(route, instance).target_instance.data, DEFAULT_NODE_BUDGET)
+    search = _kernel(reduce_along(route, instance).target_instance.data, DEFAULT_NODE_BUDGET)
     search.run()
     result = solve(instance)
+    # QUBO's linearisation rows mix signs, as does ilp-mixed's added row;
+    # every other family is a 0-1 program of cardinality rows
+    assert isinstance(search, _BoxSearch if family in ("qubo", "ilp-mixed") else _BitSearch)
     assert search.nodes == nodes
     assert result.value.payload == value
     assert "".join(map(str, result.witness)) == witness
