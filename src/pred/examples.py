@@ -156,9 +156,9 @@ def build_examples(registry: Registry | None = None) -> dict[VariantKey, Canonic
                     4,
                     ((0, 1),) * 4,
                     (
-                        ((1, 1, 0, 0), "<=", 1),
-                        ((0, 1, 1, 0), "<=", 1),
-                        ((0, 0, 1, 1), "<=", 1),
+                        (((0, 1), (1, 1)), "<=", 1),
+                        (((1, 1), (2, 1)), "<=", 1),
+                        (((2, 1), (3, 1)), "<=", 1),
                     ),
                     (1, 1, 1, 1),
                     "max",

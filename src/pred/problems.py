@@ -138,11 +138,13 @@ class CnfData(Record):
 
 
 class IlpData(Record):
-    """Integer linear program with finite box bounds on every variable."""
+    """Integer linear program with finite box bounds on every variable. Each
+    constraint is ``(terms, rel, rhs)``, ``terms`` being its nonzero
+    ``(index, coeff)`` pairs by increasing index; documents keep dense rows."""
 
     num_vars: int
     var_bounds: tuple[tuple[int, int], ...]
-    constraints: tuple[tuple[tuple[int, ...], str, int], ...]
+    constraints: tuple[tuple[tuple[tuple[int, int], ...], str, int], ...]
     objective: tuple[int, ...]
     sense: str  # "max" | "min"
 
@@ -155,12 +157,17 @@ class IlpData(Record):
             if lo > hi:
                 raise InvalidInstanceError(f"empty variable domain [{lo},{hi}]")
         constraints = []
-        for coeffs, rel, rhs in self.constraints:
-            if len(coeffs) != self.num_vars:
-                raise InvalidInstanceError("constraint coefficient length != variable count")
+        for terms, rel, rhs in self.constraints:
+            terms = tuple((j, a) for j, a in terms)
+            # each index is above the one before it (-1 for the first) and below num_vars
+            for (i, _), (j, a) in zip(((-1, 1),) + terms, terms):
+                if not i < j < self.num_vars or a == 0:
+                    raise InvalidInstanceError(
+                        f"constraint term {(j, a)} is out of range, out of index order or zero"
+                    )
             if rel not in ("<=", ">=", "="):
                 raise InvalidInstanceError(f"bad relation {rel!r}")
-            constraints.append((tuple(coeffs), rel, rhs))
+            constraints.append((terms, rel, rhs))
         object.__setattr__(self, "constraints", tuple(constraints))
         object.__setattr__(self, "var_bounds", tuple((lo, hi) for lo, hi in self.var_bounds))
         object.__setattr__(self, "objective", tuple(self.objective))
@@ -168,8 +175,8 @@ class IlpData(Record):
             raise InvalidInstanceError(f"bad sense {self.sense!r}")
 
     def holds(self, x: tuple[int, ...]) -> bool:
-        for coeffs, rel, rhs in self.constraints:
-            lhs = sum(a * xi for a, xi in zip(coeffs, x))
+        for terms, rel, rhs in self.constraints:
+            lhs = sum(a * x[j] for j, a in terms)
             if rel == "<=" and lhs > rhs:
                 return False
             if rel == ">=" and lhs < rhs:
@@ -525,8 +532,8 @@ class Ilp(Record, Problem):
             "num_vars": self.data.num_vars,
             "bounds": [list(b) for b in self.data.var_bounds],
             "constraints": [
-                {"coeffs": list(coeffs), "rel": rel, "rhs": rhs}
-                for coeffs, rel, rhs in self.data.constraints
+                {"coeffs": _dense(terms, self.data.num_vars), "rel": rel, "rhs": rhs}
+                for terms, rel, rhs in self.data.constraints
             ],
             "objective": list(self.data.objective),
             "sense": self.data.sense,
@@ -710,6 +717,21 @@ def _ilp_constraints(values, what: str) -> tuple[tuple[tuple[int, ...], object, 
     return tuple(rows)
 
 
+# An ILP document row is dense, one coefficient per variable: only these two know it.
+def _dense(terms: tuple[tuple[int, int], ...], num_vars: int) -> list[int]:
+    coeffs = [0] * num_vars
+    for j, a in terms:
+        coeffs[j] = a
+    return coeffs
+
+
+def _ilp(d: Mapping) -> Ilp:
+    if any(len(coeffs) != d["num_vars"] for coeffs, _, _ in d["constraints"]):
+        raise InvalidInstanceError("constraint coefficient length != variable count")
+    rows = [(tuple((j, a) for j, a in enumerate(c) if a), r, b) for c, r, b in d["constraints"]]
+    return Ilp(IlpData(d["num_vars"], d["bounds"], rows, d["objective"], d["sense"]))
+
+
 def _graph(data: Mapping) -> GraphData:
     return GraphData(data["num_vertices"], data["edges"], data.get("weights"))
 
@@ -757,9 +779,7 @@ DATA_FIELDS: dict[str, tuple[dict, dict, Callable[[Mapping], Problem]]] = {
             "sense": lambda value, what: value,  # IlpData checks it is "max" or "min"
         },
         {},
-        lambda d: Ilp(
-            IlpData(d["num_vars"], d["bounds"], d["constraints"], d["objective"], d["sense"])
-        ),
+        _ilp,
     ),
     "DecisionMaximumIndependentSet": (
         {**_GRAPH, "bound": _int},

@@ -261,17 +261,10 @@ def _forward_clique_to_mis(instance: Clique) -> tuple[Problem, dict]:
     }
 
 
-def _edge_indicator(n: int, u: int, v: int) -> tuple[int, ...]:
-    row = [0] * n
-    row[u] = 1
-    row[v] = 1
-    return tuple(row)
-
-
 def _forward_mis_to_ilp(instance: IndependentSet) -> tuple[Problem, dict]:
     g = instance.graph
     n = g.num_vertices
-    constraints = tuple((_edge_indicator(n, u, v), "<=", 1) for u, v in g.edges)
+    constraints = tuple((((u, 1), (v, 1)), "<=", 1) for u, v in g.edges)
     data = IlpData(n, ((0, 1),) * n, constraints, g.weights, "max")
     return Ilp(data), {"num_vars": n}
 
@@ -279,7 +272,7 @@ def _forward_mis_to_ilp(instance: IndependentSet) -> tuple[Problem, dict]:
 def _forward_vc_to_ilp(instance: VertexCover) -> tuple[Problem, dict]:
     g = instance.graph
     n = g.num_vertices
-    constraints = tuple((_edge_indicator(n, u, v), ">=", 1) for u, v in g.edges)
+    constraints = tuple((((u, 1), (v, 1)), ">=", 1) for u, v in g.edges)
     data = IlpData(n, ((0, 1),) * n, constraints, (1,) * n, "min")
     return Ilp(data), {"num_vars": n}
 
@@ -287,11 +280,12 @@ def _forward_vc_to_ilp(instance: VertexCover) -> tuple[Problem, dict]:
 def _forward_setcover_to_ilp(instance: SetCover) -> tuple[Problem, dict]:
     sc = instance.data
     n = len(sc.sets)
-    constraints = []
-    for element in range(sc.num_elements):
-        row = tuple(1 if element in s else 0 for s in sc.sets)
-        constraints.append((row, ">=", 1))
-    data = IlpData(n, ((0, 1),) * n, tuple(constraints), (1,) * n, "min")
+    holders: list[list[tuple[int, int]]] = [[] for _ in range(sc.num_elements)]
+    for i, s in enumerate(sc.sets):
+        for element in set(s):
+            holders[element].append((i, 1))
+    constraints = tuple((tuple(row), ">=", 1) for row in holders)
+    data = IlpData(n, ((0, 1),) * n, constraints, (1,) * n, "min")
     return Ilp(data), {"num_vars": n}
 
 
@@ -380,29 +374,16 @@ def _forward_qubo_to_ilp(instance: Qubo) -> tuple[Problem, dict]:
     qd = instance.data
     n = qd.n
     total = n + n * n
-
-    def y_index(i: int, k: int) -> int:
-        return n + i * n + k
-
-    constraints: list[tuple[tuple[int, ...], str, int]] = []
+    constraints = []
     objective = [0] * total
     for i in range(n):
         for k in range(n):
-            y = y_index(i, k)
+            y = n + i * n + k
             objective[y] = qd.q[i][k]
-            row = [0] * total
-            row[y] = 1
-            row[i] -= 1
-            constraints.append((tuple(row), "<=", 0))  # y <= x_i
-            row = [0] * total
-            row[y] = 1
-            row[k] -= 1
-            constraints.append((tuple(row), "<=", 0))  # y <= x_k
-            row = [0] * total
-            row[i] += 1
-            row[k] += 1
-            row[y] = -1
-            constraints.append((tuple(row), "<=", 1))  # y >= x_i + x_k - 1
+            constraints.append((((i, -1), (y, 1)), "<=", 0))  # y <= x_i
+            constraints.append((((k, -1), (y, 1)), "<=", 0))  # y <= x_k
+            pair = ((i, 2),) if i == k else ((min(i, k), 1), (max(i, k), 1))
+            constraints.append(((*pair, (y, -1)), "<=", 1))  # y >= x_i + x_k - 1
     data = IlpData(total, ((0, 1),) * total, tuple(constraints), tuple(objective), "max")
     return Ilp(data), {"num_vars": n}
 

@@ -12,8 +12,8 @@ other instance is enumerated by brute force. Adding a solver is one entry
 in the table.
 
 The ILP backend is an exact depth-first branch-and-bound that maximises; a
-min program is searched on its negated objective. Each constraint is stored
-once as a sparse ``<=`` row of its nonzero ``(index, coeff)`` pairs (a
+min program is searched on its negated objective. Each ``IlpData`` row is
+its nonzero ``(index, coeff)`` terms, stored as they are as a ``<=`` row (a
 ``>=`` row negated, an ``=`` row split in two). Rows tighten variable bounds
 until nothing moves; every row rule is monotone, so the order rows are
 visited in does not change the fixpoint. A row's rule reads only its least
@@ -70,8 +70,6 @@ lexicographically smallest optimal point.
 """
 
 from __future__ import annotations
-
-from itertools import compress
 
 from .errors import BudgetExceededError, Record
 from .graph import ReductionPath, default_graph, reduce_along, solution_along
@@ -516,12 +514,11 @@ def _stored_rows(data: IlpData) -> list[Row]:
     """Every constraint as ``<=`` rows of its nonzero ``(index, coeff)`` pairs:
     a ``>=`` row negated, an ``=`` row split in two, in constraint order."""
     rows: list[Row] = []
-    for coeffs, rel, rhs in data.constraints:
-        pairs = tuple((j, coeffs[j]) for j in compress(range(data.num_vars), coeffs))
+    for terms, rel, rhs in data.constraints:
         if rel in ("<=", "="):
-            rows.append((pairs, rhs))
+            rows.append((terms, rhs))
         if rel in (">=", "="):
-            rows.append((tuple((j, -a) for j, a in pairs), -rhs))
+            rows.append((tuple((j, -a) for j, a in terms), -rhs))
     return rows
 
 

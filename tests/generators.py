@@ -154,6 +154,21 @@ def partition_set_cover(rng, num_elements=24, size=3, rounds=3):
     return SetCover(SetCoverData(num_elements, tuple(sets))), plain
 
 
+def dense_ilp(num_vars, bounds, rows, objective, sense) -> IlpData:
+    """``IlpData`` from rows written densely as ``(coeffs, rel, rhs)``, one
+    coefficient per variable, the form the oracles read."""
+    sparse = tuple(
+        (tuple((j, a) for j, a in enumerate(coeffs) if a), rel, rhs) for coeffs, rel, rhs in rows
+    )
+    return IlpData(num_vars, bounds, sparse, objective, sense)
+
+
+def dense_rows(data: IlpData) -> list:
+    """The constraints of ``data`` as dense ``(coeffs, rel, rhs)`` rows, read
+    from its document."""
+    return [(row["coeffs"], row["rel"], row["rhs"]) for row in Ilp(data).to_data()["constraints"]]
+
+
 def random_ilp(rng, max_vars=6, max_constraints=5):
     n = rng.randint(1, max_vars)
     bounds = []
@@ -168,9 +183,7 @@ def random_ilp(rng, max_vars=6, max_constraints=5):
         constraints.append((coeffs, rel, rhs))
     objective = tuple(rng.randint(-4, 4) for _ in range(n))
     sense = rng.choice(("max", "min"))
-    data = IlpData(
-        n, tuple(bounds), tuple(constraints), objective, sense
-    )
+    data = dense_ilp(n, tuple(bounds), constraints, objective, sense)
     plain = ([list(b) for b in bounds], [(list(c), r, b) for c, r, b in constraints],
              list(objective), sense)
     return Ilp(data), plain
@@ -209,7 +222,7 @@ def random_cardinality_ilp(rng, max_vars=10, max_constraints=6):
             constraints.append((coeffs, "=", rng.randint(1, len(members))))
     objective = tuple(rng.randint(-3, 3) for _ in range(n))
     sense = rng.choice(("max", "min"))
-    data = IlpData(n, tuple(bounds), tuple(constraints), objective, sense)
+    data = dense_ilp(n, tuple(bounds), constraints, objective, sense)
     plain = ([list(b) for b in bounds], [(list(c), r, b) for c, r, b in constraints],
              list(objective), sense)
     return Ilp(data), plain

@@ -333,6 +333,25 @@ def test_exit_5_on_infeasible_program(tmp_path):
     assert "empty feasible region" in result.stderr
 
 
+def test_exit_2_on_a_coefficient_row_of_the_wrong_length(tmp_path):
+    document = {
+        "problem": "ILP",
+        "data": {
+            "num_vars": 1,
+            "bounds": [[0, 1]],
+            "constraints": [{"coeffs": [1, 2], "rel": "<=", "rhs": 1}],
+            "objective": [1],
+            "sense": "max",
+        },
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(document))
+    for args in (("solve", str(path)), ("create", "ILP", "--file", str(path))):
+        result = run_cli(*args)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "pred: constraint coefficient length != variable count\n"
+
+
 def test_deep_ilp_solves_without_traceback(tmp_path):
     n = 1200
     document = {

@@ -48,7 +48,7 @@ from pred.model import SENSE_MAXIMIZE, SENSE_MINIMIZE
 
 import generators
 import oracles
-from generators import make_rng, random_mis
+from generators import dense_ilp, make_rng, random_mis
 
 
 P4 = GraphData(4, ((0, 1), (1, 2), (2, 3)))
@@ -201,10 +201,10 @@ def _catalogue_instances(rng):
 
 def _special_instances():
     box = ((0, 1), (0, 1))
-    yield Ilp(IlpData(2, box, (((1, 1), ">=", 1),), (2, 3), "min"))
-    yield Ilp(IlpData(2, box, (((1, 1), ">=", 3),), (1, -1), "max"))  # all infeasible
+    yield Ilp(dense_ilp(2, box, (((1, 1), ">=", 1),), (2, 3), "min"))
+    yield Ilp(dense_ilp(2, box, (((1, 1), ">=", 3),), (1, -1), "max"))  # all infeasible
     yield Ilp(IlpData(0, (), (), (), "min"))
-    yield Ilp(IlpData(0, (), (((), ">=", 1),), (), "max"))  # one, infeasible, configuration
+    yield Ilp(dense_ilp(0, (), (((), ">=", 1),), (), "max"))  # one, infeasible, configuration
     yield IndependentSet(GraphData(0, ()))
     yield Satisfiability(CnfData(0, ()))
     yield decision_wrap(VertexCover(GraphData(0, ())), 0)

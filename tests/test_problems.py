@@ -36,6 +36,7 @@ from pred import (
     instance_to_document,
     register_catalogue,
 )
+from pred.problems import instance_from_data
 
 import oracles
 from generators import (
@@ -99,11 +100,42 @@ def test_ilp_data_rejects_inconsistencies():
     with pytest.raises(InvalidInstanceError):
         IlpData(2, ((0, 1),), (), (1, 1), "max")  # bounds length
     with pytest.raises(InvalidInstanceError):
-        IlpData(1, ((0, 1),), (((1, 2), "<=", 1),), (1,), "max")  # coeff length
-    with pytest.raises(InvalidInstanceError):
-        IlpData(1, ((0, 1),), (((1,), "<", 1),), (1,), "max")  # bad relation
+        IlpData(1, ((0, 1),), ((((0, 1),), "<", 1),), (1,), "max")  # bad relation
     with pytest.raises(InvalidInstanceError):
         IlpData(1, ((0, 1),), (), (1,), "biggest")  # bad sense
+
+
+@pytest.mark.parametrize(
+    "terms,bad",
+    [
+        (((2, 1),), (2, 1)),
+        (((-1, 1),), (-1, 1)),
+        (((0, 1), (0, 2)), (0, 2)),
+        (((1, 1), (0, 1)), (0, 1)),
+        (((0, 0),), (0, 0)),
+        (((0, 1), (1, 0)), (1, 0)),
+    ],
+    ids=["past-the-end", "negative", "repeated", "decreasing", "zero", "zero-last"],
+)
+def test_ilp_data_rejects_terms_out_of_range_out_of_order_or_zero(terms, bad):
+    with pytest.raises(InvalidInstanceError) as caught:
+        IlpData(2, ((0, 1),) * 2, ((terms, "<=", 1),), (1, 1), "max")
+    message = f"constraint term {bad} is out of range, out of index order or zero"
+    assert str(caught.value) == message
+
+
+def test_ilp_decoder_rejects_a_coefficient_row_of_the_wrong_length():
+    # a document row is dense, one coefficient per variable
+    data = {
+        "num_vars": 1,
+        "bounds": [[0, 1]],
+        "constraints": [{"coeffs": [1, 2], "rel": "<=", "rhs": 1}],
+        "objective": [1],
+        "sense": "max",
+    }
+    with pytest.raises(InvalidInstanceError) as caught:
+        instance_from_data("IntegerLinearProgram", data)
+    assert str(caught.value) == "constraint coefficient length != variable count"
 
 
 def test_qubo_data_requires_symmetry():

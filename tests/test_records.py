@@ -58,11 +58,13 @@ from pred import (
 )
 from pred.symbolic import Expr, _Growth
 
+from generators import dense_ilp
+
 GRAPH = default_graph()
 P3 = GraphData(3, ((0, 1), (1, 2)))
 TRIANGLE = GraphData(3, ((0, 1), (1, 2), (0, 2)))
 CNF = CnfData(2, ((1, 2), (-1,)))
-ILP = IlpData(2, ((0, 1), (0, 1)), (((1, 1), "<=", 1),), (1, 1), "max")
+ILP = dense_ilp(2, ((0, 1), (0, 1)), (((1, 1), "<=", 1),), (1, 1), "max")
 MAX2 = AggregatedValue(ValueKind.MAX, 2)
 DESCRIPTOR = GRAPH.registry.lookup("MIS")
 PATH = GRAPH.find_path(DESCRIPTOR.key, GRAPH.registry.lookup("ILP").key)
@@ -98,8 +100,8 @@ CASES = {
     CnfData: (("num_variables", "clauses"), (2, ((1, 2), (-1,))), (2, ((1, 2),))),
     IlpData: (
         ("num_vars", "var_bounds", "constraints", "objective", "sense"),
-        (2, ((0, 1), (0, 1)), (((1, 1), "<=", 1),), (1, 1), "max"),
-        (2, ((0, 1), (0, 1)), (((1, 1), "<=", 1),), (1, 1), "min"),
+        (2, ((0, 1), (0, 1)), ((((0, 1), (1, 1)), "<=", 1),), (1, 1), "max"),
+        (2, ((0, 1), (0, 1)), ((((0, 1), (1, 1)), "<=", 1),), (1, 1), "min"),
     ),
     QuboData: (("n", "q"), (2, ((1, -2), (-2, 1))), (2, ((1, 0), (0, 1)))),
     IsingData: (("n", "j", "h"), (2, ((0, 1), (1, 0)), (1, 0)), (2, ((0, 1), (1, 0)), (0, 0))),
@@ -270,8 +272,8 @@ def test_record_construction_checks_and_normalisation():
     graph = GraphData(3, [[1, 0], [2, 1]], [1, 2, 3])
     assert graph.edges == ((0, 1), (1, 2)) and graph.vertex_weights == (1, 2, 3)
     assert CnfData(1, [[1]]).clauses == ((1,),)
-    assert IlpData(1, [[0, 1]], [[[1], "<=", 1]], [1], "max") == IlpData(
-        1, ((0, 1),), (((1,), "<=", 1),), (1,), "max"
+    assert IlpData(1, [[0, 1]], [[[[0, 1]], "<=", 1]], [1], "max") == IlpData(
+        1, ((0, 1),), ((((0, 1),), "<=", 1),), (1,), "max"
     )
 
 

@@ -3,6 +3,7 @@ and value extraction, overhead soundness, and rule validation."""
 
 from __future__ import annotations
 
+import json
 import zlib
 
 import pytest
@@ -32,6 +33,8 @@ from pred import (
     fold_space,
     parse_expr,
     evaluate_expr,
+    instance_from_document,
+    instance_to_document,
     round_trip_check,
 )
 from pred.model import SENSE_MAXIMIZE, ProblemTypeDescriptor
@@ -44,10 +47,12 @@ from pred.rules import (
     extract_value,
     shipped_rules,
 )
+from pred.solvers import _stored_rows
 from pred.symbolic import vars_of
 
 import oracles
 from generators import (
+    dense_rows,
     make_rng,
     random_3sat,
     random_coloring,
@@ -268,11 +273,59 @@ def test_qubo_to_ilp_linearization_optimum():
         data = ilp.data
         best_tgt, _ = oracles.best_ilp(
             [list(b) for b in data.var_bounds],
-            [(list(c), r, b) for c, r, b in data.constraints],
+            dense_rows(data),
             list(data.objective),
             data.sense,
         )
         assert best_tgt == best_src
+
+
+# every rule into ILP, with a seeded source instance to reduce
+ILP_RULE_SOURCES = {
+    "MaximumIndependentSet->IntegerLinearProgram": lambda rng: random_mis(rng)[0],
+    "MaximumIndependentSet[weight=integer]->IntegerLinearProgram": (
+        lambda rng: random_mis(rng, weighted=True)[0]
+    ),
+    "MinimumVertexCover->IntegerLinearProgram": lambda rng: random_vc(rng)[0],
+    "MinimumSetCover->IntegerLinearProgram": lambda rng: random_set_cover(rng)[0],
+    "QUBO->IntegerLinearProgram": lambda rng: random_qubo(rng)[0],
+}
+
+
+def test_every_rule_into_ilp_has_a_codec_case():
+    into_ilp = {name for name, r in RULES.items() if r.target.name == "IntegerLinearProgram"}
+    assert set(ILP_RULE_SOURCES) == into_ilp
+
+
+@pytest.mark.parametrize("name", sorted(ILP_RULE_SOURCES))
+def test_ilp_targets_survive_the_dense_document_codec(name):
+    # the program a rule builds in memory and the one decoded from its dense
+    # document are equal, and the search stores the same rows for both
+    rng = make_rng(zlib.crc32(name.encode()))
+    for _ in range(25):
+        target = apply(rule(name), ILP_RULE_SOURCES[name](rng)).target_instance
+        document = json.loads(json.dumps(instance_to_document(target)))
+        decoded = instance_from_document(document, GRAPH.registry)
+        assert decoded == target
+        assert _stored_rows(decoded.data) == _stored_rows(target.data)
+
+
+def test_qubo_to_ilp_diagonal_row_counts_its_variable_twice():
+    # y_ik = x_i x_k is variable 2 + 2i + k; its third row is x_i + x_k - y_ik <= 1,
+    # which on the diagonal reads 2 x_i - y_ii <= 1
+    qubo = Qubo(QuboData(2, ((3, -1), (-1, 2))))
+    target = apply(rule("QUBO->IntegerLinearProgram"), qubo).target_instance
+    rows = target.data.constraints
+    assert rows[2] == (((0, 2), (2, -1)), "<=", 1)
+    assert rows[5] == (((0, 1), (1, 1), (3, -1)), "<=", 1)
+    assert rows[8] == (((0, 1), (1, 1), (4, -1)), "<=", 1)
+    assert rows[11] == (((1, 2), (5, -1)), "<=", 1)
+    document = instance_to_document(target)
+    assert document["data"]["constraints"][2] == {
+        "coeffs": [2, 0, -1, 0, 0, 0], "rel": "<=", "rhs": 1
+    }
+    assert instance_from_document(document, GRAPH.registry) == target
+    assert fold_space(target).value.payload == fold_space(qubo).value.payload == 3
 
 
 def test_decision_mis_unwraps_to_inner():

@@ -53,6 +53,8 @@ from pred import (
 from pred.solvers import SOLVERS, _BitSearch, _BoxSearch, _kernel
 
 from generators import (
+    dense_ilp,
+    dense_rows,
     gnp_edges,
     make_rng,
     partition_set_cover,
@@ -82,7 +84,7 @@ def _point(data: IlpData, witness):
 
 
 def test_solve_ilp_simple_max():
-    data = IlpData(2, ((0, 3), (0, 3)), (((1, 2), "<=", 4),), (2, 3), "max")
+    data = dense_ilp(2, ((0, 3), (0, 3)), (((1, 2), "<=", 4),), (2, 3), "max")
     result = solve_ilp(data)
     assert result.solver_name == "ilp"
     assert result.value.kind is ValueKind.EXTREMUM
@@ -92,7 +94,7 @@ def test_solve_ilp_simple_max():
 
 
 def test_solve_ilp_negative_coefficients_and_equality():
-    data = IlpData(
+    data = dense_ilp(
         3,
         ((-3, 2), (1, 4), (-2, 0)),
         (
@@ -109,7 +111,7 @@ def test_solve_ilp_negative_coefficients_and_equality():
 
 
 def test_solve_ilp_offset_bounds_round_trip():
-    data = IlpData(2, ((5, 8), (-4, -1)), (((1, 1), "<=", 5),), (1, 1), "max")
+    data = dense_ilp(2, ((5, 8), (-4, -1)), (((1, 1), "<=", 5),), (1, 1), "max")
     result = solve_ilp(data)
     # evaluate() consumes the same offset coordinates the solver reports
     assert evaluate(Ilp(data), result.witness).payload == result.value.payload
@@ -118,7 +120,7 @@ def test_solve_ilp_offset_bounds_round_trip():
 
 
 def test_solve_ilp_infeasible_is_a_value_not_an_error():
-    data = IlpData(1, ((0, 1),), (((1,), ">=", 2),), (1,), "max")
+    data = dense_ilp(1, ((0, 1),), (((1,), ">=", 2),), (1,), "max")
     result = solve_ilp(data)
     assert result.value.kind is ValueKind.EXTREMUM
     assert result.value.payload is None
@@ -137,14 +139,14 @@ def test_solve_ilp_min_sense_recorded():
 
 def test_solve_ilp_tie_keeps_first_incumbent():
     # both (1,0) and (0,1) score 1; ascending branch order finds (0,1) first
-    data = IlpData(2, ((0, 1), (0, 1)), (((1, 1), "<=", 1),), (1, 1), "max")
+    data = dense_ilp(2, ((0, 1), (0, 1)), (((1, 1), "<=", 1),), (1, 1), "max")
     result = solve_ilp(data)
     assert result.value.payload == 1
     assert result.witness == (0, 1)
 
 
 def test_solve_ilp_node_budget():
-    data = IlpData(6, ((0, 1),) * 6, (((1,) * 6, "<=", 3),), (1,) * 6, "max")
+    data = dense_ilp(6, ((0, 1),) * 6, (((1,) * 6, "<=", 3),), (1,) * 6, "max")
     with pytest.raises(BudgetExceededError) as exc_info:
         solve_ilp(data, max_nodes=2)
     assert exc_info.value.limit == 2
@@ -161,7 +163,7 @@ def test_budget_exhaustion_reports_the_incumbent_so_far():
         (tuple(1 if k in edge else 0 for k in range(n)), "<=", 1)
         for edge in gnp_edges(make_rng(4), n, 0.15)
     )
-    data = IlpData(n, ((0, 1),) * n, rows, (1,) * n, "max")
+    data = dense_ilp(n, ((0, 1),) * n, rows, (1,) * n, "max")
     optimum = solve_ilp(data).value.payload
     with pytest.raises(BudgetExceededError) as exc_info:
         solve_ilp(data, max_nodes=40)
@@ -235,7 +237,7 @@ def test_kernel_is_selected_from_the_program_and_keeps_the_first_optimum(
     kernel, bounds, rows, objective, sense
 ):
     n = len(bounds)
-    data = IlpData(n, bounds, rows, objective[:n], sense)
+    data = dense_ilp(n, bounds, rows, objective[:n], sense)
     assert type(_kernel(data, DEFAULT_NODE_BUDGET)) is kernel
     result = solve_ilp(data)
     expected, winners = best_ilp(bounds, rows, objective[:n], sense)
@@ -265,7 +267,7 @@ def _optimistic(search, lo, hi):
 
 def _assert_propagates_like_the_reference(data, lo, hi):
     search = _kernel(data, DEFAULT_NODE_BUDGET)
-    expected = propagate_bounds(lo, hi, data.constraints)
+    expected = propagate_bounds(lo, hi, dense_rows(data))
     out = search._propagate(search._state(list(lo), list(hi)), search._all_rows())
     if expected is None:
         assert out is None
@@ -285,7 +287,7 @@ def _search_checked(data):
     def checked_propagate(self, state, pending):
         before = _box(self, state)
         out = propagate(self, state, pending)
-        expected = propagate_bounds(*before, data.constraints)
+        expected = propagate_bounds(*before, dense_rows(data))
         if expected is None:
             assert out is None
         else:
@@ -350,7 +352,8 @@ def _fixed_ilps(draw):
         st.tuples(coeffs, st.sampled_from(("<=", ">=", "=")), st.integers(-8, 8)), max_size=5
     ))
     objective = draw(coeffs)
-    data = IlpData(n, tuple(bounds), tuple(rows), objective, draw(st.sampled_from(("max", "min"))))
+    sense = draw(st.sampled_from(("max", "min")))
+    data = dense_ilp(n, tuple(bounds), tuple(rows), objective, sense)
     fixed = [draw(st.none() | st.integers(l, h)) for l, h in bounds]
     lo = [l if f is None else f for (l, _), f in zip(bounds, fixed)]
     hi = [h if f is None else f for (_, h), f in zip(bounds, fixed)]
@@ -405,7 +408,7 @@ def _pinned_instance(family, seed):
         )
         if family == "ilp-mixed":
             rows += ((tuple([2, 1] + [0] * (n - 2)), "<=", 2),)
-        return Ilp(IlpData(n, ((0, 1),) * n, rows, (1,) * n, "max"))
+        return Ilp(dense_ilp(n, ((0, 1),) * n, rows, (1,) * n, "max"))
     return random_coloring(rng, max_vertices=4, colors=3)[0]
 
 
