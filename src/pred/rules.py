@@ -219,10 +219,15 @@ def _forward_3sat_to_mis(instance: ThreeSatisfiability) -> tuple[Problem, dict]:
             for b in range(a + 1, len(clause)):
                 edges.add((position + a, position + b))
         position += len(clause)
-    for i in range(len(literals)):
-        for j in range(i + 1, len(literals)):
-            if literals[i] == -literals[j]:
-                edges.add((i, j))
+    # complementary occurrences, found through each literal's positions
+    positions: dict[int, list[int]] = {}
+    for i, lit in enumerate(literals):
+        positions.setdefault(lit, []).append(i)
+    for lit, mine in positions.items():
+        if lit > 0:
+            for i in mine:
+                for j in positions.get(-lit, ()):
+                    edges.add((i, j) if i < j else (j, i))
     graph = GraphData(len(literals), tuple(sorted(edges)))
     return IndependentSet(graph), {
         "num_variables": cnf.num_variables,

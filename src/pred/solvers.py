@@ -38,35 +38,51 @@ most ``size - k`` zeros, as in VC edge and SetCover element rows). A node
 is two ints, ``ones`` and ``zeros``, with bit j set where x_j is fixed at 1
 or at 0; a row reads one popcount, a full row fixes its free members on the
 other side, and a child sets one bit. The box kernel (``_BoxSearch``) runs
-every other program on two lists of bounds. Both run the same search loop,
-sibling window, node budget and incumbent rule (``_Search``), so on a 0-1
-cardinality program either kernel visits the same nodes.
+every other program on two lists of bounds. Both run the same dive, search
+loop, sibling window, node budget and incumbent rule (``_Search``), so on a
+0-1 cardinality program the two kernels differ only in the 0-1 kernel's
+relaxation.
 
-A node of the 0-1 kernel that the optimistic bound leaves open while an
-incumbent exists is then bounded by a cardinality-row relaxation. Each free
-variable in turn takes its first binding row whose free variables no row
-taken so far holds. A packing row keeps its best ``r`` positive gains; a
-covering row keeps every positive gain plus the least-bad of the rest. The
-gains a row may give up are sorted once, when the search starts, and a node
-reads how many it gives up from popcounts, summing a prefix of the free
-ones, or multiplying when the row's gains are equal. The taken rows share
-no free variable, so their one-row optima plus every other variable at its
+A node of the 0-1 kernel that the optimistic bound leaves open while the
+search holds a cutoff (the incumbent's value, or the dive's below) is then
+bounded by a relaxation in two passes. The packing rows with cap 1 form a
+conflict graph, one neighbour bitmask per variable: of pairwise conflicting
+variables at most one is 1. Cliques of that graph first cover the free
+positive-gain variables, each grown on bitmasks from the lowest uncovered
+variable, and a clique keeps only its largest gain, the clique-cover bound
+of max-clique branch-and-bound. Then each free variable that no clique
+covers takes its first binding row among the rest (packing rows with a
+larger cap, and covering rows) whose free uncovered variables no row taken
+so far holds. A packing row keeps its best ``r`` positive gains; a covering
+row keeps every positive gain plus the least-bad of the rest. The gains a
+row may give up are sorted once, when the search starts, and a node reads
+how many it gives up from popcounts, summing a prefix of the free ones, or
+multiplying when the row's gains are equal. The cliques and the taken rows
+share no free variable, so their optima plus every other variable at its
 better end bound the node, which closes when that is no better than the
-incumbent. The box kernel has no relaxation: no forward map emits a
-program that mixes cardinality rows with other rows. The sibling window
-keeps the plain optimistic bound: only that bound falls by exactly ``|c|``
-per step of the branch value, which the window's arithmetic needs.
+cutoff. On a triangle-free conflict graph the cliques are the pairs a
+row-by-row pass would take. The box kernel has no relaxation: no forward
+map emits a program that mixes cardinality rows with other rows. The
+sibling window keeps the plain optimistic bound: only that bound falls by
+exactly ``|c|`` per step of the branch value, which the window's arithmetic
+needs.
 
 A node whose optimistic point (positive gains at ``hi``, the rest at
 ``lo``) satisfies every row closes with that point as its incumbent: every
 optimum of the subtree agrees with it on the nonzero gains and it puts the
 zero gains at their lowest, so it is the subtree's lexicographically
 smallest optimum. A fully fixed node is the special case with no free
-variable. The relaxation closes only subtrees that cannot strictly beat
-the incumbent, the attained close keeps the point a full search of the
-subtree would keep, and the search meets points in lexicographic order and
-replaces its incumbent only on strict improvement, so the witness is the
-lexicographically smallest optimal point.
+variable. Before the search, a dive from the propagated root fixes the
+first free variable at its optimistic end, or at its other end if that end
+fails, until a node's optimistic point is attained. If it reaches a point
+of value ``v``, the search starts from the cutoff ``v - 1`` with no
+incumbent point, so it prunes only subtrees that cannot reach ``v`` and
+never the dive's own path; a node budget that runs out before the search
+meets a point reports ``v``. The relaxation closes only subtrees that
+cannot strictly beat the cutoff, the attained close keeps the point a full
+search of the subtree would keep, and the search meets points in
+lexicographic order and replaces its incumbent only on strict improvement,
+so the witness is the lexicographically smallest optimal point.
 """
 
 from __future__ import annotations
@@ -113,12 +129,12 @@ Row = tuple[tuple[tuple[int, int], ...], int]
 class _Search:
     """One exact DFS over a bounded ILP, maximising ``sign * objective``.
 
-    The search loop, the sibling window, the node budget and the incumbent
-    rule are here, once. A subclass holds the node state and answers for it:
-    ``_state`` builds a state from bound lists and ``_optimistic`` sums its
-    bound; ``_propagate`` tightens one from a set of pending rows (every row:
-    ``_all_rows``) to the fixpoint and ``_child`` fixes the branch variable
-    and propagates; ``_first_free``, ``_domain``, ``_closes`` and
+    The dive, the search loop, the sibling window, the node budget and the
+    incumbent rule are here, once. A subclass holds the node state and answers
+    for it: ``_state`` builds a state from bound lists and ``_optimistic`` sums
+    its bound; ``_propagate`` tightens one from a set of pending rows (every
+    row: ``_all_rows``) to the fixpoint and ``_child`` fixes the branch
+    variable and propagates; ``_first_free``, ``_domain``, ``_closes`` and
     ``_attained`` bound an open node, and ``witness`` reads the best point
     back.
     """
@@ -133,6 +149,8 @@ class _Search:
         self.objective = tuple((j, c) for j, c in enumerate(self.gain) if c)
         self.best_value: int | None = None
         self.best_point = None
+        # the value of the point the dive reached, if it reached one
+        self.dive_value: int | None = None
 
     def _closes(self, state, branch: int, bound: int, best: int) -> bool:
         """Whether a relaxation shows the node cannot beat ``best``; none here."""
@@ -141,11 +159,14 @@ class _Search:
     def _charge_node(self) -> None:
         self.nodes += 1
         if self.nodes > self.max_nodes:
+            # before the search meets a point, ``best_value`` is the dive's
+            # cutoff, which no point found attains
+            found = self.best_value if self.best_point is not None else self.dive_value
             raise BudgetExceededError(
                 f"branch-and-bound exceeded {self.max_nodes} nodes",
                 limit=self.max_nodes,
                 nodes=self.max_nodes,
-                incumbent=None if self.best_value is None else self.sign * self.best_value,
+                incumbent=None if found is None else self.sign * found,
             )
 
     def _enter(self, state, start: int, bound: int) -> list | None:
@@ -168,6 +189,32 @@ class _Search:
         low, high = self._domain(state, branch)
         return [state, branch, bound, low, low, high]
 
+    def _dive(self, state, bound: int) -> int | None:
+        """The value of the point reached from a propagated node of optimistic
+        bound ``bound`` by fixing its first free variable at its optimistic
+        end, or at its other end if that end fails, until the node's
+        optimistic point is attained; None if both ends fail. Each child tried
+        is charged as a node."""
+        gain = self.gain
+        branch = 0
+        while True:
+            branch = self._first_free(state, branch)
+            if self._attained(state, branch) is not None:
+                return bound
+            low, high = self._domain(state, branch)
+            c = gain[branch]
+            end = high if c > 0 else low
+            for value in (end, low + high - end):
+                self._charge_node()
+                child = self._child(state, branch, value)
+                if child is not None:
+                    break
+            else:
+                return None
+            state, loss = child
+            bound += c * (value - end) - loss
+            branch += 1
+
     def run(self) -> None:
         self._charge_node()
         lo = [l for l, _ in self.var_bounds]
@@ -176,8 +223,14 @@ class _Search:
         if root is None:
             return
         state = root[0]
+        bound = self._optimistic(state)
+        self.dive_value = self._dive(state, bound)
+        if self.dive_value is not None:
+            # the search keeps only points of at least the dive's value, and
+            # still meets them in lexicographic order
+            self.best_value = self.dive_value - 1
         # a frame is [state, branch, bound, next value, lo and hi of the branch variable]
-        frame = self._enter(state, 0, self._optimistic(state))
+        frame = self._enter(state, 0, bound)
         stack = [frame] if frame is not None else []
         gain = self.gain
         while stack:
@@ -188,7 +241,7 @@ class _Search:
             if self.best_value is not None:
                 # Before propagation the child at ``v`` is bounded by ``bound``
                 # less |c| per step of ``v`` away from the end ``bound`` used,
-                # so the values it cannot prune form one window. The incumbent
+                # so the values it cannot prune form one window. The cutoff
                 # only grows, so the window only shrinks as siblings finish.
                 slack = bound - self.best_value
                 if slack <= 0:
@@ -365,6 +418,13 @@ class _BitSearch(_Search):
         # cheapest first, what the one-row optimum may give up, and ``unit``
         # their one cost when all are equal
         self.cardinal: list[list[tuple]] = [[] for _ in range(n)]
+        # a packing row with cap 1 goes to ``conflicts[j]`` instead, the mask
+        # of the variables that share such a row with x_j: at most one of a
+        # set of pairwise conflicting variables is 1
+        self.conflicts = [0] * n
+        # ``unit_gain`` is the one positive gain when all are equal
+        positive_gains = {g for g in self.gain if g > 0}
+        self.unit_gain = positive_gains.pop() if len(positive_gains) == 1 else None
         for index, (pairs, rhs) in enumerate(rows):
             packing = not pairs or pairs[0][1] == 1
             mask = sum(1 << j for j, _ in pairs)
@@ -375,6 +435,10 @@ class _BitSearch(_Search):
             filling = [j for j, _ in pairs if (self.gain[j] > 0) == packing]
             for j in filling:
                 self.against[j].append((mask, cap, packing))
+            if packing and cap == 1:
+                for j, _ in pairs:
+                    self.conflicts[j] |= mask & ~(1 << j)
+                continue
             costs = sorted((abs(self.gain[j]), 1 << j) for j in filling)
             ranked = sum(bit for _, bit in costs)
             unit = costs[0][0] if len({cost for cost, _ in costs}) == 1 else None
@@ -447,16 +511,53 @@ class _BitSearch(_Search):
         return 0, 1
 
     def _closes(self, state, branch: int, bound: int, best: int) -> bool:
-        """Whether the cardinality-row relaxation of a node is at most ``best``.
+        """Whether the conflict-clique and cardinality-row relaxation of a node
+        is at most ``best``.
 
-        Each free variable not yet covered, in index order, takes its first
-        binding row whose free variables are all uncovered; a taken row gets
-        its exact one-row optimum, which gives up the cheapest of its free
-        members whose optimistic end overfills its capped side, and every
-        other variable keeps its optimistic end.
+        Cliques of the conflict graph first cover the free positive-gain
+        variables: the lowest uncovered one grows a clique with the lowest
+        uncovered member of the running common-neighbour mask, and a clique
+        gives up all but its largest gain. Then each free variable that no
+        clique of two or more covers, in index order, takes its first binding
+        row whose free uncovered variables no row taken so far holds; a taken
+        row gets its exact one-row optimum over those variables, which gives up
+        the cheapest of them whose optimistic end overfills its capped side.
+        Every other variable keeps its optimistic end.
         """
         ones, zeros = state
-        free_all = rest = self.full & ~(ones | zeros)
+        free_all = self.full & ~(ones | zeros)
+        gain = self.gain
+        conflicts = self.conflicts
+        unit_gain = self.unit_gain
+        uncovered = free_all & self.positive
+        while uncovered:
+            low = uncovered & -uncovered
+            uncovered ^= low
+            common = conflicts[low.bit_length() - 1] & uncovered
+            if not common:
+                continue
+            clique = low
+            while common:
+                bit = common & -common
+                clique |= bit
+                common &= conflicts[bit.bit_length() - 1]
+            uncovered &= ~clique
+            free_all &= ~clique
+            if unit_gain is not None:
+                bound -= unit_gain * (clique.bit_count() - 1)
+            else:
+                top = 0
+                while clique:
+                    bit = clique & -clique
+                    clique ^= bit
+                    g = gain[bit.bit_length() - 1]
+                    bound -= g
+                    if g > top:
+                        top = g
+                bound += top
+            if bound <= best:
+                return True
+        rest = free_all
         taken = 0
         cardinal = self.cardinal
         while rest:

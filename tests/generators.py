@@ -228,5 +228,40 @@ def random_cardinality_ilp(rng, max_vars=10, max_constraints=6):
     return Ilp(data), plain
 
 
+def random_conflict_ilp(rng, max_vars=12):
+    """A binary ILP whose cap-1 packing rows overlap in cliques.
+
+    A cap-1 pair row joins each edge of G(n, 0.5), and a few cap-1 rows have
+    three or four members; some covering rows need one or two ones, some
+    variables are pre-fixed through ``(l, l)`` bounds, and the gains the
+    search maximises (the objective, negated for ``min``) run from -3 to 5.
+    """
+    n = rng.randint(3, max_vars)
+    bounds = []
+    for _ in range(n):
+        if rng.random() < 0.1:
+            value = rng.randint(0, 1)
+            bounds.append((value, value))
+        else:
+            bounds.append((0, 1))
+
+    def row(members):
+        return tuple(1 if j in members else 0 for j in range(n))
+
+    constraints = [(row(edge), "<=", 1) for edge in gnp_edges(rng, n, 0.5)]
+    for _ in range(rng.randint(0, 3)):
+        constraints.append((row(rng.sample(range(n), rng.randint(3, min(4, n)))), "<=", 1))
+    for _ in range(rng.randint(0, 2)):
+        members = rng.sample(range(n), rng.randint(2, n))
+        constraints.append((row(members), ">=", rng.randint(1, 2)))
+    sense = rng.choice(("max", "min"))
+    sign = 1 if sense == "max" else -1
+    objective = tuple(sign * rng.randint(-3, 5) for _ in range(n))
+    data = dense_ilp(n, tuple(bounds), constraints, objective, sense)
+    plain = ([list(b) for b in bounds], [(list(c), r, b) for c, r, b in constraints],
+             list(objective), sense)
+    return Ilp(data), plain
+
+
 def make_rng(seed):
     return random.Random(seed)

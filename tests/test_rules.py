@@ -154,6 +154,33 @@ def test_3sat_to_mis_optimum_counts_clauses():
         assert mis.graph.num_vertices == sum(len(c) for c in clauses)
 
 
+def test_3sat_to_mis_edges_match_the_pairwise_construction():
+    # the reference compares every pair of literal occurrences; clauses may
+    # repeat a literal or hold a variable and its negation
+    convert = rule("ThreeSatisfiability->MaximumIndependentSet")
+    rng = make_rng(204)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        clauses = tuple(
+            tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 12))
+        )
+        literals = [lit for clause in clauses for lit in clause]
+        expected = set()
+        position = 0
+        for clause in clauses:
+            for a in range(len(clause)):
+                for b in range(a + 1, len(clause)):
+                    expected.add((position + a, position + b))
+            position += len(clause)
+        for i in range(len(literals)):
+            for j in range(i + 1, len(literals)):
+                if literals[i] == -literals[j]:
+                    expected.add((i, j))
+        mis = apply(convert, ThreeSatisfiability(CnfData(n, clauses))).target_instance
+        assert mis.graph.edges == tuple(sorted(expected))
+
+
 def test_mis_vc_complement_sizes():
     rng = make_rng(203)
     to_vc = rule("MaximumIndependentSet->MinimumVertexCover")

@@ -61,6 +61,7 @@ from generators import (
     random_cardinality_ilp,
     random_clique,
     random_coloring,
+    random_conflict_ilp,
     random_domset,
     random_ilp,
     random_ising,
@@ -155,21 +156,51 @@ def test_solve_ilp_node_budget():
     assert "branch-and-bound exceeded 2 nodes" in str(exc_info.value)
 
 
-def test_budget_exhaustion_reports_the_incumbent_so_far():
-    # MIS rows over G(40, 0.15): the search holds an incumbent long before
-    # its optimum is proved
+def _mis_g40_program(sense="max"):
+    """The MIS program of G(40, 0.15), as a max program or a min one over
+    negated gains."""
     n = 40
     rows = tuple(
         (tuple(1 if k in edge else 0 for k in range(n)), "<=", 1)
         for edge in gnp_edges(make_rng(4), n, 0.15)
     )
-    data = dense_ilp(n, ((0, 1),) * n, rows, (1,) * n, "max")
+    return dense_ilp(n, ((0, 1),) * n, rows, (1 if sense == "max" else -1,) * n, sense)
+
+
+def test_budget_exhaustion_reports_the_incumbent_so_far():
+    # MIS rows over G(40, 0.15): the search holds an incumbent long before
+    # its optimum is proved
+    data = _mis_g40_program()
     optimum = solve_ilp(data).value.payload
     with pytest.raises(BudgetExceededError) as exc_info:
         solve_ilp(data, max_nodes=40)
     assert exc_info.value.limit == 40
     assert exc_info.value.nodes == 40
     assert 0 < exc_info.value.incumbent <= optimum
+
+
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_budget_exhausted_after_the_dive_reports_the_dive_value(sense):
+    # the dive reaches a point of value v and the search then keeps only
+    # points of at least v, holding the cutoff v - 1 before it meets one; a
+    # budget that runs out in between must report v, which a point attains
+    data = _mis_g40_program(sense)
+    dives = []
+    dive = _BitSearch._dive
+
+    def recorded(self, state, bound):
+        value = dive(self, state, bound)
+        dives.append((value, self.nodes))
+        return value
+
+    with mock.patch.object(_BitSearch, "_dive", recorded):
+        solve_ilp(data)
+    [(value, nodes)] = dives
+    search = _kernel(data, nodes + 1)
+    with pytest.raises(BudgetExceededError) as exc_info:
+        search.run()
+    assert search.best_point is None and search.best_value == value - 1
+    assert exc_info.value.incumbent == search.sign * value
 
 
 def test_solve_ilp_random_against_enumeration():
@@ -193,19 +224,21 @@ def test_solve_ilp_random_against_enumeration():
 
 def test_cardinality_row_bound_keeps_the_first_optimum():
     # packing, covering and split ``=`` rows over 0/1 variables are the rows
-    # the cardinality relaxation reads; pre-fixed variables and zero or
-    # negative gains exercise its capacity and least-bad choices
+    # the relaxation reads; pre-fixed variables and zero or negative gains
+    # exercise its capacity and least-bad choices, and cap-1 rows over dense
+    # random graphs its conflict cliques, which span several rows
     rng = make_rng(2007)
-    for _ in range(1000):
-        ilp, (bounds, constraints, objective, sense) = random_cardinality_ilp(rng)
-        result = solve_ilp(ilp.data)
-        expected, winners = best_ilp(bounds, constraints, objective, sense)
-        if expected is None:
-            assert not result.value.feasible
-            assert result.witness is None
-        else:
-            assert result.value.payload == expected
-            assert _point(ilp.data, result.witness) == winners[0]
+    for generator, count in ((random_cardinality_ilp, 1000), (random_conflict_ilp, 300)):
+        for _ in range(count):
+            ilp, (bounds, constraints, objective, sense) = generator(rng)
+            result = solve_ilp(ilp.data)
+            expected, winners = best_ilp(bounds, constraints, objective, sense)
+            if expected is None:
+                assert not result.value.feasible
+                assert result.witness is None
+            else:
+                assert result.value.payload == expected
+                assert _point(ilp.data, result.witness) == winners[0]
 
 
 # A 0-1 program of cardinality rows with tied optima: a packing row, a covering
@@ -374,21 +407,21 @@ def test_drawn_propagation_reaches_the_reference_fixpoint(case):
 # the kernel ``solve_ilp`` selects for it; ``solve`` must give the same value
 # and witness whatever node it solves at.
 SEARCH_PINS = [
-    ("mis", 1, 675, 13, "001101011100110010000000101110"),
-    ("mis", 2, 587, 14, "110000110000110100001001011111"),
-    ("setcover", 1, 47, 8, "000000000000000011111111"),
-    ("setcover", 2, 66, 8, "000000000000000011111111"),
-    ("qubo", 1, 215, 28, "11110100"),
-    ("qubo", 2, 111, 33, "10110110"),
-    ("gc", 5, 1057, True, "2112"),
-    ("gc", 10, 1331, True, "2121"),
+    ("mis", 1, 228, 13, "001101011100110010000000101110"),
+    ("mis", 2, 157, 14, "110000110000110100001001011111"),
+    ("setcover", 1, 58, 8, "000000000000000011111111"),
+    ("setcover", 2, 79, 8, "000000000000000011111111"),
+    ("qubo", 1, 221, 28, "11110100"),
+    ("qubo", 2, 117, 33, "10110110"),
+    ("gc", 5, 227, True, "2112"),
+    ("gc", 10, 327, True, "2121"),
     # the MIS program of G(40, 0.15) as a hand-written ILP, then with one
     # general row beside its cardinality rows: that sends it to the box
-    # kernel, which has no cardinality-row relaxation, so the same optimum
-    # costs 34,910 nodes against 1,473 (a change to that trade-off must
-    # update these on purpose)
-    ("ilp", 4, 1473, 14, "0000000110001110101011000001100010010001"),
-    ("ilp-mixed", 4, 34910, 14, "0000000110001110101011000001100010010001"),
+    # kernel, which has no relaxation, so the same optimum costs 30,600
+    # nodes against 475 (a change to that trade-off must update these on
+    # purpose)
+    ("ilp", 4, 475, 14, "0000000110001110101011000001100010010001"),
+    ("ilp-mixed", 4, 30600, 14, "0000000110001110101011000001100010010001"),
 ]
 
 
@@ -704,8 +737,9 @@ def test_huge_domains_stop_at_the_first_prunable_value():
 
 
 def test_routed_coloring_solves_within_a_node_budget():
-    # GC -> SAT -> 3SAT -> MIS -> ILP; the cardinality-row bound over the MIS
-    # stage's edge rows keeps this search within the budget
+    # GC -> SAT -> 3SAT -> MIS -> ILP; the conflict-clique bound over the MIS
+    # stage's edge rows, whose clause triangles it covers whole, and the
+    # dive's cutoff keep this search within the budget
     instance = GraphColoring(GraphData(4, ((0, 1), (1, 2), (2, 3))), 3)
     result = solve(instance, max_nodes=50_000)
     assert result.value.render() == "Or(true)"
