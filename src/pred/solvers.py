@@ -60,12 +60,13 @@ how many it gives up from popcounts, summing a prefix of the free ones, or
 multiplying when the row's gains are equal. The cliques and the taken rows
 share no free variable, so their optima plus every other variable at its
 better end bound the node, which closes when that is no better than the
-cutoff. On a triangle-free conflict graph the cliques are the pairs a
-row-by-row pass would take. The box kernel has no relaxation: no forward
-map emits a program that mixes cardinality rows with other rows. The
-sibling window keeps the plain optimistic bound: only that bound falls by
-exactly ``|c|`` per step of the branch value, which the window's arithmetic
-needs.
+cutoff. When the cap-1 rows are pairs sorted by their members' indices, as
+the forward maps emit them, and the conflict graph is triangle-free, the
+cliques are the pairs a row-by-row pass would take. The box kernel has no
+relaxation: no forward map emits a program that mixes cardinality rows with
+other rows. The sibling window keeps the plain optimistic bound: only that
+bound falls by exactly ``|c|`` per step of the branch value, which the
+window's arithmetic needs.
 
 A node whose optimistic point (positive gains at ``hi``, the rest at
 ``lo``) satisfies every row closes with that point as its incumbent: every
@@ -129,14 +130,14 @@ Row = tuple[tuple[tuple[int, int], ...], int]
 class _Search:
     """One exact DFS over a bounded ILP, maximising ``sign * objective``.
 
-    The dive, the search loop, the sibling window, the node budget and the
-    incumbent rule are here, once. A subclass holds the node state and answers
-    for it: ``_state`` builds a state from bound lists and ``_optimistic`` sums
-    its bound; ``_propagate`` tightens one from a set of pending rows (every
-    row: ``_all_rows``) to the fixpoint and ``_child`` fixes the branch
-    variable and propagates; ``_first_free``, ``_domain``, ``_closes`` and
-    ``_attained`` bound an open node, and ``witness`` reads the best point
-    back.
+    The dive, the search loop, a child's bound (``_descend``), the sibling
+    window, the node budget and the incumbent rule are here, once. A subclass
+    holds the node state and answers for it: ``_state`` builds a state from
+    bound lists and ``_optimistic`` sums its bound; ``_propagate`` tightens
+    one from a set of pending rows (every row: ``_all_rows``) to the fixpoint
+    and ``_child`` fixes the branch variable and propagates; ``_first_free``,
+    ``_domain``, ``_closes`` and ``_attained`` bound an open node, and
+    ``witness`` reads the best point back.
     """
 
     def __init__(self, data: IlpData, max_nodes: int) -> None:
@@ -156,18 +157,17 @@ class _Search:
         """Whether a relaxation shows the node cannot beat ``best``; none here."""
         return False
 
-    def _charge_node(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            # before the search meets a point, ``best_value`` is the dive's
-            # cutoff, which no point found attains
-            found = self.best_value if self.best_point is not None else self.dive_value
-            raise BudgetExceededError(
-                f"branch-and-bound exceeded {self.max_nodes} nodes",
-                limit=self.max_nodes,
-                nodes=self.max_nodes,
-                incumbent=None if found is None else self.sign * found,
-            )
+    def _exhausted(self) -> BudgetExceededError:
+        """The error for a search that has charged more than ``max_nodes`` nodes."""
+        # before the search meets a point, ``best_value`` is the dive's
+        # cutoff, which no point found attains
+        found = self.best_value if self.best_point is not None else self.dive_value
+        return BudgetExceededError(
+            f"branch-and-bound exceeded {self.max_nodes} nodes",
+            limit=self.max_nodes,
+            nodes=self.max_nodes,
+            incumbent=None if found is None else self.sign * found,
+        )
 
     def _enter(self, state, start: int, bound: int) -> list | None:
         """Bound a propagated node of optimistic bound ``bound``: its open frame, or None."""
@@ -189,6 +189,25 @@ class _Search:
         low, high = self._domain(state, branch)
         return [state, branch, bound, low, low, high]
 
+    def _descend(self, state, branch: int, bound: int, value: int, low: int, high: int):
+        """The child of a node of optimistic bound ``bound`` that fixes its
+        branch variable, of domain [``low``, ``high``], at ``value``: its
+        propagated state and optimistic bound, or None if a row fails.
+
+        Charged as a node. The child's bound is its parent's, moved by the
+        branch variable's gain per step of ``value`` away from the end the parent's bound used, less
+        what propagation took from it.
+        """
+        self.nodes += 1
+        if self.nodes > self.max_nodes:
+            raise self._exhausted()
+        child = self._child(state, branch, value)
+        if child is None:
+            return None
+        child_state, loss = child
+        c = self.gain[branch]
+        return child_state, bound + c * (value - (high if c > 0 else low)) - loss
+
     def _dive(self, state, bound: int) -> int | None:
         """The value of the point reached from a propagated node of optimistic
         bound ``bound`` by fixing its first free variable at its optimistic
@@ -202,21 +221,21 @@ class _Search:
             if self._attained(state, branch) is not None:
                 return bound
             low, high = self._domain(state, branch)
-            c = gain[branch]
-            end = high if c > 0 else low
+            end = high if gain[branch] > 0 else low
             for value in (end, low + high - end):
-                self._charge_node()
-                child = self._child(state, branch, value)
+                child = self._descend(state, branch, bound, value, low, high)
                 if child is not None:
                     break
             else:
                 return None
-            state, loss = child
-            bound += c * (value - end) - loss
+            state, bound = child
             branch += 1
 
     def run(self) -> None:
-        self._charge_node()
+        # the root is the first node charged
+        self.nodes += 1
+        if self.nodes > self.max_nodes:
+            raise self._exhausted()
         lo = [l for l, _ in self.var_bounds]
         hi = [h for _, h in self.var_bounds]
         root = self._propagate(self._state(lo, hi), self._all_rows())
@@ -255,12 +274,9 @@ class _Search:
                 stack.pop()
                 continue
             frame[3] = value + 1
-            self._charge_node()
-            child = self._child(state, branch, value)
+            child = self._descend(state, branch, bound, value, low, high)
             if child is not None:
-                child_state, loss = child
-                child_bound = bound + c * (value - (high if c > 0 else low)) - loss
-                child = self._enter(child_state, branch + 1, child_bound)
+                child = self._enter(child[0], branch + 1, child[1])
                 if child is not None:
                     stack.append(child)
 
@@ -422,9 +438,6 @@ class _BitSearch(_Search):
         # of the variables that share such a row with x_j: at most one of a
         # set of pairwise conflicting variables is 1
         self.conflicts = [0] * n
-        # ``unit_gain`` is the one positive gain when all are equal
-        positive_gains = {g for g in self.gain if g > 0}
-        self.unit_gain = positive_gains.pop() if len(positive_gains) == 1 else None
         for index, (pairs, rhs) in enumerate(rows):
             packing = not pairs or pairs[0][1] == 1
             mask = sum(1 << j for j, _ in pairs)
@@ -528,33 +541,30 @@ class _BitSearch(_Search):
         free_all = self.full & ~(ones | zeros)
         gain = self.gain
         conflicts = self.conflicts
-        unit_gain = self.unit_gain
         uncovered = free_all & self.positive
         while uncovered:
             low = uncovered & -uncovered
             uncovered ^= low
-            common = conflicts[low.bit_length() - 1] & uncovered
+            j = low.bit_length() - 1
+            common = conflicts[j] & uncovered
             if not common:
                 continue
             clique = low
+            # the clique gives up every gain but its largest, ``top``
+            top = gain[j]
             while common:
                 bit = common & -common
                 clique |= bit
-                common &= conflicts[bit.bit_length() - 1]
+                j = bit.bit_length() - 1
+                common &= conflicts[j]
+                g = gain[j]
+                if g > top:
+                    bound -= top
+                    top = g
+                else:
+                    bound -= g
             uncovered &= ~clique
             free_all &= ~clique
-            if unit_gain is not None:
-                bound -= unit_gain * (clique.bit_count() - 1)
-            else:
-                top = 0
-                while clique:
-                    bit = clique & -clique
-                    clique ^= bit
-                    g = gain[bit.bit_length() - 1]
-                    bound -= g
-                    if g > top:
-                        top = g
-                bound += top
             if bound <= best:
                 return True
         rest = free_all

@@ -311,11 +311,15 @@ def _assert_propagates_like_the_reference(data, lo, hi):
 
 def _search_checked(data):
     """Run the search ``solve_ilp`` selects, checking every propagation against
-    the reference from scratch and every node's carried bound against a full
-    recompute; returns the finished search."""
+    the reference from scratch, every node's carried bound against a full
+    recompute, and the dive's value against the objective of the point it
+    reached; returns the finished search."""
     search = _kernel(data, DEFAULT_NODE_BUDGET)
     kernel = type(search)
-    propagate, enter = kernel._propagate, kernel._enter
+    propagate, enter, dive, attained = (
+        kernel._propagate, kernel._enter, kernel._dive, kernel._attained
+    )
+    reached = []
 
     def checked_propagate(self, state, pending):
         before = _box(self, state)
@@ -332,8 +336,25 @@ def _search_checked(data):
         assert bound == _optimistic(self, *_box(self, state))
         return enter(self, state, start, bound)
 
+    def recorded_attained(self, state, branch):
+        point = attained(self, state, branch)
+        reached.append(point)
+        return point
+
+    def checked_dive(self, state, bound):
+        value = dive(self, state, bound)
+        if value is not None:
+            # the dive ends on the first attained point, the last one recorded
+            point = reached[-1]
+            if isinstance(self, _BitSearch):
+                point = [point >> j & 1 for j in range(self.num_vars)]
+            assert value == sum(c * x for c, x in zip(self.gain, point))
+        return value
+
     with mock.patch.object(kernel, "_propagate", checked_propagate), mock.patch.object(
         kernel, "_enter", checked_enter
+    ), mock.patch.object(kernel, "_dive", checked_dive), mock.patch.object(
+        kernel, "_attained", recorded_attained
     ):
         search.run()
     return search
