@@ -48,9 +48,11 @@ search holds a cutoff (the incumbent's value, or the dive's below) is then
 bounded by a relaxation in two passes. The packing rows with cap 1 form a
 conflict graph, one neighbour bitmask per variable: of pairwise conflicting
 variables at most one is 1. Cliques of that graph first cover the free
-positive-gain variables, each grown on bitmasks from the lowest uncovered
-variable, and a clique keeps only its largest gain, the clique-cover bound
-of max-clique branch-and-bound. Then each free variable that no clique
+positive-gain variables, each started from the lowest uncovered variable
+and grown on bitmasks by the candidate with the most conflicts among the
+other candidates, so that it stays large (a 3SAT->MIS clause triangle is
+taken whole), and a clique keeps only its largest gain, the clique-cover
+bound of max-clique branch-and-bound. Then each free variable that no clique
 covers takes its first binding row among the rest (packing rows with a
 larger cap, and covering rows) whose free uncovered variables no row taken
 so far holds. A packing row keeps its best ``r`` positive gains; a covering
@@ -60,30 +62,32 @@ how many it gives up from popcounts, summing a prefix of the free ones, or
 multiplying when the row's gains are equal. The cliques and the taken rows
 share no free variable, so their optima plus every other variable at its
 better end bound the node, which closes when that is no better than the
-cutoff. When the cap-1 rows are pairs sorted by their members' indices, as
-the forward maps emit them, and the conflict graph is triangle-free, the
-cliques are the pairs a row-by-row pass would take. The box kernel has no
-relaxation: no forward map emits a program that mixes cardinality rows with
-other rows. The sibling window keeps the plain optimistic bound: only that
-bound falls by exactly ``|c|`` per step of the branch value, which the
-window's arithmetic needs.
+cutoff. The box kernel has no relaxation: no forward map emits a program
+that mixes cardinality rows with other rows. The sibling window keeps the
+plain optimistic bound: only that bound falls by exactly ``|c|`` per step of
+the branch value, which the window's arithmetic needs.
 
 A node whose optimistic point (positive gains at ``hi``, the rest at
 ``lo``) satisfies every row closes with that point as its incumbent: every
 optimum of the subtree agrees with it on the nonzero gains and it puts the
 zero gains at their lowest, so it is the subtree's lexicographically
 smallest optimum. A fully fixed node is the special case with no free
-variable. Before the search, a dive from the propagated root fixes the
-first free variable at its optimistic end, or at its other end if that end
-fails, until a node's optimistic point is attained. If it reaches a point
-of value ``v``, the search starts from the cutoff ``v - 1`` with no
-incumbent point, so it prunes only subtrees that cannot reach ``v`` and
-never the dive's own path; a node budget that runs out before the search
-meets a point reports ``v``. The relaxation closes only subtrees that
-cannot strictly beat the cutoff, the attained close keeps the point a full
-search of the subtree would keep, and the search meets points in
-lexicographic order and replaces its incumbent only on strict improvement,
-so the witness is the lexicographically smallest optimal point.
+variable. Before the search, a dive from the propagated root fixes one
+free variable at a time at its optimistic end, or at its other end if that
+end fails, until a node's optimistic point is attained. The box kernel
+dives on the first free variable. The 0-1 kernel dives on the free
+positive-gain variable of largest gain per free positive-gain conflict plus
+one (the GWMIN greedy for weighted independent sets), and on the first free
+variable when none has a positive gain; the search itself still branches in
+index order. If the dive reaches a point of value ``v``, the search starts
+from the cutoff ``v - 1`` with no incumbent point, so it prunes only
+subtrees that cannot reach ``v`` and never the dive's own path; a node
+budget that runs out before the search meets a point reports ``v``. The
+relaxation closes only subtrees that cannot strictly beat the cutoff, the
+attained close keeps the point a full search of the subtree would keep, and
+the search meets points in lexicographic order and replaces its incumbent
+only on strict improvement, so the witness is the lexicographically
+smallest optimal point.
 """
 
 from __future__ import annotations
@@ -136,8 +140,9 @@ class _Search:
     bound lists and ``_optimistic`` sums its bound; ``_propagate`` tightens
     one from a set of pending rows (every row: ``_all_rows``) to the fixpoint
     and ``_child`` fixes the branch variable and propagates; ``_first_free``,
-    ``_domain``, ``_closes`` and ``_attained`` bound an open node, and
-    ``witness`` reads the best point back.
+    ``_domain``, ``_closes`` and ``_attained`` bound an open node,
+    ``_dive_branch`` names the dive's next variable, and ``witness`` reads
+    the best point back.
     """
 
     def __init__(self, data: IlpData, max_nodes: int) -> None:
@@ -208,18 +213,25 @@ class _Search:
         c = self.gain[branch]
         return child_state, bound + c * (value - (high if c > 0 else low)) - loss
 
+    def _dive_branch(self, state, first: int) -> int:
+        """The variable the dive fixes next at a node whose first free variable
+        is ``first``: ``first`` itself here."""
+        return first
+
     def _dive(self, state, bound: int) -> int | None:
         """The value of the point reached from a propagated node of optimistic
-        bound ``bound`` by fixing its first free variable at its optimistic
-        end, or at its other end if that end fails, until the node's
-        optimistic point is attained; None if both ends fail. Each child tried
-        is charged as a node."""
+        bound ``bound`` by fixing the free variable ``_dive_branch`` names at
+        its optimistic end, or at its other end if that end fails, until the
+        node's optimistic point is attained; None if both ends fail. Each child
+        tried is charged as a node."""
         gain = self.gain
-        branch = 0
+        first = 0
         while True:
-            branch = self._first_free(state, branch)
-            if self._attained(state, branch) is not None:
+            # fixing never frees a variable, so the first free one only moves on
+            first = self._first_free(state, first)
+            if self._attained(state, first) is not None:
                 return bound
+            branch = self._dive_branch(state, first)
             low, high = self._domain(state, branch)
             end = high if gain[branch] > 0 else low
             for value in (end, low + high - end):
@@ -229,7 +241,6 @@ class _Search:
             else:
                 return None
             state, bound = child
-            branch += 1
 
     def run(self) -> None:
         # the root is the first node charged
@@ -523,19 +534,42 @@ class _BitSearch(_Search):
     def _domain(self, state, branch: int) -> tuple[int, int]:
         return 0, 1
 
+    def _dive_branch(self, state, first: int) -> int:
+        """The free positive-gain variable of largest ``gain / (d + 1)``, ``d``
+        being its conflicts among the free positive-gain variables (the GWMIN
+        greedy for weighted independent sets), the lowest-index one on ties;
+        ``first`` when there is none."""
+        ones, zeros = state
+        candidates = self.full & ~(ones | zeros) & self.positive
+        conflicts = self.conflicts
+        gain = self.gain
+        # the ratio 0 / 1, which every positive gain beats
+        branch, top, share = first, 0, 1
+        scan = candidates
+        while scan:
+            bit = scan & -scan
+            scan ^= bit
+            j = bit.bit_length() - 1
+            degree = (conflicts[j] & candidates).bit_count() + 1
+            if gain[j] * share > top * degree:
+                branch, top, share = j, gain[j], degree
+        return branch
+
     def _closes(self, state, branch: int, bound: int, best: int) -> bool:
         """Whether the conflict-clique and cardinality-row relaxation of a node
         is at most ``best``.
 
         Cliques of the conflict graph first cover the free positive-gain
-        variables: the lowest uncovered one grows a clique with the lowest
-        uncovered member of the running common-neighbour mask, and a clique
-        gives up all but its largest gain. Then each free variable that no
-        clique of two or more covers, in index order, takes its first binding
-        row whose free uncovered variables no row taken so far holds; a taken
-        row gets its exact one-row optimum over those variables, which gives up
-        the cheapest of them whose optimistic end overfills its capped side.
-        Every other variable keeps its optimistic end.
+        variables: the lowest uncovered one starts a clique, which grows while
+        the running common-neighbour mask holds a candidate. Of two or more it
+        takes the one with the most conflicts inside the mask, then the one
+        with the fewest uncovered conflicts, then the lowest index, and a
+        clique gives up all but its largest gain. Then each free variable that
+        no clique of two or more covers, in index order, takes its first
+        binding row whose free uncovered variables no row taken so far holds;
+        a taken row gets its exact one-row optimum over those variables, which
+        gives up the cheapest of them whose optimistic end overfills its capped
+        side. Every other variable keeps its optimistic end.
         """
         ones, zeros = state
         free_all = self.full & ~(ones | zeros)
@@ -554,6 +588,20 @@ class _BitSearch(_Search):
             top = gain[j]
             while common:
                 bit = common & -common
+                if common != bit:
+                    # of two or more candidates, the one that keeps the most
+                    # of them, then the one fewest other cliques could use
+                    most, fewest = -1, 0
+                    scan = common
+                    while scan:
+                        candidate = scan & -scan
+                        scan ^= candidate
+                        neighbours = conflicts[candidate.bit_length() - 1]
+                        inside = (neighbours & common).bit_count()
+                        if inside >= most:
+                            outside = (neighbours & uncovered).bit_count()
+                            if inside > most or outside < fewest:
+                                bit, most, fewest = candidate, inside, outside
                 clique |= bit
                 j = bit.bit_length() - 1
                 common &= conflicts[j]

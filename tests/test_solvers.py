@@ -393,6 +393,81 @@ def test_zero_one_kernel_propagates_and_bounds_like_the_reference():
             assert _point(ilp.data, search.witness()) == winners[0]
 
 
+def _ilp_program(instance) -> IlpData:
+    """The program ``instance`` reduces to along its path to the ILP node."""
+    route = default_graph().find_path(instance.variant_key(), REGISTRY.lookup("ILP").key)
+    return reduce_along(route, instance).target_instance.data
+
+
+def _conflict_programs(rng, count):
+    """``count`` each of three kinds of 0-1 program whose cap-1 rows form a
+    conflict graph: random conflict ILPs (pre-fixed variables, gains -3 to
+    5), weighted MIS (gains 1 to 5) and 3SAT through MIS, whose clause
+    triangles the cliques can take whole."""
+    for _ in range(count):
+        yield random_conflict_ilp(rng)[0].data
+        yield _ilp_program(random_mis(rng, max_vertices=10, weighted=True)[0])
+        yield _ilp_program(random_3sat(rng, max_variables=4, max_clauses=4)[0])
+
+
+def test_clique_relaxation_never_closes_a_node_that_reaches_the_cutoff():
+    # from random partial fixings, propagated, the relaxation must leave open
+    # every node whose subtree holds a point of value v when the cutoff is
+    # v - 1: any clique cover bounds the node, so no growth rule may close it
+    rng = make_rng(1717)
+    checked = 0
+    for data in _conflict_programs(rng, 100):
+        search = _kernel(data, DEFAULT_NODE_BUDGET)
+        assert isinstance(search, _BitSearch)
+        rows = dense_rows(data)
+        for _ in range(3):
+            lo = [l for l, _ in data.var_bounds]
+            hi = [h for _, h in data.var_bounds]
+            for j in range(data.num_vars):
+                if lo[j] < hi[j] and rng.random() < 0.25:
+                    lo[j] = hi[j] = rng.randint(0, 1)
+            out = search._propagate(search._state(lo, hi), search._all_rows())
+            if out is None:
+                continue
+            state = out[0]
+            box = list(zip(*_box(search, state)))
+            expected, _ = best_ilp(box, rows, data.objective, data.sense)
+            if expected is None:
+                continue
+            value = search.sign * expected
+            bound = search._optimistic(state)
+            assert not search._closes(state, search._first_free(state, 0), bound, value - 1)
+            checked += 1
+    assert checked >= 600
+
+
+def test_greedy_dive_reaches_the_point_it_reports():
+    # weighted gains, which the dive's gain / (conflicts + 1) ratio compares,
+    # and pre-fixed variables, through the recomputing checks of every node
+    # and of the dive's value; the dive must leave index order on some
+    rng = make_rng(4242)
+    dive_branch = _BitSearch._dive_branch
+    moved = []
+
+    def recorded(self, state, first):
+        branch = dive_branch(self, state, first)
+        moved.append(branch != first)
+        return branch
+
+    with mock.patch.object(_BitSearch, "_dive_branch", recorded):
+        for data in _conflict_programs(rng, 100):
+            search = _search_checked(data)
+            expected, winners = best_ilp(
+                data.var_bounds, dense_rows(data), data.objective, data.sense
+            )
+            if expected is None:
+                assert search.best_point is None
+            else:
+                assert search.sign * search.best_value == expected
+                assert _point(data, search.witness()) == winners[0]
+    assert any(moved) and not all(moved)
+
+
 @st.composite
 def _fixed_ilps(draw):
     """A bounded ILP and a box inside its bounds with some variables fixed."""
@@ -428,20 +503,20 @@ def test_drawn_propagation_reaches_the_reference_fixpoint(case):
 # the kernel ``solve_ilp`` selects for it; ``solve`` must give the same value
 # and witness whatever node it solves at.
 SEARCH_PINS = [
-    ("mis", 1, 228, 13, "001101011100110010000000101110"),
-    ("mis", 2, 157, 14, "110000110000110100001001011111"),
+    ("mis", 1, 90, 13, "001101011100110010000000101110"),
+    ("mis", 2, 57, 14, "110000110000110100001001011111"),
     ("setcover", 1, 58, 8, "000000000000000011111111"),
     ("setcover", 2, 79, 8, "000000000000000011111111"),
     ("qubo", 1, 221, 28, "11110100"),
     ("qubo", 2, 117, 33, "10110110"),
-    ("gc", 5, 227, True, "2112"),
-    ("gc", 10, 327, True, "2121"),
+    ("gc", 5, 84, True, "2112"),
+    ("gc", 10, 95, True, "2121"),
     # the MIS program of G(40, 0.15) as a hand-written ILP, then with one
     # general row beside its cardinality rows: that sends it to the box
     # kernel, which has no relaxation, so the same optimum costs 30,600
-    # nodes against 475 (a change to that trade-off must update these on
+    # nodes against 292 (a change to that trade-off must update these on
     # purpose)
-    ("ilp", 4, 475, 14, "0000000110001110101011000001100010010001"),
+    ("ilp", 4, 292, 14, "0000000110001110101011000001100010010001"),
     ("ilp-mixed", 4, 30600, 14, "0000000110001110101011000001100010010001"),
 ]
 
@@ -471,8 +546,7 @@ def _pinned_instance(family, seed):
 )
 def test_search_nodes_and_witness_are_pinned(family, seed, nodes, value, witness):
     instance = _pinned_instance(family, seed)
-    route = default_graph().find_path(instance.variant_key(), REGISTRY.lookup("ILP").key)
-    search = _kernel(reduce_along(route, instance).target_instance.data, DEFAULT_NODE_BUDGET)
+    search = _kernel(_ilp_program(instance), DEFAULT_NODE_BUDGET)
     search.run()
     result = solve(instance)
     # QUBO's linearisation rows mix signs, as does ilp-mixed's added row;
@@ -759,10 +833,22 @@ def test_huge_domains_stop_at_the_first_prunable_value():
 
 def test_routed_coloring_solves_within_a_node_budget():
     # GC -> SAT -> 3SAT -> MIS -> ILP; the conflict-clique bound over the MIS
-    # stage's edge rows, whose clause triangles it covers whole, and the
-    # dive's cutoff keep this search within the budget
+    # stage's edge rows, whose cliques grow to take the clause triangles
+    # whole, and the greedy dive's cutoff keep this search within the budget
     instance = GraphColoring(GraphData(4, ((0, 1), (1, 2), (2, 3))), 3)
     result = solve(instance, max_nodes=50_000)
+    assert result.value.render() == "Or(true)"
+    assert evaluate(instance, result.witness).payload is True
+
+
+def test_routed_coloring_keeps_clause_triangles_whole():
+    # G(12, 0.3), k = 3 on the same route takes 1,714 nodes. Growing each
+    # clique by its lowest-index candidate took 7,615, and by the candidate
+    # with the fewest uncovered conflicts alone, which breaks the clause
+    # triangles into pairs, 100,291
+    n = 12
+    instance = GraphColoring(GraphData(n, gnp_edges(make_rng(n), n, 0.3)), 3)
+    result = solve(instance, max_nodes=5_000)
     assert result.value.render() == "Or(true)"
     assert evaluate(instance, result.witness).payload is True
 
