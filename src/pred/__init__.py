@@ -16,7 +16,9 @@ catalogue or the solvers, for instance. Overhead and complexity expressions
 stay as their declared text until something reads them, so importing the
 package and building the graph (``default_graph()``) do not load the
 symbolic algebra, ``pred.symbolic``; routing loads it when it first compares
-two routes. ``canonical`` is the expression normaliser from
+two routes. Nor do they load any problem family (``pred.problems``): a
+family's classes and forward maps load when an instance of it is first
+built or reduced to. ``canonical`` is the expression normaliser from
 ``pred.symbolic``; the example database is ``pred.examples``.
 """
 

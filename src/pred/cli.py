@@ -10,25 +10,28 @@ optional ``--pretty`` rendering go to stdout as plain lines only where
 documented, and errors go to stderr.
 
 Exit codes: 0 ok, 2 bad input, 3 no reduction path, 4 budget exhausted,
-5 infeasible program.
+5 infeasible program. A reader that closes the pipe before the output ends
+(``pred list | head -n 1``) ends the command quietly, with status 0.
 
 Each command is one process in a pipe, so each imports only what it runs:
-``create`` and ``evaluate`` need the problem registry alone, the reduction
-graph (rules and routing) is imported by the commands that route, the
-solvers by ``solve`` and ``show``, and the example database by ``create
---example`` and ``show``. The symbolic algebra (``pred.symbolic``) is loaded
-only where an overhead or complexity expression is read: when routing
-compares two candidate routes (``reduce``, ``path``, and ``solve`` when the
-instance it solves has more than one route to a solver node), and when
-``path``, ``show``, ``list`` and ``reduce --path`` print one. ``solve`` on
-an envelope to ILP replays the envelope's path and solves along the empty
-route, so it reads no expression.
+``create`` and ``evaluate`` need the problem registry and the instance's
+problem family alone (a family is loaded only by the commands that build or
+reduce into one of its problems), the reduction graph (rules and routing)
+is imported by the commands that route, the solvers by ``solve`` and
+``show``, and the example database by ``create --example`` and ``show``.
+The symbolic algebra (``pred.symbolic``) is loaded only where an overhead
+or complexity expression is read: when routing compares two candidate
+routes (``reduce``, ``path``, and ``solve`` when the instance it solves has
+more than one route to a solver node), and when ``path``, ``show``, ``list``
+and ``reduce --path`` print one. ``solve`` on an envelope to ILP replays the
+envelope's path and solves along the empty route, so it reads no expression.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
@@ -232,11 +235,10 @@ def cmd_create(args) -> None:
     registry = default_registry()
     descriptor = registry.lookup(args.problem)
     if args.example:
-        from .examples import build_examples, get_example
+        from .examples import get_example
 
         _reject_unread_flags("example", args)
-        example = get_example(args.problem, registry, build_examples(registry))
-        instance = example.instance
+        instance = get_example(args.problem, registry).instance
     elif args.file:
         _reject_unread_flags("file", args)
         instance = instance_from_document(_load_document(args.file), registry)
@@ -363,7 +365,7 @@ def cmd_path(args) -> None:
 
 
 def cmd_show(args) -> None:
-    from .examples import build_examples, get_example
+    from .examples import get_example
     from .graph import default_graph
     from .solvers import SOLVERS
     from .symbolic import render
@@ -393,7 +395,7 @@ def cmd_show(args) -> None:
     print(f"  incoming rules: {', '.join(r.name for r in incoming) if incoming else '(none)'}")
     print(f"  outgoing rules: {', '.join(r.name for r in outgoing) if outgoing else '(none)'}")
     try:
-        example = get_example(args.problem, registry, build_examples(registry))
+        example = get_example(args.problem, registry)
     except PredError:
         print("  example: (none)")
     else:
@@ -488,10 +490,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence_stdout() -> None:
+    """Point stdout at the null device once its reader has gone, so the
+    interpreter's last flush does not report the broken pipe again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         args.handler(args)
+        sys.stdout.flush()  # a reader that left early shows here, not at exit
+    except BrokenPipeError:
+        _silence_stdout()
+        return 0
     except BudgetExceededError as exc:
         print(f"pred: {exc}", file=sys.stderr)
         return 4

@@ -3,7 +3,8 @@
 Every example is small enough (at most 10 configuration variables) that the
 whole suite can re-derive each stored optimum by brute force. The database
 feeds tests, `pred create --example`, and round-trip checks, and serializes
-losslessly to JSON.
+losslessly to JSON. Each example is stored as instance data and decoded
+when it is asked for, so `pred create X --example` builds only X.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .errors import DocumentError, NoExampleError, Record
 from .model import (
     AggregatedValue,
     Configuration,
-    DecisionProblem,
     Problem,
     Registry,
     SENSE_MAXIMIZE,
@@ -24,29 +24,7 @@ from .model import (
     evaluate,
     fold_space,
 )
-from .problems import (
-    CnfData,
-    Clique,
-    DominatingSet,
-    GraphColoring,
-    GraphData,
-    Ilp,
-    IlpData,
-    IndependentSet,
-    IsingData,
-    MaxCut,
-    Qubo,
-    QuboData,
-    Satisfiability,
-    SetCover,
-    SetCoverData,
-    SpinGlass,
-    ThreeSatisfiability,
-    VertexCover,
-    instance_from_document,
-    instance_to_document,
-    register_catalogue,
-)
+from .problems import instance_from_document, instance_to_document, register_catalogue
 
 
 class CanonicalExample(Record):
@@ -57,140 +35,169 @@ class CanonicalExample(Record):
     narrative: str
 
 
-def _p4() -> GraphData:
-    return GraphData(4, ((0, 1), (1, 2), (2, 3)))
+_P4 = {"num_vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]]}
+
+# One entry per variant: a name the registry looks up, the example's id, its
+# instance data, known value, known witness and narrative. An entry's instance
+# is decoded only when it is asked for, so looking up one example builds only
+# that problem (and loads only its family).
+_EXAMPLES = (
+    (
+        "Satisfiability",
+        "sat-two-clauses",
+        {"num_variables": 4, "clauses": [[1, 2, 3, 4], [-1, -2]]},
+        AggregatedValue(ValueKind.OR, True),
+        (0, 0, 1, 0),
+        "one wide clause plus a binary clause; x3 true settles both",
+    ),
+    (
+        "ThreeSatisfiability",
+        "3sat-two-clauses",
+        {"num_variables": 3, "clauses": [[1, 2, 3], [-1, 2, -3]]},
+        AggregatedValue(ValueKind.OR, True),
+        (0, 1, 0),
+        "two 3-literal clauses sharing x2; setting x2 satisfies both",
+    ),
+    (
+        "MaximumIndependentSet",
+        "mis-path4",
+        _P4,
+        AggregatedValue(ValueKind.MAX, 2),
+        (1, 0, 0, 1),
+        "path on 4 vertices; the two endpoints form a maximum independent set",
+    ),
+    (
+        "MaximumIndependentSet[weight=integer]",
+        "mis-weighted-path3",
+        {"num_vertices": 3, "edges": [[0, 1], [1, 2]], "weights": [2, 3, 2]},
+        AggregatedValue(ValueKind.MAX, 4),
+        (1, 0, 1),
+        "weighted path where the two light endpoints beat the heavy middle",
+    ),
+    (
+        "MinimumVertexCover",
+        "vc-path4",
+        _P4,
+        AggregatedValue(ValueKind.MIN, 2),
+        (0, 1, 1, 0),
+        "path on 4 vertices; the two middle vertices cover all edges",
+    ),
+    (
+        "MaximumClique",
+        "clique-triangle-tail",
+        {"num_vertices": 4, "edges": [[0, 1], [0, 2], [1, 2], [2, 3]]},
+        AggregatedValue(ValueKind.MAX, 3),
+        (1, 1, 1, 0),
+        "triangle with a pendant vertex; the triangle is the maximum clique",
+    ),
+    (
+        "MinimumDominatingSet",
+        "domset-star4",
+        {"num_vertices": 4, "edges": [[0, 1], [0, 2], [0, 3]]},
+        AggregatedValue(ValueKind.MIN, 1),
+        (1, 0, 0, 0),
+        "star graph; the hub alone dominates every vertex",
+    ),
+    (
+        "MinimumSetCover",
+        "setcover-ring4",
+        {"num_elements": 4, "sets": [[0, 1], [1, 2], [2, 3], [0, 3]]},
+        AggregatedValue(ValueKind.MIN, 2),
+        (1, 0, 1, 0),
+        "four overlapping pair-sets in a ring; two opposite sets cover all",
+    ),
+    (
+        "MaxCut",
+        "maxcut-triangle",
+        {"num_vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]},
+        AggregatedValue(ValueKind.MAX, 2),
+        (0, 0, 1),
+        "triangle; any bipartition cuts exactly two of the three edges",
+    ),
+    (
+        "QUBO",
+        "qubo-coupled-pair",
+        {"n": 2, "q": [[1, -2], [-2, 1]]},
+        AggregatedValue(ValueKind.MAX, 1),
+        (1, 0),
+        "two unit gains with a strong negative coupling; pick one variable",
+    ),
+    (
+        "SpinGlass",
+        "ising-coupled-pair",
+        {"n": 2, "j": [[0, -1], [-1, 0]], "h": [1, 0]},
+        AggregatedValue(ValueKind.MAX, 2),
+        (0, 0),
+        "ferromagnetic pair with a field on one spin; both spins down",
+    ),
+    (
+        "GraphColoring",
+        "coloring-edge2",
+        {"num_vertices": 2, "edges": [[0, 1]], "colors": 2},
+        AggregatedValue(ValueKind.OR, True),
+        (0, 1),
+        "single edge with two colors; any proper 2-coloring works",
+    ),
+    (
+        "IntegerLinearProgram",
+        "ilp-path4",
+        {
+            "num_vars": 4,
+            "bounds": [[0, 1]] * 4,
+            "constraints": [
+                {"coeffs": [1, 1, 0, 0], "rel": "<=", "rhs": 1},
+                {"coeffs": [0, 1, 1, 0], "rel": "<=", "rhs": 1},
+                {"coeffs": [0, 0, 1, 1], "rel": "<=", "rhs": 1},
+            ],
+            "objective": [1, 1, 1, 1],
+            "sense": "max",
+        },
+        AggregatedValue(ValueKind.EXTREMUM, 2, True, SENSE_MAXIMIZE),
+        (1, 0, 0, 1),
+        "binary program with chained at-most-one constraints; optimum 2",
+    ),
+    (
+        "DecisionMaximumIndependentSet",
+        "decision-mis-path4",
+        {**_P4, "bound": 2},
+        AggregatedValue(ValueKind.OR, True),
+        (1, 0, 0, 1),
+        "is there an independent set of size 2 on the 4-path? yes",
+    ),
+    (
+        "DecisionMinimumVertexCover",
+        "decision-vc-path4",
+        {**_P4, "bound": 2},
+        AggregatedValue(ValueKind.OR, True),
+        (0, 1, 1, 0),
+        "is there a vertex cover of size 2 on the 4-path? yes",
+    ),
+)
+
+
+def _entries(registry: Registry) -> dict[VariantKey, tuple]:
+    """The stored entries by variant key, none of them decoded."""
+    entries: dict[VariantKey, tuple] = {}
+    for entry in _EXAMPLES:
+        key = registry.lookup(entry[0]).key
+        if key in entries:
+            raise DocumentError(f"two examples for variant {key}")
+        entries[key] = entry
+    return entries
+
+
+def _decode(entry: tuple, key: VariantKey, registry: Registry) -> CanonicalExample:
+    name, example_id, data, value, witness, narrative = entry
+    instance = instance_from_document({"problem": name, "data": data}, registry)
+    if instance.variant_key() != key:
+        raise DocumentError(f"example {example_id} is a {instance.variant_key()}, not a {key}")
+    return CanonicalExample(example_id, instance, value, witness, narrative)
 
 
 def build_examples(registry: Registry | None = None) -> dict[VariantKey, CanonicalExample]:
     """Construct the shipped database, keyed by problem variant."""
     registry = registry or register_catalogue()
-    examples = [
-        CanonicalExample(
-            "sat-two-clauses",
-            Satisfiability(CnfData(4, ((1, 2, 3, 4), (-1, -2)))),
-            AggregatedValue(ValueKind.OR, True),
-            (0, 0, 1, 0),
-            "one wide clause plus a binary clause; x3 true settles both",
-        ),
-        CanonicalExample(
-            "3sat-two-clauses",
-            ThreeSatisfiability(CnfData(3, ((1, 2, 3), (-1, 2, -3)))),
-            AggregatedValue(ValueKind.OR, True),
-            (0, 1, 0),
-            "two 3-literal clauses sharing x2; setting x2 satisfies both",
-        ),
-        CanonicalExample(
-            "mis-path4",
-            IndependentSet(_p4()),
-            AggregatedValue(ValueKind.MAX, 2),
-            (1, 0, 0, 1),
-            "path on 4 vertices; the two endpoints form a maximum independent set",
-        ),
-        CanonicalExample(
-            "mis-weighted-path3",
-            IndependentSet(GraphData(3, ((0, 1), (1, 2)), (2, 3, 2))),
-            AggregatedValue(ValueKind.MAX, 4),
-            (1, 0, 1),
-            "weighted path where the two light endpoints beat the heavy middle",
-        ),
-        CanonicalExample(
-            "vc-path4",
-            VertexCover(_p4()),
-            AggregatedValue(ValueKind.MIN, 2),
-            (0, 1, 1, 0),
-            "path on 4 vertices; the two middle vertices cover all edges",
-        ),
-        CanonicalExample(
-            "clique-triangle-tail",
-            Clique(GraphData(4, ((0, 1), (0, 2), (1, 2), (2, 3)))),
-            AggregatedValue(ValueKind.MAX, 3),
-            (1, 1, 1, 0),
-            "triangle with a pendant vertex; the triangle is the maximum clique",
-        ),
-        CanonicalExample(
-            "domset-star4",
-            DominatingSet(GraphData(4, ((0, 1), (0, 2), (0, 3)))),
-            AggregatedValue(ValueKind.MIN, 1),
-            (1, 0, 0, 0),
-            "star graph; the hub alone dominates every vertex",
-        ),
-        CanonicalExample(
-            "setcover-ring4",
-            SetCover(SetCoverData(4, ((0, 1), (1, 2), (2, 3), (0, 3)))),
-            AggregatedValue(ValueKind.MIN, 2),
-            (1, 0, 1, 0),
-            "four overlapping pair-sets in a ring; two opposite sets cover all",
-        ),
-        CanonicalExample(
-            "maxcut-triangle",
-            MaxCut(GraphData(3, ((0, 1), (1, 2), (0, 2)))),
-            AggregatedValue(ValueKind.MAX, 2),
-            (0, 0, 1),
-            "triangle; any bipartition cuts exactly two of the three edges",
-        ),
-        CanonicalExample(
-            "qubo-coupled-pair",
-            Qubo(QuboData(2, ((1, -2), (-2, 1)))),
-            AggregatedValue(ValueKind.MAX, 1),
-            (1, 0),
-            "two unit gains with a strong negative coupling; pick one variable",
-        ),
-        CanonicalExample(
-            "ising-coupled-pair",
-            SpinGlass(IsingData(2, ((0, -1), (-1, 0)), (1, 0))),
-            AggregatedValue(ValueKind.MAX, 2),
-            (0, 0),
-            "ferromagnetic pair with a field on one spin; both spins down",
-        ),
-        CanonicalExample(
-            "coloring-edge2",
-            GraphColoring(GraphData(2, ((0, 1),)), 2),
-            AggregatedValue(ValueKind.OR, True),
-            (0, 1),
-            "single edge with two colors; any proper 2-coloring works",
-        ),
-        CanonicalExample(
-            "ilp-path4",
-            Ilp(
-                IlpData(
-                    4,
-                    ((0, 1),) * 4,
-                    (
-                        (((0, 1), (1, 1)), "<=", 1),
-                        (((1, 1), (2, 1)), "<=", 1),
-                        (((2, 1), (3, 1)), "<=", 1),
-                    ),
-                    (1, 1, 1, 1),
-                    "max",
-                )
-            ),
-            AggregatedValue(ValueKind.EXTREMUM, 2, True, SENSE_MAXIMIZE),
-            (1, 0, 0, 1),
-            "binary program with chained at-most-one constraints; optimum 2",
-        ),
-        CanonicalExample(
-            "decision-mis-path4",
-            DecisionProblem(IndependentSet(_p4()), 2),
-            AggregatedValue(ValueKind.OR, True),
-            (1, 0, 0, 1),
-            "is there an independent set of size 2 on the 4-path? yes",
-        ),
-        CanonicalExample(
-            "decision-vc-path4",
-            DecisionProblem(VertexCover(_p4()), 2),
-            AggregatedValue(ValueKind.OR, True),
-            (0, 1, 1, 0),
-            "is there a vertex cover of size 2 on the 4-path? yes",
-        ),
-    ]
-    database: dict[VariantKey, CanonicalExample] = {}
-    for example in examples:
-        key = example.instance.variant_key()
-        registry.lookup_key(key)
-        if key in database:
-            raise DocumentError(f"two examples for variant {key}")
-        database[key] = example
-    return database
+    return {key: _decode(entry, key, registry) for key, entry in _entries(registry).items()}
 
 
 def get_example(
@@ -198,11 +205,16 @@ def get_example(
     registry: Registry | None = None,
     database: Mapping[VariantKey, CanonicalExample] | None = None,
 ) -> CanonicalExample:
+    """The example of one variant, from ``database`` if given; else only that
+    variant's stored entry is decoded."""
     registry = registry or register_catalogue()
+    key = registry.lookup(problem_name).key
     if database is None:
-        database = build_examples(registry)
-    descriptor = registry.lookup(problem_name)
-    example = database.get(descriptor.key)
+        entries = _entries(registry)
+        if key in entries:
+            return _decode(entries[key], key, registry)
+        database = entries
+    example = database.get(key)
     if example is None:
         available = ", ".join(sorted(registry.display_name(k) for k in database))
         raise NoExampleError(f"no example for {problem_name}; available: {available}")

@@ -1,0 +1,69 @@
+"""The set-cover family: ``SetCoverData`` and ``SetCover``.
+
+Also the forward map of the one rule into set cover, from dominating set.
+It reads its source only through attributes, so this module imports no
+other family at run time.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Mapping
+
+from ..errors import InvalidInstanceError, Record
+from ..model import Problem, ValueKind
+
+if TYPE_CHECKING:
+    from .graph import DominatingSet
+
+
+class SetCoverData(Record):
+    """Family of subsets of range(num_elements) whose union covers everything."""
+
+    num_elements: int
+    sets: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        if self.num_elements < 0:
+            raise InvalidInstanceError("negative element count")
+        sets = tuple(tuple(s) for s in self.sets)
+        covered: set[int] = set()
+        for s in sets:
+            for e in s:
+                if not 0 <= e < self.num_elements:
+                    raise InvalidInstanceError(f"element {e} out of range")
+            covered.update(s)
+        if len(covered) < self.num_elements:
+            raise InvalidInstanceError("union of sets does not cover all elements")
+        object.__setattr__(self, "sets", sets)
+
+
+class SetCover(Record, Problem):
+    data: SetCoverData
+    kind = ValueKind.MIN
+    type_name = "MinimumSetCover"
+
+    @classmethod
+    def from_data(cls, data: Mapping) -> SetCover:
+        return cls(SetCoverData(data["num_elements"], data["sets"]))
+
+    def config_dims(self) -> tuple[int, ...]:
+        return (2,) * len(self.data.sets)
+
+    def size_measures(self) -> dict[str, int]:
+        return {"S": len(self.data.sets), "U": self.data.num_elements}
+
+    def _measure(self, config) -> tuple[int, bool]:
+        covered: set[int] = set()
+        for i, chosen in enumerate(config):
+            if chosen:
+                covered.update(self.data.sets[i])
+        return sum(config), len(covered) == self.data.num_elements
+
+    def to_data(self) -> dict:
+        return {"num_elements": self.data.num_elements, "sets": [list(s) for s in self.data.sets]}
+
+
+def forward_domset_to_setcover(instance: DominatingSet) -> tuple[Problem, dict]:
+    g = instance.graph
+    sets = g.closed_neighborhoods
+    return SetCover(SetCoverData(g.num_vertices, sets)), {"num_vars": g.num_vertices}

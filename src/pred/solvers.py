@@ -92,6 +92,8 @@ smallest optimal point.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .errors import BudgetExceededError, Record
 from .graph import ReductionPath, default_graph, reduce_along, solution_along
 from .model import (
@@ -106,7 +108,9 @@ from .model import (
     _first_best,
     fold_space,
 )
-from .problems import IlpData
+
+if TYPE_CHECKING:
+    from .problems.ilp import IlpData
 
 
 class SolveResult(Record):

@@ -8,6 +8,7 @@ user would hit them.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -481,6 +482,26 @@ def test_list_stats_appends_topology_report():
     assert len(report["reachable_to_ilp"]) == 13
     assert len(report["reachable_from_3sat"]) == 7
     assert report["isolated"] == ["DecisionMinimumVertexCover"]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_reader_that_closes_early_ends_the_command_quietly(unbuffered):
+    # like ``pred list | head -n 1``, but the reader is gone before the first
+    # write, so every write (or the final flush) meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pred", "list", "--stats"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 0
+    assert result.stderr == ""
 
 
 def test_create_example_for_every_canonical_entry():

@@ -5,7 +5,9 @@ not use costs start-up time on every call. The stages run here as real
 interpreters (``python -m pred`` through ``runpy``), and each reports the
 modules that appeared in ``sys.modules`` while it ran. The symbolic algebra
 (``pred.symbolic``, which brings in ``fractions``) belongs only to the
-stages that compare routes or print an expression.
+stages that compare routes or print an expression, and a problem family
+(``pred.problems.graph``, ``sat``, ``ilp``, ``qubo``, ``setcover``) only to
+the stages that build or reduce an instance of that family.
 """
 
 from __future__ import annotations
@@ -57,10 +59,39 @@ pred.default_graph()
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
+# Resolves every lazy reference into the families: the class table, each
+# rule's forward map and extractors, and each field-table constructor.
+RESOLVE = """
+import json
+import pred.problems as problems
+from pred.graph import default_graph
+
+unresolved = [
+    name
+    for names in problems.FAMILIES.values()
+    for name in names.split()
+    if getattr(problems, name, None) is None
+]
+refs = [problems.DATA_FIELDS[name][2] for name in sorted(problems.DATA_FIELDS)]
+rules = default_graph().rules
+for rule in rules:
+    refs += [rule.forward, rule.config_extractor, rule.value_extractor]
+eager = [
+    name for name in sorted(problems.DATA_FIELDS)
+    if not isinstance(problems.DATA_FIELDS[name][2], problems.FamilyRef)
+] + [rule.name for rule in rules if not isinstance(rule.forward, problems.FamilyRef)]
+refs = [ref for ref in refs if isinstance(ref, problems.FamilyRef)]
+unresolved += [ref.name for ref in refs if not callable(ref.resolve())]
+print(json.dumps({"unresolved": unresolved, "eager": eager}))
+"""
+
 MIS = {"problem": "MIS", "data": {"num_vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]]}}
 CORE = ["pred", "pred.cli", "pred.errors", "pred.model", "pred.problems"]
 ROUTING = ["pred.graph", "pred.rules"]
 SYMBOLIC = ("pred.symbolic", "fractions")
+GRAPH_FAMILY = "pred.problems.graph"
+ILP_FAMILY = "pred.problems.ilp"
+FAMILIES = {f"pred.problems.{f}" for f in ("graph", "sat", "ilp", "qubo", "setcover")}
 
 
 def run_stage(*argv: str, stdin: str = "") -> tuple[str, dict]:
@@ -80,21 +111,25 @@ def assert_no_symbolic(report: dict) -> None:
     assert not set(SYMBOLIC) & set(report["loaded"])
 
 
-def test_create_from_flags_loads_only_the_registry():
+def test_create_from_flags_loads_only_the_registry_and_the_family():
     _, report = run_stage("create", "MIS", "--graph", "0-1,1-2,2-3")
-    assert pred_modules(report) == CORE
+    assert pred_modules(report) == sorted([*CORE, GRAPH_FAMILY])
     assert_no_symbolic(report)
 
 
-def test_create_example_adds_only_the_example_database():
-    _, report = run_stage("create", "GC", "--example")
-    assert pred_modules(report) == sorted([*CORE, "pred.examples"])
+@pytest.mark.parametrize(
+    "problem, family",
+    [("MIS", "graph"), ("GC", "graph"), ("SetCover", "setcover"), ("3SAT", "sat")],
+)
+def test_create_example_adds_the_example_database_and_one_family(problem, family):
+    _, report = run_stage("create", problem, "--example")
+    assert pred_modules(report) == sorted([*CORE, "pred.examples", f"pred.problems.{family}"])
     assert_no_symbolic(report)
 
 
-def test_evaluate_loads_only_the_registry():
+def test_evaluate_loads_only_the_registry_and_the_family():
     _, report = run_stage("evaluate", "-", "--config", "1,0,1,0", stdin=json.dumps(MIS))
-    assert pred_modules(report) == CORE
+    assert pred_modules(report) == sorted([*CORE, GRAPH_FAMILY])
     assert_no_symbolic(report)
 
 
@@ -106,16 +141,35 @@ def test_import_and_graph_build_leave_the_algebra_unloaded():
     assert not set(SYMBOLIC) & set(loaded)
 
 
-def test_reduce_loads_routing_but_not_the_solvers():
+def test_import_and_graph_build_load_no_family():
+    result = subprocess.run([sys.executable, "-c", GRAPH_BUILD], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert not FAMILIES & set(json.loads(result.stdout))
+
+
+def test_reduce_loads_routing_and_the_route_families_but_not_the_solvers():
     _, report = run_stage("reduce", "-", "--to", "ILP", stdin=json.dumps(MIS))
-    assert pred_modules(report) == sorted([*CORE, *ROUTING, "pred.symbolic"])
+    assert pred_modules(report) == sorted(
+        [*CORE, *ROUTING, "pred.symbolic", GRAPH_FAMILY, ILP_FAMILY]
+    )
 
 
-def test_solve_on_an_envelope_adds_the_solvers():
+def test_solve_on_an_envelope_adds_the_solvers_and_only_the_route_families():
     envelope, _ = run_stage("reduce", "-", "--to", "ILP", stdin=json.dumps(MIS))
     _, report = run_stage("solve", "-", stdin=envelope)
-    assert pred_modules(report) == sorted([*CORE, *ROUTING, "pred.solvers"])
+    assert pred_modules(report) == sorted(
+        [*CORE, *ROUTING, "pred.solvers", GRAPH_FAMILY, ILP_FAMILY]
+    )
     assert_no_symbolic(report)
+
+
+def test_every_family_reference_resolves():
+    result = subprocess.run([sys.executable, "-c", RESOLVE], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["unresolved"] == []
+    # every constructor and forward map is reached through a family reference
+    assert report["eager"] == []
 
 
 @pytest.mark.parametrize(
