@@ -104,6 +104,45 @@ class GraphData(Record):
             lower[v].append(u)
         return tuple(map(tuple, lower))
 
+    @cached_property
+    def suffix_matchings(self) -> tuple[int, ...]:
+        """Entry k is the size of a matching of the subgraph on vertices k
+        to V-1, never smaller than entry k+1; entry V is 0.
+
+        Each subgraph is matched greedily: the vertex with the fewest
+        unmatched neighbours (at least one) is matched to its neighbour with
+        the fewest, the lowest index on ties, until no edge is left. Every
+        vertex cover holds one end of each matched edge, so a vertex cover
+        of the subgraph has at least that many vertices.
+        """
+        n = self.num_vertices
+        adjacent = [0] * n
+        for u, v in self.edges:
+            adjacent[u] |= 1 << v
+            adjacent[v] |= 1 << u
+
+        def fewest(candidates: int, alive: int) -> int:
+            """The bit of the lowest candidate with the fewest neighbours in
+            ``alive``, at least one; 0 if no candidate has one."""
+            pick, least = 0, n
+            while candidates:
+                bit = candidates & -candidates
+                candidates ^= bit
+                degree = (adjacent[bit.bit_length() - 1] & alive).bit_count()
+                if 0 < degree < least:
+                    pick, least = bit, degree
+            return pick
+
+        sizes = [0] * (n + 1)
+        for k in range(n - 1, -1, -1):
+            alive = ((1 << n) - 1) >> k << k
+            size = 0
+            while pick := fewest(alive, alive):
+                alive &= ~(pick | fewest(adjacent[pick.bit_length() - 1] & alive, alive))
+                size += 1
+            sizes[k] = max(size, sizes[k + 1])
+        return tuple(sizes)
+
 
 # --- problem classes ----------------------------------------------------------
 
@@ -158,11 +197,13 @@ class VertexCover(_GraphProblem):
 
     def _optimistic_payload(self, prefix) -> int | None:
         # earlier prefixes passed, so only edges closing at the newest vertex
-        # can be uncovered; every completion keeps the ones chosen so far
-        last = len(prefix) - 1
-        if not prefix[last] and not all(prefix[u] for u in self.graph.lower_neighbors[last]):
+        # can be uncovered; every completion keeps the ones chosen so far and
+        # covers each edge of a matching of the unfixed vertices with a vertex
+        # of its own
+        k = len(prefix)
+        if not prefix[k - 1] and not all(prefix[u] for u in self.graph.lower_neighbors[k - 1]):
             return None
-        return sum(prefix)
+        return sum(prefix) + self.graph.suffix_matchings[k]
 
 
 class Clique(_GraphProblem):

@@ -48,13 +48,18 @@ class QuboData(Record):
         return total
 
     @cached_property
-    def coupling_tails(self) -> tuple[int, ...]:
-        """Entry k sums the positive couplings ``2*q[j][l]`` over k <= j < l: the
-        most that pairs of variables from k on can add together."""
-        tails = [0] * (self.n + 1)
-        for j in range(self.n - 1, -1, -1):
-            tails[j] = tails[j + 1] + 2 * sum(c for c in self.q[j][j + 1:] if c > 0)
-        return tuple(tails)
+    def coupling_shares(self) -> tuple[tuple[int, ...], ...]:
+        """Row j, entry k sums the positive couplings ``q[j][l]`` over l >= k,
+        l != j: the most that x_j's half of its couplings with the variables
+        from k on can add, when x_j = 1."""
+        shares = []
+        for j, row in enumerate(self.q):
+            tail = [0] * (self.n + 1)
+            for l in range(self.n - 1, -1, -1):
+                c = row[l]
+                tail[l] = tail[l + 1] + (c if c > 0 and l != j else 0)
+            shares.append(tuple(tail))
+        return tuple(shares)
 
 
 class IsingData(Record):
@@ -110,17 +115,22 @@ class Qubo(Record, Problem):
 
     def _optimistic_payload(self, prefix) -> int:
         # x^T Q x over binary x is sum_j q_jj x_j + 2 sum_{j<l} q_jl x_j x_l:
-        # the part the prefix fixes, plus each free variable's marginal gain
-        # given the prefix's ones where positive, plus every positive coupling
-        # between two free variables (Pardalos & Rodgers, 1990)
+        # the part the prefix fixes, plus, for each free variable x_j, its
+        # marginal gain a_j given the prefix's ones, with half of each of its
+        # positive couplings to the other free variables (the other half goes
+        # to the partner), counted only where the total is positive. That is
+        # never more than the roof sum_j max(0, a_j) plus every positive
+        # free-free coupling (Pardalos & Rodgers, 1990; Hammer, Hansen &
+        # Simeone, 1984).
         q = self.data.q
+        shares = self.data.coupling_shares
         k = len(prefix)
-        bound = self.data.coupling_tails[k]
+        bound = 0
         for i in compress(range(k), prefix):
             bound += sum(compress(q[i], prefix))
         for j in range(k, self.data.n):
             row = q[j]
-            gain = row[j] + 2 * sum(compress(row, prefix))
+            gain = row[j] + 2 * sum(compress(row, prefix)) + shares[j][k]
             if gain > 0:
                 bound += gain
         return bound

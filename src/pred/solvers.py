@@ -41,31 +41,37 @@ other side, and a child sets one bit. The box kernel (``_BoxSearch``) runs
 every other program on two lists of bounds. Both run the same dive, search
 loop, sibling window, node budget and incumbent rule (``_Search``), so on a
 0-1 cardinality program the two kernels differ only in the 0-1 kernel's
-relaxation.
+bounds.
 
 A node of the 0-1 kernel that the optimistic bound leaves open while the
 search holds a cutoff (the incumbent's value, or the dive's below) is then
-bounded by a relaxation in two passes. The packing rows with cap 1 form a
-conflict graph, one neighbour bitmask per variable: of pairwise conflicting
-variables at most one is 1. Cliques of that graph first cover the free
-positive-gain variables, each started from the lowest uncovered variable
-and grown on bitmasks by the candidate with the most conflicts among the
-other candidates, so that it stays large (a 3SAT->MIS clause triangle is
-taken whole), and a clique keeps only its largest gain, the clique-cover
-bound of max-clique branch-and-bound. Then each free variable that no clique
-covers takes its first binding row among the rest (packing rows with a
-larger cap, and covering rows) whose free uncovered variables no row taken
-so far holds. A packing row keeps its best ``r`` positive gains; a covering
-row keeps every positive gain plus the least-bad of the rest. The gains a
-row may give up are sorted once, when the search starts, and a node reads
-how many it gives up from popcounts, summing a prefix of the free ones, or
-multiplying when the row's gains are equal. The cliques and the taken rows
-share no free variable, so their optima plus every other variable at its
-better end bound the node, which closes when that is no better than the
-cutoff. The box kernel has no relaxation: no forward map emits a program
-that mixes cardinality rows with other rows. The sibling window keeps the
-plain optimistic bound: only that bound falls by exactly ``|c|`` per step of
-the branch value, which the window's arithmetic needs.
+bounded twice, and closes when either bound is no better than the cutoff.
+The first adds up what the covering rows still need, one surrogate row
+(Glover, 1968): each free variable of gain at least 0 covers its rows at no
+cost, each row still needs its missing ones from its free negative-gain
+members, and the node must pay for the total, member by member at the
+cheapest cost per row covered, the fewest members when all costs are equal.
+The second is a relaxation in two passes. The packing rows with cap 1 form
+a conflict graph, one neighbour bitmask per variable: of pairwise
+conflicting variables at most one is 1. Cliques of that graph first cover
+the free positive-gain variables, each started from the lowest uncovered
+variable and grown on bitmasks by the candidate with the most conflicts
+among the other candidates, so that it stays large (a 3SAT->MIS clause
+triangle is taken whole), and a clique keeps only its largest gain, the
+clique-cover bound of max-clique branch-and-bound. Then each free variable
+that no clique covers takes its first binding row among the rest (packing
+rows with a larger cap, and covering rows) whose free uncovered variables
+no row taken so far holds. A packing row keeps its best ``r`` positive
+gains; a covering row keeps every positive gain plus the least-bad of the
+rest. The gains a row may give up are sorted once, when the search starts,
+and a node reads how many it gives up from popcounts, summing a prefix of
+the free ones, or multiplying when the row's gains are equal. The cliques
+and the taken rows share no free variable, so their optima plus every other
+variable at its better end bound the node. The box kernel has neither
+bound: no forward map emits a program that mixes cardinality rows with
+other rows. The sibling window keeps the plain optimistic bound: only that
+bound falls by exactly ``|c|`` per step of the branch value, which the
+window's arithmetic needs.
 
 A node whose optimistic point (positive gains at ``hi``, the rest at
 ``lo``) satisfies every row closes with that point as its incumbent: every
@@ -83,7 +89,7 @@ index order. If the dive reaches a point of value ``v``, the search starts
 from the cutoff ``v - 1`` with no incumbent point, so it prunes only
 subtrees that cannot reach ``v`` and never the dive's own path; a node
 budget that runs out before the search meets a point reports ``v``. The
-relaxation closes only subtrees that cannot strictly beat the cutoff, the
+bounds close only subtrees that cannot strictly beat the cutoff, the
 attained close keeps the point a full search of the subtree would keep, and
 the search meets points in lexicographic order and replaces its incumbent
 only on strict improvement, so the witness is the lexicographically
@@ -92,6 +98,7 @@ smallest optimal point.
 
 from __future__ import annotations
 
+from functools import cmp_to_key
 from typing import TYPE_CHECKING
 
 from .errors import BudgetExceededError, Record
@@ -163,7 +170,8 @@ class _Search:
         self.dive_value: int | None = None
 
     def _closes(self, state, branch: int, bound: int, best: int) -> bool:
-        """Whether a relaxation shows the node cannot beat ``best``; none here."""
+        """Whether a bound beyond the optimistic one shows the node cannot beat
+        ``best``; none here."""
         return False
 
     def _exhausted(self) -> BudgetExceededError:
@@ -453,11 +461,16 @@ class _BitSearch(_Search):
         # of the variables that share such a row with x_j: at most one of a
         # set of pairwise conflicting variables is 1
         self.conflicts = [0] * n
+        # ``covering`` holds (row bit, mask, ones needed) per covering row that
+        # needs a one, and ``wake_zero[j]`` masks the covering rows holding x_j
+        self.covering: list[tuple[int, int, int]] = []
         for index, (pairs, rhs) in enumerate(rows):
             packing = not pairs or pairs[0][1] == 1
             mask = sum(1 << j for j, _ in pairs)
             cap = rhs if packing else len(pairs) + rhs
             self.caps.append((mask, cap, packing))
+            if not packing and rhs < 0:
+                self.covering.append((1 << index, mask, -rhs))
             for j, _ in pairs:
                 (self.wake_one if packing else self.wake_zero)[j] |= 1 << index
             filling = [j for j, _ in pairs if (self.gain[j] > 0) == packing]
@@ -473,6 +486,19 @@ class _BitSearch(_Search):
             row = (mask, cap, packing, ranked, tuple(costs), unit)
             for j, _ in pairs:
                 self.cardinal[j].append(row)
+        # the variables a covering row may have to pay for and, when all
+        # their costs are equal, that cost; the mask of the covering rows
+        # that need a one, whether each needs exactly one, and the most of
+        # them one costly variable holds
+        self.costly = sum(1 << j for j, g in enumerate(self.gain) if g < 0)
+        costs = {-g for g in self.gain if g < 0}
+        self.unit = costs.pop() if len(costs) == 1 else None
+        self.needing = sum(bit for bit, _, _ in self.covering)
+        self.single = all(required == 1 for _, _, required in self.covering)
+        self.widest = max(
+            ((self.wake_zero[j] & self.needing).bit_count() for j in range(n) if self.costly >> j & 1),
+            default=0,
+        )
 
     def _state(self, lo: list[int], hi: list[int]) -> tuple[int, int]:
         ones = sum(1 << j for j, l in enumerate(lo) if l)
@@ -559,9 +585,91 @@ class _BitSearch(_Search):
                 branch, top, share = j, gain[j], degree
         return branch
 
+    def _need_closes(self, state, bound: int, best: int) -> bool:
+        """Whether paying for what the open covering rows still need costs at
+        least ``bound - best``.
+
+        Every free variable of gain at least 0 sits at 1 in the optimistic
+        point, so it covers its rows at no cost. Each covering row then still
+        needs its missing ones from its free negative-gain members, and the
+        sum of those rows is one surrogate row: member x_j covers d_j of the
+        total need, d_j being how many open rows hold it. The cheapest way to
+        pay for that row takes the members in order of cost per row covered,
+        the last one in part, which bounds a whole cost from below; when all
+        costs are equal it takes the fewest members, those of largest d_j
+        first. A node whose members cannot cover the need has no feasible
+        completion.
+        """
+        ones, zeros = state
+        free = self.full & ~(ones | zeros)
+        taken = ones | (free & ~self.costly)
+        wake_zero = self.wake_zero
+        if self.single:
+            # every covering row needs one 1: a row is open until a member is taken
+            covered = 0
+            while taken:
+                low = taken & -taken
+                taken ^= low
+                covered |= wake_zero[low.bit_length() - 1]
+            open_rows = self.needing & ~covered
+            need = open_rows.bit_count()
+        else:
+            need = open_rows = 0
+            for bit, mask, required in self.covering:
+                left = required - (mask & taken).bit_count()
+                if left > 0:
+                    need += left
+                    open_rows |= bit
+        if not need:
+            return False
+        gap = bound - best
+        payers = free & self.costly
+        if self.unit is not None:
+            # the node closes when the ``afford`` members that cover the most
+            # open rows, ``unit`` each, are short of the need
+            afford = (gap - 1) // self.unit
+            if afford * self.widest < need:
+                return True
+            # members counted by how many open rows each holds
+            holding = [0] * (self.widest + 1)
+            while payers:
+                low = payers & -payers
+                payers ^= low
+                holding[(wake_zero[low.bit_length() - 1] & open_rows).bit_count()] += 1
+            for d in range(self.widest, 0, -1):
+                if holding[d] >= afford:
+                    return d * afford < need
+                need -= d * holding[d]
+                afford -= holding[d]
+            return need > 0
+        covers = []
+        while payers:
+            low = payers & -payers
+            payers ^= low
+            j = low.bit_length() - 1
+            d = (wake_zero[j] & open_rows).bit_count()
+            if d:
+                covers.append((d, j))
+        gain = self.gain
+        paid = 0
+        # cheapest per row first, compared exactly: -g_a / d_a < -g_b / d_b
+        by_rate = cmp_to_key(lambda a, b: gain[b[1]] * a[0] - gain[a[1]] * b[0])
+        for d, j in sorted(covers, key=by_rate):
+            cost = -gain[j]
+            if d >= need:
+                # only ``need / d`` of the last member is needed, and a whole
+                # cost above ``gap - 1`` is at least ``gap``
+                return (gap - 1 - paid) * d < cost * need
+            need -= d
+            paid += cost
+            if paid >= gap:
+                return True
+        return True
+
     def _closes(self, state, branch: int, bound: int, best: int) -> bool:
-        """Whether the conflict-clique and cardinality-row relaxation of a node
-        is at most ``best``.
+        """Whether what the open covering rows still need (``_need_closes``),
+        or else the conflict-clique and cardinality-row relaxation, shows that
+        a node cannot beat ``best``.
 
         Cliques of the conflict graph first cover the free positive-gain
         variables: the lowest uncovered one starts a clique, which grows while
@@ -575,6 +683,8 @@ class _BitSearch(_Search):
         gives up the cheapest of them whose optimistic end overfills its capped
         side. Every other variable keeps its optimistic end.
         """
+        if self.needing and self._need_closes(state, bound, best):
+            return True
         ones, zeros = state
         free_all = self.full & ~(ones | zeros)
         gain = self.gain

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -373,28 +374,6 @@ def test_drawn_decision_vc_walk_matches_reference_fold(data):
         _assert_walk_matches_reference(decision_wrap(VertexCover(GraphData(n, tuple(edges))), bound))
 
 
-def test_vertex_cover_optimistic_payload_is_sound():
-    """None only when no completion is a cover; otherwise at most the
-    smallest cover among the completions, given that shorter prefixes passed."""
-    rng = make_rng(407)
-    for _ in range(30):
-        vc = generators.random_vc(rng)[0]
-        n = vc.graph.num_vertices
-        space = list(itertools.product((0, 1), repeat=n))
-        passed = {()}
-        for length in range(1, n + 1):
-            for prefix in {c[:length] for c in space}:
-                if prefix[:-1] not in passed:
-                    continue
-                covers = [sum(c) for c in space if c[:length] == prefix and evaluate(vc, c).feasible]
-                best = vc._optimistic_payload(prefix)
-                if best is None:
-                    assert not covers, prefix
-                else:
-                    passed.add(prefix)
-                    assert not covers or best <= min(covers), prefix
-
-
 def test_default_optimistic_payload_is_unbounded_in_the_better_direction():
     assert IndependentSet(P4)._optimistic_payload((0,)) == float("inf")
     assert Problem._optimistic_payload(VertexCover(P4), (0,)) == float("-inf")
@@ -403,38 +382,77 @@ def test_default_optimistic_payload_is_unbounded_in_the_better_direction():
     assert Satisfiability(CnfData(1, ((1,),)))._optimistic_payload((0,)) is True
 
 
-def _assert_qubo_bound_is_sound(qubo, q):
-    """At least the best completion of every prefix, exact on full configurations."""
-    n = len(q)
-    best = {c: oracles.qubo_value(q, c) for c in itertools.product((0, 1), repeat=n)}
-    for length in range(n, -1, -1):
-        for prefix in itertools.product((0, 1), repeat=length):
-            if length < n:
-                best[prefix] = max(best[prefix + (0,)], best[prefix + (1,)])
-            bound = qubo._optimistic_payload(prefix)
-            if length == n:
-                assert bound == best[prefix], (q, prefix)
-            else:
-                assert bound >= best[prefix], (q, prefix)
+def _vertex_covers(rng):
+    graphs = [generators.random_graph_data(rng, max_vertices=9)[0] for _ in range(40)]
+    graphs += [GraphData(3, ((0, 1), (1, 2), (0, 2))), GraphData(4, ((0, 1), (1, 2), (0, 2), (2, 3)))]
+    return graphs + [GraphData(0, ()), GraphData(1, ()), GraphData(7, ())]
 
 
-def test_qubo_optimistic_payload_is_sound():
-    rng = make_rng(409)
+def _qubo_matrices(rng):
+    """Seeded matrices of n = 0 to 9, half with entries from -6 to 6 and half
+    all-negative, where every free variable's bound term clips to 0."""
     for size in range(40):
-        n = size % 11  # n = 0 to 10, each size at least three times
-        qubo, q = generators.random_qubo(rng, max_n=n, min_n=n)
-        _assert_qubo_bound_is_sound(qubo, q)
+        n = size % 10
+        low, high = (-6, 6) if size % 4 < 2 else (-6, -1)
+        q = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                q[i][j] = q[j][i] = rng.randint(low, high)
+        yield QuboData(n, tuple(map(tuple, q)))
 
 
-@settings(derandomize=True, deadline=None, max_examples=100, database=None)
-@given(data=st.data())
-def test_drawn_qubo_optimistic_payload_is_sound(data):
-    n = data.draw(st.integers(0, 7), label="n")
-    q = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            q[i][j] = q[j][i] = data.draw(st.integers(-6, 6))
-    _assert_qubo_bound_is_sound(Qubo(QuboData(n, tuple(map(tuple, q)))), q)
+def _optimistic_cases(name):
+    rng = make_rng(zlib.crc32(name.encode()))
+    if name == "VertexCover":
+        return [VertexCover(graph) for graph in _vertex_covers(rng)]
+    if name == "QUBO":
+        return [Qubo(data) for data in _qubo_matrices(rng)]
+    if name == "DecisionVertexCover":
+        return [
+            decision_wrap(VertexCover(graph), bound)
+            for graph in _vertex_covers(rng)
+            for bound in range(-1, graph.num_vertices + 2)
+        ]
+    cases = []
+    for data in _qubo_matrices(rng):
+        best = max(oracles.qubo_value(data.q, c) for c in itertools.product((0, 1), repeat=data.n))
+        cases += [decision_wrap(Qubo(data), bound) for bound in range(best - 2, best + 2)]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "name", ["VertexCover", "QUBO", "DecisionVertexCover", "DecisionQUBO"]
+)
+def test_optimistic_payload_is_never_worse_than_the_best_completion(name):
+    """Every ``_optimistic_payload`` override, on every nonempty prefix: when
+    some completion is feasible (true, for a decision problem), the bound is
+    not None and at least as good as the best such completion. A prefix with
+    no feasible completion admits any answer, which is what lets an Or walk's
+    bound check only what the newest value decides. The prefix walk then
+    gives the plain fold's value and witness."""
+    cases = _optimistic_cases(name)
+    assert any(not case.config_dims() for case in cases)
+    for instance in cases:
+        decision = instance.kind is ValueKind.OR
+        sign = 1 if decision or instance.kind is ValueKind.MAX else -1
+        n = len(instance.config_dims())
+        # the best signed payload over each prefix's feasible completions, None if none
+        best = {}
+        for config in itertools.product((0, 1), repeat=n):
+            payload, feasible = instance._measure(config)
+            best[config] = sign * payload if feasible else None
+        for length in range(n - 1, -1, -1):
+            for prefix in itertools.product((0, 1), repeat=length):
+                values = [v for v in (best[prefix + (0,)], best[prefix + (1,)]) if v is not None]
+                best[prefix] = max(values, default=None)
+        for prefix, completion in best.items():
+            if not prefix or completion is None:
+                continue
+            bound = instance._optimistic_payload(prefix)
+            assert bound is not None and sign * bound >= completion, (instance, prefix)
+        value, witness = oracles.reference_fold(instance)
+        result = fold_space(instance)
+        assert (result.value, result.witness) == (value, witness), instance
 
 
 def test_bounded_fold_matches_reference_fold(monkeypatch):
@@ -466,13 +484,13 @@ def test_bounded_fold_matches_reference_fold(monkeypatch):
 # lex-rank + 1 configurations for a true answer and all 65,536 for a false
 # one. A change to the pruning must update these on purpose.
 WALK_MEASURES = [
-    (False, 65536, 0, 246),
-    (True, 15236, 4, 116),
-    (False, 65536, 0, 542),
+    (False, 65536, 0, 2),
+    (True, 15236, 4, 88),
+    (False, 65536, 0, 2),
     (True, 3534, 2, 22),
-    (False, 65536, 6, 2094),
+    (False, 65536, 6, 416),
     (True, 254, 2, 21),
-    (False, 65536, 0, 738),
+    (False, 65536, 0, 2),
     (True, 10362, 2, 21),
 ]
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from pred import (
     DEFAULT_NODE_BUDGET,
     BudgetExceededError,
+    DecisionProblem,
     CnfData,
     Clique,
     GraphColoring,
@@ -441,6 +442,91 @@ def test_clique_relaxation_never_closes_a_node_that_reaches_the_cutoff():
     assert checked >= 600
 
 
+def _covering_programs(rng, count):
+    """``count`` each of six kinds of 0-1 program with covering rows: SetCover,
+    VC and DomSet->SetCover (unit costs, one 1 per row), weighted covers
+    (costs 1 to 4), random cardinality ILPs (rows needing two or more ones)
+    and random conflict ILPs (gains -3 to 5, zero included)."""
+    for _ in range(count):
+        n = rng.randint(3, 9)
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            members = rng.sample(range(n), rng.randint(1, 3))
+            rows.append((tuple(int(j in members) for j in range(n)), ">=", 1))
+        costs = tuple(rng.randint(1, 4) for _ in range(n))
+        yield dense_ilp(n, ((0, 1),) * n, tuple(rows), costs, "min")
+        yield _ilp_program(random_set_cover(rng, max_sets=9, max_elements=8)[0])
+        yield _ilp_program(random_vc(rng, max_vertices=10)[0])
+        yield _ilp_program(random_domset(rng, max_vertices=9)[0])
+        yield random_cardinality_ilp(rng)[0].data
+        yield random_conflict_ilp(rng, max_vars=10)[0].data
+
+
+def _assert_need_bound_is_valid(data, lo, hi) -> tuple[int, int]:
+    """Check ``_need_closes`` on the propagated node of box ``lo``/``hi`` at
+    every cutoff from a few below the subtree's optimum up to its bound: it
+    may close only where no completion beats the cutoff. Returns how many
+    cutoffs it closed at, and how many of those the optimum reaches."""
+    search = _kernel(data, DEFAULT_NODE_BUDGET)
+    assert isinstance(search, _BitSearch)
+    out = search._propagate(search._state(lo, hi), search._all_rows())
+    if out is None:
+        return 0, 0
+    state = out[0]
+    bound = search._optimistic(state)
+    expected, _ = best_ilp(list(zip(*_box(search, state))), dense_rows(data), data.objective, data.sense)
+    best = None if expected is None else search.sign * expected
+    closed = sound = 0
+    for cutoff in range(min(bound, best if best is not None else bound) - 3, bound):
+        if search._need_closes(state, bound, cutoff):
+            closed += 1
+            assert best is None or best <= cutoff, (data, lo, hi, cutoff)
+            sound += best is not None
+    return closed, sound
+
+
+def test_covering_need_never_closes_a_node_that_beats_the_cutoff():
+    # from random partial fixings: whenever the aggregate covering bound
+    # closes a node at cutoff b, brute force finds no completion above b
+    rng = make_rng(1919)
+    closed = sound = 0
+    for data in _covering_programs(rng, 60):
+        for _ in range(3):
+            lo = [l for l, _ in data.var_bounds]
+            hi = [h for _, h in data.var_bounds]
+            for j in range(data.num_vars):
+                if lo[j] < hi[j] and rng.random() < 0.25:
+                    lo[j] = hi[j] = rng.randint(0, 1)
+            counts = _assert_need_bound_is_valid(data, lo, hi)
+            closed += counts[0]
+            sound += counts[1]
+    # it does close nodes, also feasible ones at cutoffs their optimum meets
+    assert sound >= 300 and closed > sound
+
+
+def test_covering_need_edge_cases():
+    # no rows: nothing to pay for, at any cutoff
+    free = IlpData(3, ((0, 1),) * 3, (), (1, 1, 1), "min")
+    assert _kernel(free, DEFAULT_NODE_BUDGET).needing == 0
+    assert _assert_need_bound_is_valid(free, [0] * 3, [1] * 3) == (0, 0)
+    # a zero-gain member covers its row at no cost, however tight the cutoff
+    cheap = dense_ilp(3, ((0, 1),) * 3, (((1, 1, 1), ">=", 1),), (0, 2, 3), "min")
+    search = _kernel(cheap, DEFAULT_NODE_BUDGET)
+    state = search._propagate(search._state([0] * 3, [1] * 3), search._all_rows())[0]
+    assert not search._need_closes(state, 0, -1)
+    # with that member fixed at 0 the row needs a paid one: cost 2 at least
+    assert _assert_need_bound_is_valid(cheap, [0, 0, 0], [0, 1, 1]) == (2, 2)
+    # a node whose every row is covered needs nothing
+    cover = _ilp_program(SetCover(SetCoverData(4, ((0, 1), (2, 3), (0, 2)))))
+    search = _kernel(cover, DEFAULT_NODE_BUDGET)
+    state = search._propagate(search._state([1, 1, 0], [1, 1, 1]), search._all_rows())[0]
+    assert not search._need_closes(state, -2, -3)
+    # four elements, and no set holds more than two: two sets at least, so the
+    # root closes at cutoffs -1 and -2 and stays open at -3, the optimum
+    pairs = _ilp_program(SetCover(SetCoverData(4, ((0, 1), (2, 3), (0, 2), (1, 3)))))
+    assert _assert_need_bound_is_valid(pairs, [0] * 4, [1] * 4) == (2, 2)
+
+
 def test_greedy_dive_reaches_the_point_it_reports():
     # weighted gains, which the dive's gain / (conflicts + 1) ratio compares,
     # and pre-fixed variables, through the recomputing checks of every node
@@ -505,8 +591,8 @@ def test_drawn_propagation_reaches_the_reference_fixpoint(case):
 SEARCH_PINS = [
     ("mis", 1, 90, 13, "001101011100110010000000101110"),
     ("mis", 2, 57, 14, "110000110000110100001001011111"),
-    ("setcover", 1, 58, 8, "000000000000000011111111"),
-    ("setcover", 2, 79, 8, "000000000000000011111111"),
+    ("setcover", 1, 34, 8, "000000000000000011111111"),
+    ("setcover", 2, 39, 8, "000000000000000011111111"),
     ("qubo", 1, 221, 28, "11110100"),
     ("qubo", 2, 117, 33, "10110110"),
     ("gc", 5, 84, True, "2112"),
@@ -562,14 +648,14 @@ def test_search_nodes_and_witness_are_pinned(family, seed, nodes, value, witness
 # change to the bound or the walk that asks about other prefixes must update
 # them on purpose
 QUBO_PINS = [
-    (1, 841, 60, "111100011011"),
-    (2, 391, 58, "101101111010"),
-    (3, 289, 53, "011111001111"),
-    (4, 275, 51, "011100111011"),
-    (5, 303, 52, "101100110001"),
-    (6, 393, 82, "111111111110"),
-    (7, 329, 23, "001100011001"),
-    (8, 333, 34, "011010101101"),
+    (1, 619, 60, "111100011011"),
+    (2, 317, 58, "101101111010"),
+    (3, 227, 53, "011111001111"),
+    (4, 249, 51, "011100111011"),
+    (5, 265, 52, "101100110001"),
+    (6, 321, 82, "111111111110"),
+    (7, 237, 23, "001100011001"),
+    (8, 255, 34, "011010101101"),
 ]
 
 
@@ -592,16 +678,42 @@ def test_qubo_search_prefixes_are_pinned(monkeypatch):
         assert "".join(map(str, result.witness)) == witness
 
 
+# (bound, answer, prefixes asked) of the brute-force Or walk of DecisionVC on
+# the 15-cycle, whose smallest cover has 8 vertices. A false answer asks
+# about every prefix its bound cannot close, so a change to the bound or the
+# walk must update these on purpose.
+DECISION_VC_PINS = [(7, False, 28), (8, True, 21)]
+
+
+def test_decision_vc_prefixes_are_pinned(monkeypatch):
+    asked = []
+    bound = VertexCover._optimistic_payload
+
+    def counted(self, prefix):
+        asked.append(prefix)
+        return bound(self, prefix)
+
+    monkeypatch.setattr(VertexCover, "_optimistic_payload", counted)
+    cycle = VertexCover(GraphData(15, tuple((v, (v + 1) % 15) for v in range(15))))
+    for k, answer, prefixes in DECISION_VC_PINS:
+        asked.clear()
+        result = solve(DecisionProblem(cycle, k))
+        assert solver_label(result) == "brute-force"
+        assert (result.value.payload, len(asked)) == (answer, prefixes)
+        assert result.witness == (None if not answer else (0, 1) * 7 + (1,))
+
+
 def test_qubo_search_charges_each_prefix_against_the_node_budget():
-    instance = random_qubo(make_rng(1), 12, min_n=12)[0]
-    assert solve(instance, max_nodes=841).value.payload == 60
+    seed, prefixes, value, _ = QUBO_PINS[0]
+    instance = random_qubo(make_rng(seed), 12, min_n=12)[0]
+    assert solve(instance, max_nodes=prefixes).value.payload == value
     with pytest.raises(BudgetExceededError) as caught:
-        solve(instance, max_nodes=840)
+        solve(instance, max_nodes=prefixes - 1)
     error = caught.value
-    assert (error.limit, error.nodes) == (840, 840)
-    assert error.incumbent is not None and error.incumbent <= 60
+    assert (error.limit, error.nodes) == (prefixes - 1, prefixes - 1)
+    assert error.incumbent is not None and error.incumbent <= value
     # the full-space budget is brute force's, not the solver's
-    assert solve(instance, max_configs=1).value.payload == 60
+    assert solve(instance, max_configs=1).value.payload == value
     with pytest.raises(BudgetExceededError):
         solve_brute(instance, max_configs=4095)
 
