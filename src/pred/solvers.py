@@ -49,16 +49,16 @@ bounded twice, and closes when either bound is no better than the cutoff.
 The first adds up what the covering rows still need, one surrogate row
 (Glover, 1968): each free variable of gain at least 0 covers its rows at no
 cost, each row still needs its missing ones from its free negative-gain
-members, and the node must pay for the total, member by member at the
-cheapest cost per row covered, the fewest members when all costs are equal.
-The second is a relaxation in two passes. The packing rows with cap 1 form
-a conflict graph, one neighbour bitmask per variable: of pairwise
-conflicting variables at most one is 1. Cliques of that graph first cover
-the free positive-gain variables, each started from the lowest uncovered
-variable and grown on bitmasks by the candidate with the most conflicts
-among the other candidates, so that it stays large (a 3SAT->MIS clause
-triangle is taken whole), and a clique keeps only its largest gain, the
-clique-cover bound of max-clique branch-and-bound. Then each free variable
+members, and the node must pay for the total with the fewest members that
+can cover it, those holding the most open rows first, each at the least
+cost of any. The second is a relaxation in two passes. The packing rows
+with cap 1 form a conflict graph, one neighbour bitmask per variable: of
+pairwise conflicting variables at most one is 1. Cliques of that graph
+first cover the free positive-gain variables, each started from the lowest
+uncovered variable and grown on bitmasks by the candidate with the most
+conflicts among the other candidates, so that it stays large (a 3SAT->MIS
+clause triangle is taken whole), and a clique keeps only its largest gain,
+the clique-cover bound of max-clique branch-and-bound. Then each free variable
 that no clique covers takes its first binding row among the rest (packing
 rows with a larger cap, and covering rows) whose free uncovered variables
 no row taken so far holds. A packing row keeps its best ``r`` positive
@@ -98,7 +98,6 @@ smallest optimal point.
 
 from __future__ import annotations
 
-from functools import cmp_to_key
 from typing import TYPE_CHECKING
 
 from .errors import BudgetExceededError, Record
@@ -461,16 +460,20 @@ class _BitSearch(_Search):
         # of the variables that share such a row with x_j: at most one of a
         # set of pairwise conflicting variables is 1
         self.conflicts = [0] * n
-        # ``covering`` holds (row bit, mask, ones needed) per covering row that
-        # needs a one, and ``wake_zero[j]`` masks the covering rows holding x_j
-        self.covering: list[tuple[int, int, int]] = []
+        # ``needing`` masks the covering rows that need one 1 and ``several``
+        # holds (row bit, mask, ones needed) per row that needs more, and
+        # ``wake_zero[j]`` masks the covering rows holding x_j
+        self.needing = 0
+        self.several: list[tuple[int, int, int]] = []
         for index, (pairs, rhs) in enumerate(rows):
             packing = not pairs or pairs[0][1] == 1
             mask = sum(1 << j for j, _ in pairs)
             cap = rhs if packing else len(pairs) + rhs
             self.caps.append((mask, cap, packing))
-            if not packing and rhs < 0:
-                self.covering.append((1 << index, mask, -rhs))
+            if not packing and rhs == -1:
+                self.needing |= 1 << index
+            elif not packing and rhs < -1:
+                self.several.append((1 << index, mask, -rhs))
             for j, _ in pairs:
                 (self.wake_one if packing else self.wake_zero)[j] |= 1 << index
             filling = [j for j, _ in pairs if (self.gain[j] > 0) == packing]
@@ -486,17 +489,12 @@ class _BitSearch(_Search):
             row = (mask, cap, packing, ranked, tuple(costs), unit)
             for j, _ in pairs:
                 self.cardinal[j].append(row)
-        # the variables a covering row may have to pay for and, when all
-        # their costs are equal, that cost; the mask of the covering rows
-        # that need a one, whether each needs exactly one, and the most of
-        # them one costly variable holds
+        # the variables a covering row may have to pay for, the least one of
+        # them costs, and the most covering rows one of them holds
         self.costly = sum(1 << j for j, g in enumerate(self.gain) if g < 0)
-        costs = {-g for g in self.gain if g < 0}
-        self.unit = costs.pop() if len(costs) == 1 else None
-        self.needing = sum(bit for bit, _, _ in self.covering)
-        self.single = all(required == 1 for _, _, required in self.covering)
+        self.cheapest = min((-g for g in self.gain if g < 0), default=1)
         self.widest = max(
-            ((self.wake_zero[j] & self.needing).bit_count() for j in range(n) if self.costly >> j & 1),
+            (self.wake_zero[j].bit_count() for j in range(n) if self.costly >> j & 1),
             default=0,
         )
 
@@ -591,80 +589,50 @@ class _BitSearch(_Search):
 
         Every free variable of gain at least 0 sits at 1 in the optimistic
         point, so it covers its rows at no cost. Each covering row then still
-        needs its missing ones from its free negative-gain members, and the
-        sum of those rows is one surrogate row: member x_j covers d_j of the
-        total need, d_j being how many open rows hold it. The cheapest way to
-        pay for that row takes the members in order of cost per row covered,
-        the last one in part, which bounds a whole cost from below; when all
-        costs are equal it takes the fewest members, those of largest d_j
-        first. A node whose members cannot cover the need has no feasible
-        completion.
+        needs its missing ones from its free negative-gain members. The sum of
+        the open rows is one surrogate row: member x_j covers d_j of the total
+        need, d_j being how many open rows hold it, so a completion takes at
+        least as many members as the fewest of largest d_j that cover the
+        need, each costing at least ``cheapest``. With equal costs, as in
+        every covering program the shipped reductions emit, that is the
+        cheapest way to pay for the surrogate row. A node whose members
+        cannot cover the need has no feasible completion.
         """
         ones, zeros = state
         free = self.full & ~(ones | zeros)
         taken = ones | (free & ~self.costly)
         wake_zero = self.wake_zero
-        if self.single:
-            # every covering row needs one 1: a row is open until a member is taken
-            covered = 0
-            while taken:
-                low = taken & -taken
-                taken ^= low
-                covered |= wake_zero[low.bit_length() - 1]
-            open_rows = self.needing & ~covered
-            need = open_rows.bit_count()
-        else:
-            need = open_rows = 0
-            for bit, mask, required in self.covering:
-                left = required - (mask & taken).bit_count()
-                if left > 0:
-                    need += left
-                    open_rows |= bit
+        # a row that needs one 1 is open while it holds no taken member
+        covered = 0
+        rest = taken
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            covered |= wake_zero[low.bit_length() - 1]
+        open_rows = self.needing & ~covered
+        need = open_rows.bit_count()
+        for bit, mask, required in self.several:
+            left = required - (mask & taken).bit_count()
+            if left > 0:
+                need += left
+                open_rows |= bit
         if not need:
             return False
-        gap = bound - best
+        # the node closes when the ``afford`` members that hold the most open
+        # rows are short of the need; members counted by how many each holds
+        afford = (bound - best - 1) // self.cheapest
+        holding = [0] * (self.widest + 1)
         payers = free & self.costly
-        if self.unit is not None:
-            # the node closes when the ``afford`` members that cover the most
-            # open rows, ``unit`` each, are short of the need
-            afford = (gap - 1) // self.unit
-            if afford * self.widest < need:
-                return True
-            # members counted by how many open rows each holds
-            holding = [0] * (self.widest + 1)
-            while payers:
-                low = payers & -payers
-                payers ^= low
-                holding[(wake_zero[low.bit_length() - 1] & open_rows).bit_count()] += 1
-            for d in range(self.widest, 0, -1):
-                if holding[d] >= afford:
-                    return d * afford < need
-                need -= d * holding[d]
-                afford -= holding[d]
-            return need > 0
-        covers = []
         while payers:
             low = payers & -payers
             payers ^= low
-            j = low.bit_length() - 1
-            d = (wake_zero[j] & open_rows).bit_count()
-            if d:
-                covers.append((d, j))
-        gain = self.gain
-        paid = 0
-        # cheapest per row first, compared exactly: -g_a / d_a < -g_b / d_b
-        by_rate = cmp_to_key(lambda a, b: gain[b[1]] * a[0] - gain[a[1]] * b[0])
-        for d, j in sorted(covers, key=by_rate):
-            cost = -gain[j]
-            if d >= need:
-                # only ``need / d`` of the last member is needed, and a whole
-                # cost above ``gap - 1`` is at least ``gap``
-                return (gap - 1 - paid) * d < cost * need
-            need -= d
-            paid += cost
-            if paid >= gap:
-                return True
-        return True
+            holding[(wake_zero[low.bit_length() - 1] & open_rows).bit_count()] += 1
+        for d in range(self.widest, 0, -1):
+            if holding[d] >= afford:
+                return d * afford < need
+            need -= d * holding[d]
+            afford -= holding[d]
+        return need > 0
 
     def _closes(self, state, branch: int, bound: int, best: int) -> bool:
         """Whether what the open covering rows still need (``_need_closes``),
@@ -683,7 +651,7 @@ class _BitSearch(_Search):
         gives up the cheapest of them whose optimistic end overfills its capped
         side. Every other variable keeps its optimistic end.
         """
-        if self.needing and self._need_closes(state, bound, best):
+        if (self.needing or self.several) and self._need_closes(state, bound, best):
             return True
         ones, zeros = state
         free_all = self.full & ~(ones | zeros)

@@ -428,8 +428,7 @@ def test_optimistic_payload_is_never_worse_than_the_best_completion(name):
     some completion is feasible (true, for a decision problem), the bound is
     not None and at least as good as the best such completion. A prefix with
     no feasible completion admits any answer, which is what lets an Or walk's
-    bound check only what the newest value decides. The prefix walk then
-    gives the plain fold's value and witness."""
+    bound check only what the newest value decides."""
     cases = _optimistic_cases(name)
     assert any(not case.config_dims() for case in cases)
     for instance in cases:
@@ -450,9 +449,6 @@ def test_optimistic_payload_is_never_worse_than_the_best_completion(name):
                 continue
             bound = instance._optimistic_payload(prefix)
             assert bound is not None and sign * bound >= completion, (instance, prefix)
-        value, witness = oracles.reference_fold(instance)
-        result = fold_space(instance)
-        assert (result.value, result.witness) == (value, witness), instance
 
 
 def test_bounded_fold_matches_reference_fold(monkeypatch):
@@ -479,10 +475,11 @@ def test_bounded_fold_matches_reference_fold(monkeypatch):
 
 
 # The Or walk on DecisionVC, n=16, G(16, 0.15) from seed 408, each graph at
-# bounds 5 and 8: (answer, configurations the plain fold measures, _measure
+# bounds 5 and 8, then the 15-cycle, whose smallest cover has 8 vertices, at
+# bounds 7 and 8: (answer, configurations the plain fold measures, _measure
 # calls of the walk, prefixes it asks about). The plain fold measures
-# lex-rank + 1 configurations for a true answer and all 65,536 for a false
-# one. A change to the pruning must update these on purpose.
+# lex-rank + 1 configurations for a true answer and all 2^n for a false one.
+# A change to the pruning must update these on purpose.
 WALK_MEASURES = [
     (False, 65536, 0, 2),
     (True, 15236, 4, 88),
@@ -492,6 +489,8 @@ WALK_MEASURES = [
     (True, 254, 2, 21),
     (False, 65536, 0, 2),
     (True, 10362, 2, 21),
+    (False, 32768, 2, 28),
+    (True, 10924, 2, 21),
 ]
 
 
@@ -510,18 +509,23 @@ def test_or_walk_measures_fewer_configurations(monkeypatch):
     monkeypatch.setattr(VertexCover, "_measure", counted)
     monkeypatch.setattr(VertexCover, "_optimistic_payload", visited)
     rng = make_rng(408)
-    counts = []
+    cases = []
     for _ in range(4):
         inner = VertexCover(GraphData(16, generators.gnp_edges(rng, 16, 0.15)))
-        for bound in (5, 8):
-            calls.clear()
-            prefixes.clear()
-            result = fold_space(decision_wrap(inner, bound))
-            answer = result.value.payload
-            plain = _lex_rank(result.witness, inner.config_dims()) + 1 if answer else 1 << 16
-            assert len(calls) < plain
-            assert calls == sorted(calls) and (not answer or calls[-1] == result.witness)
-            counts.append((answer, plain, len(calls), len(prefixes)))
+        cases += [(inner, 5), (inner, 8)]
+    cycle = VertexCover(GraphData(15, tuple((v, (v + 1) % 15) for v in range(15))))
+    cases += [(cycle, 7), (cycle, 8)]
+    counts = []
+    for inner, bound in cases:
+        calls.clear()
+        prefixes.clear()
+        result = fold_space(decision_wrap(inner, bound))
+        answer = result.value.payload
+        dims = inner.config_dims()
+        plain = _lex_rank(result.witness, dims) + 1 if answer else 1 << len(dims)
+        assert len(calls) < plain
+        assert calls == sorted(calls) and (not answer or calls[-1] == result.witness)
+        counts.append((answer, plain, len(calls), len(prefixes)))
     assert counts == WALK_MEASURES
 
 

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from pred import (
     DEFAULT_NODE_BUDGET,
     BudgetExceededError,
-    DecisionProblem,
     CnfData,
     Clique,
     GraphColoring,
@@ -507,7 +506,8 @@ def test_covering_need_never_closes_a_node_that_beats_the_cutoff():
 def test_covering_need_edge_cases():
     # no rows: nothing to pay for, at any cutoff
     free = IlpData(3, ((0, 1),) * 3, (), (1, 1, 1), "min")
-    assert _kernel(free, DEFAULT_NODE_BUDGET).needing == 0
+    search = _kernel(free, DEFAULT_NODE_BUDGET)
+    assert (search.needing, search.several) == (0, [])
     assert _assert_need_bound_is_valid(free, [0] * 3, [1] * 3) == (0, 0)
     # a zero-gain member covers its row at no cost, however tight the cutoff
     cheap = dense_ilp(3, ((0, 1),) * 3, (((1, 1, 1), ">=", 1),), (0, 2, 3), "min")
@@ -676,31 +676,6 @@ def test_qubo_search_prefixes_are_pinned(monkeypatch):
         assert len(asked) < 1 << 12
         assert (len(asked), result.value.payload) == (prefixes, value)
         assert "".join(map(str, result.witness)) == witness
-
-
-# (bound, answer, prefixes asked) of the brute-force Or walk of DecisionVC on
-# the 15-cycle, whose smallest cover has 8 vertices. A false answer asks
-# about every prefix its bound cannot close, so a change to the bound or the
-# walk must update these on purpose.
-DECISION_VC_PINS = [(7, False, 28), (8, True, 21)]
-
-
-def test_decision_vc_prefixes_are_pinned(monkeypatch):
-    asked = []
-    bound = VertexCover._optimistic_payload
-
-    def counted(self, prefix):
-        asked.append(prefix)
-        return bound(self, prefix)
-
-    monkeypatch.setattr(VertexCover, "_optimistic_payload", counted)
-    cycle = VertexCover(GraphData(15, tuple((v, (v + 1) % 15) for v in range(15))))
-    for k, answer, prefixes in DECISION_VC_PINS:
-        asked.clear()
-        result = solve(DecisionProblem(cycle, k))
-        assert solver_label(result) == "brute-force"
-        assert (result.value.payload, len(asked)) == (answer, prefixes)
-        assert result.witness == (None if not answer else (0, 1) * 7 + (1,))
 
 
 def test_qubo_search_charges_each_prefix_against_the_node_budget():
