@@ -31,47 +31,50 @@ computed in O(1) per sibling; only those are charged as nodes.
 
 The search holds its nodes in one of two states, chosen from the program
 alone (``_kernel``). The 0-1 kernel (``_BitSearch``) runs a program whose
-every box lies in [0, 1], pre-fixed boxes included, and whose every stored
-row is a cardinality row: all coefficients +1 (packing: at most ``r`` ones,
-as in MIS edge rows) or all -1 (covering: at least ``k`` ones, that is at
-most ``size - k`` zeros, as in VC edge and SetCover element rows). A node
-is two ints, ``ones`` and ``zeros``, with bit j set where x_j is fixed at 1
-or at 0; a row reads one popcount, a full row fixes its free members on the
-other side, and a child sets one bit. The box kernel (``_BoxSearch``) runs
-every other program on two lists of bounds. Both run the same dive, search
-loop, sibling window, node budget and incumbent rule (``_Search``), so on a
-0-1 cardinality program the two kernels differ only in the 0-1 kernel's
-bounds.
+every box lies in [0, 1], pre-fixed boxes included, and whose every
+coefficient is +1 or -1. It reads each stored row as a cap on true
+literals, as pseudo-Boolean solvers do (Chai & Kuehlmann, 2005): a +1
+term's literal is x_j = 1, a -1 term's is x_j = 0, and a row of rhs ``r``
+with ``m`` -1 terms allows at most ``r + m`` true literals. Packing rows
+(all +1: at most ``r`` ones, as in MIS edge rows) and covering rows (all
+-1: at least ``k`` ones, as in VC edge and SetCover element rows) are its
+one-sided cases. A node is two ints, ``ones`` and ``zeros``, with bit j set
+where x_j is fixed at 1 or at 0; a row reads two popcounts, a full row
+makes its free literals false, and a child sets one bit. The box kernel
+(``_BoxSearch``) runs every other program on two lists of bounds. Both run
+the same dive, search loop, sibling window, node budget and incumbent rule
+(``_Search``), so on a 0-1 program of ±1 rows the two kernels differ only
+in the 0-1 kernel's bounds.
 
 A node of the 0-1 kernel that the optimistic bound leaves open while the
 search holds a cutoff (the incumbent's value, or the dive's below) is then
 bounded twice, and closes when either bound is no better than the cutoff.
 The first adds up what the covering rows still need, one surrogate row
 (Glover, 1968): each free variable of gain at least 0 covers its rows at no
-cost, each row still needs its missing ones from its free negative-gain
-members, and the node must pay for the total with the fewest members that
-can cover it, those holding the most open rows first, each at the least
-cost of any. The second is a relaxation in two passes. The packing rows
-with cap 1 form a conflict graph, one neighbour bitmask per variable: of
-pairwise conflicting variables at most one is 1. Cliques of that graph
+cost, each covering row still needs its missing ones from its free
+negative-gain members, and the node must pay for the total with the fewest
+members that can cover it, those holding the most open rows first, each at the least
+cost of any. The second is a relaxation in two passes. The rows with cap 1
+and no -1 term form a conflict graph, one neighbour bitmask per variable:
+of pairwise conflicting variables at most one is 1. Cliques of that graph
 first cover the free positive-gain variables, each started from the lowest
 uncovered variable and grown on bitmasks by the candidate with the most
 conflicts among the other candidates, so that it stays large (a 3SAT->MIS
 clause triangle is taken whole), and a clique keeps only its largest gain,
 the clique-cover bound of max-clique branch-and-bound. Then each free variable
-that no clique covers takes its first binding row among the rest (packing
-rows with a larger cap, and covering rows) whose free uncovered variables
-no row taken so far holds. A packing row keeps its best ``r`` positive
-gains; a covering row keeps every positive gain plus the least-bad of the
-rest. The gains a row may give up are sorted once, when the search starts,
-and a node reads how many it gives up from popcounts, summing a prefix of
-the free ones, or multiplying when the row's gains are equal. The cliques
-and the taken rows share no free variable, so their optima plus every other
-variable at its better end bound the node. The box kernel has neither
-bound: no forward map emits a program that mixes cardinality rows with
-other rows. The sibling window keeps the plain optimistic bound: only that
-bound falls by exactly ``|c|`` per step of the branch value, which the
-window's arithmetic needs.
+that no clique covers takes its first binding row among the rest whose free
+uncovered variables no row taken so far holds. A taken row gives up the
+cheapest of its free members whose optimistic end is a true literal, as
+many as exceed its room. The gains a row may give up are sorted once, when
+the search starts, and a node reads how many it gives up from popcounts,
+summing a prefix of the free ones, or multiplying when the row's gains are
+equal. The cliques and the taken rows share no free variable, so their
+optima plus every other variable at its better end bound the node. The box
+kernel has neither bound; QUBO's linearisation, the one program a forward
+map sends it, has a coefficient of 2 in its ``2x_i - y <= 1`` rows. The
+sibling window keeps the plain optimistic bound: only that bound falls by
+exactly ``|c|`` per step of the branch value, which the window's arithmetic
+needs.
 
 A node whose optimistic point (positive gains at ``hi``, the rest at
 ``lo``) satisfies every row closes with that point as its incumbent: every
@@ -147,12 +150,12 @@ class _Search:
     The dive, the search loop, a child's bound (``_descend``), the sibling
     window, the node budget and the incumbent rule are here, once. A subclass
     holds the node state and answers for it: ``_state`` builds a state from
-    bound lists and ``_optimistic`` sums its bound; ``_propagate`` tightens
-    one from a set of pending rows (every row: ``_all_rows``) to the fixpoint
-    and ``_child`` fixes the branch variable and propagates; ``_first_free``,
-    ``_domain``, ``_closes`` and ``_attained`` bound an open node,
-    ``_dive_branch`` names the dive's next variable, and ``witness`` reads
-    the best point back.
+    bound lists; ``_propagate`` tightens one from a set of pending rows
+    (every row: ``_all_rows``) to the fixpoint, returning what it took from
+    the optimistic bound, and ``_child`` fixes the branch variable and
+    propagates; ``_first_free``, ``_domain``, ``_closes`` and ``_attained``
+    bound an open node, ``_dive_branch`` names the dive's next variable, and
+    ``witness`` reads the best point back.
     """
 
     def __init__(self, data: IlpData, max_nodes: int) -> None:
@@ -162,7 +165,6 @@ class _Search:
         self.var_bounds = data.var_bounds
         self.sign = 1 if data.sense == "max" else -1
         self.gain = [self.sign * c for c in data.objective]
-        self.objective = tuple((j, c) for j, c in enumerate(self.gain) if c)
         self.best_value: int | None = None
         self.best_point = None
         # the value of the point the dive reached, if it reached one
@@ -260,11 +262,14 @@ class _Search:
             raise self._exhausted()
         lo = [l for l, _ in self.var_bounds]
         hi = [h for _, h in self.var_bounds]
+        # the root's optimistic bound, less what propagation takes; it reads the
+        # boxes, as the box kernel tightens ``lo`` and ``hi`` in place
+        bound = sum(c * (h if c > 0 else l) for c, (l, h) in zip(self.gain, self.var_bounds))
         root = self._propagate(self._state(lo, hi), self._all_rows())
         if root is None:
             return
-        state = root[0]
-        bound = self._optimistic(state)
+        state, loss = root
+        bound -= loss
         self.dive_value = self._dive(state, bound)
         if self.dive_value is not None:
             # the search keeps only points of at least the dive's value, and
@@ -372,13 +377,6 @@ class _BoxSearch(_Search):
                         enqueued.add(other)
         return state, loss
 
-    def _optimistic(self, state) -> int:
-        lo, hi = state
-        total = 0
-        for j, c in self.objective:
-            total += c * (hi[j] if c > 0 else lo[j])
-        return total
-
     def _child(self, state, branch: int, value: int) -> tuple | None:
         lo, hi = state
         child_lo = lo.copy()
@@ -428,73 +426,77 @@ class _BitSearch(_Search):
     """The 0-1 kernel: a node is ``(ones, zeros)``, two ints with bit j set
     where x_j is fixed at 1 and at 0.
 
-    Each stored row caps how many of its members sit on one side: a packing
-    row (all +1, rhs ``r``) at most ``r`` ones, a covering row (all -1, rhs
-    ``-k``) at most ``size - k`` zeros, so a row reads one popcount. A full
-    row fixes its free members on the other side.
+    Each stored row is ``(pos, neg, cap)``: the masks of its +1 and -1 terms,
+    and how many of its literals may be true, its rhs plus the size of ``neg``.
     """
 
     def __init__(self, data: IlpData, rows: list[Row], max_nodes: int) -> None:
         super().__init__(data, max_nodes)
         n = data.num_vars
+        gain = self.gain
         self.full = (1 << n) - 1
-        self.positive = sum(1 << j for j, g in enumerate(self.gain) if g > 0)
-        # ``caps`` holds (mask, cap, packing) per row; fixing x_j at 1 wakes the
-        # rows of bitmask ``wake_one[j]`` and takes ``drop_one[j]`` from the
-        # optimistic bound, fixing it at 0 ``wake_zero[j]`` and ``drop_zero[j]``
-        self.caps: list[tuple[int, int, bool]] = []
-        self.wake_one = [0] * n
-        self.wake_zero = [0] * n
-        self.drop_one = [max(-g, 0) for g in self.gain]
-        self.drop_zero = [max(g, 0) for g in self.gain]
-        # ``against[j]`` lists the rows whose capped side holds x_j at its
-        # optimistic end, the only rows the attained-point test must read
-        self.against: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
+        self.positive = sum(1 << j for j, g in enumerate(gain) if g > 0)
+        # ``caps`` holds (pos, neg, cap) per row; literal j is x_j = 1 and
+        # literal n + j is x_j = 0, and making literal i true wakes the rows
+        # of bitmask ``wake[i]`` and takes ``drop[i]`` from the optimistic bound
+        self.caps: list[tuple[int, int, int]] = []
+        self.wake = [0] * (2 * n)
+        self.drop = [max(-g, 0) for g in gain] + [max(g, 0) for g in gain]
+        # ``against[j]`` lists the rows in which x_j at its optimistic end is
+        # a true literal, the only rows the attained-point test must read
+        self.against: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         # ``cardinal[j]`` lists, in row order, the rows holding x_j as (mask,
-        # cap, packing, ranked, costs, unit): ``ranked`` masks the members whose
-        # optimistic end is on the capped side, ``costs`` their (cost, bit)
+        # pos, neg, cap, ranked, costs, unit): ``ranked`` masks the members whose
+        # optimistic end is a true literal, ``costs`` their (cost, bit)
         # cheapest first, what the one-row optimum may give up, and ``unit``
         # their one cost when all are equal
         self.cardinal: list[list[tuple]] = [[] for _ in range(n)]
-        # a packing row with cap 1 goes to ``conflicts[j]`` instead, the mask
-        # of the variables that share such a row with x_j: at most one of a
-        # set of pairwise conflicting variables is 1
+        # a cap-1 row with no -1 term goes to ``conflicts[j]`` instead, the
+        # mask of the variables that share such a row with x_j: at most one
+        # of a set of pairwise conflicting variables is 1
         self.conflicts = [0] * n
-        # ``needing`` masks the covering rows that need one 1 and ``several``
-        # holds (row bit, mask, ones needed) per row that needs more, and
-        # ``wake_zero[j]`` masks the covering rows holding x_j
+        # of the rows with no +1 term, ``needing`` masks those that need one
+        # 1 and ``several`` holds (row bit, mask, ones needed) per row that
+        # needs more
         self.needing = 0
         self.several: list[tuple[int, int, int]] = []
         for index, (pairs, rhs) in enumerate(rows):
-            packing = not pairs or pairs[0][1] == 1
-            mask = sum(1 << j for j, _ in pairs)
-            cap = rhs if packing else len(pairs) + rhs
-            self.caps.append((mask, cap, packing))
-            if not packing and rhs == -1:
-                self.needing |= 1 << index
-            elif not packing and rhs < -1:
-                self.several.append((1 << index, mask, -rhs))
-            for j, _ in pairs:
-                (self.wake_one if packing else self.wake_zero)[j] |= 1 << index
-            filling = [j for j, _ in pairs if (self.gain[j] > 0) == packing]
-            for j in filling:
-                self.against[j].append((mask, cap, packing))
-            if packing and cap == 1:
+            row_bit = 1 << index
+            literals = 0
+            costs = []
+            for j, a in pairs:
+                literal = j if a > 0 else n + j
+                literals |= 1 << literal
+                self.wake[literal] |= row_bit
+                if (gain[j] > 0) == (a > 0):
+                    costs.append((abs(gain[j]), 1 << j))
+            pos, neg = literals & self.full, literals >> n
+            cap = rhs + neg.bit_count()
+            row = (pos, neg, cap)
+            self.caps.append(row)
+            if neg and not pos:
+                if rhs == -1:
+                    self.needing |= row_bit
+                elif rhs < -1:
+                    self.several.append((row_bit, neg, -rhs))
+            for _, bit in costs:
+                self.against[bit.bit_length() - 1].append(row)
+            if cap == 1 and not neg:
                 for j, _ in pairs:
-                    self.conflicts[j] |= mask & ~(1 << j)
+                    self.conflicts[j] |= pos & ~(1 << j)
                 continue
-            costs = sorted((abs(self.gain[j]), 1 << j) for j in filling)
+            costs.sort()
             ranked = sum(bit for _, bit in costs)
             unit = costs[0][0] if len({cost for cost, _ in costs}) == 1 else None
-            row = (mask, cap, packing, ranked, tuple(costs), unit)
+            row = (pos | neg, pos, neg, cap, ranked, tuple(costs), unit)
             for j, _ in pairs:
                 self.cardinal[j].append(row)
         # the variables a covering row may have to pay for, the least one of
-        # them costs, and the most covering rows one of them holds
-        self.costly = sum(1 << j for j, g in enumerate(self.gain) if g < 0)
-        self.cheapest = min((-g for g in self.gain if g < 0), default=1)
+        # them costs, and the most rows one of them holds as a -1 term
+        self.costly = sum(1 << j for j, g in enumerate(gain) if g < 0)
+        self.cheapest = min((-g for g in gain if g < 0), default=1)
         self.widest = max(
-            (self.wake_zero[j].bit_count() for j in range(n) if self.costly >> j & 1),
+            (self.wake[n + j].bit_count() for j in range(n) if self.costly >> j & 1),
             default=0,
         )
 
@@ -514,45 +516,41 @@ class _BitSearch(_Search):
         """
         ones, zeros = state
         caps = self.caps
+        wake = self.wake
+        drop = self.drop
+        n = self.num_vars
         loss = 0
         while pending:
             low = pending & -pending
             pending ^= low
-            mask, cap, packing = caps[low.bit_length() - 1]
-            room = cap - (mask & (ones if packing else zeros)).bit_count()
+            pos, neg, cap = caps[low.bit_length() - 1]
+            # a row's +1 and -1 members are apart, so its true literals are too
+            room = cap - (pos & ones | neg & zeros).bit_count()
             if room:
                 if room < 0:
                     return None
                 continue
-            moved = mask & ~(ones | zeros)
-            if packing:
-                zeros |= moved
-                woken, dropped = self.wake_zero, self.drop_zero
-            else:
-                ones |= moved
-                woken, dropped = self.wake_one, self.drop_one
+            # every free literal goes false: +1 members to 0, -1 members to 1
+            free = ~(ones | zeros)
+            down = pos & free
+            up = neg & free
+            zeros |= down
+            ones |= up
+            moved = down << n | up
             while moved:
                 bit = moved & -moved
                 moved ^= bit
-                j = bit.bit_length() - 1
-                pending |= woken[j]
-                loss += dropped[j]
+                i = bit.bit_length() - 1
+                pending |= wake[i]
+                loss += drop[i]
         return (ones, zeros), loss
-
-    def _optimistic(self, state) -> int:
-        ones, zeros = state
-        total = 0
-        for j, c in self.objective:
-            if (ones if c < 0 else ~zeros) >> j & 1:
-                total += c
-        return total
 
     def _child(self, state, branch: int, value: int) -> tuple | None:
         ones, zeros = state
         bit = 1 << branch
         if value:
-            return self._propagate((ones | bit, zeros), self.wake_one[branch])
-        return self._propagate((ones, zeros | bit), self.wake_zero[branch])
+            return self._propagate((ones | bit, zeros), self.wake[branch])
+        return self._propagate((ones, zeros | bit), self.wake[self.num_vars + branch])
 
     def _first_free(self, state, start: int) -> int:
         ones, zeros = state
@@ -601,14 +599,16 @@ class _BitSearch(_Search):
         ones, zeros = state
         free = self.full & ~(ones | zeros)
         taken = ones | (free & ~self.costly)
-        wake_zero = self.wake_zero
+        # ``wake[n + j]`` masks the rows holding x_j as a -1 term
+        wake = self.wake
+        last = self.num_vars - 1
         # a row that needs one 1 is open while it holds no taken member
         covered = 0
         rest = taken
         while rest:
             low = rest & -rest
             rest ^= low
-            covered |= wake_zero[low.bit_length() - 1]
+            covered |= wake[last + low.bit_length()]
         open_rows = self.needing & ~covered
         need = open_rows.bit_count()
         for bit, mask, required in self.several:
@@ -626,7 +626,7 @@ class _BitSearch(_Search):
         while payers:
             low = payers & -payers
             payers ^= low
-            holding[(wake_zero[low.bit_length() - 1] & open_rows).bit_count()] += 1
+            holding[(wake[last + low.bit_length()] & open_rows).bit_count()] += 1
         for d in range(self.widest, 0, -1):
             if holding[d] >= afford:
                 return d * afford < need
@@ -636,8 +636,8 @@ class _BitSearch(_Search):
 
     def _closes(self, state, branch: int, bound: int, best: int) -> bool:
         """Whether what the open covering rows still need (``_need_closes``),
-        or else the conflict-clique and cardinality-row relaxation, shows that
-        a node cannot beat ``best``.
+        or else the conflict-clique and row relaxation, shows that a node
+        cannot beat ``best``.
 
         Cliques of the conflict graph first cover the free positive-gain
         variables: the lowest uncovered one starts a clique, which grows while
@@ -647,9 +647,9 @@ class _BitSearch(_Search):
         clique gives up all but its largest gain. Then each free variable that
         no clique of two or more covers, in index order, takes its first
         binding row whose free uncovered variables no row taken so far holds;
-        a taken row gets its exact one-row optimum over those variables, which
-        gives up the cheapest of them whose optimistic end overfills its capped
-        side. Every other variable keeps its optimistic end.
+        a taken row gets its exact one-row optimum over those variables: it
+        gives up the cheapest of them whose optimistic end is a true literal,
+        as many as exceed its room. The rest keep their optimistic end.
         """
         if (self.needing or self.several) and self._need_closes(state, bound, best):
             return True
@@ -709,8 +709,8 @@ class _BitSearch(_Search):
                 # only when it has at least two free variables
                 if not free & (free - 1) or free & taken:
                     continue
-                mask, cap, packing, ranked, costs, unit = row
-                room = cap - (mask & (ones if packing else zeros)).bit_count()
+                _, pos, neg, cap, ranked, costs, unit = row
+                room = cap - (pos & ones | neg & zeros).bit_count()
                 over = (free & ranked).bit_count() - room
                 if over <= 0:
                     continue
@@ -741,8 +741,8 @@ class _BitSearch(_Search):
         while free:
             low = free & -free
             free ^= low
-            for mask, cap, packing in self.against[low.bit_length() - 1]:
-                if (mask & (point if packing else unset)).bit_count() > cap:
+            for pos, neg, cap in self.against[low.bit_length() - 1]:
+                if (pos & point | neg & unset).bit_count() > cap:
                     return None
         return point
 
@@ -765,11 +765,10 @@ def _stored_rows(data: IlpData) -> list[Row]:
 
 def _kernel(data: IlpData, max_nodes: int) -> _Search:
     """The search ``solve_ilp`` runs on ``data``: the 0-1 kernel when every box
-    lies in [0, 1] and every stored row is a cardinality row (an empty row
-    included), the box kernel otherwise."""
+    lies in [0, 1] and every coefficient is +1 or -1, the box kernel otherwise."""
     rows = _stored_rows(data)
     zero_one = all(0 <= l and h <= 1 for l, h in data.var_bounds) and all(
-        a == pairs[0][1] and abs(a) == 1 for pairs, _ in rows for _, a in pairs
+        abs(a) == 1 for pairs, _ in rows for _, a in pairs
     )
     return (_BitSearch if zero_one else _BoxSearch)(data, rows, max_nodes)
 

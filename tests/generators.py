@@ -263,5 +263,56 @@ def random_conflict_ilp(rng, max_vars=12):
     return Ilp(data), plain
 
 
+def clause_row(n, clause):
+    """A clause of signed 1-based literals over distinct variables as its
+    0-1 row: the positive literals' variables less the negative ones' sum to
+    at least 1 less the number of negative literals."""
+    coeffs = [0] * n
+    for literal in clause:
+        coeffs[abs(literal) - 1] = 1 if literal > 0 else -1
+    return tuple(coeffs), ">=", 1 - sum(literal < 0 for literal in clause)
+
+
+def random_clause_ilp(rng, max_vars=8, max_clauses=8):
+    """A binary ILP whose rows mix +1 and -1 coefficients.
+
+    Rows are SAT clauses of one to three literals (``clause_row``), up to two
+    rows of random +1/-1 terms as ``<=``, ``>=`` or ``=``, and up to two cap-1
+    pairs, each a packing (at most one 1) or a covering (at least one 1).
+    Some variables are pre-fixed through ``(l, l)`` bounds, and a third of
+    the objectives are zero.
+    """
+    n = rng.randint(2, max_vars)
+    bounds = []
+    for _ in range(n):
+        if rng.random() < 0.15:
+            value = rng.randint(0, 1)
+            bounds.append((value, value))
+        else:
+            bounds.append((0, 1))
+    constraints = []
+    for _ in range(rng.randint(1, max_clauses)):
+        members = rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
+        constraints.append(clause_row(n, [rng.choice((1, -1)) * v for v in members]))
+    for _ in range(rng.randint(0, 2)):
+        members = rng.sample(range(n), rng.randint(2, n))
+        coeffs = tuple(rng.choice((1, -1)) if j in members else 0 for j in range(n))
+        low, high = -coeffs.count(-1), coeffs.count(1)
+        constraints.append((coeffs, rng.choice(("<=", ">=", "=")), rng.randint(low, high)))
+    for _ in range(rng.randint(0, 2)):
+        pair = rng.sample(range(n), 2)
+        coeffs = tuple(int(j in pair) for j in range(n))
+        constraints.append((coeffs, rng.choice(("<=", ">=")), 1))
+    if rng.random() < 1 / 3:
+        objective = (0,) * n
+    else:
+        objective = tuple(rng.randint(-3, 3) for _ in range(n))
+    sense = rng.choice(("max", "min"))
+    data = dense_ilp(n, tuple(bounds), constraints, objective, sense)
+    plain = ([list(b) for b in bounds], [(list(c), r, b) for c, r, b in constraints],
+             list(objective), sense)
+    return Ilp(data), plain
+
+
 def make_rng(seed):
     return random.Random(seed)

@@ -50,15 +50,17 @@ from pred import (
     solver_label,
     shipped_rules,
 )
-from pred.solvers import SOLVERS, _BitSearch, _BoxSearch, _kernel
+from pred.solvers import SOLVERS, _BitSearch, _BoxSearch, _kernel, _stored_rows
 
 from generators import (
+    clause_row,
     dense_ilp,
     dense_rows,
     gnp_edges,
     make_rng,
     partition_set_cover,
     random_cardinality_ilp,
+    random_clause_ilp,
     random_clique,
     random_coloring,
     random_conflict_ilp,
@@ -225,10 +227,13 @@ def test_solve_ilp_random_against_enumeration():
 def test_cardinality_row_bound_keeps_the_first_optimum():
     # packing, covering and split ``=`` rows over 0/1 variables are the rows
     # the relaxation reads; pre-fixed variables and zero or negative gains
-    # exercise its capacity and least-bad choices, and cap-1 rows over dense
-    # random graphs its conflict cliques, which span several rows
+    # exercise its capacity and least-bad choices, cap-1 rows over dense
+    # random graphs its conflict cliques, which span several rows, and clause
+    # rows its rows of both signs
     rng = make_rng(2007)
-    for generator, count in ((random_cardinality_ilp, 1000), (random_conflict_ilp, 300)):
+    for generator, count in (
+        (random_cardinality_ilp, 1000), (random_conflict_ilp, 300), (random_clause_ilp, 500)
+    ):
         for _ in range(count):
             ilp, (bounds, constraints, objective, sense) = generator(rng)
             result = solve_ilp(ilp.data)
@@ -242,7 +247,9 @@ def test_cardinality_row_bound_keeps_the_first_optimum():
 
 
 # A 0-1 program of cardinality rows with tied optima: a packing row, a covering
-# row as ``>=``, one as ``<=`` over -1, and an ``=`` row, which is both
+# row as ``>=``, one as ``<=`` over -1, and an ``=`` row, which is both. Any
+# +1/-1 row keeps it on the 0-1 kernel; a coefficient of 2 or a wider box
+# sends it to the box kernel
 CARDINAL_BOUNDS = ((0, 1),) * 5
 CARDINAL_ROWS = (
     ((1, 1, 1, 0, 0), "<=", 2),
@@ -253,6 +260,7 @@ CARDINAL_ROWS = (
 KERNEL_CASES = [
     ("zero-one", _BitSearch, CARDINAL_BOUNDS, CARDINAL_ROWS),
     ("general-row", _BoxSearch, CARDINAL_BOUNDS, CARDINAL_ROWS + (((2, 1, 0, 0, 0), "<=", 2),)),
+    ("mixed-sign", _BitSearch, CARDINAL_BOUNDS, CARDINAL_ROWS + (((1, -1, 0, 0, 0), "<=", 0),)),
     ("wide-box", _BoxSearch, ((0, 1),) * 4 + ((0, 2),), CARDINAL_ROWS),
     ("zero-row", _BitSearch, CARDINAL_BOUNDS, CARDINAL_ROWS + (((0,) * 5, "<=", 0),)),
     ("zero-row-fails", _BitSearch, CARDINAL_BOUNDS, CARDINAL_ROWS + (((0,) * 5, ">=", 1),)),
@@ -279,6 +287,32 @@ def test_kernel_is_selected_from_the_program_and_keeps_the_first_optimum(
     else:
         assert result.value.payload == expected
         assert _point(data, result.witness) == winners[0]
+
+
+@pytest.mark.parametrize("n", [20, 30])
+def test_both_kernels_search_a_zero_objective_clause_program_alike(n):
+    # random 3-SAT at clause ratio 4.26 as clause rows, each of both signs but
+    # the all-positive ones: with no gain no bound can close a node, so the
+    # 0-1 kernel's popcount rows must charge the nodes and reach the point the
+    # box kernel's bound lists do
+    for seed in range(1, 6):
+        rng = make_rng(seed)
+        clauses = [
+            [rng.choice((1, -1)) * v for v in rng.sample(range(1, n + 1), 3)]
+            for _ in range(round(4.26 * n))
+        ]
+        rows = tuple(clause_row(n, clause) for clause in clauses)
+        data = dense_ilp(n, ((0, 1),) * n, rows, (0,) * n, "max")
+        bits = _kernel(data, DEFAULT_NODE_BUDGET)
+        box = _BoxSearch(data, _stored_rows(data), DEFAULT_NODE_BUDGET)
+        assert isinstance(bits, _BitSearch)
+        bits.run()
+        box.run()
+        assert bits.nodes == box.nodes
+        assert (bits.best_point is None) == (box.best_point is None)
+        if box.best_point is not None:
+            assert bits.witness() == box.witness()
+            assert data.holds(bits.witness())
 
 
 # --- the kernel: propagation fixpoint, carried bound, pinned search -------------
@@ -378,11 +412,12 @@ def test_propagation_reaches_the_reference_fixpoint():
 
 
 def test_zero_one_kernel_propagates_and_bounds_like_the_reference():
-    # every cardinality program runs on the 0-1 kernel; its popcount rows must
-    # reach the reference fixpoint and carry the recomputed bound at every node
+    # every program of +1/-1 rows runs on the 0-1 kernel, cardinality and
+    # clause rows alike; its popcount rows must reach the reference fixpoint
+    # and carry the recomputed bound at every node
     rng = make_rng(1313)
-    for _ in range(300):
-        ilp, (bounds, constraints, objective, sense) = random_cardinality_ilp(rng)
+    for generator in [random_cardinality_ilp] * 300 + [random_clause_ilp] * 300:
+        ilp, (bounds, constraints, objective, sense) = generator(rng)
         search = _search_checked(ilp.data)
         assert isinstance(search, _BitSearch)
         expected, winners = best_ilp(bounds, constraints, objective, sense)
@@ -400,14 +435,17 @@ def _ilp_program(instance) -> IlpData:
 
 
 def _conflict_programs(rng, count):
-    """``count`` each of three kinds of 0-1 program whose cap-1 rows form a
+    """``count`` each of four kinds of 0-1 program whose cap-1 rows form a
     conflict graph: random conflict ILPs (pre-fixed variables, gains -3 to
-    5), weighted MIS (gains 1 to 5) and 3SAT through MIS, whose clause
-    triangles the cliques can take whole."""
+    5), weighted MIS (gains 1 to 5), 3SAT through MIS, whose clause
+    triangles the cliques can take whole, and clause-row ILPs, whose rows of
+    both signs the row pass reads beside their cap-1 pairs."""
     for _ in range(count):
         yield random_conflict_ilp(rng)[0].data
         yield _ilp_program(random_mis(rng, max_vertices=10, weighted=True)[0])
         yield _ilp_program(random_3sat(rng, max_variables=4, max_clauses=4)[0])
+    for _ in range(count):
+        yield random_clause_ilp(rng, max_vars=10)[0].data
 
 
 def test_clique_relaxation_never_closes_a_node_that_reaches_the_cutoff():
@@ -435,17 +473,19 @@ def test_clique_relaxation_never_closes_a_node_that_reaches_the_cutoff():
             if expected is None:
                 continue
             value = search.sign * expected
-            bound = search._optimistic(state)
+            bound = _optimistic(search, *_box(search, state))
             assert not search._closes(state, search._first_free(state, 0), bound, value - 1)
             checked += 1
     assert checked >= 600
 
 
 def _covering_programs(rng, count):
-    """``count`` each of six kinds of 0-1 program with covering rows: SetCover,
-    VC and DomSet->SetCover (unit costs, one 1 per row), weighted covers
-    (costs 1 to 4), random cardinality ILPs (rows needing two or more ones)
-    and random conflict ILPs (gains -3 to 5, zero included)."""
+    """``count`` each of seven kinds of 0-1 program with covering rows:
+    SetCover, VC and DomSet->SetCover (unit costs, one 1 per row), weighted
+    covers (costs 1 to 4), random cardinality ILPs (rows needing two or more
+    ones), random conflict ILPs (gains -3 to 5, zero included) and
+    clause-row ILPs, whose all-positive clauses are covering rows beside
+    rows of both signs."""
     for _ in range(count):
         n = rng.randint(3, 9)
         rows = []
@@ -459,6 +499,8 @@ def _covering_programs(rng, count):
         yield _ilp_program(random_domset(rng, max_vertices=9)[0])
         yield random_cardinality_ilp(rng)[0].data
         yield random_conflict_ilp(rng, max_vars=10)[0].data
+    for _ in range(count):
+        yield random_clause_ilp(rng, max_vars=10)[0].data
 
 
 def _assert_need_bound_is_valid(data, lo, hi) -> tuple[int, int]:
@@ -472,7 +514,7 @@ def _assert_need_bound_is_valid(data, lo, hi) -> tuple[int, int]:
     if out is None:
         return 0, 0
     state = out[0]
-    bound = search._optimistic(state)
+    bound = _optimistic(search, *_box(search, state))
     expected, _ = best_ilp(list(zip(*_box(search, state))), dense_rows(data), data.objective, data.sense)
     best = None if expected is None else search.sign * expected
     closed = sound = 0
@@ -525,6 +567,19 @@ def test_covering_need_edge_cases():
     # root closes at cutoffs -1 and -2 and stays open at -3, the optimum
     pairs = _ilp_program(SetCover(SetCoverData(4, ((0, 1), (2, 3), (0, 2), (1, 3)))))
     assert _assert_need_bound_is_valid(pairs, [0] * 4, [1] * 4) == (2, 2)
+
+
+def test_row_relaxation_counts_true_literals_of_both_signs():
+    # x0 + x1 + x2 - x3 <= 1 allows two true literals; with x3 fixed at 0 one
+    # is taken, so of the free x0..x2 (gain 1 each, bound 3) one may be 1
+    data = dense_ilp(4, ((0, 1),) * 4, (((1, 1, 1, -1), "<=", 1),), (1, 1, 1, 0), "max")
+    search = _kernel(data, DEFAULT_NODE_BUDGET)
+    state, loss = search._propagate(search._state([0] * 4, [1, 1, 1, 0]), search._all_rows())
+    assert (state, loss) == ((0, 0b1000), 0)
+    assert search._closes(state, 0, 3, 1) and not search._closes(state, 0, 3, 0)
+    # with x3 fixed at 1 instead, no literal is taken and two may be 1
+    state = search._propagate(search._state([0, 0, 0, 1], [1] * 4), search._all_rows())[0]
+    assert search._closes(state, 0, 3, 2) and not search._closes(state, 0, 3, 1)
 
 
 def test_greedy_dive_reaches_the_point_it_reports():
@@ -635,8 +690,8 @@ def test_search_nodes_and_witness_are_pinned(family, seed, nodes, value, witness
     search = _kernel(_ilp_program(instance), DEFAULT_NODE_BUDGET)
     search.run()
     result = solve(instance)
-    # QUBO's linearisation rows mix signs, as does ilp-mixed's added row;
-    # every other family is a 0-1 program of cardinality rows
+    # QUBO's linearisation has a coefficient of 2, as does ilp-mixed's added
+    # row; every other family is a 0-1 program of +1/-1 rows
     assert isinstance(search, _BoxSearch if family in ("qubo", "ilp-mixed") else _BitSearch)
     assert search.nodes == nodes
     assert result.value.payload == value
