@@ -4,7 +4,7 @@ The package models a directed graph whose nodes are problem types
 (independent set, SAT, QUBO, integer programming, ...) and whose edges are
 reduction rules. Each rule carries a symbolic overhead map, a forward
 instance transform, and extraction data for mapping solutions or optimal
-values back to the source. On top of the graph sit a cheapest-path router,
+values back to the source. On top of the graph sit a fewest-steps router,
 an exact branch-and-bound integer programming solver, and a brute-force
 fallback, so any registered instance can be solved by reducing it to a
 solvable type and translating the answer back.
@@ -15,8 +15,8 @@ command pays only for the modules it runs: ``create`` never loads the rule
 catalogue or the solvers, for instance. Overhead and complexity expressions
 stay as their declared text until something reads them, so importing the
 package and building the graph (``default_graph()``) do not load the
-symbolic algebra, ``pred.symbolic``; routing loads it when it first compares
-two routes. Nor do they load any problem family (``pred.problems``): a
+symbolic algebra, ``pred.symbolic``, and neither does routing, which reads
+no expression. Nor do they load any problem family (``pred.problems``): a
 family's classes and forward maps load when an instance of it is first
 built or reduced to. ``canonical`` is the expression normaliser from
 ``pred.symbolic``; the example database is ``pred.examples``.

@@ -19,12 +19,9 @@ problem family alone (a family is loaded only by the commands that build or
 reduce into one of its problems), the reduction graph (rules and routing)
 is imported by the commands that route, the solvers by ``solve`` and
 ``show``, and the example database by ``create --example`` and ``show``.
-The symbolic algebra (``pred.symbolic``) is loaded only where an overhead
-or complexity expression is read: when routing compares two candidate
-routes (``reduce``, ``path``, and ``solve`` when the instance it solves has
-more than one route to a solver node), and when ``path``, ``show``, ``list``
-and ``reduce --path`` print one. ``solve`` on an envelope to ILP replays the
-envelope's path and solves along the empty route, so it reads no expression.
+Routing reads no expression, so the symbolic algebra (``pred.symbolic``) is
+loaded only by the commands that print one: ``path``, ``show``, ``list`` and
+``reduce --path``.
 """
 
 from __future__ import annotations
@@ -254,14 +251,15 @@ def cmd_create(args) -> None:
 
 # --- reduce ------------------------------------------------------------------
 
-def _print_route(path) -> None:
+def _print_route(path, stream, indent: str = "") -> None:
+    """Each step with its overhead, then the composite overhead and the
+    estimated cost: to stderr for ``reduce --path``, to stdout for ``path``."""
     from .symbolic import render, render_overhead
 
-    print(f"route: {len(path.steps)} step(s)", file=sys.stderr)
     for rule in path.steps:
-        print(f"  {rule.name}  {render_overhead(rule.overhead)}", file=sys.stderr)
-    print(f"composite: {render_overhead(path.composite_overhead)}", file=sys.stderr)
-    print(f"estimated cost: {render(path.estimated_cost)}", file=sys.stderr)
+        print(f"{indent}{rule.name}  {render_overhead(rule.overhead)}", file=stream)
+    print(f"composite: {render_overhead(path.composite_overhead)}", file=stream)
+    print(f"estimated cost: {render(path.estimated_cost)}", file=stream)
 
 
 def cmd_reduce(args) -> None:
@@ -286,7 +284,8 @@ def cmd_reduce(args) -> None:
         source, full_path, reduced.target_instance, prior.stack + reduced.stack
     )
     if args.show_path:
-        _print_route(segment)
+        print(f"route: {len(segment.steps)} step(s)", file=sys.stderr)
+        _print_route(segment, sys.stderr, indent="  ")
     _emit(envelope_to_document(envelope))
 
 
@@ -343,7 +342,6 @@ def cmd_solve(args) -> None:
 
 def cmd_path(args) -> None:
     from .graph import default_graph
-    from .symbolic import render, render_overhead
 
     graph = default_graph()
     registry = graph.registry
@@ -355,13 +353,9 @@ def cmd_path(args) -> None:
             f"no reduction path from {registry.display_name(source.key)} "
             f"to {registry.display_name(target.key)}"
         )
-    if path.steps:
-        for rule in path.steps:
-            print(f"{rule.name}  {render_overhead(rule.overhead)}")
-    else:
+    if not path.steps:
         print("identity (source equals target; no reduction applied)")
-    print(f"composite: {render_overhead(path.composite_overhead)}")
-    print(f"estimated cost: {render(path.estimated_cost)}")
+    _print_route(path, sys.stdout)
 
 
 def cmd_show(args) -> None:
@@ -469,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_solve.set_defaults(handler=cmd_solve)
 
-    p_path = sub.add_parser("path", help="print the cheapest reduction route between two types")
+    p_path = sub.add_parser("path", help="print the shortest reduction route between two types")
     p_path.add_argument("source")
     p_path.add_argument("target")
     p_path.set_defaults(handler=cmd_path)

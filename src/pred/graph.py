@@ -1,22 +1,21 @@
 """The reduction graph: routing, transitive chaining, and topology reports.
 
-Paths are ranked by the cost of solving at the destination: the terminal
-type's complexity bound with the path's composite overhead substituted in,
-compared asymptotically after collapsing every size measure onto a single
-scale symbol. Ties fall back to edge count, then rule names. The graph is
-small, so routing enumerates all simple paths, which is exact regardless of
-how node complexities vary along a path.
+One cost rule ranks routes: the fewest steps, then the smallest tuple of
+rule names. Routing is one breadth-first search that visits each node's
+outgoing rules in name order, so the first route to reach a node is the
+smallest of its fewest-step routes, and that route stays the smallest when
+it is extended by one rule. The search therefore settles each node once,
+and a search towards a set of nodes stops at the first one it settles.
 
-Building the graph reads no expression: a rule's overhead, a type's
-complexity and a path's composite overhead and cost are each worked out the
-first time they are read. The symbolic algebra that routing uses is bound in
-this module only then (``_bind_symbolic``), so a process that builds paths
-but never compares two of them or prints one (``solve`` on an envelope to
-ILP, for instance) never loads ``pred.symbolic``.
+Routing reads no expression. A rule's overhead, a type's complexity and a
+path's composite overhead and estimated cost are each worked out the first
+time they are read, and only a command that prints one (``path``, ``show``,
+``list``, ``reduce --path``) loads ``pred.symbolic``.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
@@ -46,12 +45,13 @@ from .rules import (
 if TYPE_CHECKING:
     from .symbolic import Expr, OverheadMap
 
-# Routing's algebra from pred.symbolic, bound as globals of this module on
-# first use rather than at import; a profiler that replaces one of these names
-# here sees every call routing makes.
-_SYMBOLIC = (
-    "Comparison", "Var", "canonical", "compare", "compose", "identity_overhead", "subst", "vars_of"
-)
+# The algebra from pred.symbolic that a path's composite overhead and cost
+# need, bound as globals of this module on first use rather than at import.
+# ``compare`` and ``vars_of`` are not used here. They stay resolvable because
+# the benchmark's tracer (perfbench/spans.py) times the algebra by replacing
+# compose, canonical, subst, compare and vars_of in this module, and reads
+# each of the five first.
+_SYMBOLIC = ("canonical", "compare", "compose", "identity_overhead", "subst", "vars_of")
 
 
 def _bind_symbolic() -> None:
@@ -184,56 +184,43 @@ class ReductionGraph:
         target: VariantKey,
         require_witness: bool = True,
     ) -> ReductionPath | None:
-        """Cost-minimal simple path, or None when the target is unreachable."""
-        self.registry.lookup_key(source)
+        """The route with the fewest steps, then the smallest rule names, or
+        None when the target is unreachable."""
         self.registry.lookup_key(target)
-        if source == target:
-            return self.make_path(source, ())
-        best: ReductionPath | None = None
-
-        def visit(node: VariantKey, visited: set[VariantKey], steps: list[ReductionRule]) -> None:
-            nonlocal best
-            for rule in self._outgoing[node]:
-                if require_witness and not rule.witness_capable:
-                    continue
-                nxt = rule.target.key
-                if nxt in visited:
-                    continue
-                steps.append(rule)
-                if nxt == target:
-                    candidate = self.make_path(source, tuple(steps))
-                    if best is None or _cheaper(candidate, best):
-                        best = candidate
-                else:
-                    visited.add(nxt)
-                    visit(nxt, visited, steps)
-                    visited.remove(nxt)
-                steps.pop()
-
-        visit(source, {source}, [])
-        return best
+        return self._route(source, {target}, require_witness)
 
     def solver_route(self, key: VariantKey) -> ReductionPath | None:
-        """How ``solve`` treats instances of ``key``: the cheapest witness-capable
-        path to a solver node (a problem named in ``pred.solvers.SOLVERS``),
-        whose solver then runs on the reduced instance, or None when only
-        brute force applies. A solver node's route is the empty path, taken
-        without a search, and routes to two nodes are compared only when both
-        exist, so a route that needs no comparison never loads the algebra."""
+        """How ``solve`` treats instances of ``key``: the route, by the same
+        rule as ``find_path``, along witness-capable rules to the nearest
+        solver node (a problem named in ``pred.solvers.SOLVERS``), whose
+        solver then runs on the reduced instance, or None when only brute
+        force applies. A solver node's route is the empty path."""
         if key not in self._solver_routes:
             from .solvers import SOLVERS
 
-            nodes = [self.registry.lookup(name).key for name in SOLVERS]
-            if key in nodes:
-                route = self.make_path(key, ())
-            else:
-                route = None
-                for node in nodes:
-                    candidate = self.find_path(key, node)
-                    if candidate is not None and (route is None or _cheaper(candidate, route)):
-                        route = candidate
-            self._solver_routes[key] = route
+            nodes = {self.registry.lookup(name).key for name in SOLVERS}
+            self._solver_routes[key] = self._route(key, nodes, require_witness=True)
         return self._solver_routes[key]
+
+    def _route(
+        self, source: VariantKey, targets: set[VariantKey], require_witness: bool
+    ) -> ReductionPath | None:
+        # Breadth-first, each node's rules in name order: nodes leave the queue
+        # in the order of their routes, (steps, rule names), so the first
+        # target to leave it has the route the cost rule picks.
+        self.registry.lookup_key(source)
+        routes: dict[VariantKey, tuple[ReductionRule, ...]] = {source: ()}
+        queue = deque([source])
+        while queue:
+            node = queue.popleft()
+            if node in targets:
+                return self.make_path(source, routes[node])
+            for rule in self._outgoing[node]:
+                end = rule.target.key
+                if end not in routes and (rule.witness_capable or not require_witness):
+                    routes[end] = routes[node] + (rule,)
+                    queue.append(end)
+        return None
 
     def topology_report(self) -> dict:
         """Reachability sets over all edges, as JSON-able sorted name lists."""
@@ -265,21 +252,6 @@ class ReductionGraph:
                     reached.add(end)
                     frontier.append(end)
         return reached
-
-
-def _single_scale(expr: Expr) -> Expr:
-    scale = Var("t")
-    return subst(expr, {name: scale for name in vars_of(expr)})
-
-
-def _cheaper(a: ReductionPath, b: ReductionPath) -> bool:
-    _bind_symbolic()
-    verdict = compare(_single_scale(a.estimated_cost), _single_scale(b.estimated_cost))
-    if verdict is Comparison.LOWER_GROWTH:
-        return True
-    if verdict is Comparison.HIGHER_GROWTH:
-        return False
-    return (len(a.steps), a.rule_names()) < (len(b.steps), b.rule_names())
 
 
 def reduce_along(path: ReductionPath, instance: Problem) -> ReductionEnvelope:

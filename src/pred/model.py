@@ -449,8 +449,8 @@ class ProblemTypeDescriptor(Record):
 
     ``complexity`` is declared as text (or as an ``Expr``) and kept that way
     until it is first read; that read parses it and checks it against the
-    size measures, once. Only routing and the printing commands read it, so
-    building the registry never loads ``pred.symbolic``.
+    size measures, once. Only the commands that print it read it, so neither
+    building the registry nor routing loads ``pred.symbolic``.
     """
 
     name: str

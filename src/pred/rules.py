@@ -51,8 +51,8 @@ class ReductionRule(Record, eq=False):
     ``overhead`` maps each target size measure to an expression, declared as
     text (or as an ``Expr``), and stays as declared until it is first read;
     that read parses it and checks it against the rule's endpoints
-    (``_parsed_overhead``), once. Only routing and the printing commands read
-    it, so building the catalogue never loads ``pred.symbolic``.
+    (``_parsed_overhead``), once. Only the commands that print it read it, so
+    neither building the catalogue nor routing loads ``pred.symbolic``.
     """
 
     name: str

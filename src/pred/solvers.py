@@ -6,10 +6,10 @@ pruned prefix walk of ``pred.model`` (``_first_best``) under its node
 budget. Brute force takes the same walk for every Or fold and for every
 class that bounds its prefixes, QUBO's included. The reduction graph makes
 the one dispatch decision (``ReductionGraph.solver_route``): an instance
-with a witness-capable path to a solver node is carried along the cheapest
-one and solved there, a solver node itself being the empty path, and any
-other instance is enumerated by brute force. Adding a solver is one entry
-in the table.
+with a witness-capable path to a solver node is carried along the one with
+the fewest steps (then the smallest rule names) and solved there, a solver
+node itself being the empty path, and any other instance is enumerated by
+brute force. Adding a solver is one entry in the table.
 
 The ILP backend is an exact depth-first branch-and-bound that maximises; a
 min program is searched on its negated objective. Each ``IlpData`` row is

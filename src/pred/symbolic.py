@@ -67,8 +67,9 @@ def coerce(value: Expr | RationalLike) -> Expr:
     return value if isinstance(value, Expr) else Const(_frac(value))
 
 
-# Expressions are built on every routing step, so each node class sets its
-# fields in its own __init__ rather than through Record's generic one.
+# Expressions are built at every step of a composition or substitution, so
+# each node class sets its fields in its own __init__ rather than through
+# Record's generic one.
 
 class Const(Expr):
     value: Fraction

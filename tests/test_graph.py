@@ -3,6 +3,8 @@ and round-trip verification along multi-step paths."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from pred import (
@@ -14,14 +16,17 @@ from pred import (
     GraphData,
     IndependentSet,
     NoPathError,
+    ProblemTypeDescriptor,
     Qubo,
     QuboData,
     ReductionGraph,
     ReductionRule,
+    Registry,
     Satisfiability,
     ThreeSatisfiability,
     TypeMismatchError,
     UnknownProblemError,
+    ValueKind,
     Var,
     build_examples,
     compare,
@@ -388,3 +393,91 @@ def test_find_path_matches_enumeration_on_all_pairs(require_witness):
             else:
                 assert routed is not None, (source, target)
                 assert routed.rule_names() == enumerated.rule_names(), (source, target)
+
+
+# --- the cost rule on synthetic catalogues --------------------------------------
+
+def _synthetic_graph(seed: int, num_types: int, num_rules: int) -> ReductionGraph:
+    """A seeded catalogue: rules on distinct pairs of types, a cycle through
+    the first four types among them, names shuffled against the endpoints,
+    and about a quarter of the rules without a witness extractor."""
+    rng = make_rng(seed)
+    registry = Registry()
+    types = [
+        ProblemTypeDescriptor(f"T{i}", (), ("n",), "2^n", ValueKind.MAX)
+        for i in range(num_types)
+    ]
+    for descriptor in types:
+        registry.register(descriptor)
+    registry.freeze()
+    pairs = [(i, (i + 1) % 4) for i in range(4)]
+    while len(pairs) < num_rules:
+        pair = tuple(rng.sample(range(num_types), 2))
+        if pair not in pairs:
+            pairs.append(pair)
+    names = rng.sample(range(num_rules), num_rules)
+    rules = [
+        ReductionRule(
+            f"r{name:03d}",
+            types[source],
+            types[target],
+            {"n": "n"},
+            None,
+            (lambda data, config: config) if rng.random() < 0.75 else None,
+        )
+        for name, (source, target) in zip(names, pairs)
+    ]
+    return ReductionGraph(registry, rules)
+
+
+def _fewest_steps_by_enumeration(graph, source, target, require_witness):
+    """The smallest (steps, rule names) over every simple path."""
+    best = None
+
+    def walk(node, visited, steps):
+        nonlocal best
+        if node == target:
+            candidate = (len(steps), tuple(rule.name for rule in steps))
+            best = candidate if best is None else min(best, candidate)
+            return
+        for rule in graph.outgoing(node):
+            nxt = rule.target.key
+            if nxt not in visited and (rule.witness_capable or not require_witness):
+                walk(nxt, visited | {nxt}, steps + [rule])
+
+    walk(source, {source}, [])
+    return best
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("require_witness", (True, False), ids=("witness", "all-edges"))
+def test_find_path_takes_the_fewest_steps_then_the_smallest_names(seed, require_witness):
+    graph = _synthetic_graph(seed, num_types=10, num_rules=20)
+    keys = [d.key for d in graph.registry.variants()]
+    for source in keys:
+        for target in keys:
+            routed = graph.find_path(source, target, require_witness=require_witness)
+            expected = _fewest_steps_by_enumeration(graph, source, target, require_witness)
+            found = None if routed is None else (len(routed.steps), routed.rule_names())
+            assert found == expected, (source, target)
+
+
+def test_find_path_routes_every_pair_of_a_large_catalogue_within_ten_cpu_seconds():
+    graph = _synthetic_graph(100, num_types=100, num_rules=200)
+    keys = [d.key for d in graph.registry.variants()]
+    # CPU time of this process, so that other work on the host does not count
+    began = time.process_time()
+    routes = {(s, t): graph.find_path(s, t) for s in keys for t in keys}
+    assert time.process_time() - began < 10.0
+    reached = {}
+    for source in keys:
+        reached[source] = seen = {source}
+        frontier = [source]
+        while frontier:
+            for rule in graph.outgoing(frontier.pop()):
+                if rule.witness_capable and rule.target.key not in seen:
+                    seen.add(rule.target.key)
+                    frontier.append(rule.target.key)
+    for (source, target), route in routes.items():
+        assert (route is not None) == (target in reached[source]), (source, target)
+    assert max(len(route.steps) for route in routes.values() if route) >= 10

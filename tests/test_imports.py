@@ -5,9 +5,9 @@ not use costs start-up time on every call. The stages run here as real
 interpreters (``python -m pred`` through ``runpy``), and each reports the
 modules that appeared in ``sys.modules`` while it ran. The symbolic algebra
 (``pred.symbolic``, which brings in ``fractions``) belongs only to the
-stages that compare routes or print an expression, and a problem family
-(``pred.problems.graph``, ``sat``, ``ilp``, ``qubo``, ``setcover``) only to
-the stages that build or reduce an instance of that family.
+stages that print an expression, since routing reads none, and a problem
+family (``pred.problems.graph``, ``sat``, ``ilp``, ``qubo``, ``setcover``)
+only to the stages that build or reduce an instance of that family.
 """
 
 from __future__ import annotations
@@ -149,9 +149,26 @@ def test_import_and_graph_build_load_no_family():
 
 def test_reduce_loads_routing_and_the_route_families_but_not_the_solvers():
     _, report = run_stage("reduce", "-", "--to", "ILP", stdin=json.dumps(MIS))
-    assert pred_modules(report) == sorted(
-        [*CORE, *ROUTING, "pred.symbolic", GRAPH_FAMILY, ILP_FAMILY]
-    )
+    assert pred_modules(report) == sorted([*CORE, *ROUTING, GRAPH_FAMILY, ILP_FAMILY])
+    assert_no_symbolic(report)
+
+
+@pytest.mark.parametrize("problem", ("MIS", "VC", "Clique", "SAT", "3SAT", "GC", "DecisionMIS"))
+def test_routed_reduce_and_solve_read_no_expression(problem):
+    instance, _ = run_stage("create", problem, "--example")
+    envelope, report = run_stage("reduce", "-", "--to", "ILP", stdin=instance)
+    assert json.loads(envelope)["path"]
+    assert_no_symbolic(report)
+    solved, report = run_stage("solve", "-", stdin=instance)
+    assert "(via " in json.loads(solved)["solver"]
+    assert_no_symbolic(report)
+
+
+def test_solve_picks_between_two_solver_nodes_without_the_algebra():
+    instance, _ = run_stage("create", "MaxCut", "--example")
+    solved, report = run_stage("solve", "-", stdin=instance)
+    assert json.loads(solved)["solver"] == "qubo (via QUBO)"
+    assert_no_symbolic(report)
 
 
 def test_solve_on_an_envelope_adds_the_solvers_and_only_the_route_families():

@@ -1075,19 +1075,17 @@ def test_solver_route_is_searched_once_per_variant(monkeypatch):
     graph = ReductionGraph(registry, shipped_rules(registry))
     monkeypatch.setattr("pred.solvers.default_graph", lambda: graph)
     searches = []
-    find_path = graph.find_path
+    route = graph._route
 
-    def counting_find_path(*args, **kwargs):
-        searches.append(args)
-        return find_path(*args, **kwargs)
+    def counting_route(source, targets, require_witness):
+        searches.append(targets)
+        return route(source, targets, require_witness)
 
-    monkeypatch.setattr(graph, "find_path", counting_find_path)
+    monkeypatch.setattr(graph, "_route", counting_route)
     first = solve(GraphColoring(GraphData(3, ((0, 1), (1, 2))), 2))
-    # one search towards each solver node, all made by the first solve
-    assert [target for _, target in searches] == [
-        registry.lookup(name).key for name in SOLVERS
-    ]
+    # one search, towards all the solver nodes at once, made by the first solve
+    assert searches == [{registry.lookup(name).key for name in SOLVERS}]
     second = solve(GraphColoring(GraphData(4, ((0, 1), (1, 2), (2, 3))), 2))
-    assert len(searches) == len(SOLVERS)
+    assert len(searches) == 1
     assert first.route is second.route and first.route.steps
     assert first.value.payload is True and second.value.payload is True
