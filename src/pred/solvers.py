@@ -76,6 +76,27 @@ sibling window keeps the plain optimistic bound: only that bound falls by
 exactly ``|c|`` per step of the branch value, which the window's arithmetic
 needs.
 
+Between the two passes, a node that the cliques leave open by no more than
+the program's largest gain, the most that one inconsistent set of cliques
+can take off, is bounded by unit propagation over the cover, as
+MaxSAT-based max-clique branch-and-bound does (Li & Quan, 2010, "An
+efficient branch-and-bound algorithm based on MaxSAT for the maximum clique
+problem", AAAI). Every clique, and every singleton (a free positive-gain
+variable that no clique of two or more covers), is taken to hold a 1. The
+singletons are forced at once, as no two conflict: each had no uncovered
+conflicting variable when its turn came. The forced variables' conflicts
+are banned; a clique left with one member outside them forces it, and a
+clique left with none is a conflict. The emptied clique, with the forced
+cliques and singletons that its banned members trace back to, each member
+to the earliest forced variable that banned it and so on recursively, is an
+inconsistent set: no feasible point meets every clique of it. A point takes
+at most a clique's top from each clique it meets and nothing from one it
+misses, so the set's least top comes off the bound. The set's cliques and
+singletons then leave the propagation and the row pass, which must not
+count them again, and propagation repeats until the node closes or no
+conflict is left. On unit gains a set is sought only at a node one above
+the cutoff, where the first set closes it.
+
 A node whose optimistic point (positive gains at ``hi``, the rest at
 ``lo``) satisfies every row closes with that point as its incumbent: every
 optimum of the subtree agrees with it on the nonzero gains and it puts the
@@ -436,6 +457,8 @@ class _BitSearch(_Search):
         gain = self.gain
         self.full = (1 << n) - 1
         self.positive = sum(1 << j for j, g in enumerate(gain) if g > 0)
+        # no clique or singleton keeps more than the largest gain
+        self.largest = max(gain, default=0)
         # ``caps`` holds (pos, neg, cap) per row; literal j is x_j = 1 and
         # literal n + j is x_j = 0, and making literal i true wakes the rows
         # of bitmask ``wake[i]`` and takes ``drop[i]`` from the optimistic bound
@@ -451,6 +474,8 @@ class _BitSearch(_Search):
         # cheapest first, what the one-row optimum may give up, and ``unit``
         # their one cost when all are equal
         self.cardinal: list[list[tuple]] = [[] for _ in range(n)]
+        # the mask of the variables some row of ``cardinal`` holds
+        self.in_rows = 0
         # a cap-1 row with no -1 term goes to ``conflicts[j]`` instead, the
         # mask of the variables that share such a row with x_j: at most one
         # of a set of pairwise conflicting variables is 1
@@ -489,6 +514,7 @@ class _BitSearch(_Search):
             ranked = sum(bit for _, bit in costs)
             unit = costs[0][0] if len({cost for cost, _ in costs}) == 1 else None
             row = (pos | neg, pos, neg, cap, ranked, tuple(costs), unit)
+            self.in_rows |= row[0]
             for j, _ in pairs:
                 self.cardinal[j].append(row)
         # the variables a covering row may have to pay for, the least one of
@@ -634,6 +660,92 @@ class _BitSearch(_Search):
             afford -= holding[d]
         return need > 0
 
+    def _refute(self, cliques: list[int], singles: int, bound: int, best: int) -> tuple[int, int]:
+        """The clique bound ``bound`` less the least top of each inconsistent
+        set that unit propagation finds, until it is no better than ``best``
+        or no set is left; and the mask of the singletons the sets used.
+
+        Each clique of ``cliques``, a mask, and each singleton of ``singles``
+        is taken to hold a 1. No two singletons conflict, so they are forced
+        at once and their conflicts banned; a clique left with one member
+        outside the banned variables forces it, and a clique left with none
+        is a conflict. The conflict's clique, with the forced cliques and
+        singletons its banned members trace back to, each to the earliest
+        forced variable that banned it, is an inconsistent set. Its cliques
+        and singletons leave the propagation, and the caller drops the
+        singletons from the row pass, as the cliques already are.
+        """
+        conflicts = self.conflicts
+        gain = self.gain
+        spent = 0
+        while True:
+            banned = 0
+            rest = singles
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                banned |= conflicts[low.bit_length() - 1]
+            keep = ~banned
+            # (clique, its forced member, the variables that member newly banned)
+            trail = []
+            waiting = cliques
+            emptied = 0
+            while not emptied:
+                still = []
+                for clique in waiting:
+                    left = clique & keep
+                    if left & (left - 1):
+                        still.append(clique)
+                    elif left:
+                        newly = conflicts[left.bit_length() - 1] & keep
+                        keep &= ~newly
+                        trail.append((clique, left, newly))
+                    else:
+                        emptied = clique
+                        break
+                if len(still) == len(waiting):
+                    break
+                waiting = still
+            if not emptied:
+                return bound, spent
+            # the cliques' masks are disjoint, so their union names them
+            explain = used = emptied
+            found = [emptied]
+            # a forced member's other members were banned before it was forced
+            for clique, bit, newly in reversed(trail):
+                if newly & explain:
+                    explain = explain & ~newly | clique ^ bit
+                    used |= clique
+                    found.append(clique)
+            # a clique's top is its largest gain, and a singleton's its gain
+            least = self.largest
+            for clique in found:
+                top = 0
+                while clique:
+                    low = clique & -clique
+                    clique ^= low
+                    g = gain[low.bit_length() - 1]
+                    if g > top:
+                        top = g
+                if top < least:
+                    least = top
+            # what is left was banned by the singletons
+            rest = singles
+            while explain:
+                low = rest & -rest
+                rest ^= low
+                j = low.bit_length() - 1
+                if conflicts[j] & explain:
+                    explain &= ~conflicts[j]
+                    spent |= low
+                    if gain[j] < least:
+                        least = gain[j]
+            bound -= least
+            if bound <= best:
+                return bound, spent
+            singles &= ~spent
+            cliques = [clique for clique in cliques if not clique & used]
+
     def _closes(self, state, branch: int, bound: int, best: int) -> bool:
         """Whether what the open covering rows still need (``_need_closes``),
         or else the conflict-clique and row relaxation, shows that a node
@@ -644,8 +756,11 @@ class _BitSearch(_Search):
         the running common-neighbour mask holds a candidate. Of two or more it
         takes the one with the most conflicts inside the mask, then the one
         with the fewest uncovered conflicts, then the lowest index, and a
-        clique gives up all but its largest gain. Then each free variable that
-        no clique of two or more covers, in index order, takes its first
+        clique gives up all but its largest gain. When the cliques leave the
+        node open by no more than the program's largest gain, ``_refute``
+        takes the least top of each inconsistent clique set off the bound,
+        and the sets' singletons leave the row pass. Then each free variable
+        that no clique of two or more covers, in index order, takes its first
         binding row whose free uncovered variables no row taken so far holds;
         a taken row gets its exact one-row optimum over those variables: it
         gives up the cheapest of them whose optimistic end is a true literal,
@@ -658,6 +773,8 @@ class _BitSearch(_Search):
         gain = self.gain
         conflicts = self.conflicts
         uncovered = free_all & self.positive
+        # the masks of the cliques of two or more
+        cliques = []
         while uncovered:
             low = uncovered & -uncovered
             uncovered ^= low
@@ -697,7 +814,18 @@ class _BitSearch(_Search):
             free_all &= ~clique
             if bound <= best:
                 return True
-        rest = free_all
+            cliques.append(clique)
+        if bound - best <= self.largest and cliques:
+            # one inconsistent set could close the node; the positive-gain
+            # variables no clique covers are the singletons
+            singles = free_all & self.positive
+            if singles:
+                bound, spent = self._refute(cliques, singles, bound, best)
+                if bound <= best:
+                    return True
+                free_all &= ~spent
+        # a variable that no row of ``cardinal`` holds takes no row
+        rest = free_all & self.in_rows
         taken = 0
         cardinal = self.cardinal
         while rest:

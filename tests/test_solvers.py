@@ -582,6 +582,139 @@ def test_row_relaxation_counts_true_literals_of_both_signs():
     assert search._closes(state, 0, 3, 2) and not search._closes(state, 0, 3, 1)
 
 
+def _five_cycles(count):
+    """``count`` disjoint 5-cycles as an MIS, each cycle's edges in the order
+    0-1, 1-2, 2-3, 3-4, 0-4."""
+    edges = []
+    for base in range(0, 5 * count, 5):
+        edges += [(base + i, base + i + 1) for i in range(4)] + [(base, base + 4)]
+    return IndependentSet(GraphData(5 * count, tuple(edges)))
+
+
+def _best_completion(data, state):
+    """The best objective, to maximise, over the 0-1 points that agree with
+    ``state`` (a pair of ones and zeros masks) and satisfy every row of
+    ``data``, by enumerating the free variables; None if there is none."""
+    ones, zeros = state
+    n = data.num_vars
+    rows = []
+    for terms, rel, rhs in data.constraints:
+        plus = sum(1 << j for j, a in terms if a == 1)
+        minus = sum(1 << j for j, a in terms if a == -1)
+        assert len(terms) == (plus | minus).bit_count()
+        rows.append((plus, minus, rel, rhs))
+    points = [ones]
+    for j in range(n):
+        if not (ones | zeros) >> j & 1:
+            points += [point | 1 << j for point in points]
+    sign = 1 if data.sense == "max" else -1
+    best = None
+    for point in points:
+        value = sign * sum(c for j, c in enumerate(data.objective) if point >> j & 1)
+        if best is not None and value <= best:
+            continue
+        for plus, minus, rel, rhs in rows:
+            activity = (point & plus).bit_count() - (point & minus).bit_count()
+            if activity > rhs and rel != ">=" or activity < rhs and rel != "<=":
+                break
+        else:
+            best = value
+    return best
+
+
+def _refuting_programs(rng):
+    """0-1 programs whose conflict cliques leave singletons: unit and
+    weighted MIS on G(n, p), the same with packing rows of cap 2 beside the
+    edge rows, which the row pass reads, 3SAT through MIS, random
+    cardinality ILPs and unions of 5-cycles."""
+    for index in range(60):
+        n = rng.randint(5, 14)
+        edges = gnp_edges(rng, n, rng.choice((0.15, 0.25, 0.35)))
+        weights = tuple(rng.randint(1, 4) for _ in range(n)) if index % 2 else None
+        yield _ilp_program(IndependentSet(GraphData(n, edges, weights)))
+        rows = [(tuple(int(k in edge) for k in range(n)), "<=", 1) for edge in edges]
+        for _ in range(rng.randint(1, 3)):
+            members = rng.sample(range(n), rng.randint(3, 5))
+            rows.append((tuple(int(k in members) for k in range(n)), "<=", 2))
+        yield dense_ilp(n, ((0, 1),) * n, tuple(rows), weights or (1,) * n, "max")
+        yield _ilp_program(random_3sat(rng, max_variables=4, max_clauses=4)[0])
+        yield random_cardinality_ilp(rng)[0].data
+    for count in (1, 2):
+        yield _ilp_program(_five_cycles(count))
+
+
+def test_inconsistent_clique_sets_never_close_a_node_that_beats_the_cutoff():
+    # at the root and from random partial fixings, propagated: no cutoff
+    # below the subtree's exact optimum may close the node, while at the
+    # cutoffs from the optimum up the propagation over the clique cover
+    # finds sets that lower the bound
+    rng = make_rng(2323)
+    refute = _BitSearch._refute
+    lowered = []
+
+    def recorded(self, cliques, singles, bound, best):
+        out = refute(self, cliques, singles, bound, best)
+        lowered.append(out[0] < bound)
+        return out
+
+    checked = 0
+    with mock.patch.object(_BitSearch, "_refute", recorded):
+        for data in _refuting_programs(rng):
+            search = _kernel(data, DEFAULT_NODE_BUDGET)
+            assert isinstance(search, _BitSearch)
+            for fixing in (0, 0.1, 0.2, 0.3, 0.4):
+                lo = [l for l, _ in data.var_bounds]
+                hi = [h for _, h in data.var_bounds]
+                for j in range(data.num_vars):
+                    if lo[j] < hi[j] and rng.random() < fixing:
+                        lo[j] = hi[j] = rng.randint(0, 1)
+                out = search._propagate(search._state(lo, hi), search._all_rows())
+                if out is None:
+                    continue
+                state = out[0]
+                best = _best_completion(data, state)
+                if best is None:
+                    continue
+                bound = _optimistic(search, *_box(search, state))
+                branch = search._first_free(state, 0)
+                for cutoff in range(best - 4, bound):
+                    closes = search._closes(state, branch, bound, cutoff)
+                    assert cutoff >= best or not closes, (data, state, cutoff)
+                checked += 1
+    assert checked >= 400
+    assert sum(lowered) >= 50 and not all(lowered)
+
+
+def test_inconsistent_clique_set_closes_the_root_of_a_five_cycle():
+    # the cover takes the edges 0-1 and 2-3 and leaves the singleton 4:
+    # bound 3 against the optimum 2. Vertex 4 bans 0 and 3, so the first
+    # edge forces 1, which bans 2 and leaves the second edge empty
+    search = _kernel(_ilp_program(_five_cycles(1)), DEFAULT_NODE_BUDGET)
+    assert isinstance(search, _BitSearch)
+    state, loss = search._propagate(search._state([0] * 5, [1] * 5), search._all_rows())
+    assert (state, loss) == ((0, 0), 0)
+    assert search._closes(state, 0, 5, 2) and not search._closes(state, 0, 5, 1)
+
+
+def test_an_inconsistent_set_leaves_the_row_pass_its_singletons():
+    # the cover is the clique {1, 4, 5} (top 4) and the singletons 0, 2, 3
+    # and 6 (gains 1, 2, 2, 4): bound 13. Singletons 2, 3 and 6 ban the
+    # whole clique, so the set takes 2, its least top, and the bound is 11,
+    # the optimum. Its singletons 2 and 3 must leave the row pass: the row
+    # x0 + x2 + x3 + x5 <= 2 then has one free variable outside the set and
+    # binds nothing, where counting x2 and x3 again would give up x0 and
+    # close the node at the cutoff 10
+    n = 7
+    edges = ((1, 2), (1, 4), (1, 5), (3, 4), (4, 5), (5, 6))
+    rows = [(tuple(int(k in edge) for k in range(n)), "<=", 1) for edge in edges]
+    rows.append(((1, 0, 1, 1, 0, 1, 0), "<=", 2))
+    data = dense_ilp(n, ((0, 1),) * n, tuple(rows), (1, 2, 2, 2, 4, 3, 4), "max")
+    search = _kernel(data, DEFAULT_NODE_BUDGET)
+    state, loss = search._propagate(search._state([0] * n, [1] * n), search._all_rows())
+    assert (state, loss) == ((0, 0), 0) and _best_completion(data, state) == 11
+    assert search._closes(state, 0, 18, 11) and not search._closes(state, 0, 18, 10)
+
+
 def test_greedy_dive_reaches_the_point_it_reports():
     # weighted gains, which the dive's gain / (conflicts + 1) ratio compares,
     # and pre-fixed variables, through the recomputing checks of every node
@@ -644,8 +777,8 @@ def test_drawn_propagation_reaches_the_reference_fixpoint(case):
 # the kernel ``solve_ilp`` selects for it; ``solve`` must give the same value
 # and witness whatever node it solves at.
 SEARCH_PINS = [
-    ("mis", 1, 90, 13, "001101011100110010000000101110"),
-    ("mis", 2, 57, 14, "110000110000110100001001011111"),
+    ("mis", 1, 44, 13, "001101011100110010000000101110"),
+    ("mis", 2, 45, 14, "110000110000110100001001011111"),
     ("setcover", 1, 34, 8, "000000000000000011111111"),
     ("setcover", 2, 39, 8, "000000000000000011111111"),
     ("qubo", 1, 221, 28, "11110100"),
@@ -655,10 +788,14 @@ SEARCH_PINS = [
     # the MIS program of G(40, 0.15) as a hand-written ILP, then with one
     # general row beside its cardinality rows: that sends it to the box
     # kernel, which has no relaxation, so the same optimum costs 30,600
-    # nodes against 292 (a change to that trade-off must update these on
+    # nodes against 104 (a change to that trade-off must update these on
     # purpose)
-    ("ilp", 4, 292, 14, "0000000110001110101011000001100010010001"),
+    ("ilp", 4, 104, 14, "0000000110001110101011000001100010010001"),
     ("ilp-mixed", 4, 30600, 14, "0000000110001110101011000001100010010001"),
+    # three disjoint 5-cycles (the seed is the number of cycles): the clique
+    # cover bounds each cycle at 3 against its optimum of 2, a unit of slack
+    # per cycle that only an inconsistent clique set takes back
+    ("cycles", 3, 55, 6, "001010010100101"),
 ]
 
 
@@ -668,6 +805,8 @@ def _pinned_instance(family, seed):
         return IndependentSet(GraphData(30, gnp_edges(rng, 30, 0.15)))
     if family == "setcover":
         return partition_set_cover(rng)[0]
+    if family == "cycles":
+        return _five_cycles(seed)
     if family == "qubo":
         return random_qubo(rng, 8, min_n=8)[0]
     if family.startswith("ilp"):
@@ -1045,6 +1184,8 @@ def test_solve_matches_highs_beyond_brute_force():
         assert result.value.payload == expected
         assert evaluate(instance, result.witness).payload == expected
     _assert_mis_matches_highs(50, gnp_edges(rng, 50, 0.15))
+    # 4,122 B&B nodes without inconsistent clique sets, 1,458 with
+    _assert_mis_matches_highs(80, gnp_edges(rng, 80, 0.15))
 
 
 def test_maxcut_through_qubo_matches_highs_beyond_brute_force():
