@@ -328,11 +328,7 @@ def cmd_solve(args) -> None:
     source = envelope.source_instance
     result = solve(envelope.target_instance, args.max_configs, args.max_nodes)
     _reject_infeasible(result.value)
-    if result.witness is None:
-        # only satisfiability-style targets solve without a witness
-        value, witness = result.value, None
-    else:
-        value, witness = solution_along(envelope, result.witness)
+    value, witness = solution_along(envelope, result.value, result.witness)
     solver = solver_label(result, prefix_steps=envelope.path.steps)
     problem_name = graph.registry.display_name(source.variant_key())
     _print_solution(_solution_document(problem_name, solver, value, witness), args.pretty)

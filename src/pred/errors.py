@@ -79,7 +79,7 @@ class Record:
         return hash(self._astuple())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._astuple()))
         return f"{type(self).__qualname__}({fields})"
 
 

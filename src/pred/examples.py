@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Mapping
 
-from .errors import DocumentError, NoExampleError, Record
+from .errors import DocumentError, NoExampleError, PredError, Record
 from .model import (
     AggregatedValue,
     Configuration,
@@ -23,8 +23,17 @@ from .model import (
     VariantKey,
     evaluate,
     fold_space,
+    validate_config,
 )
-from .problems import instance_from_document, instance_to_document, register_catalogue
+from .problems import (
+    _int,
+    _int_list,
+    _list,
+    _require_fields,
+    default_registry,
+    instance_from_document,
+    instance_to_document,
+)
 
 
 class CanonicalExample(Record):
@@ -175,15 +184,19 @@ _EXAMPLES = (
 )
 
 
+def _by_variant(pairs) -> dict:
+    """The ``(key, value)`` pairs as a dict; a second one for a key is an error."""
+    table: dict = {}
+    for key, value in pairs:
+        if key in table:
+            raise DocumentError(f"two examples for variant {key}")
+        table[key] = value
+    return table
+
+
 def _entries(registry: Registry) -> dict[VariantKey, tuple]:
     """The stored entries by variant key, none of them decoded."""
-    entries: dict[VariantKey, tuple] = {}
-    for entry in _EXAMPLES:
-        key = registry.lookup(entry[0]).key
-        if key in entries:
-            raise DocumentError(f"two examples for variant {key}")
-        entries[key] = entry
-    return entries
+    return _by_variant((registry.lookup(entry[0]).key, entry) for entry in _EXAMPLES)
 
 
 def _decode(entry: tuple, key: VariantKey, registry: Registry) -> CanonicalExample:
@@ -196,7 +209,8 @@ def _decode(entry: tuple, key: VariantKey, registry: Registry) -> CanonicalExamp
 
 def build_examples(registry: Registry | None = None) -> dict[VariantKey, CanonicalExample]:
     """Construct the shipped database, keyed by problem variant."""
-    registry = registry or register_catalogue()
+    if registry is None:
+        registry = default_registry()
     return {key: _decode(entry, key, registry) for key, entry in _entries(registry).items()}
 
 
@@ -207,7 +221,8 @@ def get_example(
 ) -> CanonicalExample:
     """The example of one variant, from ``database`` if given; else only that
     variant's stored entry is decoded."""
-    registry = registry or register_catalogue()
+    if registry is None:
+        registry = default_registry()
     key = registry.lookup(problem_name).key
     if database is None:
         entries = _entries(registry)
@@ -273,12 +288,35 @@ def _value_to_data(value: AggregatedValue) -> dict:
 
 
 def _value_from_data(data: Mapping) -> AggregatedValue:
-    kinds = {k.value: k for k in ValueKind}
-    if data.get("kind") not in kinds:
-        raise DocumentError(f"unknown value kind {data.get('kind')!r}")
-    return AggregatedValue(
-        kinds[data["kind"]], data["payload"], data["feasible"], data.get("sense")
+    _require_fields(data, {"kind", "payload", "feasible"}, {"sense"}, what="known_value")
+    try:
+        kind = ValueKind(data["kind"])
+    except ValueError:
+        raise DocumentError(f"unknown value kind {data['kind']!r}") from None
+    payload = data["payload"]
+    if kind in (ValueKind.OR, ValueKind.AND):
+        if not isinstance(payload, bool):
+            raise DocumentError(f"{kind.value} payload must be true or false")
+    elif payload is not None:
+        _int(payload, "payload")
+    if not isinstance(data["feasible"], bool):
+        raise DocumentError("feasible must be true or false")
+    return AggregatedValue(kind, payload, data["feasible"], data.get("sense"))
+
+
+def _example_from_data(entry: Mapping, registry: Registry) -> CanonicalExample:
+    _require_fields(
+        entry, {"id", "instance", "known_value", "known_witness", "narrative"}, what="an example"
     )
+    if not (isinstance(entry["id"], str) and isinstance(entry["narrative"], str)):
+        raise DocumentError("id and narrative must be strings")
+    instance = instance_from_document(entry["instance"], registry)
+    witness = entry["known_witness"]
+    if witness is not None:
+        witness = _int_list(witness, "known_witness")
+        validate_config(instance, witness)
+    value = _value_from_data(entry["known_value"])
+    return CanonicalExample(entry["id"], instance, value, witness, entry["narrative"])
 
 
 def examples_to_json(database: Mapping[VariantKey, CanonicalExample]) -> str:
@@ -301,28 +339,21 @@ def examples_to_json(database: Mapping[VariantKey, CanonicalExample]) -> str:
 def examples_from_json(
     text: str, registry: Registry | None = None
 ) -> dict[VariantKey, CanonicalExample]:
-    registry = registry or register_catalogue()
+    """Read a database written by ``examples_to_json``, checking every field."""
+    if registry is None:
+        registry = default_registry()
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid example JSON: {exc}") from exc
     if not isinstance(payload, dict) or "examples" not in payload:
         raise DocumentError("example database must be an object with an 'examples' list")
-    database: dict[VariantKey, CanonicalExample] = {}
-    for entry in payload["examples"]:
+    examples = []
+    for index, entry in enumerate(_list(payload["examples"], "examples")):
         try:
-            instance = instance_from_document(entry["instance"], registry)
-            witness = entry["known_witness"]
-            example = CanonicalExample(
-                id=entry["id"],
-                instance=instance,
-                known_value=_value_from_data(entry["known_value"]),
-                known_witness=tuple(witness) if witness is not None else None,
-                narrative=entry["narrative"],
-            )
-        except KeyError as exc:
-            raise DocumentError(f"example entry is missing field {exc}") from exc
-        except TypeError as exc:
-            raise DocumentError(f"malformed example entry: {exc}") from exc
-        database[instance.variant_key()] = example
-    return database
+            examples.append(_example_from_data(entry, registry))
+        except PredError as exc:
+            # prefix the message in place: the class and its attributes stay intact
+            exc.args = (f"example {index}: {exc}",)
+            raise
+    return _by_variant((example.instance.variant_key(), example) for example in examples)

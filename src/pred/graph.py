@@ -281,9 +281,15 @@ def extract_along(envelope: ReductionEnvelope, target_config: Configuration) -> 
 
 
 def solution_along(
-    envelope: ReductionEnvelope, target_witness: Configuration
+    envelope: ReductionEnvelope,
+    target_value: AggregatedValue,
+    target_witness: Configuration | None,
 ) -> tuple[AggregatedValue, Configuration | None]:
-    """The source's value and reported witness for a witness of the envelope's target."""
+    """The source's value and reported witness for an answer at the envelope's
+    target: a witness is mapped back and evaluated at the source, and an
+    answer with no witness keeps its value."""
+    if target_witness is None:
+        return target_value, None
     config = extract_along(envelope, target_witness)
     value = evaluate(envelope.source_instance, config)
     return value, reported_witness(value, config)
@@ -329,7 +335,7 @@ def round_trip_check(
                 else f"target produced no witness but source optimum is {source_fold.value.render()}"
             )
             return RoundTripReport(names, passed, source_fold.value, None, detail)
-        extracted, _ = solution_along(envelope, target_fold.witness)
+        extracted, _ = solution_along(envelope, target_fold.value, target_fold.witness)
     else:
         extracted = extract_value_along(envelope, target_fold.value)
 

@@ -220,13 +220,10 @@ class Problem(ABC):
             return True
         return _sign(self.kind, self.sense) * float("inf")
 
-    def _evaluate(self, config: Configuration) -> AggregatedValue:
-        payload, feasible = self._measure(config)
-        return AggregatedValue(self.kind, payload, feasible, self.sense)
-
     def evaluate(self, config: Sequence[int]) -> AggregatedValue:
         validate_config(self, config)
-        return self._evaluate(tuple(config))
+        payload, feasible = self._measure(tuple(config))
+        return AggregatedValue(self.kind, payload, feasible, self.sense)
 
     def variant_key(self) -> "VariantKey":
         return make_key(self.type_name, self.variant_tags)
@@ -450,7 +447,9 @@ class ProblemTypeDescriptor(Record):
     ``complexity`` is declared as text (or as an ``Expr``) and kept that way
     until it is first read; that read parses it and checks it against the
     size measures, once. Only the commands that print it read it, so neither
-    building the registry nor routing loads ``pred.symbolic``.
+    building the registry nor routing loads ``pred.symbolic``. Comparing,
+    hashing and printing a descriptor use the declaration, so they parse
+    nothing either.
     """
 
     name: str
@@ -478,6 +477,10 @@ class ProblemTypeDescriptor(Record):
             )
         object.__setattr__(self, "complexity", expr)
         return expr
+
+    def _astuple(self) -> tuple:
+        declared = self._declared_complexity
+        return tuple(declared if f == "complexity" else getattr(self, f) for f in self._fields)
 
     @property
     def key(self) -> VariantKey:
@@ -547,9 +550,6 @@ class Registry:
     def variants(self) -> list[ProblemTypeDescriptor]:
         return [self._by_key[k] for k in sorted(self._by_key)]
 
-    def names(self) -> list[str]:
-        return sorted(self._default)
-
     def display_name(self, key: VariantKey) -> str:
         name, tags = key
         if self._default.get(name) == key:
@@ -563,9 +563,3 @@ class Registry:
         if descriptor.alias and self._aliases.get(descriptor.alias) == key:
             return descriptor.alias
         return self.display_name(key)
-
-    def __contains__(self, key: VariantKey) -> bool:
-        return key in self._by_key
-
-    def __len__(self) -> int:
-        return len(self._by_key)

@@ -114,9 +114,9 @@ def _descriptor(
 SIMPLE = {"graph": "simple"}
 
 
-def register_catalogue(registry: Registry | None = None) -> Registry:
-    """Register every shipped problem variant; idempotent per fresh registry."""
-    registry = registry or Registry()
+def register_catalogue() -> Registry:
+    """A fresh, frozen registry of every shipped problem variant."""
+    registry = Registry()
     mis_complexity = f"{MIS_BRANCHING}^V"
     entries = [
         _descriptor("Satisfiability", {}, ("n", "m", "L"), "2^n", ValueKind.OR, alias="SAT"),
@@ -192,10 +192,13 @@ def default_registry() -> Registry:
 # --- wire format ----------------------------------------------------------------
 
 def _require_fields(
-    data: Mapping, required: AbstractSet[str], optional: AbstractSet[str] = frozenset()
+    data: Mapping,
+    required: AbstractSet[str],
+    optional: AbstractSet[str] = frozenset(),
+    what: str = "instance data",
 ) -> None:
     if not isinstance(data, Mapping):
-        raise DocumentError("instance data must be an object")
+        raise DocumentError(f"{what} must be an object")
     keys = set(data)
     missing = required - keys
     unknown = keys - required - optional

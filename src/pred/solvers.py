@@ -67,8 +67,7 @@ uncovered variables no row taken so far holds. A taken row gives up the
 cheapest of its free members whose optimistic end is a true literal, as
 many as exceed its room. The gains a row may give up are sorted once, when
 the search starts, and a node reads how many it gives up from popcounts,
-summing a prefix of the free ones, or multiplying when the row's gains are
-equal. The cliques and the taken rows share no free variable, so their
+summing a prefix of the free ones. The cliques and the taken rows share no free variable, so their
 optima plus every other variable at its better end bound the node. The box
 kernel has neither bound; QUBO's linearisation, the one program a forward
 map sends it, has a coefficient of 2 in its ``2x_i - y <= 1`` rows. The
@@ -335,17 +334,12 @@ class _BoxSearch(_Search):
     def __init__(self, data: IlpData, rows: list[Row], max_nodes: int) -> None:
         super().__init__(data, max_nodes)
         self.rows = rows
-        # raising lo[j] wakes ``lo_rows[j]`` (a > 0), lowering hi[j] ``hi_rows[j]``;
-        # ``against[j]`` lists the rows that x_j at its optimistic end pushes
-        # toward violation, the only rows the attained-point test must read
+        # raising lo[j] wakes ``lo_rows[j]`` (a > 0), lowering hi[j] ``hi_rows[j]``
         self.lo_rows: list[list[int]] = [[] for _ in range(data.num_vars)]
         self.hi_rows: list[list[int]] = [[] for _ in range(data.num_vars)]
-        self.against: list[list[int]] = [[] for _ in range(data.num_vars)]
         for index, (pairs, _) in enumerate(rows):
             for j, a in pairs:
                 (self.lo_rows if a > 0 else self.hi_rows)[j].append(index)
-                if (a > 0) == (self.gain[j] > 0):
-                    self.against[j].append(index)
 
     def _state(self, lo: list[int], hi: list[int]) -> tuple[list[int], list[int]]:
         return lo, hi
@@ -424,11 +418,13 @@ class _BoxSearch(_Search):
         rows = self.rows
         seen: set[int] = set()
         # variables before ``branch`` are fixed, and a row whose free variables
-        # all sit at their row-minimising end keeps the slack propagation left
+        # all sit at their row-minimising end keeps the slack propagation left;
+        # x_j at its optimistic end pushes toward violation only the rows that
+        # raising its lo (gain > 0) or lowering its hi would wake
         for j in range(branch, self.num_vars):
             if lo[j] == hi[j]:
                 continue
-            for index in self.against[j]:
+            for index in self.lo_rows[j] if gain[j] > 0 else self.hi_rows[j]:
                 if index in seen:
                     continue
                 seen.add(index)
@@ -469,10 +465,9 @@ class _BitSearch(_Search):
         # a true literal, the only rows the attained-point test must read
         self.against: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         # ``cardinal[j]`` lists, in row order, the rows holding x_j as (mask,
-        # pos, neg, cap, ranked, costs, unit): ``ranked`` masks the members whose
+        # pos, neg, cap, ranked, costs): ``ranked`` masks the members whose
         # optimistic end is a true literal, ``costs`` their (cost, bit)
-        # cheapest first, what the one-row optimum may give up, and ``unit``
-        # their one cost when all are equal
+        # cheapest first, what the one-row optimum may give up
         self.cardinal: list[list[tuple]] = [[] for _ in range(n)]
         # the mask of the variables some row of ``cardinal`` holds
         self.in_rows = 0
@@ -512,8 +507,7 @@ class _BitSearch(_Search):
                 continue
             costs.sort()
             ranked = sum(bit for _, bit in costs)
-            unit = costs[0][0] if len({cost for cost, _ in costs}) == 1 else None
-            row = (pos | neg, pos, neg, cap, ranked, tuple(costs), unit)
+            row = (pos | neg, pos, neg, cap, ranked, tuple(costs))
             self.in_rows |= row[0]
             for j, _ in pairs:
                 self.cardinal[j].append(row)
@@ -837,20 +831,17 @@ class _BitSearch(_Search):
                 # only when it has at least two free variables
                 if not free & (free - 1) or free & taken:
                     continue
-                _, pos, neg, cap, ranked, costs, unit = row
+                _, pos, neg, cap, ranked, costs = row
                 room = cap - (pos & ones | neg & zeros).bit_count()
                 over = (free & ranked).bit_count() - room
                 if over <= 0:
                     continue
-                if unit is not None:
-                    bound -= unit * over
-                else:
-                    for cost, bit in costs:
-                        if free & bit:
-                            bound -= cost
-                            over -= 1
-                            if not over:
-                                break
+                for cost, bit in costs:
+                    if free & bit:
+                        bound -= cost
+                        over -= 1
+                        if not over:
+                            break
                 if bound <= best:
                     return True
                 taken |= free
@@ -940,9 +931,8 @@ def solve(
     """Solve at the solver node the graph routes ``instance`` to, or by brute
     force when it has no route.
 
-    The solver's witness is mapped back and evaluated at the instance. A
-    solver node is its own empty route, so it gets its solver's result as it
-    is, and so does a reduced instance that comes back with no witness.
+    The solver's answer is mapped back by ``solution_along``. A solver node
+    is its own empty route, so it gets its solver's result as it is.
     """
     route = default_graph().solver_route(instance.variant_key())
     if route is None:
@@ -953,7 +943,5 @@ def solve(
         return SolveResult(result.value, result.witness, name)
     envelope = reduce_along(route, instance)
     result = run(envelope.target_instance, max_nodes)
-    if result.witness is None:
-        return SolveResult(result.value, None, name)
-    value, witness = solution_along(envelope, result.witness)
+    value, witness = solution_along(envelope, result.value, result.witness)
     return SolveResult(value, witness, name, route=route)

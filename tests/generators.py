@@ -189,7 +189,7 @@ def random_ilp(rng, max_vars=6, max_constraints=5):
     return Ilp(data), plain
 
 
-def random_cardinality_ilp(rng, max_vars=10, max_constraints=6):
+def random_cardinality_ilp(rng, max_vars=10, max_constraints=6, min_vars=2):
     """A binary ILP of cardinality rows: every coefficient of a row is +1 or -1.
 
     Rows are packings with rhs 1 to 3, coverings needing two or more ones
@@ -197,7 +197,7 @@ def random_cardinality_ilp(rng, max_vars=10, max_constraints=6):
     pre-fixed through ``(l, l)`` bounds and objective gains may be zero or
     negative.
     """
-    n = rng.randint(2, max_vars)
+    n = rng.randint(min_vars, max_vars)
     bounds = []
     for _ in range(n):
         if rng.random() < 0.15:
@@ -228,7 +228,7 @@ def random_cardinality_ilp(rng, max_vars=10, max_constraints=6):
     return Ilp(data), plain
 
 
-def random_conflict_ilp(rng, max_vars=12):
+def random_conflict_ilp(rng, max_vars=12, min_vars=3):
     """A binary ILP whose cap-1 packing rows overlap in cliques.
 
     A cap-1 pair row joins each edge of G(n, 0.5), and a few cap-1 rows have
@@ -236,7 +236,7 @@ def random_conflict_ilp(rng, max_vars=12):
     variables are pre-fixed through ``(l, l)`` bounds, and the gains the
     search maximises (the objective, negated for ``min``) run from -3 to 5.
     """
-    n = rng.randint(3, max_vars)
+    n = rng.randint(min_vars, max_vars)
     bounds = []
     for _ in range(n):
         if rng.random() < 0.1:
@@ -273,7 +273,7 @@ def clause_row(n, clause):
     return tuple(coeffs), ">=", 1 - sum(literal < 0 for literal in clause)
 
 
-def random_clause_ilp(rng, max_vars=8, max_clauses=8):
+def random_clause_ilp(rng, max_vars=8, max_clauses=8, min_vars=2):
     """A binary ILP whose rows mix +1 and -1 coefficients.
 
     Rows are SAT clauses of one to three literals (``clause_row``), up to two
@@ -282,7 +282,7 @@ def random_clause_ilp(rng, max_vars=8, max_clauses=8):
     Some variables are pre-fixed through ``(l, l)`` bounds, and a third of
     the objectives are zero.
     """
-    n = rng.randint(2, max_vars)
+    n = rng.randint(min_vars, max_vars)
     bounds = []
     for _ in range(n):
         if rng.random() < 0.15:

@@ -263,3 +263,60 @@ def reference_fold(instance):
     if scored and not acc.feasible:
         witness = None
     return acc, witness
+
+
+def lexicographic_ilp(bounds, constraints, objective, sense):
+    """(optimal value, the lexicographically smallest optimal point) of an
+    integer program by HiGHS (``scipy.optimize.milp``), or (None, None) when
+    it is infeasible.
+
+    The first solve finds the optimum v. With the row "objective = v" added,
+    x_0, x_1, ... are then minimised and fixed in turn; a point an earlier
+    solve returned that already sits at x_j's lower bound shows the minimum,
+    so that solve is skipped. Every solve asks for a zero gap and has its
+    status checked. The point is checked exactly against every row before
+    it is returned.
+    """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n = len(bounds)
+    rows = [list(coeffs) for coeffs, _, _ in constraints]
+    low = [-np.inf if rel == "<=" else rhs for _, rel, rhs in constraints]
+    high = [np.inf if rel == ">=" else rhs for _, rel, rhs in constraints]
+    lower = [lo for lo, _ in bounds]
+    upper = [hi for _, hi in bounds]
+
+    def run(c):
+        outcome = milp(
+            np.asarray(c, dtype=float),
+            constraints=[LinearConstraint(np.asarray(rows, dtype=float), low, high)]
+            if rows else [],
+            integrality=np.ones(n),
+            bounds=Bounds(lower, upper),
+            options={"mip_rel_gap": 0},
+        )
+        if outcome.status == 2:
+            return None
+        if outcome.status != 0:
+            raise RuntimeError(f"HiGHS status {outcome.status}: {outcome.message}")
+        return [round(x) for x in outcome.x]
+
+    sign = -1 if sense == "max" else 1
+    point = run([sign * c for c in objective])
+    if point is None:
+        return None, None
+    value = sum(c * x for c, x in zip(objective, point))
+    rows.append(list(objective))
+    low.append(value)
+    high.append(value)
+    for j in range(n):
+        if point[j] != lower[j]:
+            point = run([int(k == j) for k in range(n)])
+            if point is None:
+                raise RuntimeError("HiGHS lost the optimum face")
+        lower[j] = upper[j] = point[j]
+    assert all(lo <= x <= hi for x, (lo, hi) in zip(point, bounds))
+    assert ilp_feasible(point, constraints)
+    assert sum(c * x for c, x in zip(objective, point)) == value
+    return value, tuple(point)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from pred import (
@@ -9,6 +11,7 @@ from pred import (
     CanonicalExample,
     DocumentError,
     NoExampleError,
+    PredError,
     ValueKind,
     build_examples,
     default_graph,
@@ -146,3 +149,32 @@ def test_examples_from_json_rejects_bad_value_kind():
 def test_loaded_database_still_verifies():
     loaded = examples_from_json(examples_to_json(DATABASE), REGISTRY)
     assert verify_all_examples(loaded).ok
+
+
+def _edited(edit) -> str:
+    document = json.loads(examples_to_json(DATABASE))
+    edit(document["examples"])
+    return json.dumps(document)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"examples": 5}',
+        _edited(lambda entries: entries[0].update(known_value=[])),
+        _edited(lambda entries: entries[0]["known_value"].update(feasible="yes")),
+        _edited(lambda entries: entries[0].update(known_witness="ab")),
+        _edited(lambda entries: entries.append(entries[0])),
+    ],
+    ids=["examples-not-a-list", "value-not-an-object", "feasible-not-a-bool",
+         "witness-not-a-list", "two-entries-for-one-variant"],
+)
+def test_examples_from_json_rejects_malformed_entries(text):
+    with pytest.raises(PredError):
+        examples_from_json(text, REGISTRY)
+
+
+def test_examples_from_json_checks_the_witness_against_the_instance():
+    too_long = _edited(lambda entries: entries[0].update(known_witness=[0] * 11))
+    with pytest.raises(PredError, match="^example 0: "):
+        examples_from_json(too_long, REGISTRY)

@@ -22,6 +22,7 @@ from pred import (
     ReductionGraph,
     ReductionRule,
     Registry,
+    SENSE_MAXIMIZE,
     Satisfiability,
     ThreeSatisfiability,
     TypeMismatchError,
@@ -181,10 +182,18 @@ def test_reduce_along_and_extract_along_two_hops():
 def test_solution_along_withholds_the_witness_of_an_infeasible_value():
     path = GRAPH.find_path(key("MIS"), key("ILP"))
     envelope = reduce_along(path, IndependentSet(GraphData(3, ((0, 1), (1, 2)))))
-    value, witness = solution_along(envelope, (1, 1, 0))
+    target_value = AggregatedValue(ValueKind.EXTREMUM, 2, True, SENSE_MAXIMIZE)
+    value, witness = solution_along(envelope, target_value, (1, 1, 0))
     assert (value.render(), value.feasible, witness) == ("Max(2)", False, None)
-    value, witness = solution_along(envelope, (1, 0, 1))
+    value, witness = solution_along(envelope, target_value, (1, 0, 1))
     assert (value.render(), value.feasible, witness) == ("Max(2)", True, (1, 0, 1))
+
+
+def test_solution_along_keeps_the_value_of_an_answer_with_no_witness():
+    path = GRAPH.find_path(key("MIS"), key("ILP"))
+    envelope = reduce_along(path, IndependentSet(GraphData(3, ((0, 1), (1, 2)))))
+    empty = AggregatedValue(ValueKind.EXTREMUM, None, False, SENSE_MAXIMIZE)
+    assert solution_along(envelope, empty, None) == (empty, None)
 
 
 def test_reduce_along_rejects_wrong_source_instance():

@@ -85,6 +85,33 @@ unresolved += [ref.name for ref in refs if not callable(ref.resolve())]
 print(json.dumps({"unresolved": unresolved, "eager": eager}))
 """
 
+# Compares, hashes and prints every registered descriptor, a routed path and
+# its envelope, and a descriptor whose complexity names an unknown measure,
+# then lists what that loaded.
+RECORDS = """
+import json, sys
+before = set(sys.modules)
+from pred.graph import default_graph, reduce_along
+from pred.model import ProblemTypeDescriptor, ValueKind
+from pred.problems import instance_from_document
+
+graph = default_graph()
+lookup = graph.registry.lookup
+path = graph.find_path(lookup("MIS").key, lookup("ILP").key)
+instance = instance_from_document(json.loads(sys.argv[1]), graph.registry)
+envelope = reduce_along(path, instance)
+for record in (*graph.registry.variants(), path, envelope):
+    assert record == record and hash(record) == hash(record) and repr(record)
+bad = ProblemTypeDescriptor("X", (), ("n",), "2^m", ValueKind.MAX)
+print(json.dumps({
+    "equal": bad == ProblemTypeDescriptor("X", (), ("n",), "2^m", ValueKind.MAX),
+    "differ": bad != ProblemTypeDescriptor("X", (), ("n",), "2^n", ValueKind.MAX),
+    "hashes": hash(bad) == hash(ProblemTypeDescriptor("X", (), ("n",), "2^m", ValueKind.MAX)),
+    "repr": repr(bad),
+    "loaded": sorted(set(sys.modules) - before),
+}))
+"""
+
 MIS = {"problem": "MIS", "data": {"num_vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]]}}
 CORE = ["pred", "pred.cli", "pred.errors", "pred.model", "pred.problems"]
 ROUTING = ["pred.graph", "pred.rules"]
@@ -227,3 +254,14 @@ def test_every_public_name_resolves_and_canonical_stays_the_normaliser():
     assert report["resolved"] == report["all"]
     assert report["dir_covers_all"]
     assert report["canonical_is_the_normaliser"]
+
+
+def test_comparing_hashing_and_printing_descriptors_parse_no_complexity():
+    result = subprocess.run(
+        [sys.executable, "-c", RECORDS, json.dumps(MIS)], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["equal"] is True and report["differ"] is True and report["hashes"]
+    assert "complexity='2^m'" in report["repr"]
+    assert not set(SYMBOLIC) & set(report["loaded"])

@@ -75,7 +75,7 @@ from generators import (
     random_3sat,
     random_vc,
 )
-from oracles import best_ilp, ilp_feasible, propagate_bounds, reference_fold
+from oracles import best_ilp, ilp_feasible, lexicographic_ilp, propagate_bounds, reference_fold
 
 REGISTRY = default_graph().registry
 P4 = GraphData(4, ((0, 1), (1, 2), (2, 3)))
@@ -1209,6 +1209,33 @@ def test_maxcut_through_qubo_matches_highs_beyond_brute_force():
     assert solver_label(result) == "qubo (via QUBO)"
     assert result.value.payload == expected
     assert evaluate(instance, result.witness).payload == expected
+
+
+# seeded programs past brute force: 30-60 binary variables in the 0-1 kernel's
+# row forms, and general-integer boxes for the box kernel
+LEXICOGRAPHIC_PROGRAMS = {
+    "conflict": lambda rng: random_conflict_ilp(rng, 60, min_vars=30),
+    "cardinality": lambda rng: random_cardinality_ilp(rng, 60, 8, min_vars=30),
+    "clause": lambda rng: random_clause_ilp(rng, 60, 30, min_vars=30),
+    "box": lambda rng: random_ilp(rng, 8, 3),
+}
+
+
+@pytest.mark.parametrize("family", sorted(LEXICOGRAPHIC_PROGRAMS))
+def test_solve_ilp_matches_the_lexicographic_highs_optimum(family):
+    pytest.importorskip("scipy")
+    feasible = 0
+    for seed in range(1, 6):
+        instance, plain = LEXICOGRAPHIC_PROGRAMS[family](make_rng(seed))
+        value, point = lexicographic_ilp(*plain)
+        result = solve_ilp(instance.data)
+        if value is None:
+            assert (result.value.feasible, result.witness) == (False, None)
+            continue
+        feasible += 1
+        assert result.value.payload == value
+        assert _point(instance.data, result.witness) == point
+    assert feasible
 
 
 def test_solver_route_is_searched_once_per_variant(monkeypatch):
