@@ -9,18 +9,14 @@ Solving by brute force is a per-kind fold over the whole space in
 lexicographic order that gives the same value and witness as folding
 ``combine`` over ``evaluate`` from the identity: Max, Min and Extremum keep
 the first configuration of best ``(feasible, payload)`` score, Sum adds,
-and And stops at the first false configuration. One prefix walk, with one
-hook, serves every fold that can skip: it goes through the same order one
-variable at a time, and once a feasible incumbent exists it skips every
-prefix whose bound (``Problem._optimistic_payload``) cannot strictly beat
-it, so it keeps the same first best configuration having measured fewer.
-Or folds always take it, starting from the identity false as their
-incumbent and stopping at the first true configuration; Max, Min and
-Extremum folds take it when the instance bounds its prefixes. The
-enumeration budget counts the full space for every kind; the QUBO solver
-runs the same walk under a node budget instead. Everything else in the
-library (reductions, routing, the ILP path) only ever talks to this
-interface.
+and And stops at the first false configuration. Every Or, Max, Min and
+Extremum fold is one prefix walk (``_first_best``) that skips the prefixes
+whose bound, the one hook ``Problem._optimistic_payload``, cannot beat its
+incumbent; a ``LinearProblem`` reads its measure and its bound off its
+rows. The enumeration budget counts the full space for every kind; the
+QUBO solver runs the same walk under a node budget instead. Everything
+else in the library (reductions, routing, the ILP path) only ever talks to
+this interface.
 """
 
 from __future__ import annotations
@@ -28,6 +24,8 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from enum import Enum
+from functools import cached_property
+from operator import mul
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import (
@@ -212,9 +210,10 @@ class Problem(ABC):
         check only what the newest value decides. A Max, Min or Extremum
         walk may not have asked the shorter prefixes; such a check is still
         sound there, as a prefix with no feasible completion admits any
-        bound. This default knows nothing and reports an unbounded payload
-        (True for Or). A class that overrides it has its Max, Min and
-        Extremum folds walked by prefix; an Or fold is always walked.
+        bound. Every Or, Max, Min and Extremum fold is walked, and every
+        shipped class bounds its prefixes (a ``LinearProblem`` by its rows);
+        this default knows nothing and reports an unbounded payload (True
+        for Or).
         """
         if self.kind is ValueKind.OR:
             return True
@@ -233,6 +232,64 @@ class Problem(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.type_name} {self.size_measures()}>"
+
+
+def rows_hold(rows, x: Sequence[int]) -> bool:
+    """Whether the point ``x`` (or a prefix, for rows over its variables) meets every row."""
+    for terms, rel, rhs in rows:
+        lhs = 0
+        for j, a in terms:  # a plain loop: rows are short, and a generator costs more
+            lhs += a * x[j]
+        if lhs > rhs if rel == "<=" else lhs < rhs if rel == ">=" else lhs != rhs:
+            return False
+    return True
+
+
+class LinearProblem(Problem):
+    """A problem stated once, by ``linear_statement``: its rows ``(terms, rel,
+    rhs)``, ``terms`` the nonzero ``(index, coeff)`` pairs by increasing
+    index, and its objective, over the values ``point(config)``. A
+    configuration is feasible when every row holds. A prefix fails when a row
+    its newest variable closes is violated, and is otherwise bounded by its
+    objective plus every later variable at its better end.
+    """
+
+    @abstractmethod
+    def linear_statement(self) -> tuple[tuple, tuple[int, ...]]:
+        """The rows and the objective."""
+
+    def point(self, config: Configuration) -> tuple[int, ...]:
+        return config
+
+    @cached_property
+    def _statement(self) -> tuple[tuple, tuple[int, ...]]:
+        return self.linear_statement()
+
+    @cached_property
+    def _closing(self) -> tuple[list[list], list[int]]:
+        """The rows by their last variable, and what the objective can gain from each k on."""
+        rows, objective = self._statement
+        closing: list[list] = [[] for _ in objective]
+        for row in rows:
+            if row[0]:
+                closing[row[0][-1][0]].append(row)
+        dims = self.config_dims()
+        ends = zip(self.point((0,) * len(dims)), self.point(tuple(d - 1 for d in dims)))
+        sign = _sign(self.kind, self.sense)
+        best = [sign * max(sign * c * lo, sign * c * hi) for c, (lo, hi) in zip(objective, ends)]
+        return closing, list(itertools.accumulate(reversed(best), initial=0))[::-1]
+
+    def _measure(self, config) -> tuple[int, bool]:
+        rows, objective = self._statement
+        x = self.point(config)
+        return sum(map(mul, objective, x)), rows_hold(rows, x)
+
+    def _optimistic_payload(self, prefix) -> int | None:
+        closing, rest = self._closing
+        x = self.point(prefix)
+        if not rows_hold(closing[len(x) - 1], x):
+            return None
+        return sum(map(mul, self._statement[1], x)) + rest[len(x)]
 
 
 def validate_config(instance: Problem, config: Sequence[int]) -> None:
@@ -264,13 +321,11 @@ def fold_space(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> F
     improvements only: the first optimal configuration for Max, Min and
     Extremum (none if no configuration is feasible), the first true one for
     Or, none for Sum and And. Sum measures every configuration and And stops
-    at its first false one. Every Or instance, and every Max, Min or
-    Extremum instance whose class bounds its prefixes, takes the pruned
-    prefix walk (``_first_best``), which gives the same value and witness
-    having measured fewer configurations. Any other Max, Min or Extremum
-    instance is measured in full, which is faster when nothing can be
-    skipped. The budget always applies to the full space size. An instance
-    with zero variables has exactly one, empty, configuration.
+    at its first false one. Every Or, Max, Min and Extremum instance takes
+    the pruned prefix walk (``_first_best``), which gives the same value and
+    witness having measured fewer configurations. The budget always applies
+    to the full space size. An instance with zero variables has exactly one,
+    empty, configuration.
     """
     dims = instance.config_dims()
     total = 1
@@ -291,25 +346,7 @@ def fold_space(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> F
         return FoldResult(AggregatedValue(kind, True), None)
     if kind is ValueKind.SUM:
         return FoldResult(AggregatedValue(kind, sum(measure(c)[0] for c in configs)), None)
-    if kind is ValueKind.OR or type(instance)._optimistic_payload is not Problem._optimistic_payload:
-        return _first_best(instance)
-    # Max, Min, Extremum with no prefix bound: the order _score defines, feasible first
-    sign = _sign(kind, instance.sense)
-    best_key = best_payload = witness = None
-    for config in configs:
-        payload, feasible = measure(config)
-        key = (feasible, sign * payload)
-        if best_key is None or key > best_key:
-            best_key, best_payload, witness = key, payload, config
-    return _best_result(instance, best_key, best_payload, witness)
-
-
-def _best_result(instance: Problem, best_key, payload, witness) -> FoldResult:
-    """The fold's result from its best ``(feasible, signed payload)`` key, if any."""
-    if best_key is None:
-        return FoldResult(identity_value(instance.kind, instance.sense), None)
-    value = AggregatedValue(instance.kind, payload, best_key[0], instance.sense)
-    return FoldResult(value, reported_witness(value, witness))
+    return _first_best(instance)
 
 
 def _first_best(instance: Problem, max_nodes: int | None = None) -> FoldResult:
@@ -330,6 +367,7 @@ def _first_best(instance: Problem, max_nodes: int | None = None) -> FoldResult:
     first true configuration, which nothing beats. With ``max_nodes``, each
     prefix asked counts as one node, and asking one more than ``max_nodes``
     raises ``BudgetExceededError``, as the branch-and-bound search does.
+    ``fold_space`` sends every instance of those four kinds here.
     """
     dims = instance.config_dims()
     optimistic, measure = instance._optimistic_payload, instance._measure
@@ -370,7 +408,10 @@ def _first_best(instance: Problem, max_nodes: int | None = None) -> FoldResult:
         if not prefix:
             break
         prefix, value = prefix[:-1], prefix[-1] + 1
-    return _best_result(instance, best_key, best_payload, witness)
+    if best_key is None:
+        return FoldResult(identity_value(kind, instance.sense), None)
+    value = AggregatedValue(kind, best_payload, best_key[0], instance.sense)
+    return FoldResult(value, reported_witness(value, witness))
 
 
 class DecisionProblem(Problem):

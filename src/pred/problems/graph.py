@@ -2,8 +2,11 @@
 
 Independent set, vertex cover, clique, dominating set, max-cut and graph
 coloring, the decision wrappers of the first two, and the forward maps of
-the rules whose target is one of them. A forward map reads its source only
-through attributes, so this module imports no other family at run time.
+the rules whose target is one of them. Independent set, vertex cover and
+dominating set state their rows once (``LinearProblem``); vertex cover keeps
+a stronger bound and a faster measure of its own, and clique, max-cut and
+coloring bound their prefixes directly. A forward map reads its source only through attributes,
+so this module imports no other family at run time.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from itertools import combinations, compress
 from typing import TYPE_CHECKING, Mapping
 
 from ..errors import InvalidInstanceError, Record
-from ..model import DecisionProblem, Problem, ValueKind
+from ..model import DecisionProblem, LinearProblem, Problem, ValueKind
 
 if TYPE_CHECKING:
     from .sat import ThreeSatisfiability
@@ -172,8 +175,11 @@ class _GraphProblem(Record, Problem):
     def to_data(self) -> dict:
         return self.graph.to_data()
 
+    def _edge_rows(self, rel: str) -> tuple:
+        return tuple((((u, 1), (v, 1)), rel, 1) for u, v in self.graph.edges)
 
-class IndependentSet(_GraphProblem):
+
+class IndependentSet(_GraphProblem, LinearProblem):
     kind = ValueKind.MAX
     type_name = "MaximumIndependentSet"
 
@@ -182,18 +188,20 @@ class IndependentSet(_GraphProblem):
         weight = "unit" if self.graph.vertex_weights is None else "integer"
         return {"graph": "simple", "weight": weight}
 
-    def _measure(self, config) -> tuple[int, bool]:
-        feasible = all(not (config[u] and config[v]) for u, v in self.graph.edges)
-        return sum(compress(self.graph.weights, config)), feasible
+    def linear_statement(self) -> tuple[tuple, tuple[int, ...]]:
+        return self._edge_rows("<="), self.graph.weights
 
 
-class VertexCover(_GraphProblem):
+class VertexCover(_GraphProblem, LinearProblem):
     kind = ValueKind.MIN
     type_name = "MinimumVertexCover"
 
+    def linear_statement(self) -> tuple[tuple, tuple[int, ...]]:
+        return self._edge_rows(">="), (1,) * self.graph.num_vertices
+
     def _measure(self, config) -> tuple[int, bool]:
-        feasible = all(config[u] or config[v] for u, v in self.graph.edges)
-        return sum(config), feasible
+        # faster on brute force than the rows (BENCH_26.json)
+        return sum(config), all(config[u] or config[v] for u, v in self.graph.edges)
 
     def _optimistic_payload(self, prefix) -> int | None:
         # earlier prefixes passed, so only edges closing at the newest vertex
@@ -215,14 +223,24 @@ class Clique(_GraphProblem):
         # chosen is increasing, so each pair is already a normalized edge
         return len(chosen), self.graph.edge_set.issuperset(combinations(chosen, 2))
 
+    def _optimistic_payload(self, prefix) -> int | None:
+        # a chosen newest vertex fails against a chosen lower non-neighbour;
+        # otherwise every free vertex may still join
+        k = len(prefix)
+        chosen = compress(range(k - 1), prefix)
+        if prefix[k - 1] and not self.graph.edge_set.issuperset((u, k - 1) for u in chosen):
+            return None
+        return sum(prefix) + self.graph.num_vertices - k
 
-class DominatingSet(_GraphProblem):
+
+class DominatingSet(_GraphProblem, LinearProblem):
     kind = ValueKind.MIN
     type_name = "MinimumDominatingSet"
 
-    def _measure(self, config) -> tuple[int, bool]:
-        chosen = set(compress(range(len(config)), config))
-        return sum(config), not any(map(chosen.isdisjoint, self.graph.closed_neighborhoods))
+    def linear_statement(self) -> tuple[tuple, tuple[int, ...]]:
+        hoods = self.graph.closed_neighborhoods
+        rows = tuple((tuple((u, 1) for u in hood), ">=", 1) for hood in hoods)
+        return rows, (1,) * self.graph.num_vertices
 
 
 class MaxCut(_GraphProblem):
@@ -232,6 +250,12 @@ class MaxCut(_GraphProblem):
     def _measure(self, config) -> tuple[int, bool]:
         # every 2-partition is admissible
         return sum(1 for u, v in self.graph.edges if config[u] != config[v]), True
+
+    def _optimistic_payload(self, prefix) -> int:
+        # the edges the prefix cuts, plus every edge with an end still free
+        # (an edge's larger end is its second)
+        k = len(prefix)
+        return sum(prefix[u] != prefix[v] if v < k else 1 for u, v in self.graph.edges)
 
 
 class GraphColoring(Record, Problem):
@@ -260,6 +284,11 @@ class GraphColoring(Record, Problem):
 
     def _measure(self, config) -> tuple[bool, bool]:
         return all(config[u] != config[v] for u, v in self.graph.edges), True
+
+    def _optimistic_payload(self, prefix) -> bool:
+        # earlier prefixes passed, so only the newest vertex's lower neighbours can clash
+        color = prefix[-1]
+        return all(prefix[u] != color for u in self.graph.lower_neighbors[len(prefix) - 1])
 
     def to_data(self) -> dict:
         data = self.graph.to_data()

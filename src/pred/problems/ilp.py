@@ -1,9 +1,11 @@
 """The integer-programming family: ``IlpData`` and ``Ilp``.
 
-Also the forward maps of the rules into ILP, which emit sparse rows, so a
-program's size in memory follows its nonzeros. A forward map reads its
-source only through attributes, so this module imports no other family at
-run time.
+An ``Ilp`` is a ``LinearProblem`` whose rows are read over each variable's
+box. Also the forward maps of the rules into ILP, which emit sparse rows,
+so a program's size in memory follows its nonzeros: one carries the rows
+of every linear 0-1 family as they are, one linearises QUBO. A forward map
+reads its source only through attributes, so this module imports no other
+family at run time.
 """
 
 from __future__ import annotations
@@ -11,12 +13,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping
 
 from ..errors import InvalidInstanceError, Record
-from ..model import SENSE_MAXIMIZE, SENSE_MINIMIZE, Problem, ValueKind
+from ..model import SENSE_MAXIMIZE, SENSE_MINIMIZE, LinearProblem, Problem, ValueKind
 
 if TYPE_CHECKING:
-    from .graph import IndependentSet, VertexCover
     from .qubo import Qubo
-    from .setcover import SetCover
 
 
 class IlpData(Record):
@@ -56,19 +56,8 @@ class IlpData(Record):
         if self.sense not in ("max", "min"):
             raise InvalidInstanceError(f"bad sense {self.sense!r}")
 
-    def holds(self, x: tuple[int, ...]) -> bool:
-        for terms, rel, rhs in self.constraints:
-            lhs = sum(a * x[j] for j, a in terms)
-            if rel == "<=" and lhs > rhs:
-                return False
-            if rel == ">=" and lhs < rhs:
-                return False
-            if rel == "=" and lhs != rhs:
-                return False
-        return True
 
-
-class Ilp(Record, Problem):
+class Ilp(Record, LinearProblem):
     data: IlpData
     kind = ValueKind.EXTREMUM
     type_name = "IntegerLinearProgram"
@@ -107,12 +96,11 @@ class Ilp(Record, Problem):
     def size_measures(self) -> dict[str, int]:
         return {"n": self.data.num_vars, "c": len(self.data.constraints)}
 
+    def linear_statement(self) -> tuple[tuple, tuple[int, ...]]:
+        return self.data.constraints, self.data.objective
+
     def point(self, config) -> tuple[int, ...]:
         return tuple(lo + c for (lo, _), c in zip(self.data.var_bounds, config))
-
-    def _measure(self, config) -> tuple[int, bool]:
-        x = self.point(config)
-        return sum(c * xi for c, xi in zip(self.data.objective, x)), self.data.holds(x)
 
 
 def _dense(terms: tuple[tuple[int, int], ...], num_vars: int) -> list[int]:
@@ -124,32 +112,12 @@ def _dense(terms: tuple[tuple[int, int], ...], num_vars: int) -> list[int]:
 
 # --- forward maps into this family --------------------------------------------
 
-def forward_mis_to_ilp(instance: IndependentSet) -> tuple[Problem, dict]:
-    g = instance.graph
-    n = g.num_vertices
-    constraints = tuple((((u, 1), (v, 1)), "<=", 1) for u, v in g.edges)
-    data = IlpData(n, ((0, 1),) * n, constraints, g.weights, "max")
-    return Ilp(data), {"num_vars": n}
-
-
-def forward_vc_to_ilp(instance: VertexCover) -> tuple[Problem, dict]:
-    g = instance.graph
-    n = g.num_vertices
-    constraints = tuple((((u, 1), (v, 1)), ">=", 1) for u, v in g.edges)
-    data = IlpData(n, ((0, 1),) * n, constraints, (1,) * n, "min")
-    return Ilp(data), {"num_vars": n}
-
-
-def forward_setcover_to_ilp(instance: SetCover) -> tuple[Problem, dict]:
-    sc = instance.data
-    n = len(sc.sets)
-    holders: list[list[tuple[int, int]]] = [[] for _ in range(sc.num_elements)]
-    for i, s in enumerate(sc.sets):
-        for element in set(s):
-            holders[element].append((i, 1))
-    constraints = tuple((tuple(row), ">=", 1) for row in holders)
-    data = IlpData(n, ((0, 1),) * n, constraints, (1,) * n, "min")
-    return Ilp(data), {"num_vars": n}
+def forward_linear_to_ilp(instance: LinearProblem) -> tuple[Problem, dict]:
+    """The 0-1 program of a linear family's own rows and objective."""
+    rows, objective = instance.linear_statement()
+    n = len(objective)
+    sense = "max" if instance.kind is ValueKind.MAX else "min"
+    return Ilp(IlpData(n, ((0, 1),) * n, rows, objective, sense)), {"num_vars": n}
 
 
 def forward_qubo_to_ilp(instance: Qubo) -> tuple[Problem, dict]:

@@ -86,10 +86,21 @@ class IsingData(Record):
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "h", tuple(self.h))
 
+    @cached_property
+    def free_magnitudes(self) -> tuple[int, ...]:
+        """Entry k sums ``|J|`` over the pairs with a spin from k on and ``|h|``
+        over the spins from k on: the most those terms can add to the negated
+        energy once spins 0 to k-1 are fixed. Entry n is 0."""
+        tails = [0] * (self.n + 1)
+        for k in range(self.n - 1, -1, -1):
+            tails[k] = tails[k + 1] + abs(self.h[k]) + sum(map(abs, self.j[k][:k]))
+        return tuple(tails)
+
     def negated_energy(self, spins: tuple[int, ...]) -> int:
+        """Minus the energy; of a prefix of the spins, minus the terms it fixes."""
         energy = 0
-        for i in range(self.n):
-            for k in range(i + 1, self.n):
+        for i in range(len(spins)):
+            for k in range(i + 1, len(spins)):
                 energy += self.j[i][k] * spins[i] * spins[k]
             energy += self.h[i] * spins[i]
         return -energy
@@ -156,6 +167,11 @@ class SpinGlass(Record, Problem):
 
     def _measure(self, config) -> tuple[int, bool]:
         return self.data.negated_energy(tuple(2 * c - 1 for c in config)), True
+
+    def _optimistic_payload(self, prefix) -> int:
+        # the terms the prefix fixes, plus every term with a free spin at its best
+        fixed = self.data.negated_energy(tuple(2 * c - 1 for c in prefix))
+        return fixed + self.data.free_magnitudes[len(prefix)]
 
     def to_data(self) -> dict:
         return {

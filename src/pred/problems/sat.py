@@ -8,6 +8,7 @@ at run time.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
 from ..errors import InvalidInstanceError, Record
@@ -39,10 +40,21 @@ class CnfData(Record):
     def literal_count(self) -> int:
         return sum(len(c) for c in self.clauses)
 
-    def satisfied(self, assignment: tuple[int, ...]) -> bool:
+    @cached_property
+    def closing(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Entry i holds the clauses whose largest variable is i + 1: those an
+        assignment of the variables in order decides when it reaches i + 1."""
+        closing: list[list[tuple[int, ...]]] = [[] for _ in range(self.num_variables)]
+        for clause in self.clauses:
+            closing[max(map(abs, clause)) - 1].append(clause)
+        return tuple(map(tuple, closing))
+
+    def satisfied(self, assignment: tuple[int, ...], clauses=None) -> bool:
+        """Whether ``assignment`` satisfies ``clauses``, by default every clause;
+        a prefix of an assignment will do for the clauses it decides."""
         return all(
             any((lit > 0) == bool(assignment[abs(lit) - 1]) for lit in clause)
-            for clause in self.clauses
+            for clause in (self.clauses if clauses is None else clauses)
         )
 
 
@@ -67,6 +79,10 @@ class Satisfiability(Record, Problem):
 
     def _measure(self, config) -> tuple[bool, bool]:
         return self.cnf.satisfied(config), True
+
+    def _optimistic_payload(self, prefix) -> bool:
+        # earlier prefixes passed, so only the clauses the newest variable closes can be false
+        return self.cnf.satisfied(prefix, self.cnf.closing[len(prefix) - 1])
 
     def to_data(self) -> dict:
         return {

@@ -1,8 +1,9 @@
 """The set-cover family: ``SetCoverData`` and ``SetCover``.
 
-Also the forward map of the one rule into set cover, from dominating set.
-It reads its source only through attributes, so this module imports no
-other family at run time.
+A ``SetCover`` is a ``LinearProblem``, one row per element. Also the
+forward map of the one rule into set cover, from dominating set. It reads
+its source only through attributes, so this module imports no other family
+at run time.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping
 
 from ..errors import InvalidInstanceError, Record
-from ..model import Problem, ValueKind
+from ..model import LinearProblem, Problem, ValueKind
 
 if TYPE_CHECKING:
     from .graph import DominatingSet
@@ -37,7 +38,7 @@ class SetCoverData(Record):
         object.__setattr__(self, "sets", sets)
 
 
-class SetCover(Record, Problem):
+class SetCover(Record, LinearProblem):
     data: SetCoverData
     kind = ValueKind.MIN
     type_name = "MinimumSetCover"
@@ -52,12 +53,13 @@ class SetCover(Record, Problem):
     def size_measures(self) -> dict[str, int]:
         return {"S": len(self.data.sets), "U": self.data.num_elements}
 
-    def _measure(self, config) -> tuple[int, bool]:
-        covered: set[int] = set()
-        for i, chosen in enumerate(config):
-            if chosen:
-                covered.update(self.data.sets[i])
-        return sum(config), len(covered) == self.data.num_elements
+    def linear_statement(self) -> tuple[tuple, tuple[int, ...]]:
+        # an element listed twice in a set is held once
+        holders: list[list[tuple[int, int]]] = [[] for _ in range(self.data.num_elements)]
+        for i, s in enumerate(self.data.sets):
+            for element in set(s):
+                holders[element].append((i, 1))
+        return tuple((tuple(row), ">=", 1) for row in holders), (1,) * len(self.data.sets)
 
     def to_data(self) -> dict:
         return {"num_elements": self.data.num_elements, "sets": [list(s) for s in self.data.sets]}

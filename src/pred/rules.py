@@ -240,6 +240,7 @@ def shipped_rules(registry: Registry) -> list[ReductionRule]:
     sat, three_sat = "Satisfiability", "ThreeSatisfiability"
     vc, ilp = "MinimumVertexCover", "IntegerLinearProgram"
     same_graph = {"V": "V", "E": "E"}
+    linear_to_ilp = FamilyRef("ilp.forward_linear_to_ilp")
     return [
         _rule(registry, *row)
         for row in (
@@ -253,13 +254,10 @@ def shipped_rules(registry: Registry) -> list[ReductionRule]:
              FamilyRef("graph.forward_mis_to_clique"), _extract_identity),
             ("MaximumClique", mis, {"V": "V", "E": "V^2"},
              FamilyRef("graph.forward_clique_to_mis"), _extract_identity),
-            (mis, ilp, {"n": "V", "c": "E"}, FamilyRef("ilp.forward_mis_to_ilp"),
-             _extract_identity),
-            (weighted_mis, ilp, {"n": "V", "c": "E"}, FamilyRef("ilp.forward_mis_to_ilp"),
-             _extract_identity),
-            (vc, ilp, {"n": "V", "c": "E"}, FamilyRef("ilp.forward_vc_to_ilp"), _extract_identity),
-            ("MinimumSetCover", ilp, {"n": "S", "c": "U"},
-             FamilyRef("ilp.forward_setcover_to_ilp"), _extract_identity),
+            (mis, ilp, {"n": "V", "c": "E"}, linear_to_ilp, _extract_identity),
+            (weighted_mis, ilp, {"n": "V", "c": "E"}, linear_to_ilp, _extract_identity),
+            (vc, ilp, {"n": "V", "c": "E"}, linear_to_ilp, _extract_identity),
+            ("MinimumSetCover", ilp, {"n": "S", "c": "U"}, linear_to_ilp, _extract_identity),
             ("MinimumDominatingSet", "MinimumSetCover", {"S": "V", "U": "V"},
              FamilyRef("setcover.forward_domset_to_setcover"), _extract_identity),
             ("MaxCut", "QUBO", {"n": "V"}, FamilyRef("qubo.forward_maxcut_to_qubo"),

@@ -3,9 +3,9 @@
 ``SOLVERS`` names the solver nodes of the reduction graph and the solver
 each one runs: ILP has the branch-and-bound search below, and QUBO the
 pruned prefix walk of ``pred.model`` (``_first_best``) under its node
-budget. Brute force takes the same walk for every Or fold and for every
-class that bounds its prefixes, QUBO's included. The reduction graph makes
-the one dispatch decision (``ReductionGraph.solver_route``): an instance
+budget. Brute force takes the same walk for every Or, Max, Min and
+Extremum fold, QUBO's included. The reduction graph makes the one
+dispatch decision (``ReductionGraph.solver_route``): an instance
 with a witness-capable path to a solver node is carried along the one with
 the fewest steps (then the smallest rule names) and solved there, a solver
 node itself being the empty path, and any other instance is enumerated by

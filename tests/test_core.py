@@ -14,24 +14,32 @@ from hypothesis import strategies as st
 
 from pred import (
     AggregatedValue,
+    Clique,
     CnfData,
     DEFAULT_CONFIG_BUDGET,
     BudgetExceededError,
     DecisionProblem,
     DimensionMismatchError,
     DomainError,
+    DominatingSet,
     DuplicateRegistrationError,
     GraphColoring,
     GraphData,
     Ilp,
     IlpData,
     IndependentSet,
+    IsingData,
     KindError,
+    MaxCut,
     Problem,
     Qubo,
     QuboData,
     Registry,
     Satisfiability,
+    SetCover,
+    SetCoverData,
+    SpinGlass,
+    ThreeSatisfiability,
     UnknownProblemError,
     ValueKind,
     VertexCover,
@@ -267,8 +275,14 @@ def test_fold_space_matches_reference_fold():
 
 
 def test_or_and_folds_stop_at_their_absorbing_value(monkeypatch):
+    """And stops at its first false configuration and Or at its first true
+    one. With every prefix bound set back to ``Problem._optimistic_payload``,
+    an Or walk measures exactly the plain fold's lex-rank + 1 configurations
+    (all of them for a false answer); with each class's own bound, at most
+    that many, the witness last, and the result is the plain fold's."""
     calls = []
-    for cls in (IndependentSet, Satisfiability, GraphColoring):
+    bounded = (IndependentSet, Satisfiability, GraphColoring)  # 3SAT inherits SAT's
+    for cls in bounded:
 
         def counted(self, config, measure=cls._measure):
             calls.append(config)
@@ -276,22 +290,23 @@ def test_or_and_folds_stop_at_their_absorbing_value(monkeypatch):
 
         monkeypatch.setattr(cls, "_measure", counted)
 
-    def assert_stops_when_true(instance):
+    def walk(instance, exact):
         calls.clear()
         result = fold_space(instance)
-        dims = instance.config_dims()
-        if result.value.payload:
-            assert len(calls) == _lex_rank(result.witness, dims) + 1, instance
-            assert calls[-1] == result.witness
-        else:
-            assert len(calls) == math.prod(dims), instance
-        return result.value.payload
+        measured = len(calls)
+        answer, dims = result.value.payload, instance.config_dims()
+        plain = _lex_rank(result.witness, dims) + 1 if answer else math.prod(dims)
+        assert measured == plain if exact else measured <= plain, instance
+        assert not answer or calls[-1] == result.witness, instance
+        if not exact:
+            assert (result.value, result.witness) == oracles.reference_fold(instance), instance
+        return instance.type_name, answer, measured
 
     rng = make_rng(405)
+    instances = []
     for _ in range(20):
         inner, _ = random_mis(rng)
-        for bound in range(inner.graph.num_vertices + 2):
-            assert_stops_when_true(decision_wrap(inner, bound))
+        instances += [decision_wrap(inner, b) for b in range(inner.graph.num_vertices + 2)]
     for _ in range(20):
         table = _random_table(rng, ValueKind.AND)
         result = fold_space(table)
@@ -299,17 +314,26 @@ def test_or_and_folds_stop_at_their_absorbing_value(monkeypatch):
         falses = [c for c in space if not table.table[c]]
         assert result.value.payload is (not falses)
         assert table.calls == (_lex_rank(falses[0], table.dims) + 1 if falses else len(table.table))
-    # Or classes with no prefix bound, whose walk every prefix passes
-    unbounded = [generators.random_sat(rng, max_variables=6, max_clauses=12)[0] for _ in range(30)]
-    unbounded += [generators.random_3sat(rng, max_variables=6, max_clauses=12)[0] for _ in range(30)]
-    unbounded += [
+    instances += [generators.random_sat(rng, max_variables=6, max_clauses=12)[0] for _ in range(30)]
+    instances += [
+        generators.random_3sat(rng, max_variables=6, max_clauses=12)[0] for _ in range(30)
+    ]
+    instances += [
         generators.random_coloring(rng, max_vertices=6, colors=colors)[0]
         for colors in (1, 2, 3)
         for _ in range(10)
     ]
-    seen = {(type(i).__name__, assert_stops_when_true(i)) for i in unbounded}
-    for name in ("Satisfiability", "ThreeSatisfiability", "GraphColoring"):
-        assert {(name, True), (name, False)} <= seen
+    own = [walk(instance, exact=False) for instance in instances]
+    for cls in bounded:
+        monkeypatch.setattr(cls, "_optimistic_payload", Problem._optimistic_payload)
+    default = [walk(instance, exact=True) for instance in instances]
+    assert [walked[:2] for walked in own] == [walked[:2] for walked in default]
+    for name in (
+        "DecisionMaximumIndependentSet", "Satisfiability", "ThreeSatisfiability", "GraphColoring"
+    ):
+        assert {(name, True), (name, False)} <= {(n, a) for n, a, _ in own}
+        # each class's own bound measures fewer in total than the default
+        assert sum(m for n, _, m in own if n == name) < sum(m for n, _, m in default if n == name)
 
 
 def test_or_fold_budget_counts_the_full_space():
@@ -375,16 +399,18 @@ def test_drawn_decision_vc_walk_matches_reference_fold(data):
 
 
 def test_default_optimistic_payload_is_unbounded_in_the_better_direction():
-    assert IndependentSet(P4)._optimistic_payload((0,)) == float("inf")
-    assert Problem._optimistic_payload(VertexCover(P4), (0,)) == float("-inf")
-    assert Ilp(IlpData(1, ((0, 1),), (), (1,), "max"))._optimistic_payload((0,)) == float("inf")
-    assert Ilp(IlpData(1, ((0, 1),), (), (1,), "min"))._optimistic_payload((0,)) == float("-inf")
-    assert Satisfiability(CnfData(1, ((1,),)))._optimistic_payload((0,)) is True
+    default = Problem._optimistic_payload
+    assert default(IndependentSet(P4), (0,)) == float("inf")
+    assert default(VertexCover(P4), (0,)) == float("-inf")
+    assert default(Ilp(IlpData(1, ((0, 1),), (), (1,), "max")), (0,)) == float("inf")
+    assert default(Ilp(IlpData(1, ((0, 1),), (), (1,), "min")), (0,)) == float("-inf")
+    assert default(Satisfiability(CnfData(1, ((1,),))), (0,)) is True
 
 
-def _vertex_covers(rng):
-    graphs = [generators.random_graph_data(rng, max_vertices=9)[0] for _ in range(40)]
-    graphs += [GraphData(3, ((0, 1), (1, 2), (0, 2))), GraphData(4, ((0, 1), (1, 2), (0, 2), (2, 3)))]
+def _graphs(rng, weighted=False):
+    graphs = [generators.random_graph_data(rng, 9, weighted)[0] for _ in range(40)]
+    graphs += [GraphData(3, ((0, 1), (1, 2), (0, 2)))]
+    graphs += [GraphData(4, ((0, 1), (1, 2), (0, 2), (2, 3)))]
     return graphs + [GraphData(0, ()), GraphData(1, ()), GraphData(7, ())]
 
 
@@ -401,49 +427,102 @@ def _qubo_matrices(rng):
         yield QuboData(n, tuple(map(tuple, q)))
 
 
-def _optimistic_cases(name):
-    rng = make_rng(zlib.crc32(name.encode()))
-    if name == "VertexCover":
-        return [VertexCover(graph) for graph in _vertex_covers(rng)]
-    if name == "QUBO":
-        return [Qubo(data) for data in _qubo_matrices(rng)]
-    if name == "DecisionVertexCover":
-        return [
-            decision_wrap(VertexCover(graph), bound)
-            for graph in _vertex_covers(rng)
-            for bound in range(-1, graph.num_vertices + 2)
-        ]
+def _ilp_programs(rng):
+    """Seeded programs of up to 4 variables (boxes inside [-3, 6], rows of
+    every relation, both senses, many infeasible), and programs on the box
+    [-2, 3] with equality rows, an infeasible one among them."""
+    programs = [generators.random_ilp(rng, max_vars=4)[0].data for _ in range(60)]
+    box = ((-2, 3),) * 3
+    rows = ((((0, 1), (1, 1), (2, 1)), "=", 2), (((0, 2), (2, -1)), "<=", 1))
+    programs += [IlpData(3, box, rows, objective, sense) for objective in ((1, -2, 3), (-1, 0, 2))
+                 for sense in ("max", "min")]
+    programs += [IlpData(2, box[:2], ((((0, 1), (1, -1)), "=", 6),), (1, 1), "max")]  # infeasible
+    programs += [IlpData(0, (), (), (), "min"), IlpData(0, (), (((), ">=", 1),), (), "max")]
+    return [Ilp(data) for data in programs]
+
+
+def _set_covers(rng):
+    covers = [generators.random_set_cover(rng, max_sets=9, max_elements=8)[0] for _ in range(40)]
+    covers.append(SetCover(SetCoverData(3, ((0, 0, 1), (1, 2, 1), (2,), ()))))
+    return covers + [SetCover(SetCoverData(0, ())), SetCover(SetCoverData(0, ((), ())))]
+
+
+def _spin_glasses(rng):
+    glasses = [generators.random_ising(rng, max_n=9)[0] for _ in range(40)]
+    return glasses + [SpinGlass(IsingData(0, (), ()))]
+
+
+def _decisions(inners):
     cases = []
-    for data in _qubo_matrices(rng):
-        best = max(oracles.qubo_value(data.q, c) for c in itertools.product((0, 1), repeat=data.n))
-        cases += [decision_wrap(Qubo(data), bound) for bound in range(best - 2, best + 2)]
+    for inner in inners:
+        best = fold_space(inner).value.payload
+        cases += [decision_wrap(inner, bound) for bound in range(best - 2, best + 2)]
     return cases
 
 
-@pytest.mark.parametrize(
-    "name", ["VertexCover", "QUBO", "DecisionVertexCover", "DecisionQUBO"]
-)
+def _optimistic_cases(name):
+    rng = make_rng(zlib.crc32(name.encode()))
+    g = generators
+    builders = {
+        "MIS": lambda: [IndependentSet(graph) for graph in _graphs(rng)],
+        "WeightedMIS": lambda: [IndependentSet(graph) for graph in _graphs(rng, weighted=True)],
+        "VertexCover": lambda: [VertexCover(graph) for graph in _graphs(rng)],
+        "Clique": lambda: [Clique(graph) for graph in _graphs(rng)],
+        "DominatingSet": lambda: [DominatingSet(graph) for graph in _graphs(rng)],
+        "MaxCut": lambda: [MaxCut(graph) for graph in _graphs(rng)],
+        "SetCover": lambda: _set_covers(rng),
+        "QUBO": lambda: [Qubo(data) for data in _qubo_matrices(rng)],
+        "SpinGlass": lambda: _spin_glasses(rng),
+        "ILP": lambda: _ilp_programs(rng),
+        "SAT": lambda: [g.random_sat(rng, 8, 14)[0] for _ in range(60)]
+        + [Satisfiability(CnfData(0, ()))],
+        "3SAT": lambda: [g.random_3sat(rng, 8, 20)[0] for _ in range(60)]
+        + [ThreeSatisfiability(CnfData(0, ()))],
+        "GC": lambda: [g.random_coloring(rng, 6, k)[0] for k in (1, 2, 3) for _ in range(20)]
+        + [GraphColoring(GraphData(0, ()), 2)],
+        "DecisionMIS": lambda: _decisions(IndependentSet(graph) for graph in _graphs(rng)),
+        "DecisionVertexCover": lambda: [
+            decision_wrap(VertexCover(graph), bound)
+            for graph in _graphs(rng)
+            for bound in range(-1, graph.num_vertices + 2)
+        ],
+        "DecisionQUBO": lambda: _decisions(Qubo(data) for data in _qubo_matrices(rng)),
+    }
+    return builders[name]()
+
+
+OPTIMISTIC_CASES = [
+    "MIS", "WeightedMIS", "VertexCover", "Clique", "DominatingSet", "MaxCut", "SetCover", "QUBO",
+    "SpinGlass", "ILP", "SAT", "3SAT", "GC", "DecisionMIS", "DecisionVertexCover", "DecisionQUBO",
+]
+
+
+@pytest.mark.parametrize("name", OPTIMISTIC_CASES)
 def test_optimistic_payload_is_never_worse_than_the_best_completion(name):
     """Every ``_optimistic_payload`` override, on every nonempty prefix: when
-    some completion is feasible (true, for a decision problem), the bound is
-    not None and at least as good as the best such completion. A prefix with
-    no feasible completion admits any answer, which is what lets an Or walk's
+    some completion is feasible (true, for an Or problem), the bound is not
+    None and at least as good as the best such completion. A prefix with no
+    feasible completion admits any answer, which is what lets an Or walk's
     bound check only what the newest value decides."""
     cases = _optimistic_cases(name)
     assert any(not case.config_dims() for case in cases)
+    if name == "ILP":  # the box [-2, 3], equality rows, and infeasible programs
+        assert any(lo < 0 for case in cases for lo, _ in case.data.var_bounds)
+        assert any(rel == "=" for case in cases for _, rel, _ in case.data.constraints)
+        assert any(not fold_space(case).value.feasible for case in cases)
     for instance in cases:
-        decision = instance.kind is ValueKind.OR
-        sign = 1 if decision or instance.kind is ValueKind.MAX else -1
-        n = len(instance.config_dims())
+        minimize = instance.kind is ValueKind.MIN or instance.sense == SENSE_MINIMIZE
+        sign = -1 if minimize else 1
+        dims = instance.config_dims()
         # the best signed payload over each prefix's feasible completions, None if none
         best = {}
-        for config in itertools.product((0, 1), repeat=n):
+        for config in itertools.product(*map(range, dims)):
             payload, feasible = instance._measure(config)
             best[config] = sign * payload if feasible else None
-        for length in range(n - 1, -1, -1):
-            for prefix in itertools.product((0, 1), repeat=length):
-                values = [v for v in (best[prefix + (0,)], best[prefix + (1,)]) if v is not None]
-                best[prefix] = max(values, default=None)
+        for length in range(len(dims) - 1, -1, -1):
+            for prefix in itertools.product(*map(range, dims[:length])):
+                children = (best[prefix + (v,)] for v in range(dims[length]))
+                best[prefix] = max((v for v in children if v is not None), default=None)
         for prefix, completion in best.items():
             if not prefix or completion is None:
                 continue
@@ -451,22 +530,62 @@ def test_optimistic_payload_is_never_worse_than_the_best_completion(name):
             assert bound is not None and sign * bound >= completion, (instance, prefix)
 
 
-def test_bounded_fold_matches_reference_fold(monkeypatch):
-    """The Max/Min folds of VertexCover and QUBO walk prefixes; the result is the plain law's."""
+BOUNDED_CLASSES = {
+    "MIS": (IndependentSet, lambda rng: generators.random_mis(rng, 9)[0]),
+    "WeightedMIS": (IndependentSet, lambda rng: generators.random_mis(rng, 9, weighted=True)[0]),
+    "VertexCover": (VertexCover, lambda rng: generators.random_vc(rng, 9)[0]),
+    "Clique": (Clique, lambda rng: generators.random_clique(rng, 9)[0]),
+    "DominatingSet": (DominatingSet, lambda rng: generators.random_domset(rng, 9)[0]),
+    "MaxCut": (MaxCut, lambda rng: generators.random_maxcut(rng, 9)[0]),
+    "SetCover": (SetCover, lambda rng: generators.random_set_cover(rng, 9, 8)[0]),
+    "QUBO": (Qubo, lambda rng: generators.random_qubo(rng, max_n=9, min_n=0)[0]),
+    "SpinGlass": (SpinGlass, lambda rng: generators.random_ising(rng, 9)[0]),
+    "ILP": (Ilp, lambda rng: generators.random_ilp(rng, max_vars=5)[0]),
+}
+
+# what the builders never draw: a zero-variable instance of each class, and
+# seven vertices with no edges for the graph classes
+BOUNDED_FIXED = {
+    "MIS": [IndependentSet(GraphData(0, ())), IndependentSet(GraphData(7, ()))],
+    "WeightedMIS": [
+        IndependentSet(GraphData(0, (), ())), IndependentSet(GraphData(7, (), (3, 1, 4, 1, 5, 9, 2)))
+    ],
+    "VertexCover": [VertexCover(GraphData(0, ())), VertexCover(GraphData(7, ()))],
+    "Clique": [Clique(GraphData(0, ())), Clique(GraphData(7, ()))],
+    "DominatingSet": [DominatingSet(GraphData(0, ())), DominatingSet(GraphData(7, ()))],
+    "MaxCut": [MaxCut(GraphData(0, ())), MaxCut(GraphData(7, ()))],
+    "SetCover": [SetCover(SetCoverData(0, ()))],
+    "QUBO": [Qubo(QuboData(0, ()))],
+    "SpinGlass": [SpinGlass(IsingData(0, (), ()))],
+    "ILP": [Ilp(IlpData(0, (), (), (), "min"))],
+}
+
+
+def test_every_max_min_and_extremum_class_is_bounded():
+    rng = make_rng(411)
+    built = {build(rng).type_name for _, build in BOUNDED_CLASSES.values()}
+    scored = (ValueKind.MAX, ValueKind.MIN, ValueKind.EXTREMUM)
+    assert built == {d.name for d in register_catalogue().variants() if d.kind in scored}
+    for cls, _ in BOUNDED_CLASSES.values():
+        assert cls._optimistic_payload is not Problem._optimistic_payload
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDED_CLASSES))
+def test_bounded_fold_matches_reference_fold(monkeypatch, name):
+    """Every Max, Min and Extremum class walks its prefixes, and the result is the plain law's."""
+    cls, build = BOUNDED_CLASSES[name]
     asked = []
-    for cls in (VertexCover, Qubo):
-        bound = cls._optimistic_payload
+    bound = cls._optimistic_payload
 
-        def recorded(self, prefix, bound=bound):
-            asked.append((prefix, len(self.config_dims())))
-            return bound(self, prefix)
+    def recorded(self, prefix):
+        asked.append((prefix, len(self.config_dims())))
+        return bound(self, prefix)
 
-        monkeypatch.setattr(cls, "_optimistic_payload", recorded)
-    rng = make_rng(410)
-    instances = [generators.random_vc(rng, max_vertices=9)[0] for _ in range(60)]
-    instances += [generators.random_qubo(rng, max_n=9, min_n=0)[0] for _ in range(60)]
-    instances += [VertexCover(GraphData(0, ())), VertexCover(GraphData(7, ()))]
-    for instance in instances:
+    monkeypatch.setattr(cls, "_optimistic_payload", recorded)
+    rng = make_rng(zlib.crc32(f"bounded:{name}".encode()))
+    fixed = BOUNDED_FIXED[name]
+    assert any(not instance.config_dims() for instance in fixed)
+    for instance in [build(rng) for _ in range(60)] + fixed:
         value, witness = oracles.reference_fold(instance)
         result = fold_space(instance)
         assert (result.value, result.witness) == (value, witness), instance

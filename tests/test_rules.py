@@ -15,6 +15,7 @@ from pred import (
     DecisionProblem,
     DomainError,
     GraphData,
+    Ilp,
     IlpData,
     IndependentSet,
     KindError,
@@ -23,6 +24,8 @@ from pred import (
     QuboData,
     RegistrationError,
     Satisfiability,
+    SetCover,
+    SetCoverData,
     SpinGlass,
     ThreeSatisfiability,
     TypeMismatchError,
@@ -335,6 +338,46 @@ def test_ilp_targets_survive_the_dense_document_codec(name):
         decoded = instance_from_document(document, GRAPH.registry)
         assert decoded == target
         assert _stored_rows(decoded.data) == _stored_rows(target.data)
+
+
+def _written_program(source) -> IlpData:
+    """The 0-1 program of an independent set, vertex cover or set cover,
+    written out row by row: an edge row <= 1 per edge weighted by the vertex
+    weights, an edge row >= 1 per edge, or one row >= 1 per element holding
+    the sets that list it (once, however often they list it), in index order."""
+    if isinstance(source, SetCover):
+        sets = source.data.sets
+        rows = tuple(
+            (tuple((i, 1) for i, s in enumerate(sets) if e in s), ">=", 1)
+            for e in range(source.data.num_elements)
+        )
+        return IlpData(len(sets), ((0, 1),) * len(sets), rows, (1,) * len(sets), "min")
+    g = source.graph
+    n = g.num_vertices
+    if isinstance(source, IndependentSet):
+        rows = tuple((((u, 1), (v, 1)), "<=", 1) for u, v in g.edges)
+        return IlpData(n, ((0, 1),) * n, rows, g.weights, "max")
+    rows = tuple((((u, 1), (v, 1)), ">=", 1) for u, v in g.edges)
+    return IlpData(n, ((0, 1),) * n, rows, (1,) * n, "min")
+
+
+@pytest.mark.parametrize("name", sorted(set(ILP_RULE_SOURCES) - {"QUBO->IntegerLinearProgram"}))
+def test_linear_families_map_to_the_programs_written_out(name):
+    # one forward map reads every 0-1 family's own rows, and gives the program
+    # written out for that family, with the same extraction record
+    assert rule(name).forward.name == "ilp.forward_linear_to_ilp"
+    rng = make_rng(zlib.crc32(f"written:{name}".encode()))
+    sources = [ILP_RULE_SOURCES[name](rng) for _ in range(30)]
+    if name.startswith("MinimumSetCover"):
+        # each set lists its first element twice, and one lists all of its elements twice
+        sources = [
+            SetCover(SetCoverData(sc.data.num_elements, tuple(s + s[:1] for s in sc.data.sets)))
+            for sc in sources
+        ] + [SetCover(SetCoverData(3, ((0, 0, 1), (1, 2, 1, 2), ())))] + sources
+    for source in sources:
+        outcome = apply(rule(name), source)
+        assert outcome.target_instance == Ilp(_written_program(source)), source
+        assert outcome.extraction == {"num_vars": len(source.config_dims())}
 
 
 def test_qubo_to_ilp_diagonal_row_counts_its_variable_twice():
