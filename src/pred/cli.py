@@ -78,8 +78,12 @@ def _load_document(source: str) -> dict:
     return document
 
 
+def _json_text(document) -> str:
+    return json.dumps(document, sort_keys=True)
+
+
 def _emit(document: Mapping) -> None:
-    print(json.dumps(document, sort_keys=True))
+    print(_json_text(document))
 
 
 def envelope_to_document(envelope: ReductionEnvelope) -> dict:
@@ -103,7 +107,7 @@ def envelope_from_document(document: Mapping, graph: ReductionGraph) -> Reductio
             f"envelope must have exactly the fields {sorted(expected)}"
         )
     version = document["trace_version"]
-    if isinstance(version, bool) or version != TRACE_VERSION:
+    if type(version) is not int or version != TRACE_VERSION:
         raise DocumentError(
             f"unsupported trace version {version!r} "
             f"(this build reads version {TRACE_VERSION})"
@@ -125,10 +129,12 @@ def envelope_from_document(document: Mapping, graph: ReductionGraph) -> Reductio
         steps.append(rule)
     path = graph.make_path(source.variant_key(), tuple(steps))
     envelope = reduce_along(path, source)
+    # compared as JSON text, so that 4.0 or true does not pass for 4 or 1
     for index, (stored, outcome) in enumerate(zip(document["trace"], envelope.stack)):
-        if stored != outcome.extraction:
+        if _json_text(stored) != _json_text(outcome.extraction):
             raise DocumentError(f"trace step {index} does not match the replayed reduction")
-    if instance_to_document(envelope.target_instance) != document["target"]:
+    target = instance_to_document(envelope.target_instance)
+    if _json_text(target) != _json_text(document["target"]):
         raise DocumentError("envelope target does not match the replayed reduction")
     return envelope
 

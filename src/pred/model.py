@@ -7,16 +7,19 @@ measures. ``evaluate`` wraps one measure in an ``AggregatedValue`` of the
 problem's kind; ``combine`` is the kind's aggregation law over such values.
 Solving by brute force is a per-kind fold over the whole space in
 lexicographic order that gives the same value and witness as folding
-``combine`` over ``evaluate`` from the identity: Max, Min and Extremum keep
-the first configuration of best ``(feasible, payload)`` score, Sum adds,
-and And stops at the first false configuration. Every Or, Max, Min and
-Extremum fold is one prefix walk (``_first_best``) that skips the prefixes
-whose bound, the one hook ``Problem._optimistic_payload``, cannot beat its
-incumbent; a ``LinearProblem`` reads its measure and its bound off its
-rows. The enumeration budget counts the full space for every kind; the
-QUBO solver runs the same walk under a node budget instead. Everything
-else in the library (reductions, routing, the ILP path) only ever talks to
-this interface.
+``combine`` over the feasible configurations' ``evaluate`` from the
+identity: Max, Min and Extremum keep the first configuration of best
+feasible payload, or give the identity (``Max(none)``, ``Extremum(none)``)
+when nothing is feasible, Or stops at the first true configuration, Sum
+adds, and And stops at the first false configuration. Every Or, Max, Min
+and Extremum fold is one prefix walk (``_first_best``) that skips the
+prefixes whose bound, the one hook ``Problem._optimistic_payload``, says
+they hold no feasible configuration that beats the incumbent; a
+``LinearProblem`` reads its measure and its bound off its rows. The
+enumeration budget counts the full space for every kind; the QUBO solver
+runs the same walk under a node budget instead. Everything else in the
+library (reductions, routing, the ILP path) only ever talks to this
+interface.
 """
 
 from __future__ import annotations
@@ -68,9 +71,10 @@ class AggregatedValue(Record):
     """Result of evaluating one configuration (or of folding a whole space).
 
     payload is the objective count / truth value; feasible records whether
-    the configuration satisfies the instance's hard constraints (payloads of
-    infeasible configurations are still reported). A payload of None only
-    appears on fold identities and on all-infeasible folds. sense is set for
+    the configuration satisfies the instance's hard constraints (``evaluate``
+    still reports the payload of an infeasible configuration). A fold takes
+    only feasible configurations, so its value is feasible, or the kind's
+    identity, payload None, when nothing is feasible. sense is set for
     EXTREMUM values only.
     """
 
@@ -204,16 +208,12 @@ class Problem(ABC):
         False only when none does (``DecisionProblem`` answers whether its
         inner problem's bound meets the threshold). The prefix walk
         (``_first_best``) asks only about nonempty prefixes shorter than a
-        full configuration, once it holds a feasible incumbent. An Or walk
-        holds one from the start, so it asks about a prefix only after all
-        its shorter nonempty prefixes passed, and an implementation may
-        check only what the newest value decides. A Max, Min or Extremum
-        walk may not have asked the shorter prefixes; such a check is still
-        sound there, as a prefix with no feasible completion admits any
-        bound. Every Or, Max, Min and Extremum fold is walked, and every
-        shipped class bounds its prefixes (a ``LinearProblem`` by its rows);
-        this default knows nothing and reports an unbounded payload (True
-        for Or).
+        full configuration, and only after all their shorter nonempty
+        prefixes passed, so an implementation may check only what the newest
+        value decides. Every Or, Max, Min and Extremum fold is walked, and
+        every shipped class bounds its prefixes (a ``LinearProblem`` by its
+        rows); this default knows nothing and reports an unbounded payload
+        (True for Or).
         """
         if self.kind is ValueKind.OR:
             return True
@@ -316,11 +316,12 @@ def evaluate(instance: Problem, config: Sequence[int]) -> AggregatedValue:
 def fold_space(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> FoldResult:
     """Fold the kind's combine law over the entire configuration space.
 
-    The result equals folding ``combine`` over ``evaluate`` in lexicographic
-    order from the kind's identity, with the witness taken on strict
-    improvements only: the first optimal configuration for Max, Min and
-    Extremum (none if no configuration is feasible), the first true one for
-    Or, none for Sum and And. Sum measures every configuration and And stops
+    The result equals folding ``combine`` over the ``evaluate`` of every
+    feasible configuration in lexicographic order from the kind's identity,
+    with the witness taken on strict improvements only: the first optimal
+    configuration for Max, Min and Extremum, whose value is the identity,
+    with no witness, when nothing is feasible; the first true one for Or;
+    none for Sum and And. Sum measures every configuration and And stops
     at its first false one. Every Or, Max, Min and Extremum instance takes
     the pruned prefix walk (``_first_best``), which gives the same value and
     witness having measured fewer configurations. The budget always applies
@@ -354,16 +355,15 @@ def _first_best(instance: Problem, max_nodes: int | None = None) -> FoldResult:
 
     An iterative depth-first walk in product order (no recursion, so any
     number of variables is fine): ``value`` is the next value to try at
-    position ``len(prefix)``. Full configurations are measured; a shorter
-    child prefix is first bounded by ``_optimistic_payload`` once a feasible
-    incumbent exists, and skipped when its bound is None or cannot strictly
-    beat the incumbent. The incumbent moves only on a strict improvement of
-    ``(feasible, payload)``, as in the plain fold, and a skipped prefix holds
-    no configuration that would have moved it, so the value and witness are
-    the plain fold's: the lexicographically smallest optimum, or the best
-    infeasible payload with no witness when nothing is feasible. An Or walk
-    starts from its identity, false, as a feasible incumbent with no
-    witness, so it bounds prefixes from the first one, and it stops at its
+    position ``len(prefix)``. Full configurations are measured, and the
+    incumbent, the signed payload of a feasible one, moves only on a strict
+    improvement. Every nonempty shorter prefix whose parent passed is first
+    bounded by ``_optimistic_payload`` and skipped when its bound is None or
+    cannot strictly beat the incumbent. A skipped prefix holds no feasible
+    configuration that would have moved the incumbent, so the result is the
+    plain fold's: the best feasible value with its lexicographically
+    smallest witness, or the kind's identity with none when nothing is
+    feasible. An Or walk starts from its identity, false, and stops at its
     first true configuration, which nothing beats. With ``max_nodes``, each
     prefix asked counts as one node, and asking one more than ``max_nodes``
     raises ``BudgetExceededError``, as the branch-and-bound search does.
@@ -375,7 +375,7 @@ def _first_best(instance: Problem, max_nodes: int | None = None) -> FoldResult:
     sign = _sign(kind, instance.sense)
     last = len(dims) - 1
     nodes = 0
-    best_key, best_payload = ((True, 0), False) if kind is ValueKind.OR else (None, None)
+    best = 0 if kind is ValueKind.OR else None
     witness = None
     prefix: Configuration = ()
     value = 0
@@ -383,35 +383,34 @@ def _first_best(instance: Problem, max_nodes: int | None = None) -> FoldResult:
         depth = len(prefix)
         if depth > last:
             payload, feasible = measure(prefix)
-            key = (feasible, sign * payload)
-            if best_key is None or key > best_key:
-                best_key, best_payload, witness = key, payload, prefix
+            if feasible and (best is None or sign * payload > best):
+                best, witness = sign * payload, prefix
                 if kind is ValueKind.OR:
                     break
         elif value < dims[depth]:
             child = prefix + (value,)
             value += 1
-            if depth < last and best_key is not None and best_key[0]:
+            if depth < last:
                 nodes += 1
                 if max_nodes is not None and nodes > max_nodes:
                     raise BudgetExceededError(
                         f"bounded search exceeded {max_nodes} nodes",
                         limit=max_nodes,
                         nodes=max_nodes,
-                        incumbent=best_payload,
+                        incumbent=None if witness is None else sign * best,
                     )
                 bound = optimistic(child)
-                if bound is None or sign * bound <= best_key[1]:
+                if bound is None or best is not None and sign * bound <= best:
                     continue
             prefix, value = child, 0
             continue
         if not prefix:
             break
         prefix, value = prefix[:-1], prefix[-1] + 1
-    if best_key is None:
+    if witness is None:
         return FoldResult(identity_value(kind, instance.sense), None)
-    value = AggregatedValue(kind, best_payload, best_key[0], instance.sense)
-    return FoldResult(value, reported_witness(value, witness))
+    payload = True if kind is ValueKind.OR else sign * best
+    return FoldResult(AggregatedValue(kind, payload, True, instance.sense), witness)
 
 
 class DecisionProblem(Problem):

@@ -136,6 +136,7 @@ from .model import (
     ValueKind,
     _first_best,
     fold_space,
+    identity_value,
 )
 
 if TYPE_CHECKING:
@@ -898,9 +899,7 @@ def solve_ilp(data: IlpData, max_nodes: int = DEFAULT_NODE_BUDGET) -> SolveResul
     search = _kernel(data, max_nodes)
     search.run()
     if search.best_point is None:
-        return SolveResult(
-            AggregatedValue(ValueKind.EXTREMUM, None, False, sense), None, "ilp"
-        )
+        return SolveResult(identity_value(ValueKind.EXTREMUM, sense), None, "ilp")
     value = search.sign * search.best_value
     return SolveResult(
         AggregatedValue(ValueKind.EXTREMUM, value, True, sense),

@@ -243,10 +243,11 @@ def reference_fold(instance):
     """(value, witness) of folding ``combine`` over ``evaluate`` across the space.
 
     The literal definition of the brute-force fold: start at the kind's
-    identity and combine every configuration's value in lexicographic order.
-    The witness is taken on strict improvements only, of the ``_score`` order
-    for Max, Min and Extremum (and dropped when nothing is feasible), and on
-    the first true value for Or; Sum and And have none.
+    identity and combine the value of every feasible configuration in
+    lexicographic order, so that a Max, Min or Extremum instance with nothing
+    feasible folds to its identity. The witness is taken on strict
+    improvements only, of the ``_score`` order for Max, Min and Extremum, and
+    on the first true value for Or; Sum and And have none.
     """
     from pred.model import ValueKind, _score, combine, evaluate, identity_value
 
@@ -255,13 +256,13 @@ def reference_fold(instance):
     witness = None
     for config in product(*(range(d) for d in instance.config_dims())):
         value = evaluate(instance, config)
+        if not value.feasible:
+            continue
         if scored and _score(value) > _score(acc):
             witness = config
         elif instance.kind is ValueKind.OR and value.payload and not acc.payload:
             witness = config
         acc = combine(acc, value)
-    if scored and not acc.feasible:
-        witness = None
     return acc, witness
 
 

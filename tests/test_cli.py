@@ -399,6 +399,37 @@ def test_envelope_tamper_detected():
     assert run_cli("solve", "-", stdin=json.dumps(missing)).returncode == 2
 
 
+def _doctor_version(envelope):
+    envelope["trace_version"] = 1.0
+
+
+def _doctor_target(envelope):
+    envelope["target"]["data"]["objective"][0] = True
+
+
+def _doctor_trace(envelope):
+    envelope["trace"][0]["num_vars"] = 4.0
+
+
+@pytest.mark.parametrize(
+    "doctor",
+    [_doctor_version, _doctor_target, _doctor_trace],
+    ids=["version-float", "target-bool-for-int", "trace-float-for-int"],
+)
+def test_exit_2_on_an_envelope_field_equal_in_value_but_not_in_json_type(doctor):
+    envelope = json.loads(pipeline(
+        ["create", "MIS", "--graph", LISTING_GRAPH],
+        ["reduce", "-", "--to", "ILP"],
+    ).stdout)
+    assert envelope["trace"] == [{"num_vars": 4}]
+    doctor(envelope)
+    result = run_cli("solve", "-", stdin=json.dumps(envelope))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("pred: ")
+    assert result.stderr.count("\n") == 1
+
+
 def test_evaluate_golden_lines():
     created = run_cli("create", "MIS", "--graph", LISTING_GRAPH).stdout
     good = run_cli("evaluate", "-", "--config", "0,1,0,1", stdin=created)

@@ -9,6 +9,11 @@ do not move when another family is added.
 
 The families whose route gives another optimum, or another value, are marked
 ``xfail(strict=True)``: the day a route keeps the contract, the mark must go.
+
+A route keeps the witness only if each of its rules preserves order: its
+extractor maps the target's smallest optimum to the source's. The table
+``ORDER_PRESERVING`` lists the witness-capable rules that do on every draw,
+and the test decides membership both ways.
 """
 
 from __future__ import annotations
@@ -17,7 +22,16 @@ import zlib
 
 import pytest
 
-from pred import decision_wrap, default_graph, solve, solve_brute
+from pred import (
+    ReductionPath,
+    decision_wrap,
+    default_graph,
+    extract_along,
+    fold_space,
+    reduce_along,
+    solve,
+    solve_brute,
+)
 
 from generators import (
     make_rng,
@@ -71,10 +85,6 @@ DIVERGENT = {
     "Satisfiability": ITEM_2,
     "ThreeSatisfiability": ITEM_2,
     "DecisionMaximumIndependentSet": ITEM_2,
-    "IntegerLinearProgram": (
-        "ROADMAP item 2: an infeasible program solves to the identity value, "
-        "brute force to the first configuration's"
-    ),
 }
 
 
@@ -100,3 +110,46 @@ def test_solve_gives_the_brute_force_value_and_witness(family):
         if (routed.value, routed.witness) != (brute.value, brute.witness):
             differ.append(i)
     assert differ == []
+
+
+# The witness-capable rules whose extracted smallest target optimum is the
+# source's smallest optimum on every draw. The other five, GC->SAT,
+# DecisionMIS->MIS, MIS->VC, VC->MIS and 3SAT->MIS, return another optimum
+# on some draws (ROADMAP item 2).
+ORDER_PRESERVING = {
+    "MaxCut->QUBO",
+    "MaximumIndependentSet->MaximumClique",
+    "MaximumClique->MaximumIndependentSet",
+    "MaximumIndependentSet->MaximumIndependentSet[weight=integer]",
+    "MinimumDominatingSet->MinimumSetCover",
+    "Satisfiability->ThreeSatisfiability",
+    "MaximumIndependentSet->IntegerLinearProgram",
+    "MaximumIndependentSet[weight=integer]->IntegerLinearProgram",
+    "MinimumVertexCover->IntegerLinearProgram",
+    "MinimumSetCover->IntegerLinearProgram",
+    "QUBO->IntegerLinearProgram",
+}
+WITNESS_RULES = sorted(rule.name for rule in default_graph().rules if rule.witness_capable)
+# Some targets exceed the default brute-force budget (QUBO->ILP reaches 2^30
+# configurations); the pruned walk measures a small part of each.
+TARGET_BUDGET = 1 << 30
+
+
+def test_every_order_preserving_rule_is_witness_capable():
+    assert ORDER_PRESERVING <= set(WITNESS_RULES)
+
+
+@pytest.mark.parametrize("name", WITNESS_RULES)
+def test_order_preserving_rules_map_the_smallest_optimum_to_the_smallest(name):
+    graph = default_graph()
+    rule = graph.rule_named(name)
+    family = graph.registry.display_name(rule.source.key)
+    path = ReductionPath(rule.source, rule.target, (rule,))
+    kept = 0
+    for i in range(DRAWS):
+        instance = BUILDERS[family](make_rng(zlib.crc32(f"{family}:{i}".encode())))
+        envelope = reduce_along(path, instance)
+        target = fold_space(envelope.target_instance, TARGET_BUDGET).witness
+        extracted = None if target is None else extract_along(envelope, target)
+        kept += extracted == fold_space(instance).witness
+    assert (kept == DRAWS) == (name in ORDER_PRESERVING), f"{kept} of {DRAWS} draws"

@@ -271,7 +271,7 @@ def test_fold_space_matches_reference_fold():
     assert catalogue <= {i.variant_key() for i in instances if not isinstance(i, _Table)}
     assert ("DecisionMinimumVertexCover", ValueKind.OR, True, False) in seen
     assert ("DecisionMinimumVertexCover", ValueKind.OR, True, True) in seen
-    assert ("IntegerLinearProgram", ValueKind.EXTREMUM, False, True) in seen
+    assert ("IntegerLinearProgram", ValueKind.EXTREMUM, False, False) in seen
 
 
 def test_or_and_folds_stop_at_their_absorbing_value(monkeypatch):
@@ -502,8 +502,9 @@ def test_optimistic_payload_is_never_worse_than_the_best_completion(name):
     """Every ``_optimistic_payload`` override, on every nonempty prefix: when
     some completion is feasible (true, for an Or problem), the bound is not
     None and at least as good as the best such completion. A prefix with no
-    feasible completion admits any answer, which is what lets an Or walk's
-    bound check only what the newest value decides."""
+    feasible completion admits any answer, which is what lets a bound check
+    only what the newest value decides: the walk asks about a prefix only
+    after its parent passed."""
     cases = _optimistic_cases(name)
     assert any(not case.config_dims() for case in cases)
     if name == "ILP":  # the box [-2, 3], equality rows, and infeasible programs
@@ -572,25 +573,31 @@ def test_every_max_min_and_extremum_class_is_bounded():
 
 @pytest.mark.parametrize("name", sorted(BOUNDED_CLASSES))
 def test_bounded_fold_matches_reference_fold(monkeypatch, name):
-    """Every Max, Min and Extremum class walks its prefixes, and the result is the plain law's."""
+    """Every Max, Min and Extremum class walks its prefixes, and the result is
+    the plain law's. The walk asks only about nonempty prefixes shorter than a
+    full configuration, each after its parent, whose bound was not None."""
     cls, build = BOUNDED_CLASSES[name]
-    asked = []
+    answers = {}
     bound = cls._optimistic_payload
 
     def recorded(self, prefix):
-        asked.append((prefix, len(self.config_dims())))
-        return bound(self, prefix)
+        assert 0 < len(prefix) < len(self.config_dims()), (self, prefix)
+        assert len(prefix) == 1 or answers[prefix[:-1]] is not None, (self, prefix)
+        answers[prefix] = bound(self, prefix)
+        return answers[prefix]
 
     monkeypatch.setattr(cls, "_optimistic_payload", recorded)
     rng = make_rng(zlib.crc32(f"bounded:{name}".encode()))
     fixed = BOUNDED_FIXED[name]
     assert any(not instance.config_dims() for instance in fixed)
+    asked = 0
     for instance in [build(rng) for _ in range(60)] + fixed:
+        answers.clear()
         value, witness = oracles.reference_fold(instance)
         result = fold_space(instance)
         assert (result.value, result.witness) == (value, witness), instance
-    # asked only about nonempty prefixes shorter than a full configuration
-    assert asked and all(0 < len(prefix) < n for prefix, n in asked)
+        asked += len(answers)
+    assert asked
 
 
 # The Or walk on DecisionVC, n=16, G(16, 0.15) from seed 408, each graph at
@@ -646,6 +653,35 @@ def test_or_walk_measures_fewer_configurations(monkeypatch):
         assert calls == sorted(calls) and (not answer or calls[-1] == result.witness)
         counts.append((answer, plain, len(calls), len(prefixes)))
     assert counts == WALK_MEASURES
+
+
+# The Min walk on VertexCover G(20, 0.2), edges drawn by ``gnp_edges`` from
+# seeds 1 and 2: (seed, configurations measured, smallest cover). The walk
+# skips every prefix with no cover among its completions from the first one,
+# before it holds a cover, so it measures a handful of the 2^20
+# configurations; a walk that bounds nothing before its first cover measures
+# 294,568 and 109,042. A change to the pruning must update these on purpose.
+MIN_WALK_MEASURES = [(1, 2, 11), (2, 4, 10)]
+
+
+def test_min_walk_bounds_prefixes_before_its_first_cover(monkeypatch):
+    calls = []
+    measure = VertexCover._measure
+
+    def counted(self, config):
+        calls.append(config)
+        return measure(self, config)
+
+    monkeypatch.setattr(VertexCover, "_measure", counted)
+    counts = []
+    for seed, _, _ in MIN_WALK_MEASURES:
+        instance = VertexCover(GraphData(20, generators.gnp_edges(make_rng(seed), 20, 0.2)))
+        calls.clear()
+        result = fold_space(instance)
+        assert calls == sorted(calls) and result.witness in calls
+        counts.append((seed, len(calls), result.value.payload))
+        assert evaluate(instance, result.witness) == result.value
+    assert counts == MIN_WALK_MEASURES
 
 
 def test_or_walk_reaches_any_depth():

@@ -838,18 +838,18 @@ def test_search_nodes_and_witness_are_pinned(family, seed, nodes, value, witness
 
 
 # (seed, prefixes asked, value, witness) of the bounded QUBO search on seeded
-# n=12 instances, each far below the 4,096 configurations of the space: a
-# change to the bound or the walk that asks about other prefixes must update
-# them on purpose
+# n=12 instances, each far below the 4,096 configurations of the space; the
+# count includes the 11 prefixes of the walk's first descent. A change to the
+# bound or the walk that asks about other prefixes must update them on purpose
 QUBO_PINS = [
-    (1, 619, 60, "111100011011"),
-    (2, 317, 58, "101101111010"),
-    (3, 227, 53, "011111001111"),
-    (4, 249, 51, "011100111011"),
-    (5, 265, 52, "101100110001"),
-    (6, 321, 82, "111111111110"),
-    (7, 237, 23, "001100011001"),
-    (8, 255, 34, "011010101101"),
+    (1, 630, 60, "111100011011"),
+    (2, 328, 58, "101101111010"),
+    (3, 238, 53, "011111001111"),
+    (4, 260, 51, "011100111011"),
+    (5, 276, 52, "101100110001"),
+    (6, 332, 82, "111111111110"),
+    (7, 248, 23, "001100011001"),
+    (8, 266, 34, "011010101101"),
 ]
 
 
