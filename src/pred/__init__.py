@@ -19,7 +19,12 @@ symbolic algebra, ``pred.symbolic``, and neither does routing, which reads
 no expression. Nor do they load any problem family (``pred.problems``): a
 family's classes and forward maps load when an instance of it is first
 built or reduced to. ``canonical`` is the expression normaliser from
-``pred.symbolic``; the example database is ``pred.examples``.
+``pred.symbolic``; the example database is ``pred.examples``. The
+brute-force fold and ``combine`` are ``pred.fold``, loaded on the first
+fold, and the checks that only tests run (``round_trip_check``,
+``verify_all_examples``, and the example database's JSON form) are
+``pred.checks``, so no command compiles them. The command line is
+``pred.cli``, whose command table loads one handler module per command.
 """
 
 from __future__ import annotations
@@ -36,18 +41,20 @@ _EXPORTS = {
         "InvalidInstanceError KindError NoExampleError NoPathError PredError "
         "RegistrationError SymbolicError TypeMismatchError UnknownProblemError"
     ),
-    "examples": (
-        "CanonicalExample ExampleReport build_examples examples_from_json "
-        "examples_to_json get_example verify_all_examples"
+    "checks": (
+        "ExampleReport RoundTripReport examples_from_json examples_to_json "
+        "round_trip_check verify_all_examples"
     ),
+    "examples": "CanonicalExample build_examples get_example",
+    "fold": "FoldResult combine",
     "graph": (
-        "ReductionEnvelope ReductionGraph ReductionPath RoundTripReport default_graph "
-        "extract_along extract_value_along reduce_along round_trip_check"
+        "ReductionEnvelope ReductionGraph ReductionPath default_graph "
+        "extract_along extract_value_along reduce_along"
     ),
     "model": (
         "DEFAULT_CONFIG_BUDGET DEFAULT_NODE_BUDGET AggregatedValue DecisionProblem "
-        "FoldResult Problem ProblemTypeDescriptor Registry SENSE_MAXIMIZE SENSE_MINIMIZE "
-        "ValueKind VariantKey combine decision_wrap evaluate fold_space "
+        "Problem ProblemTypeDescriptor Registry SENSE_MAXIMIZE SENSE_MINIMIZE "
+        "ValueKind VariantKey decision_wrap evaluate fold_space "
         "identity_value make_key validate_config"
     ),
     "problems": (

@@ -9,28 +9,39 @@ output goes to stdout as JSON (one document per stream); diagnostics and the
 optional ``--pretty`` rendering go to stdout as plain lines only where
 documented, and errors go to stderr.
 
-Exit codes: 0 ok, 2 bad input, 3 no reduction path, 4 budget exhausted,
-5 infeasible program. A reader that closes the pipe before the output ends
-(``pred list | head -n 1``) ends the command quietly, with status 0.
+Exit codes: 0 ok, 2 bad input (a usage error included), 3 no reduction
+path, 4 budget exhausted, 5 infeasible program. A reader that closes the
+pipe before the output ends (``pred list | head -n 1``) ends the command
+quietly, with status 0.
 
-Each command is one process in a pipe, so each imports only what it runs:
-``create`` and ``evaluate`` need the problem registry and the instance's
-problem family alone (a family is loaded only by the commands that build or
-reduce into one of its problems), the reduction graph (rules and routing)
-is imported by the commands that route, the solvers by ``solve`` and
-``show``, and the example database by ``create --example`` and ``show``.
-Routing reads no expression, so the symbolic algebra (``pred.symbolic``) is
-loaded only by the commands that print one: ``path``, ``show``, ``list`` and
-``reduce --path``.
+Each command is one process in a pipe, so each compiles and runs only its
+own code. ``COMMANDS`` declares the seven commands, their positionals and
+their flags, and one small parser reads it; a flag is ``--flag value`` or
+``--flag=value``, spelled in full. The parsed command's handler is in the
+one module that ``COMMANDS`` names: ``pred.cli_create`` (``create``,
+``evaluate``), ``pred.cli_pipe`` (``reduce``, ``solve``) or
+``pred.cli_browse`` (``path``, ``show``, ``list``), and no other handler
+module is loaded. ``create`` and ``evaluate`` need the problem registry and
+the instance's problem family alone (a family is loaded only by the
+commands that build or reduce into one of its problems), the reduction
+graph (rules and routing) is imported by the commands that route, the
+solvers by ``solve`` and ``show``, the brute-force fold (``pred.fold``) by a
+solve that folds, and the example database by ``create --example`` and
+``show``. Routing reads no expression, so the symbolic algebra
+(``pred.symbolic``) is loaded only by the commands that print one:
+``path``, ``show``, ``list`` and ``reduce --path``. The envelope codec
+(``envelope_to_document``, ``envelope_from_document``) stays here, the
+wire format of every pipe.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import (
@@ -39,14 +50,10 @@ from .errors import (
     InfeasibleError,
     NoPathError,
     PredError,
+    UsageError,
 )
-from .model import (
-    DEFAULT_CONFIG_BUDGET,
-    DEFAULT_NODE_BUDGET,
-    ValueKind,
-    evaluate,
-)
-from .problems import DATA_FIELDS, default_registry, instance_from_document, instance_to_document
+from .model import DEFAULT_CONFIG_BUDGET, DEFAULT_NODE_BUDGET
+from .problems import instance_from_document, instance_to_document
 
 if TYPE_CHECKING:
     from .graph import ReductionEnvelope, ReductionGraph
@@ -65,7 +72,7 @@ def _read_text(source: str) -> str:
         raise DocumentError(f"cannot read {source}: {exc}") from exc
 
 
-def _load_document(source: str) -> dict:
+def load_document(source: str) -> dict:
     text = _read_text(source)
     try:
         document = json.loads(text)
@@ -82,7 +89,7 @@ def _json_text(document) -> str:
     return json.dumps(document, sort_keys=True)
 
 
-def _emit(document: Mapping) -> None:
+def emit(document: Mapping) -> None:
     print(_json_text(document))
 
 
@@ -139,352 +146,118 @@ def envelope_from_document(document: Mapping, graph: ReductionGraph) -> Reductio
     return envelope
 
 
-def _load_envelope(source: str, graph: ReductionGraph) -> ReductionEnvelope:
-    """The input as an envelope: a bare instance is its own empty-path envelope."""
-    from .graph import ReductionEnvelope
+# --- the command table ----------------------------------------------------------
 
-    document = _load_document(source)
-    if document.get("kind") == "envelope":
-        return envelope_from_document(document, graph)
-    instance = instance_from_document(document, graph.registry)
-    return ReductionEnvelope(instance, graph.make_path(instance.variant_key(), ()), instance, ())
+REQUIRED = object()  # the default of a flag that must be given
+_INPUT = ("INPUT", "instance or envelope document path, or - for stdin")
 
-
-# --- create ------------------------------------------------------------------
-
-def _parse_edges(text: str) -> list[tuple[int, int]]:
-    edges = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        left, sep, right = token.partition("-")
-        if not sep:
-            raise DocumentError(f"malformed edge {token!r}; expected u-v")
-        try:
-            edges.append((int(left), int(right)))
-        except ValueError as exc:
-            raise DocumentError(f"malformed edge {token!r}; expected u-v") from exc
-    return edges
-
-
-def _parse_ints(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise DocumentError(f"malformed {what} {text!r}; expected comma-separated integers") from exc
-
-
-def _parse_clauses(text: str) -> tuple[tuple[int, ...], ...]:
-    clauses = []
-    for part in text.split(";"):
-        part = part.strip()
-        if part:
-            clauses.append(_parse_ints(part, "clause"))
-    if not clauses:
-        raise DocumentError("no clauses given")
-    return tuple(clauses)
-
-
-# create flag -> (data field it fills, parser of its text); argparse has
-# already turned the integer flags into ints
-_FLAG_FIELDS = {
-    "graph": ("edges", _parse_edges),
-    "vertices": ("num_vertices", None),
-    "weights": ("weights", lambda text: _parse_ints(text, "weight list")),
-    "clauses": ("clauses", _parse_clauses),
-    "variables": ("num_variables", None),
-    "colors": ("colors", None),
-    "bound": ("bound", None),
+# command -> (handler module, summary, positionals, flags). A positional is
+# (name, help); a flag is (flag, type, default, help), its type str, int or
+# bool (a switch, which takes no value), and the handler reads it as the
+# attribute named by the flag with its dashes made underscores.
+COMMANDS = {
+    "create": ("cli_create", "emit an instance document as JSON", (
+        ("PROBLEM", "problem name or alias (MIS, VC, 3SAT, ILP, ...)"),
+    ), (
+        ("--graph", str, None, "edge list like 0-1,1-2,2-3"),
+        ("--vertices", int, None, "vertex count (default: max index + 1)"),
+        ("--weights", str, None, "comma-separated positive vertex weights"),
+        ("--clauses", str, None, "clause list like '1,2,3;-1,2'"),
+        ("--variables", int, None, "variable count (default: widest literal)"),
+        ("--colors", int, None, "color count for GraphColoring"),
+        ("--bound", int, None, "threshold for decision problems"),
+        ("--example", bool, False, "emit the canonical example"),
+        ("--file", str, None, "read an instance document from a JSON file"),
+    )),
+    "reduce": ("cli_pipe", "reduce an instance or envelope to a target type", (_INPUT,), (
+        ("--to", str, REQUIRED, "target problem name or alias"),
+        ("--path", bool, False, "print the chosen route and overheads to stderr"),
+    )),
+    "solve": ("cli_pipe", "solve an instance or envelope", (_INPUT,), (
+        ("--pretty", bool, False, "print display lines, not JSON"),
+        ("--max-configs", int, DEFAULT_CONFIG_BUDGET, "brute-force configuration budget"),
+        ("--max-nodes", int, DEFAULT_NODE_BUDGET,
+         "node budget of the ILP branch-and-bound and the QUBO bounded search"),
+    )),
+    "path": ("cli_browse", "print the shortest reduction route between two types", (
+        ("SOURCE", "problem name or alias"), ("TARGET", "problem name or alias"),
+    ), ()),
+    "show": ("cli_browse", "describe one problem type", (
+        ("PROBLEM", "problem name or alias"),
+    ), ()),
+    "list": ("cli_browse", "list all registered problem variants", (), (
+        ("--stats", bool, False, "append the topology report JSON"),
+    )),
+    "evaluate": ("cli_create", "score a configuration against an instance", (
+        ("INPUT", "instance document path, or - for stdin"),
+    ), (
+        ("--config", str, REQUIRED, "comma-separated configuration values"),
+    )),
 }
+_HELP = ("-h", "--help")
 
 
-def _data_from_flags(name: str, args) -> dict:
-    """The instance data that the set data flags spell, for the shared decoder."""
-    required, optional, _ = DATA_FIELDS[name]
-    takes = required.keys() | optional.keys()
-    if not any(field in takes for field, _ in _FLAG_FIELDS.values()):
-        raise DocumentError(f"{name} instances need --example or --file (no data flags)")
-    data: dict = {}
-    for flag, (field, parse) in _FLAG_FIELDS.items():
-        value = getattr(args, flag)
-        if value is None:
+def parse(argv: list[str]) -> tuple[str | None, SimpleNamespace | None]:
+    """The command that ``argv`` names (None for ``pred --help``) and its
+    arguments (None for a help request); ``UsageError`` for anything
+    ``COMMANDS`` does not allow.
+
+    A value-taking flag takes the rest of its argument after ``=``, or else
+    the next argument whatever it is (so ``--max-nodes -1`` reaches the
+    budget check). Any other argument that starts with ``-``, ``-`` itself
+    aside, is a flag; the rest are the positionals, in order.
+    """
+    if not argv:
+        raise UsageError("no command given (see pred --help)")
+    name, *rest = argv
+    if name in _HELP:
+        return None, None
+    if name not in COMMANDS:
+        raise UsageError(f"unknown command {name!r}; the commands are {', '.join(COMMANDS)}")
+    _, _, positionals, flags = COMMANDS[name]
+    kinds = {flag: kind for flag, kind, _, _ in flags}
+    values = {flag: default for flag, _, default, _ in flags}
+    given = []
+    args = iter(rest)
+    for arg in args:
+        if arg in _HELP:
+            return name, None
+        if arg == "-" or not arg.startswith("-"):
+            given.append(arg)
             continue
-        if field not in takes:
-            raise DocumentError(f"{name} takes no --{flag}")
-        data[field] = parse(value) if parse else value
-    if "edges" in takes:
-        edges = data.setdefault("edges", [])
-        if "num_vertices" not in data:
-            if not edges:
-                raise DocumentError(f"{name} needs --graph, or --vertices for an edgeless graph")
-            data["num_vertices"] = max(map(max, edges)) + 1
-    if "clauses" in data:
-        data.setdefault("num_variables", max(abs(lit) for c in data["clauses"] for lit in c))
-    for flag, (field, _) in _FLAG_FIELDS.items():
-        if field in required and field not in data:
-            raise DocumentError(f"{name} needs --{flag}")
-    return data
-
-
-def _reject_unread_flags(source: str, args) -> None:
-    """Refuse the flags that ``--example`` or ``--file`` would leave unread."""
-    unread = [f for f in ("file", *_FLAG_FIELDS) if f != source and getattr(args, f) is not None]
-    if unread:
-        raise DocumentError(f"--{unread[0]} cannot be used with --{source}")
-
-
-def cmd_create(args) -> None:
-    registry = default_registry()
-    descriptor = registry.lookup(args.problem)
-    if args.example:
-        from .examples import get_example
-
-        _reject_unread_flags("example", args)
-        instance = get_example(args.problem, registry).instance
-    elif args.file:
-        _reject_unread_flags("file", args)
-        instance = instance_from_document(_load_document(args.file), registry)
-        if instance.type_name != descriptor.name:
-            raise DocumentError(
-                f"--file holds a {instance.type_name}, but {descriptor.name} was requested"
-            )
-    else:
-        data = _data_from_flags(descriptor.name, args)
-        instance = instance_from_document({"problem": descriptor.name, "data": data}, registry)
-    _emit(instance_to_document(instance))
-
-
-# --- reduce ------------------------------------------------------------------
-
-def _print_route(path, stream, indent: str = "") -> None:
-    """Each step with its overhead, then the composite overhead and the
-    estimated cost: to stderr for ``reduce --path``, to stdout for ``path``."""
-    from .symbolic import render, render_overhead
-
-    for rule in path.steps:
-        print(f"{indent}{rule.name}  {render_overhead(rule.overhead)}", file=stream)
-    print(f"composite: {render_overhead(path.composite_overhead)}", file=stream)
-    print(f"estimated cost: {render(path.estimated_cost)}", file=stream)
-
-
-def cmd_reduce(args) -> None:
-    from .graph import ReductionEnvelope, default_graph, reduce_along
-
-    graph = default_graph()
-    registry = graph.registry
-    prior = _load_envelope(args.input, graph)
-    source = prior.source_instance
-    current = prior.target_instance
-    target = registry.lookup(args.to)
-    segment = graph.find_path(current.variant_key(), target.key)
-    if segment is None:
-        raise NoPathError(
-            f"no witness-capable reduction path from "
-            f"{registry.display_name(current.variant_key())} to "
-            f"{registry.display_name(target.key)}"
+        flag, eq, text = arg.partition("=")
+        kind = kinds.get(flag)
+        if kind is None:
+            raise UsageError(f"{name} takes no flag {flag} (see pred {name} --help)")
+        if kind is bool:
+            if eq:
+                raise UsageError(f"{flag} takes no value")
+            values[flag] = True
+            continue
+        if not eq:
+            text = next(args, None)
+            if text is None:
+                raise UsageError(f"{flag} needs a value")
+        if kind is int:
+            try:
+                text = int(text)
+            except ValueError:
+                raise UsageError(f"{flag} needs an integer, got {text!r}") from None
+        values[flag] = text
+    if len(given) != len(positionals):
+        raise UsageError(
+            f"{name} takes {len(positionals)} argument(s), got {len(given)} (see pred {name} --help)"
         )
-    reduced = reduce_along(segment, current)
-    full_path = graph.make_path(source.variant_key(), prior.path.steps + segment.steps)
-    envelope = ReductionEnvelope(
-        source, full_path, reduced.target_instance, prior.stack + reduced.stack
-    )
-    if args.show_path:
-        print(f"route: {len(segment.steps)} step(s)", file=sys.stderr)
-        _print_route(segment, sys.stderr, indent="  ")
-    _emit(envelope_to_document(envelope))
-
-
-# --- solve -------------------------------------------------------------------
-
-def _solution_document(problem_name: str, solver: str, value, witness) -> dict:
-    return {
-        "problem": problem_name,
-        "solver": solver,
-        "solution": list(witness) if witness is not None else None,
-        "evaluation": value.render(),
-        "value": {"kind": value.kind.value, "payload": value.payload},
-    }
-
-
-def _print_solution(document: Mapping, pretty: bool) -> None:
-    if not pretty:
-        _emit(document)
-        return
-    print(f'Problem: "{document["problem"]}"')
-    print(f"Solver: {document['solver']}")
-    print(f"Solution: {json.dumps(document['solution'])}")
-    print(f'Evaluation: "{document["evaluation"]}"')
-
-
-def _reject_infeasible(value) -> None:
-    if value.kind is ValueKind.EXTREMUM and not value.feasible:
-        raise InfeasibleError("the integer program has an empty feasible region")
-
-
-def cmd_solve(args) -> None:
-    from .graph import default_graph, solution_along
-    from .solvers import solve, solver_label
-
-    for flag, budget in (("--max-configs", args.max_configs), ("--max-nodes", args.max_nodes)):
-        if budget < 0:
-            raise DocumentError(f"{flag} must be at least 0")
-    graph = default_graph()
-    envelope = _load_envelope(args.input, graph)
-    source = envelope.source_instance
-    result = solve(envelope.target_instance, args.max_configs, args.max_nodes)
-    _reject_infeasible(result.value)
-    value, witness = solution_along(envelope, result.value, result.witness)
-    solver = solver_label(result, prefix_steps=envelope.path.steps)
-    problem_name = graph.registry.display_name(source.variant_key())
-    _print_solution(_solution_document(problem_name, solver, value, witness), args.pretty)
-
-
-# --- inspection --------------------------------------------------------------
-
-def cmd_path(args) -> None:
-    from .graph import default_graph
-
-    graph = default_graph()
-    registry = graph.registry
-    source = registry.lookup(args.source)
-    target = registry.lookup(args.target)
-    path = graph.find_path(source.key, target.key, require_witness=False)
-    if path is None:
-        raise NoPathError(
-            f"no reduction path from {registry.display_name(source.key)} "
-            f"to {registry.display_name(target.key)}"
-        )
-    if not path.steps:
-        print("identity (source equals target; no reduction applied)")
-    _print_route(path, sys.stdout)
-
-
-def cmd_show(args) -> None:
-    from .examples import get_example
-    from .graph import default_graph
-    from .solvers import SOLVERS
-    from .symbolic import render
-
-    graph = default_graph()
-    registry = graph.registry
-    descriptor = registry.lookup(args.problem)
-    key = descriptor.key
-    print(registry.display_name(key))
-    if descriptor.variant_tags:
-        tags = ", ".join(f"{k}={v}" for k, v in descriptor.variant_tags)
-        print(f"  variant: {tags}")
-    print(f"  kind: {descriptor.kind.value}")
-    print(f"  size measures: {', '.join(descriptor.size_measure_names)}")
-    print(f"  complexity: {render(descriptor.complexity)}")
-    route = graph.solver_route(key)
-    if route is None:
-        tier = "brute_force_only"
-    elif route.steps:
-        solver_name, _ = SOLVERS[route.target_type.name]
-        tier = f"via_{solver_name}"
-    else:
-        tier = "dedicated"
-    print(f"  solver tier: {tier}")
-    incoming = graph.incoming(key)
-    outgoing = graph.outgoing(key)
-    print(f"  incoming rules: {', '.join(r.name for r in incoming) if incoming else '(none)'}")
-    print(f"  outgoing rules: {', '.join(r.name for r in outgoing) if outgoing else '(none)'}")
-    try:
-        example = get_example(args.problem, registry)
-    except PredError:
-        print("  example: (none)")
-    else:
-        print(
-            f"  example: {example.id} "
-            f"(known value {example.known_value.render()}) - {example.narrative}"
-        )
-
-
-def cmd_list(args) -> None:
-    from .graph import default_graph
-    from .symbolic import render
-
-    graph = default_graph()
-    registry = graph.registry
-    for descriptor in registry.variants():
-        name = registry.display_name(descriptor.key)
-        print(f"{name:<40} {descriptor.kind.value:<10} {render(descriptor.complexity)}")
-    if args.stats:
-        print(json.dumps(graph.topology_report(), sort_keys=True))
-
-
-def cmd_evaluate(args) -> None:
-    instance = instance_from_document(_load_document(args.input), default_registry())
-    config = _parse_ints(args.config, "configuration")
-    value = evaluate(instance, config)
-    print(f"{value.render()} {'feasible' if value.feasible else 'infeasible'}")
+    missing = [flag for flag, value in values.items() if value is REQUIRED]
+    if missing:
+        raise UsageError(f"{name} needs {missing[0]}")
+    fields = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+    for (positional, _), value in zip(positionals, given):
+        fields[positional.lower()] = value
+    return name, SimpleNamespace(**fields)
 
 
 # --- entry point ---------------------------------------------------------------
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pred",
-        description="Reduction workbench: create, reduce, and solve hard-problem instances.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_create = sub.add_parser("create", help="emit an instance document as JSON")
-    p_create.add_argument("problem", help="problem name or alias (MIS, VC, 3SAT, ILP, ...)")
-    p_create.add_argument("--graph", help="edge list like 0-1,1-2,2-3")
-    p_create.add_argument("--vertices", type=int, help="vertex count (default: max index + 1)")
-    p_create.add_argument("--weights", help="comma-separated positive vertex weights")
-    p_create.add_argument("--clauses", help="clause list like '1,2,3;-1,2'")
-    p_create.add_argument("--variables", type=int, help="variable count (default: widest literal)")
-    p_create.add_argument("--colors", type=int, help="color count for GraphColoring")
-    p_create.add_argument("--bound", type=int, help="threshold for decision problems")
-    p_create.add_argument("--example", action="store_true", help="emit the canonical example")
-    p_create.add_argument("--file", help="read an instance document from a JSON file")
-    p_create.set_defaults(handler=cmd_create)
-
-    p_reduce = sub.add_parser("reduce", help="reduce an instance or envelope to a target type")
-    p_reduce.add_argument("input", help="instance/envelope document path, or - for stdin")
-    p_reduce.add_argument("--to", required=True, help="target problem name or alias")
-    p_reduce.add_argument(
-        "--path", dest="show_path", action="store_true",
-        help="print the chosen route and overheads to stderr",
-    )
-    p_reduce.set_defaults(handler=cmd_reduce)
-
-    p_solve = sub.add_parser("solve", help="solve an instance or envelope")
-    p_solve.add_argument("input", help="instance/envelope document path, or - for stdin")
-    p_solve.add_argument("--pretty", action="store_true", help="print display lines, not JSON")
-    p_solve.add_argument(
-        "--max-configs", type=int, default=DEFAULT_CONFIG_BUDGET,
-        help="brute-force configuration budget",
-    )
-    p_solve.add_argument(
-        "--max-nodes", type=int, default=DEFAULT_NODE_BUDGET,
-        help="node budget of the ILP branch-and-bound and the QUBO bounded search",
-    )
-    p_solve.set_defaults(handler=cmd_solve)
-
-    p_path = sub.add_parser("path", help="print the shortest reduction route between two types")
-    p_path.add_argument("source")
-    p_path.add_argument("target")
-    p_path.set_defaults(handler=cmd_path)
-
-    p_show = sub.add_parser("show", help="describe one problem type")
-    p_show.add_argument("problem")
-    p_show.set_defaults(handler=cmd_show)
-
-    p_list = sub.add_parser("list", help="list all registered problem variants")
-    p_list.add_argument("--stats", action="store_true", help="append the topology report JSON")
-    p_list.set_defaults(handler=cmd_list)
-
-    p_eval = sub.add_parser("evaluate", help="score a configuration against an instance")
-    p_eval.add_argument("input", help="instance document path, or - for stdin")
-    p_eval.add_argument("--config", required=True, help="comma-separated configuration values")
-    p_eval.set_defaults(handler=cmd_evaluate)
-
-    return parser
-
 
 def _silence_stdout() -> None:
     """Point stdout at the null device once its reader has gone, so the
@@ -495,9 +268,15 @@ def _silence_stdout() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        args.handler(args)
+        name, args = parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            from .cli_help import help_text
+
+            print(help_text(name))
+        else:
+            module = import_module(f"{__package__}.{COMMANDS[name][0]}")
+            getattr(module, f"cmd_{name}")(args)
         sys.stdout.flush()  # a reader that left early shows here, not at exit
     except BrokenPipeError:
         _silence_stdout()

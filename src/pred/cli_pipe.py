@@ -1,0 +1,100 @@
+"""``pred reduce`` and ``pred solve``: the pipe stages that route.
+
+Each reads its input as an envelope (``pred.cli.envelope_from_document``
+replays a stored one; a bare instance is its own empty-path envelope).
+``reduce`` extends the envelope's path to a target type, and ``solve``
+solves its target and maps the answer back to the source.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from typing import TYPE_CHECKING, Mapping
+
+from .cli import emit, envelope_from_document, envelope_to_document, load_document
+from .errors import DocumentError, InfeasibleError, NoPathError
+from .graph import ReductionEnvelope, default_graph, reduce_along, solution_along
+from .model import ValueKind
+from .problems import instance_from_document
+
+if TYPE_CHECKING:
+    from .graph import ReductionGraph
+
+
+def _load_envelope(source: str, graph: ReductionGraph) -> ReductionEnvelope:
+    """The input as an envelope: a bare instance is its own empty-path envelope."""
+    document = load_document(source)
+    if document.get("kind") == "envelope":
+        return envelope_from_document(document, graph)
+    instance = instance_from_document(document, graph.registry)
+    return ReductionEnvelope(instance, graph.make_path(instance.variant_key(), ()), instance, ())
+
+
+def cmd_reduce(args) -> None:
+    graph = default_graph()
+    registry = graph.registry
+    prior = _load_envelope(args.input, graph)
+    source = prior.source_instance
+    current = prior.target_instance
+    target = registry.lookup(args.to)
+    segment = graph.find_path(current.variant_key(), target.key)
+    if segment is None:
+        raise NoPathError(
+            f"no witness-capable reduction path from "
+            f"{registry.display_name(current.variant_key())} to "
+            f"{registry.display_name(target.key)}"
+        )
+    reduced = reduce_along(segment, current)
+    full_path = graph.make_path(source.variant_key(), prior.path.steps + segment.steps)
+    envelope = ReductionEnvelope(
+        source, full_path, reduced.target_instance, prior.stack + reduced.stack
+    )
+    if args.path:
+        from .cli_browse import print_route
+
+        print(f"route: {len(segment.steps)} step(s)", file=sys.stderr)
+        print_route(segment, sys.stderr, indent="  ")
+    emit(envelope_to_document(envelope))
+
+
+def _solution_document(problem_name: str, solver: str, value, witness) -> dict:
+    return {
+        "problem": problem_name,
+        "solver": solver,
+        "solution": list(witness) if witness is not None else None,
+        "evaluation": value.render(),
+        "value": {"kind": value.kind.value, "payload": value.payload},
+    }
+
+
+def _print_solution(document: Mapping, pretty: bool) -> None:
+    if not pretty:
+        emit(document)
+        return
+    print(f'Problem: "{document["problem"]}"')
+    print(f"Solver: {document['solver']}")
+    print(f"Solution: {json.dumps(document['solution'])}")
+    print(f'Evaluation: "{document["evaluation"]}"')
+
+
+def _reject_infeasible(value) -> None:
+    if value.kind is ValueKind.EXTREMUM and not value.feasible:
+        raise InfeasibleError("the integer program has an empty feasible region")
+
+
+def cmd_solve(args) -> None:
+    from .solvers import solve, solver_label
+
+    for flag, budget in (("--max-configs", args.max_configs), ("--max-nodes", args.max_nodes)):
+        if budget < 0:
+            raise DocumentError(f"{flag} must be at least 0")
+    graph = default_graph()
+    envelope = _load_envelope(args.input, graph)
+    source = envelope.source_instance
+    result = solve(envelope.target_instance, args.max_configs, args.max_nodes)
+    _reject_infeasible(result.value)
+    value, witness = solution_along(envelope, result.value, result.witness)
+    solver = solver_label(result, prefix_steps=envelope.path.steps)
+    problem_name = graph.registry.display_name(source.variant_key())
+    _print_solution(_solution_document(problem_name, solver, value, witness), args.pretty)

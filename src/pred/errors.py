@@ -189,3 +189,7 @@ class InfeasibleError(PredError):
 
 class DocumentError(PredError):
     """Wire-format document is malformed."""
+
+
+class UsageError(PredError):
+    """A command line that the command table does not allow."""

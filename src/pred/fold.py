@@ -1,0 +1,152 @@
+"""The brute-force fold: each kind's combine law over a whole configuration space.
+
+Solving by brute force is a per-kind fold over the whole space in
+lexicographic order that gives the same value and witness as folding
+``combine`` over the feasible configurations' ``evaluate`` from the
+identity: Max, Min and Extremum keep the first configuration of best
+feasible payload, or give the identity (``Max(none)``, ``Extremum(none)``)
+when nothing is feasible, Or stops at the first true configuration, Sum
+adds, and And stops at the first false configuration. Every Or, Max, Min
+and Extremum fold is one prefix walk (``first_best``) that skips the
+prefixes whose bound, the one hook ``Problem._optimistic_payload``, says
+they hold no feasible configuration that beats the incumbent. The
+enumeration budget counts the full space for every kind; the QUBO solver
+runs the same walk under a node budget instead.
+
+``pred.model.fold_space`` is the entry point; this module loads on its
+first call, or on the QUBO solver's, so the commands that fold nothing
+(``create``, ``reduce`` and every solve routed to the ILP node) never
+compile it.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from .errors import BudgetExceededError, KindError, Record
+from .model import (
+    AggregatedValue,
+    Configuration,
+    Problem,
+    ValueKind,
+    _sign,
+    identity_value,
+)
+
+
+def _score(value: AggregatedValue) -> tuple:
+    """Total order used by Max/Min/Extremum combines.
+
+    Feasible beats infeasible, any payload beats the identity's None, and
+    only then does the payload itself decide. Infeasible payloads therefore
+    never win against feasible ones but still combine deterministically.
+    """
+    has_payload = value.payload is not None
+    payload = _sign(value.kind, value.sense) * value.payload if has_payload else 0
+    return (value.feasible, has_payload, payload)
+
+
+def combine(a: AggregatedValue, b: AggregatedValue) -> AggregatedValue:
+    if a.kind is not b.kind:
+        raise KindError(f"cannot combine {a.kind.value} with {b.kind.value}")
+    if a.kind is ValueKind.OR:
+        return AggregatedValue(ValueKind.OR, bool(a.payload) or bool(b.payload))
+    if a.kind is ValueKind.AND:
+        return AggregatedValue(ValueKind.AND, bool(a.payload) and bool(b.payload))
+    if a.kind is ValueKind.SUM:
+        return AggregatedValue(ValueKind.SUM, (a.payload or 0) + (b.payload or 0))
+    if a.kind is ValueKind.EXTREMUM and a.sense != b.sense:
+        raise KindError(f"cannot combine Extremum senses {a.sense} and {b.sense}")
+    return a if _score(a) >= _score(b) else b
+
+
+class FoldResult(Record):
+    value: AggregatedValue
+    witness: Configuration | None
+
+
+def fold(instance: Problem, max_configs: int) -> FoldResult:
+    """``pred.model.fold_space``: the budget check, then the kind's fold."""
+    dims = instance.config_dims()
+    total = 1
+    for d in dims:
+        total *= d
+    if total > max_configs:
+        raise BudgetExceededError(
+            f"{total} configurations exceed the enumeration budget {max_configs}",
+            limit=max_configs,
+        )
+    kind = instance.kind
+    measure = instance._measure
+    configs = itertools.product(*(range(d) for d in dims))
+    if kind is ValueKind.AND:
+        for config in configs:
+            if not measure(config)[0]:
+                return FoldResult(AggregatedValue(kind, False), None)
+        return FoldResult(AggregatedValue(kind, True), None)
+    if kind is ValueKind.SUM:
+        return FoldResult(AggregatedValue(kind, sum(measure(c)[0] for c in configs)), None)
+    return first_best(instance)
+
+
+def first_best(instance: Problem, max_nodes: int | None = None) -> FoldResult:
+    """The Or, Max, Min or Extremum fold of ``instance`` by a pruned prefix walk.
+
+    An iterative depth-first walk in product order (no recursion, so any
+    number of variables is fine): ``value`` is the next value to try at
+    position ``len(prefix)``. Full configurations are measured, and the
+    incumbent, the signed payload of a feasible one, moves only on a strict
+    improvement. Every nonempty shorter prefix whose parent passed is first
+    bounded by ``_optimistic_payload`` and skipped when its bound is None or
+    cannot strictly beat the incumbent. A skipped prefix holds no feasible
+    configuration that would have moved the incumbent, so the result is the
+    plain fold's: the best feasible value with its lexicographically
+    smallest witness, or the kind's identity with none when nothing is
+    feasible. An Or walk starts from its identity, false, and stops at its
+    first true configuration, which nothing beats. With ``max_nodes``, each
+    prefix asked counts as one node, and asking one more than ``max_nodes``
+    raises ``BudgetExceededError``, as the branch-and-bound search does.
+    ``fold`` sends every instance of those four kinds here.
+    """
+    dims = instance.config_dims()
+    optimistic, measure = instance._optimistic_payload, instance._measure
+    kind = instance.kind
+    sign = _sign(kind, instance.sense)
+    last = len(dims) - 1
+    nodes = 0
+    best = 0 if kind is ValueKind.OR else None
+    witness = None
+    prefix: Configuration = ()
+    value = 0
+    while True:
+        depth = len(prefix)
+        if depth > last:
+            payload, feasible = measure(prefix)
+            if feasible and (best is None or sign * payload > best):
+                best, witness = sign * payload, prefix
+                if kind is ValueKind.OR:
+                    break
+        elif value < dims[depth]:
+            child = prefix + (value,)
+            value += 1
+            if depth < last:
+                nodes += 1
+                if max_nodes is not None and nodes > max_nodes:
+                    raise BudgetExceededError(
+                        f"bounded search exceeded {max_nodes} nodes",
+                        limit=max_nodes,
+                        nodes=max_nodes,
+                        incumbent=None if witness is None else sign * best,
+                    )
+                bound = optimistic(child)
+                if bound is None or best is not None and sign * bound <= best:
+                    continue
+            prefix, value = child, 0
+            continue
+        if not prefix:
+            break
+        prefix, value = prefix[:-1], prefix[-1] + 1
+    if witness is None:
+        return FoldResult(identity_value(kind, instance.sense), None)
+    payload = True if kind is ValueKind.OR else sign * best
+    return FoldResult(AggregatedValue(kind, payload, True, instance.sense), witness)

@@ -1,4 +1,4 @@
-"""The reduction graph: routing, transitive chaining, and topology reports.
+"""The reduction graph: routing, and carrying instances and answers along a route.
 
 One cost rule ranks routes: the fewest steps, then the smallest tuple of
 rule names. Routing is one breadth-first search that visits each node's
@@ -19,17 +19,15 @@ from collections import deque
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import CapabilityError, DuplicateRegistrationError, Record, UnknownProblemError
+from .errors import DuplicateRegistrationError, Record, UnknownProblemError
 from .model import (
     AggregatedValue,
     Configuration,
-    DEFAULT_CONFIG_BUDGET,
     Problem,
     ProblemTypeDescriptor,
     Registry,
     VariantKey,
     evaluate,
-    fold_space,
     reported_witness,
 )
 from .problems import default_registry
@@ -114,14 +112,6 @@ class ReductionEnvelope(Record):
     path: ReductionPath
     target_instance: Problem
     stack: tuple[ReductionOutcome, ...]
-
-
-class RoundTripReport(Record):
-    rule_names: tuple[str, ...]
-    passed: bool
-    source_optimum: AggregatedValue
-    extracted_value: AggregatedValue | None
-    detail: str
 
 
 class ReductionGraph:
@@ -222,37 +212,6 @@ class ReductionGraph:
                     queue.append(end)
         return None
 
-    def topology_report(self) -> dict:
-        """Reachability sets over all edges, as JSON-able sorted name lists."""
-        ilp_key = self.registry.lookup("IntegerLinearProgram").key
-        sat3_key = self.registry.lookup("ThreeSatisfiability").key
-        to_ilp = self._search(ilp_key, self._incoming, lambda r: r.source.key)
-        from_3sat = self._search(sat3_key, self._outgoing, lambda r: r.target.key)
-        isolated = [
-            key
-            for key in self._outgoing
-            if not self._outgoing[key] and not self._incoming[key]
-        ]
-        name = self.registry.display_name
-        return {
-            "reachable_to_ilp": sorted(name(k) for k in to_ilp),
-            "reachable_from_3sat": sorted(name(k) for k in from_3sat),
-            "isolated": sorted(name(k) for k in isolated),
-        }
-
-    def _search(self, start: VariantKey, adjacency, step_end) -> set[VariantKey]:
-        # strict reachability: the start node counts only if a cycle returns to it
-        reached: set[VariantKey] = set()
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for rule in adjacency[node]:
-                end = step_end(rule)
-                if end not in reached:
-                    reached.add(end)
-                    frontier.append(end)
-        return reached
-
 
 def reduce_along(path: ReductionPath, instance: Problem) -> ReductionEnvelope:
     if instance.variant_key() != path.source:
@@ -302,46 +261,6 @@ def extract_value_along(
     for outcome in reversed(envelope.stack):
         value = extract_value(outcome, value)
     return value
-
-
-def _values_equal(a: AggregatedValue, b: AggregatedValue) -> bool:
-    return a.feasible == b.feasible and a.payload == b.payload
-
-
-def round_trip_check(
-    rule_or_path: ReductionRule | ReductionPath,
-    instance: Problem,
-    max_configs: int = DEFAULT_CONFIG_BUDGET,
-) -> RoundTripReport:
-    """Brute-force both endpoints of a reduction and compare via extraction."""
-    path = rule_or_path
-    if isinstance(path, ReductionRule):
-        path = ReductionPath(path.source, path.target, (path,))
-    names = path.rule_names()
-    if not (path.witness_capable or all(rule.value_capable for rule in path.steps)):
-        raise CapabilityError(
-            f"path {' / '.join(names)} is neither witness- nor value-extractable end to end"
-        )
-    envelope = reduce_along(path, instance)
-    source_fold = fold_space(instance, max_configs)
-    target_fold = fold_space(envelope.target_instance, max_configs)
-
-    if path.witness_capable:
-        if target_fold.witness is None:
-            passed = source_fold.witness is None
-            detail = (
-                "ok (no witness on either side)"
-                if passed
-                else f"target produced no witness but source optimum is {source_fold.value.render()}"
-            )
-            return RoundTripReport(names, passed, source_fold.value, None, detail)
-        extracted, _ = solution_along(envelope, target_fold.value, target_fold.witness)
-    else:
-        extracted = extract_value_along(envelope, target_fold.value)
-
-    passed = _values_equal(extracted, source_fold.value)
-    detail = "ok" if passed else f"mismatch: {source_fold.value.payload} != {extracted.payload}"
-    return RoundTripReport(names, passed, source_fold.value, extracted, detail)
 
 
 @lru_cache(maxsize=1)

@@ -1,25 +1,17 @@
-"""Uniform problem interface: configuration spaces, aggregation, folding.
+"""Uniform problem interface: configuration spaces, evaluation, the registry.
 
 Every problem type exposes the same tiny surface: a finite configuration
 space (one domain size per variable), a pure measure map from
 configurations to raw ``(payload, feasible)`` pairs, and named size
 measures. ``evaluate`` wraps one measure in an ``AggregatedValue`` of the
-problem's kind; ``combine`` is the kind's aggregation law over such values.
-Solving by brute force is a per-kind fold over the whole space in
-lexicographic order that gives the same value and witness as folding
-``combine`` over the feasible configurations' ``evaluate`` from the
-identity: Max, Min and Extremum keep the first configuration of best
-feasible payload, or give the identity (``Max(none)``, ``Extremum(none)``)
-when nothing is feasible, Or stops at the first true configuration, Sum
-adds, and And stops at the first false configuration. Every Or, Max, Min
-and Extremum fold is one prefix walk (``_first_best``) that skips the
-prefixes whose bound, the one hook ``Problem._optimistic_payload``, says
-they hold no feasible configuration that beats the incumbent; a
-``LinearProblem`` reads its measure and its bound off its rows. The
-enumeration budget counts the full space for every kind; the QUBO solver
-runs the same walk under a node budget instead. Everything else in the
-library (reductions, routing, the ILP path) only ever talks to this
-interface.
+problem's kind. Solving by brute force (``fold_space``) folds the kind's
+aggregation law over the whole space; the fold and the law, ``combine``,
+live in ``pred.fold``, which loads on the first fold, so a command that
+folds nothing never compiles them. Its prefix walk skips the prefixes whose
+bound, the one hook ``Problem._optimistic_payload``, says they hold no
+feasible configuration that beats the incumbent; a ``LinearProblem`` reads
+its measure and its bound off its rows. Everything else in the library
+(reductions, routing, the ILP path) only ever talks to this interface.
 """
 
 from __future__ import annotations
@@ -32,7 +24,6 @@ from operator import mul
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import (
-    BudgetExceededError,
     DimensionMismatchError,
     DomainError,
     DuplicateRegistrationError,
@@ -43,6 +34,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    from .fold import FoldResult
     from .symbolic import Expr
 
 Configuration = tuple[int, ...]
@@ -129,37 +121,6 @@ def _sign(kind: ValueKind, sense: str | None) -> int:
     return -1 if kind is ValueKind.MIN or sense == SENSE_MINIMIZE else 1
 
 
-def _score(value: AggregatedValue) -> tuple:
-    """Total order used by Max/Min/Extremum combines.
-
-    Feasible beats infeasible, any payload beats the identity's None, and
-    only then does the payload itself decide. Infeasible payloads therefore
-    never win against feasible ones but still combine deterministically.
-    """
-    has_payload = value.payload is not None
-    payload = _sign(value.kind, value.sense) * value.payload if has_payload else 0
-    return (value.feasible, has_payload, payload)
-
-
-def combine(a: AggregatedValue, b: AggregatedValue) -> AggregatedValue:
-    if a.kind is not b.kind:
-        raise KindError(f"cannot combine {a.kind.value} with {b.kind.value}")
-    if a.kind is ValueKind.OR:
-        return AggregatedValue(ValueKind.OR, bool(a.payload) or bool(b.payload))
-    if a.kind is ValueKind.AND:
-        return AggregatedValue(ValueKind.AND, bool(a.payload) and bool(b.payload))
-    if a.kind is ValueKind.SUM:
-        return AggregatedValue(ValueKind.SUM, (a.payload or 0) + (b.payload or 0))
-    if a.kind is ValueKind.EXTREMUM and a.sense != b.sense:
-        raise KindError(f"cannot combine Extremum senses {a.sense} and {b.sense}")
-    return a if _score(a) >= _score(b) else b
-
-
-class FoldResult(Record):
-    value: AggregatedValue
-    witness: Configuration | None
-
-
 def reported_witness(value: AggregatedValue, witness: Configuration | None):
     """The witness shown with ``value``: an infeasible or false Or value has none."""
     if not value.feasible or (value.kind is ValueKind.OR and not value.payload):
@@ -207,8 +168,8 @@ class Problem(ABC):
         feasible. For Or kinds, whether some completion may measure true:
         False only when none does (``DecisionProblem`` answers whether its
         inner problem's bound meets the threshold). The prefix walk
-        (``_first_best``) asks only about nonempty prefixes shorter than a
-        full configuration, and only after all their shorter nonempty
+        (``pred.fold.first_best``) asks only about nonempty prefixes shorter
+        than a full configuration, and only after all their shorter nonempty
         prefixes passed, so an implementation may check only what the newest
         value decides. Every Or, Max, Min and Extremum fold is walked, and
         every shipped class bounds its prefixes (a ``LinearProblem`` by its
@@ -323,94 +284,15 @@ def fold_space(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> F
     with no witness, when nothing is feasible; the first true one for Or;
     none for Sum and And. Sum measures every configuration and And stops
     at its first false one. Every Or, Max, Min and Extremum instance takes
-    the pruned prefix walk (``_first_best``), which gives the same value and
-    witness having measured fewer configurations. The budget always applies
-    to the full space size. An instance with zero variables has exactly one,
-    empty, configuration.
+    the pruned prefix walk (``pred.fold.first_best``), which gives the same
+    value and witness having measured fewer configurations. The budget
+    always applies to the full space size. An instance with zero variables
+    has exactly one, empty, configuration. The fold lives in ``pred.fold``,
+    loaded on the first call.
     """
-    dims = instance.config_dims()
-    total = 1
-    for d in dims:
-        total *= d
-    if total > max_configs:
-        raise BudgetExceededError(
-            f"{total} configurations exceed the enumeration budget {max_configs}",
-            limit=max_configs,
-        )
-    kind = instance.kind
-    measure = instance._measure
-    configs = itertools.product(*(range(d) for d in dims))
-    if kind is ValueKind.AND:
-        for config in configs:
-            if not measure(config)[0]:
-                return FoldResult(AggregatedValue(kind, False), None)
-        return FoldResult(AggregatedValue(kind, True), None)
-    if kind is ValueKind.SUM:
-        return FoldResult(AggregatedValue(kind, sum(measure(c)[0] for c in configs)), None)
-    return _first_best(instance)
+    from .fold import fold
 
-
-def _first_best(instance: Problem, max_nodes: int | None = None) -> FoldResult:
-    """The Or, Max, Min or Extremum fold of ``instance`` by a pruned prefix walk.
-
-    An iterative depth-first walk in product order (no recursion, so any
-    number of variables is fine): ``value`` is the next value to try at
-    position ``len(prefix)``. Full configurations are measured, and the
-    incumbent, the signed payload of a feasible one, moves only on a strict
-    improvement. Every nonempty shorter prefix whose parent passed is first
-    bounded by ``_optimistic_payload`` and skipped when its bound is None or
-    cannot strictly beat the incumbent. A skipped prefix holds no feasible
-    configuration that would have moved the incumbent, so the result is the
-    plain fold's: the best feasible value with its lexicographically
-    smallest witness, or the kind's identity with none when nothing is
-    feasible. An Or walk starts from its identity, false, and stops at its
-    first true configuration, which nothing beats. With ``max_nodes``, each
-    prefix asked counts as one node, and asking one more than ``max_nodes``
-    raises ``BudgetExceededError``, as the branch-and-bound search does.
-    ``fold_space`` sends every instance of those four kinds here.
-    """
-    dims = instance.config_dims()
-    optimistic, measure = instance._optimistic_payload, instance._measure
-    kind = instance.kind
-    sign = _sign(kind, instance.sense)
-    last = len(dims) - 1
-    nodes = 0
-    best = 0 if kind is ValueKind.OR else None
-    witness = None
-    prefix: Configuration = ()
-    value = 0
-    while True:
-        depth = len(prefix)
-        if depth > last:
-            payload, feasible = measure(prefix)
-            if feasible and (best is None or sign * payload > best):
-                best, witness = sign * payload, prefix
-                if kind is ValueKind.OR:
-                    break
-        elif value < dims[depth]:
-            child = prefix + (value,)
-            value += 1
-            if depth < last:
-                nodes += 1
-                if max_nodes is not None and nodes > max_nodes:
-                    raise BudgetExceededError(
-                        f"bounded search exceeded {max_nodes} nodes",
-                        limit=max_nodes,
-                        nodes=max_nodes,
-                        incumbent=None if witness is None else sign * best,
-                    )
-                bound = optimistic(child)
-                if bound is None or best is not None and sign * bound <= best:
-                    continue
-            prefix, value = child, 0
-            continue
-        if not prefix:
-            break
-        prefix, value = prefix[:-1], prefix[-1] + 1
-    if witness is None:
-        return FoldResult(identity_value(kind, instance.sense), None)
-    payload = True if kind is ValueKind.OR else sign * best
-    return FoldResult(AggregatedValue(kind, payload, True, instance.sense), witness)
+    return fold(instance, max_configs)
 
 
 class DecisionProblem(Problem):
@@ -505,16 +387,9 @@ class ProblemTypeDescriptor(Record):
     def __getattr__(self, name: str):
         if name != "complexity" or "_declared_complexity" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        from .symbolic import parse_expr, vars_of
+        from .symbolic import parse_complexity
 
-        expr = self._declared_complexity
-        if isinstance(expr, str):
-            expr = parse_expr(expr)
-        stray = set(vars_of(expr)) - set(self.size_measure_names)
-        if stray:
-            raise RegistrationError(
-                f"{self.name}: complexity uses unknown size measure(s) {sorted(stray)}"
-            )
+        expr = parse_complexity(self.name, self._declared_complexity, self.size_measure_names)
         object.__setattr__(self, "complexity", expr)
         return expr
 

@@ -51,8 +51,9 @@ class ReductionRule(Record, eq=False):
     ``overhead`` maps each target size measure to an expression, declared as
     text (or as an ``Expr``), and stays as declared until it is first read;
     that read parses it and checks it against the rule's endpoints
-    (``_parsed_overhead``), once. Only the commands that print it read it, so
-    neither building the catalogue nor routing loads ``pred.symbolic``.
+    (``pred.symbolic.parse_overhead``), once. Only the commands that print it
+    read it, so neither building the catalogue nor routing loads
+    ``pred.symbolic``.
     """
 
     name: str
@@ -69,7 +70,14 @@ class ReductionRule(Record, eq=False):
     def __getattr__(self, name: str):
         if name != "overhead" or "_declared_overhead" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        overhead = _parsed_overhead(self, self._declared_overhead)
+        from .symbolic import parse_overhead
+
+        overhead = parse_overhead(
+            self.name,
+            self._declared_overhead,
+            self.source.size_measure_names,
+            self.target.size_measure_names,
+        )
         object.__setattr__(self, "overhead", overhead)
         return overhead
 
@@ -153,42 +161,6 @@ def _extract_affine_value(data: Mapping, value: AggregatedValue) -> AggregatedVa
 
 
 # --- the shipped catalogue of rules ----------------------------------------------
-
-def _parsed_overhead(rule: ReductionRule, declared: Mapping) -> OverheadMap:
-    """The rule's declared overhead, parsed and checked against its endpoints."""
-    from .symbolic import is_polynomial, parse_expr, to_poly, vars_of
-
-    expected = set(rule.target.size_measure_names)
-    if set(declared) != expected:
-        raise RegistrationError(
-            f"rule {rule.name}: overhead covers {sorted(declared)}, "
-            f"target measures are {sorted(expected)}"
-        )
-    source_measures = set(rule.source.size_measure_names)
-    overhead = {}
-    for measure, expr in declared.items():
-        if isinstance(expr, str):
-            expr = parse_expr(expr)
-        if not is_polynomial(expr):
-            raise RegistrationError(f"rule {rule.name}: overhead for {measure} is not polynomial")
-        used = vars_of(expr)
-        if not used:
-            raise RegistrationError(
-                f"rule {rule.name}: overhead for {measure} depends on no source measure"
-            )
-        stray = used - source_measures
-        if stray:
-            raise RegistrationError(
-                f"rule {rule.name}: overhead for {measure} uses unknown measure(s) "
-                f"{sorted(stray)}"
-            )
-        if any(coeff < 0 for coeff in to_poly(expr).values()):
-            raise RegistrationError(
-                f"rule {rule.name}: overhead for {measure} has a negative coefficient"
-            )
-        overhead[measure] = expr
-    return overhead
-
 
 def _check_inverse(rule: ReductionRule) -> None:
     if rule.config_extractor is None and rule.value_extractor is None:

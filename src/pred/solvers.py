@@ -2,7 +2,7 @@
 
 ``SOLVERS`` names the solver nodes of the reduction graph and the solver
 each one runs: ILP has the branch-and-bound search below, and QUBO the
-pruned prefix walk of ``pred.model`` (``_first_best``) under its node
+pruned prefix walk of ``pred.fold`` (``first_best``) under its node
 budget. Brute force takes the same walk for every Or, Max, Min and
 Extremum fold, QUBO's included. The reduction graph makes the one
 dispatch decision (``ReductionGraph.solver_route``): an instance
@@ -134,12 +134,12 @@ from .model import (
     SENSE_MAXIMIZE,
     SENSE_MINIMIZE,
     ValueKind,
-    _first_best,
     fold_space,
     identity_value,
 )
 
 if TYPE_CHECKING:
+    from .fold import FoldResult
     from .problems.ilp import IlpData
 
 
@@ -913,12 +913,18 @@ def solve_brute(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> 
     return SolveResult(result.value, result.witness, "brute-force")
 
 
+def _walk_qubo(qubo: Problem, max_nodes: int) -> FoldResult:
+    from .fold import first_best
+
+    return first_best(qubo, max_nodes)
+
+
 # The solver nodes, by problem name: each runs ``(instance, max_nodes)`` and
 # returns the instance's value and witness, charging its search against the
 # node budget. Its name is the solver's label.
 SOLVERS = {
     "IntegerLinearProgram": ("ilp", lambda ilp, max_nodes: solve_ilp(ilp.data, max_nodes)),
-    "QUBO": ("qubo", _first_best),
+    "QUBO": ("qubo", _walk_qubo),
 }
 
 

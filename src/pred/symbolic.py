@@ -33,6 +33,7 @@ from .errors import (
     ExpressionSyntaxError,
     NotPolynomialError,
     Record,
+    RegistrationError,
     UnboundVariableError,
     UnknownVariableError,
 )
@@ -801,3 +802,54 @@ def parse_expr(text: str) -> Expr:
         raise ExpressionSyntaxError(f"trailing input at {parser.peek()!r}")
     return expr
 
+
+
+# --- declared expressions ----------------------------------------------------
+# The registry and the rule catalogue keep complexities and overheads as their
+# declared text until one is first read; these parse and check that text.
+
+
+def parse_complexity(type_name: str, declared: Expr | str, measures) -> Expr:
+    """A problem type's declared complexity, parsed and checked against its size measures."""
+    expr = parse_expr(declared) if isinstance(declared, str) else declared
+    stray = set(vars_of(expr)) - set(measures)
+    if stray:
+        raise RegistrationError(
+            f"{type_name}: complexity uses unknown size measure(s) {sorted(stray)}"
+        )
+    return expr
+
+
+def parse_overhead(
+    rule_name: str, declared: Mapping[str, Expr | str], source_measures, target_measures
+) -> OverheadMap:
+    """A rule's declared overhead, parsed and checked against its endpoints' size measures."""
+    expected = set(target_measures)
+    if set(declared) != expected:
+        raise RegistrationError(
+            f"rule {rule_name}: overhead covers {sorted(declared)}, "
+            f"target measures are {sorted(expected)}"
+        )
+    overhead = {}
+    for measure, expr in declared.items():
+        if isinstance(expr, str):
+            expr = parse_expr(expr)
+        if not is_polynomial(expr):
+            raise RegistrationError(f"rule {rule_name}: overhead for {measure} is not polynomial")
+        used = vars_of(expr)
+        if not used:
+            raise RegistrationError(
+                f"rule {rule_name}: overhead for {measure} depends on no source measure"
+            )
+        stray = used - set(source_measures)
+        if stray:
+            raise RegistrationError(
+                f"rule {rule_name}: overhead for {measure} uses unknown measure(s) "
+                f"{sorted(stray)}"
+            )
+        if any(coeff < 0 for coeff in to_poly(expr).values()):
+            raise RegistrationError(
+                f"rule {rule_name}: overhead for {measure} has a negative coefficient"
+            )
+        overhead[measure] = expr
+    return overhead

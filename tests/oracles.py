@@ -249,7 +249,8 @@ def reference_fold(instance):
     improvements only, of the ``_score`` order for Max, Min and Extremum, and
     on the first true value for Or; Sum and And have none.
     """
-    from pred.model import ValueKind, _score, combine, evaluate, identity_value
+    from pred.fold import _score, combine
+    from pred.model import ValueKind, evaluate, identity_value
 
     scored = instance.kind in (ValueKind.MAX, ValueKind.MIN, ValueKind.EXTREMUM)
     acc = identity_value(instance.kind, instance.sense)

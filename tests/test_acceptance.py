@@ -32,6 +32,7 @@ from pred import (
     subst,
     verify_all_examples,
 )
+from pred.cli_browse import topology_report
 from pred.rules import apply
 from pred.symbolic import compose, vars_of
 
@@ -235,7 +236,7 @@ def test_acceptance_5_symbolic_laws():
 
 
 def test_acceptance_6_topology_anchors():
-    report = GRAPH.topology_report()
+    report = topology_report(GRAPH)
     all_names = {REGISTRY.display_name(d.key) for d in REGISTRY.variants()}
     expected_to_ilp = sorted(
         all_names - {"IntegerLinearProgram", "DecisionMinimumVertexCover"}

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from pred import build_examples, default_graph, evaluate, instance_from_document
+from pred.cli import COMMANDS
 
 GRAPH = default_graph()
 REGISTRY = GRAPH.registry
@@ -140,6 +142,72 @@ def test_solve_instance_directly():
     document = json.loads(result.stdout)
     assert document["solver"] == "ilp"
     assert document["evaluation"] == "Extremum(2)"
+
+
+# --- the command table's parser ------------------------------------------------
+
+MIS_DOCUMENT = json.dumps(
+    {"problem": "MIS", "data": {"num_vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]]}}
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("frobnicate",),
+        ("solve", "-", "--frobnicate"),
+        # a prefix of a flag is not that flag
+        ("create", "MIS", "--ex"),
+        ("solve", "-", "--max-node", "5"),
+        ("path", "MIS"),
+        ("show",),
+        ("solve", "-", "-"),
+        ("list", "extra"),
+        ("reduce", "-"),
+        ("evaluate", "-"),
+        ("create", "MIS", "--vertices", "x"),
+        ("solve", "-", "--max-nodes", "1.5"),
+        ("solve", "-", "--max-nodes="),
+        ("create", "MIS", "--example=1"),
+        ("reduce", "-", "--to"),
+        ("create", "MIS", "--graph"),
+    ],
+    ids=lambda argv: " ".join(argv) or "(no command)",
+)
+def test_usage_errors_exit_2_with_one_pred_line(argv):
+    result = run_cli(*argv, stdin=MIS_DOCUMENT)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("pred: ") and result.stderr.count("\n") == 1
+
+
+def _names(text: str, word: str) -> bool:
+    return re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", text) is not None
+
+
+@pytest.mark.parametrize("help_flag", ["--help", "-h"])
+def test_help_names_every_command_and_flag_of_the_table(help_flag):
+    overview = run_cli(help_flag)
+    assert (overview.returncode, overview.stderr) == (0, "")
+    for name, (_, _, positionals, flags) in COMMANDS.items():
+        assert _names(overview.stdout, f"pred {name}")
+        command = run_cli(name, help_flag)
+        assert (command.returncode, command.stderr) == (0, "")
+        for word in [name, *(p for p, _ in positionals), *(flag for flag, *_ in flags)]:
+            assert _names(overview.stdout, word) and _names(command.stdout, word), word
+
+
+def test_flag_values_that_start_with_a_dash_reach_the_data_checks():
+    result = run_cli("create", "SAT", "--clauses=-1,0")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "pred: literal 0 out of range\n"
+    for spelling in (["--clauses=-1,2"], ["--clauses", "-1,2"]):
+        result = run_cli("create", "SAT", *spelling)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["data"]["clauses"] == [[-1, 2]]
+    result = run_cli("solve", "-", "--max-nodes=-1", stdin=MIS_DOCUMENT)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "pred: --max-nodes must be at least 0\n"
 
 
 def test_exit_2_on_invalid_graph():

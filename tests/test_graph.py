@@ -42,6 +42,7 @@ from pred import (
     round_trip_check,
     subst,
 )
+from pred.cli_browse import topology_report
 from pred.graph import solution_along
 from pred.symbolic import vars_of
 
@@ -139,7 +140,7 @@ def test_make_path_rejects_disconnected_steps():
 
 
 def test_topology_report_exact():
-    report = GRAPH.topology_report()
+    report = topology_report(GRAPH)
     assert report == {
         "isolated": ["DecisionMinimumVertexCover"],
         "reachable_from_3sat": [

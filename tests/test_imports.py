@@ -3,18 +3,26 @@
 Every stage is a fresh process in a pipe, so a module it imports but does
 not use costs start-up time on every call. The stages run here as real
 interpreters (``python -m pred`` through ``runpy``), and each reports the
-modules that appeared in ``sys.modules`` while it ran. The symbolic algebra
-(``pred.symbolic``, which brings in ``fractions``) belongs only to the
-stages that print an expression, since routing reads none, and a problem
-family (``pred.problems.graph``, ``sat``, ``ilp``, ``qubo``, ``setcover``)
-only to the stages that build or reduce an instance of that family.
+modules that appeared in ``sys.modules`` while it ran. Each command loads
+its own handler module alone (``pred.cli_create``, ``cli_pipe`` or
+``cli_browse``); the brute-force fold (``pred.fold``) belongs only to the
+stages that fold. The symbolic algebra (``pred.symbolic``, which brings in
+``fractions``) belongs only to the stages that print an expression, since
+routing reads none, and a problem family (``pred.problems.graph``, ``sat``,
+``ilp``, ``qubo``, ``setcover``) only to the stages that build or reduce an
+instance of that family. Where no bytecode is written, a stage compiles the
+source of every pred module it loads, so the size of that source is pinned
+too (``STARTUP_PINS``).
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,7 +122,8 @@ print(json.dumps({
 
 MIS = {"problem": "MIS", "data": {"num_vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]]}}
 CORE = ["pred", "pred.cli", "pred.errors", "pred.model", "pred.problems"]
-ROUTING = ["pred.graph", "pred.rules"]
+CREATE = [*CORE, "pred.cli_create"]
+PIPE = [*CORE, "pred.cli_pipe", "pred.graph", "pred.rules"]
 SYMBOLIC = ("pred.symbolic", "fractions")
 GRAPH_FAMILY = "pred.problems.graph"
 ILP_FAMILY = "pred.problems.ilp"
@@ -140,7 +149,7 @@ def assert_no_symbolic(report: dict) -> None:
 
 def test_create_from_flags_loads_only_the_registry_and_the_family():
     _, report = run_stage("create", "MIS", "--graph", "0-1,1-2,2-3")
-    assert pred_modules(report) == sorted([*CORE, GRAPH_FAMILY])
+    assert pred_modules(report) == sorted([*CREATE, GRAPH_FAMILY])
     assert_no_symbolic(report)
 
 
@@ -150,13 +159,13 @@ def test_create_from_flags_loads_only_the_registry_and_the_family():
 )
 def test_create_example_adds_the_example_database_and_one_family(problem, family):
     _, report = run_stage("create", problem, "--example")
-    assert pred_modules(report) == sorted([*CORE, "pred.examples", f"pred.problems.{family}"])
+    assert pred_modules(report) == sorted([*CREATE, "pred.examples", f"pred.problems.{family}"])
     assert_no_symbolic(report)
 
 
 def test_evaluate_loads_only_the_registry_and_the_family():
     _, report = run_stage("evaluate", "-", "--config", "1,0,1,0", stdin=json.dumps(MIS))
-    assert pred_modules(report) == sorted([*CORE, GRAPH_FAMILY])
+    assert pred_modules(report) == sorted([*CREATE, GRAPH_FAMILY])
     assert_no_symbolic(report)
 
 
@@ -164,7 +173,7 @@ def test_import_and_graph_build_leave_the_algebra_unloaded():
     result = subprocess.run([sys.executable, "-c", GRAPH_BUILD], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     loaded = json.loads(result.stdout)
-    assert {*ROUTING, "pred.cli"} <= set(loaded)
+    assert {"pred.graph", "pred.rules", "pred.cli"} <= set(loaded)
     assert not set(SYMBOLIC) & set(loaded)
 
 
@@ -176,7 +185,7 @@ def test_import_and_graph_build_load_no_family():
 
 def test_reduce_loads_routing_and_the_route_families_but_not_the_solvers():
     _, report = run_stage("reduce", "-", "--to", "ILP", stdin=json.dumps(MIS))
-    assert pred_modules(report) == sorted([*CORE, *ROUTING, GRAPH_FAMILY, ILP_FAMILY])
+    assert pred_modules(report) == sorted([*PIPE, GRAPH_FAMILY, ILP_FAMILY])
     assert_no_symbolic(report)
 
 
@@ -202,7 +211,7 @@ def test_solve_on_an_envelope_adds_the_solvers_and_only_the_route_families():
     envelope, _ = run_stage("reduce", "-", "--to", "ILP", stdin=json.dumps(MIS))
     _, report = run_stage("solve", "-", stdin=envelope)
     assert pred_modules(report) == sorted(
-        [*CORE, *ROUTING, "pred.solvers", GRAPH_FAMILY, ILP_FAMILY]
+        [*PIPE, "pred.solvers", GRAPH_FAMILY, ILP_FAMILY]
     )
     assert_no_symbolic(report)
 
@@ -238,13 +247,53 @@ def test_commands_that_read_expressions_load_the_algebra(argv):
         ("create", "MIS", "--graph", "0-1"),
         ("reduce", "-", "--to", "ILP"),
         ("solve", "-"),
+        ("evaluate", "-", "--config", "1,0,1,0"),
     ],
     ids=" ".join,
 )
 def test_no_stage_loads_dataclasses_or_inspect(argv):
+    # nor the argument parser that the command table replaces, with its gettext and locale
     _, report = run_stage(*argv, stdin=json.dumps(MIS))
-    assert "dataclasses" not in report["loaded"]
-    assert "inspect" not in report["loaded"]
+    forbidden = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+    assert not forbidden & set(report["loaded"])
+
+
+# (AST nodes, source lines) summed over the pred modules that each stage
+# loads, the README pipeline's three stages and an example; the solve stage
+# reads the README pipeline's envelope. Counted from the source text, so the
+# pins hold on any machine; a change that moves one moves it on purpose.
+STARTUP_PINS = {
+    "create MIS --graph 0-1,1-2,2-3": (10675, 1909),
+    "create GC --example": (11694, 2134),
+    "reduce - --to ILP": (14395, 2545),
+    "solve -": (20381, 3497),
+}
+
+
+def source_size(modules: list[str]) -> tuple[int, int]:
+    nodes = lines = 0
+    for name in modules:
+        text = Path(importlib.import_module(name).__file__).read_text(encoding="utf-8")
+        nodes += sum(1 for _ in ast.walk(ast.parse(text)))
+        lines += len(text.splitlines())
+    return nodes, lines
+
+
+@pytest.mark.parametrize("stage", STARTUP_PINS)
+def test_each_stage_compiles_its_pinned_source(stage):
+    stdin = json.dumps(MIS)
+    if stage == "solve -":
+        stdin, _ = run_stage("reduce", "-", "--to", "ILP", stdin=stdin)
+    _, report = run_stage(*stage.split(), stdin=stdin)
+    assert source_size(pred_modules(report)) == STARTUP_PINS[stage]
+
+
+@pytest.mark.parametrize("problem", ["DecisionVC", "QUBO"])
+def test_a_solve_that_folds_adds_the_fold(problem):
+    # DecisionVC by brute force, QUBO by the prefix walk at its solver node
+    instance, _ = run_stage("create", problem, "--example")
+    _, report = run_stage("solve", "-", stdin=instance)
+    assert "pred.fold" in report["loaded"]
 
 
 def test_every_public_name_resolves_and_canonical_stays_the_normaliser():
