@@ -9,7 +9,8 @@ when nothing is feasible, Or stops at the first true configuration, Sum
 adds, and And stops at the first false configuration. Every Or, Max, Min
 and Extremum fold is one prefix walk (``first_best``) that skips the
 prefixes whose bound, the one hook ``Problem._optimistic_payload``, says
-they hold no feasible configuration that beats the incumbent. The
+they hold no feasible configuration that beats the incumbent; a linear
+family's bound is set up here from its rows (``row_bound``). The
 enumeration budget counts the full space for every kind; the QUBO solver
 runs the same walk under a node budget instead.
 
@@ -22,11 +23,14 @@ compile it.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from operator import or_
 
 from .errors import BudgetExceededError, KindError, Record
 from .model import (
     AggregatedValue,
     Configuration,
+    LinearProblem,
     Problem,
     ValueKind,
     _sign,
@@ -150,3 +154,72 @@ def first_best(instance: Problem, max_nodes: int | None = None) -> FoldResult:
         return FoldResult(identity_value(kind, instance.sense), None)
     payload = True if kind is ValueKind.OR else sign * best
     return FoldResult(AggregatedValue(kind, payload, True, instance.sense), witness)
+
+
+def row_bound(instance: LinearProblem) -> tuple:
+    """``LinearProblem._closing``. From each k on, a variable adds at most its
+    term at its better end, less the covering need: a covering row sums 0-1
+    variables with coefficient +1 to at least 1, so one member is 1, losing
+    at least the cheapest member's loss from its better end, and rows with
+    no shared member add their losses. They are picked greedily, as a
+    matching: the variable in the fewest live rows, then the one of its rows
+    whose members lie in the fewest, the lowest indices on ties."""
+    rows, objective = instance._statement
+    n = len(objective)
+    closing: list[list] = [[] for _ in range(n)]
+    for row in rows:
+        if row[0]:
+            closing[row[0][-1][0]].append(row)
+    if instance.kind is ValueKind.OR:
+        return closing, None
+    last = tuple(d - 1 for d in instance.config_dims())
+    sign = _sign(instance.kind, instance.sense)
+    gain, loss = [], []  # signed: the better end's term, and what a 0-1 variable loses at 1
+    for c, lo, hi in zip(objective, instance.point((0,) * n), instance.point(last)):
+        gain.append(max(sign * c * lo, sign * c * hi))
+        loss.append(gain[-1] - sign * c if (lo, hi) == (0, 1) else None)
+    most = list(itertools.accumulate(reversed(gain), initial=0))[::-1]
+    rest = [sign * (m - need) for m, need in zip(most, _covering_need(rows, loss))]
+    return closing, rest
+
+
+def _covering_need(rows, loss: list[int | None]) -> list[int]:
+    """Entry k is the loss of the covering rows picked from variable k on,
+    but for rows of no loss or with a member not 0-1 (loss None)."""
+    n = len(loss)
+    members = []
+    for terms, rel, rhs in rows:
+        if rel == ">=" and rhs >= 1 and terms and all(a == 1 and loss[j] for j, a in terms):
+            members.append(tuple(j for j, _ in terms))
+    rows_of = [0] * n  # bit r set when row r holds the variable
+    starting = [0] * n  # the rows whose first member is the variable
+    for r, row in enumerate(members):
+        starting[row[0]] |= 1 << r
+        for j in row:
+            rows_of[j] |= 1 << r
+    meets = [reduce(or_, map(rows_of.__getitem__, row)) for row in members]
+    costs = [min(map(loss.__getitem__, row)) for row in members]
+    need, degree, live_from = [0] * (n + 1), [0] * n, 0
+    for k in range(n - 1, -1, -1):
+        if not starting[k]:  # the same rows as from k + 1 on
+            need[k] = need[k + 1]
+            continue
+        live_from |= starting[k]
+        live, total = live_from, 0
+        while live:
+            pick, least = 0, len(members) + 1
+            for j in range(k, n):
+                degree[j] = d = (rows_of[j] & live).bit_count()
+                if 0 < d < least:
+                    pick, least = j, d
+                    if d == 1:  # the least there is
+                        break
+            mine = rows_of[pick] & live
+            r = mine.bit_length() - 1
+            if least > 1:  # then every degree is fresh
+                r = min((s for s in range(r + 1) if mine >> s & 1),
+                        key=lambda s: (sum(map(degree.__getitem__, members[s])), members[s]))
+            live &= ~meets[r]
+            total += costs[r]
+        need[k] = max(total, need[k + 1])
+    return need

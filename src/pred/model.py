@@ -16,7 +16,6 @@ its measure and its bound off its rows. Everything else in the library
 
 from __future__ import annotations
 
-import itertools
 from abc import ABC, abstractmethod
 from enum import Enum
 from functools import cached_property
@@ -210,9 +209,9 @@ class LinearProblem(Problem):
     """A problem stated once, by ``linear_statement``: its rows ``(terms, rel,
     rhs)``, ``terms`` the nonzero ``(index, coeff)`` pairs by increasing
     index, and its objective, over the values ``point(config)``. A
-    configuration is feasible when every row holds. A prefix fails when a row
-    its newest variable closes is violated, and is otherwise bounded by its
-    objective plus every later variable at its better end.
+    configuration is feasible when every row holds, or true for an Or kind.
+    A prefix fails when a row its newest variable closes is violated, and
+    is otherwise bounded by its objective plus the most the rest can add.
     """
 
     @abstractmethod
@@ -227,30 +226,26 @@ class LinearProblem(Problem):
         return self.linear_statement()
 
     @cached_property
-    def _closing(self) -> tuple[list[list], list[int]]:
-        """The rows by their last variable, and what the objective can gain from each k on."""
-        rows, objective = self._statement
-        closing: list[list] = [[] for _ in objective]
-        for row in rows:
-            if row[0]:
-                closing[row[0][-1][0]].append(row)
-        dims = self.config_dims()
-        ends = zip(self.point((0,) * len(dims)), self.point(tuple(d - 1 for d in dims)))
-        sign = _sign(self.kind, self.sense)
-        best = [sign * max(sign * c * lo, sign * c * hi) for c, (lo, hi) in zip(objective, ends)]
-        return closing, list(itertools.accumulate(reversed(best), initial=0))[::-1]
+    def _closing(self) -> tuple[list[list], list[int] | None]:
+        """The rows by their last variable, and the most the objective can
+        still add from each k on (None for an Or kind). Only a walk reads them."""
+        from .fold import row_bound
 
-    def _measure(self, config) -> tuple[int, bool]:
+        return row_bound(self)
+
+    def _measure(self, config) -> tuple[int | bool, bool]:
         rows, objective = self._statement
         x = self.point(config)
-        return sum(map(mul, objective, x)), rows_hold(rows, x)
+        holds = rows_hold(rows, x)
+        return (holds, True) if self.kind is ValueKind.OR else (sum(map(mul, objective, x)), holds)
 
-    def _optimistic_payload(self, prefix) -> int | None:
+    def _optimistic_payload(self, prefix) -> int | bool | None:
         closing, rest = self._closing
         x = self.point(prefix)
-        if not rows_hold(closing[len(x) - 1], x):
-            return None
-        return sum(map(mul, self._statement[1], x)) + rest[len(x)]
+        holds = rows_hold(closing[len(x) - 1], x)
+        if rest is None:  # an Or kind
+            return holds
+        return sum(map(mul, self._statement[1], x)) + rest[len(x)] if holds else None
 
 
 def validate_config(instance: Problem, config: Sequence[int]) -> None:

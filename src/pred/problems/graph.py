@@ -3,10 +3,10 @@
 Independent set, vertex cover, clique, dominating set, max-cut and graph
 coloring, the decision wrappers of the first two, and the forward maps of
 the rules whose target is one of them. Independent set, vertex cover and
-dominating set state their rows once (``LinearProblem``); vertex cover keeps
-a stronger bound and a faster measure of its own, and clique, max-cut and
-coloring bound their prefixes directly. A forward map reads its source only through attributes,
-so this module imports no other family at run time.
+dominating set are their rows alone (``LinearProblem``); clique, max-cut and
+coloring measure and bound their prefixes directly. A forward map reads its
+source only through attributes, so this module imports no other family at
+run time.
 """
 
 from __future__ import annotations
@@ -107,45 +107,6 @@ class GraphData(Record):
             lower[v].append(u)
         return tuple(map(tuple, lower))
 
-    @cached_property
-    def suffix_matchings(self) -> tuple[int, ...]:
-        """Entry k is the size of a matching of the subgraph on vertices k
-        to V-1, never smaller than entry k+1; entry V is 0.
-
-        Each subgraph is matched greedily: the vertex with the fewest
-        unmatched neighbours (at least one) is matched to its neighbour with
-        the fewest, the lowest index on ties, until no edge is left. Every
-        vertex cover holds one end of each matched edge, so a vertex cover
-        of the subgraph has at least that many vertices.
-        """
-        n = self.num_vertices
-        adjacent = [0] * n
-        for u, v in self.edges:
-            adjacent[u] |= 1 << v
-            adjacent[v] |= 1 << u
-
-        def fewest(candidates: int, alive: int) -> int:
-            """The bit of the lowest candidate with the fewest neighbours in
-            ``alive``, at least one; 0 if no candidate has one."""
-            pick, least = 0, n
-            while candidates:
-                bit = candidates & -candidates
-                candidates ^= bit
-                degree = (adjacent[bit.bit_length() - 1] & alive).bit_count()
-                if 0 < degree < least:
-                    pick, least = bit, degree
-            return pick
-
-        sizes = [0] * (n + 1)
-        for k in range(n - 1, -1, -1):
-            alive = ((1 << n) - 1) >> k << k
-            size = 0
-            while pick := fewest(alive, alive):
-                alive &= ~(pick | fewest(adjacent[pick.bit_length() - 1] & alive, alive))
-                size += 1
-            sizes[k] = max(size, sizes[k + 1])
-        return tuple(sizes)
-
 
 # --- problem classes ----------------------------------------------------------
 
@@ -198,20 +159,6 @@ class VertexCover(_GraphProblem, LinearProblem):
 
     def linear_statement(self) -> tuple[tuple, tuple[int, ...]]:
         return self._edge_rows(">="), (1,) * self.graph.num_vertices
-
-    def _measure(self, config) -> tuple[int, bool]:
-        # faster on brute force than the rows (BENCH_26.json)
-        return sum(config), all(config[u] or config[v] for u, v in self.graph.edges)
-
-    def _optimistic_payload(self, prefix) -> int | None:
-        # earlier prefixes passed, so only edges closing at the newest vertex
-        # can be uncovered; every completion keeps the ones chosen so far and
-        # covers each edge of a matching of the unfixed vertices with a vertex
-        # of its own
-        k = len(prefix)
-        if not prefix[k - 1] and not all(prefix[u] for u in self.graph.lower_neighbors[k - 1]):
-            return None
-        return sum(prefix) + self.graph.suffix_matchings[k]
 
 
 class Clique(_GraphProblem):

@@ -1,18 +1,17 @@
 """The satisfiability family: ``CnfData``, SAT and 3-SAT.
 
-Also the forward maps of the rules whose target is SAT or 3-SAT, and the
-coloring extractor that only the coloring rule uses. A forward map reads
-its source only through attributes, so this module imports no other family
-at run time.
+SAT and 3-SAT are one row per clause (``LinearProblem``). Also the forward
+maps of the rules whose target is SAT or 3-SAT, and the coloring extractor
+that only the coloring rule uses. A forward map reads its source only
+through attributes, so this module imports no other family at run time.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
 from ..errors import InvalidInstanceError, Record
-from ..model import Problem, ValueKind
+from ..model import LinearProblem, Problem, ValueKind
 
 if TYPE_CHECKING:
     from .graph import GraphColoring
@@ -40,25 +39,8 @@ class CnfData(Record):
     def literal_count(self) -> int:
         return sum(len(c) for c in self.clauses)
 
-    @cached_property
-    def closing(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Entry i holds the clauses whose largest variable is i + 1: those an
-        assignment of the variables in order decides when it reaches i + 1."""
-        closing: list[list[tuple[int, ...]]] = [[] for _ in range(self.num_variables)]
-        for clause in self.clauses:
-            closing[max(map(abs, clause)) - 1].append(clause)
-        return tuple(map(tuple, closing))
 
-    def satisfied(self, assignment: tuple[int, ...], clauses=None) -> bool:
-        """Whether ``assignment`` satisfies ``clauses``, by default every clause;
-        a prefix of an assignment will do for the clauses it decides."""
-        return all(
-            any((lit > 0) == bool(assignment[abs(lit) - 1]) for lit in clause)
-            for clause in (self.clauses if clauses is None else clauses)
-        )
-
-
-class Satisfiability(Record, Problem):
+class Satisfiability(Record, LinearProblem):
     cnf: CnfData
     kind = ValueKind.OR
     type_name = "Satisfiability"
@@ -77,12 +59,14 @@ class Satisfiability(Record, Problem):
             "L": self.cnf.literal_count,
         }
 
-    def _measure(self, config) -> tuple[bool, bool]:
-        return self.cnf.satisfied(config), True
-
-    def _optimistic_payload(self, prefix) -> bool:
-        # earlier prefixes passed, so only the clauses the newest variable closes can be false
-        return self.cnf.satisfied(prefix, self.cnf.closing[len(prefix) - 1])
+    def linear_statement(self) -> tuple[tuple, tuple[int, ...]]:
+        # the literals sum to at least 1, -v read as 1 - x_v: repeats add up, v and -v cancel
+        rows = []
+        for clause in self.cnf.clauses:
+            held = sorted(set(map(abs, clause)))
+            terms = tuple((v - 1, a) for v in held if (a := clause.count(v) - clause.count(-v)))
+            rows.append((terms, ">=", 1 - sum(lit < 0 for lit in clause)))
+        return tuple(rows), (0,) * self.cnf.num_variables
 
     def to_data(self) -> dict:
         return {

@@ -438,7 +438,42 @@ def _ilp_programs(rng):
                  for sense in ("max", "min")]
     programs += [IlpData(2, box[:2], ((((0, 1), (1, -1)), "=", 6),), (1, 1), "max")]  # infeasible
     programs += [IlpData(0, (), (), (), "min"), IlpData(0, (), (((), ">=", 1),), (), "max")]
+    return [Ilp(data) for data in programs] + _covering_programs(rng)
+
+
+def _covering_programs(rng):
+    """Seeded 0-1 programs of covering rows only (coefficients +1, ``>= 1``),
+    objective coefficients from -3 to 3, zeros included, both senses; then
+    one whose shared member has the box [1, 3], which meets both its rows at
+    no loss: they are no covering rows."""
+    programs = []
+    for i in range(60):
+        n = rng.randint(2, 7)
+        rows = tuple(
+            (tuple((j, 1) for j in sorted(rng.sample(range(1, n), rng.randint(1, min(3, n - 1))))),
+             ">=", 1)
+            for _ in range(rng.randint(1, 3))
+        )
+        objective = tuple(rng.randint(-3, 3) for _ in range(n))
+        programs.append(IlpData(n, ((0, 1),) * n, rows, objective, ("max", "min")[i % 2]))
+    rows = ((((0, 1), (1, 1)), ">=", 1), (((1, 1), (2, 1)), ">=", 1))
+    programs.append(IlpData(3, ((0, 1), (1, 3), (0, 1)), rows, (-1, 1, -2), "max"))
     return [Ilp(data) for data in programs]
+
+
+def test_covering_need_counts_only_rows_of_0_1_members():
+    # one row over two free variables needs one of them, at a cost of 1, on a
+    # 0-1 box; a member that may reach 2 makes it no covering row
+    rows = ((((0, 1), (1, 1)), ">=", 1),)
+    assert Ilp(IlpData(2, ((0, 1), (0, 1)), rows, (1, 1), "min"))._closing[1] == [1, 0, 0]
+    assert Ilp(IlpData(2, ((0, 1), (0, 2)), rows, (1, 1), "min"))._closing[1] == [0, 0, 0]
+    # a member that gains at 1 costs the row nothing, and the cheaper member
+    # is what a Max program loses
+    assert Ilp(IlpData(2, ((0, 1), (0, 1)), rows, (1, -2), "min"))._closing[1] == [-2, -2, 0]
+    assert Ilp(IlpData(2, ((0, 1), (0, 1)), rows, (-1, -2), "max"))._closing[1] == [-1, 0, 0]
+    # vertex cover's edge rows: the 15-cycle's matching has 7 edges
+    cycle = VertexCover(GraphData(15, tuple((v, (v + 1) % 15) for v in range(15))))
+    assert cycle._closing[1][0] == 7
 
 
 def _set_covers(rng):
@@ -450,6 +485,36 @@ def _set_covers(rng):
 def _spin_glasses(rng):
     glasses = [generators.random_ising(rng, max_n=9)[0] for _ in range(40)]
     return glasses + [SpinGlass(IsingData(0, (), ()))]
+
+
+def _cnfs_with_repeats(rng, width):
+    """CNFs whose clauses repeat a variable or hold a complementary pair, which
+    ``generators.random_cnf`` never draws, and the empty CNF."""
+    cnfs = [CnfData(0, ()), CnfData(3, ((1, 1), (1, -1), (-2, -2, 3)))]
+    cnfs += [CnfData(2, ((1, -1),)), CnfData(3, ((-2, -2, 3), (2, 2), (-3, 1, -3)))]
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        clauses = tuple(
+            tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, width)))
+            for _ in range(rng.randint(1, 6))
+        )
+        cnfs.append(CnfData(n, clauses))
+    return cnfs
+
+
+@pytest.mark.parametrize("name", ["SAT", "3SAT"])
+def test_clause_rows_measure_what_the_clauses_say(name):
+    """Each clause is one row, its repeated variables' terms added up: the
+    measure is the clauses' truth on every configuration."""
+    cases = _optimistic_cases(name)
+    clauses = [c for case in cases for c in case.cnf.clauses]
+    assert any(len(set(c)) < len(c) for c in clauses)  # a repeated literal
+    assert any(-lit in c for c in clauses for lit in c)  # a complementary pair
+    for instance in cases:
+        for config in itertools.product((0, 1), repeat=instance.cnf.num_variables):
+            assignment = {i + 1: bool(bit) for i, bit in enumerate(config)}
+            truth = all(oracles.clause_satisfied(c, assignment) for c in instance.cnf.clauses)
+            assert instance._measure(config) == (truth, True), (instance, config)
 
 
 def _decisions(inners):
@@ -475,9 +540,9 @@ def _optimistic_cases(name):
         "SpinGlass": lambda: _spin_glasses(rng),
         "ILP": lambda: _ilp_programs(rng),
         "SAT": lambda: [g.random_sat(rng, 8, 14)[0] for _ in range(60)]
-        + [Satisfiability(CnfData(0, ()))],
+        + [Satisfiability(cnf) for cnf in _cnfs_with_repeats(rng, 5)],
         "3SAT": lambda: [g.random_3sat(rng, 8, 20)[0] for _ in range(60)]
-        + [ThreeSatisfiability(CnfData(0, ()))],
+        + [ThreeSatisfiability(cnf) for cnf in _cnfs_with_repeats(rng, 3)],
         "GC": lambda: [g.random_coloring(rng, 6, k)[0] for k in (1, 2, 3) for _ in range(20)]
         + [GraphColoring(GraphData(0, ()), 2)],
         "DecisionMIS": lambda: _decisions(IndependentSet(graph) for graph in _graphs(rng)),
@@ -544,8 +609,9 @@ BOUNDED_CLASSES = {
     "ILP": (Ilp, lambda rng: generators.random_ilp(rng, max_vars=5)[0]),
 }
 
-# what the builders never draw: a zero-variable instance of each class, and
-# seven vertices with no edges for the graph classes
+# what the builders never draw: a zero-variable instance of each class,
+# seven vertices with no edges for the graph classes, and programs of
+# covering rows
 BOUNDED_FIXED = {
     "MIS": [IndependentSet(GraphData(0, ())), IndependentSet(GraphData(7, ()))],
     "WeightedMIS": [
@@ -558,7 +624,7 @@ BOUNDED_FIXED = {
     "SetCover": [SetCover(SetCoverData(0, ()))],
     "QUBO": [Qubo(QuboData(0, ()))],
     "SpinGlass": [SpinGlass(IsingData(0, (), ()))],
-    "ILP": [Ilp(IlpData(0, (), (), (), "min"))],
+    "ILP": [Ilp(IlpData(0, (), (), (), "min"))] + _covering_programs(make_rng(412)),
 }
 
 
@@ -682,6 +748,65 @@ def test_min_walk_bounds_prefixes_before_its_first_cover(monkeypatch):
         counts.append((seed, len(calls), result.value.payload))
         assert evaluate(instance, result.witness) == result.value
     assert counts == MIN_WALK_MEASURES
+
+
+def _cover_walk_instances():
+    for seed in (1, 2):
+        graph = GraphData(18, generators.gnp_edges(make_rng(seed), 18, 0.2))
+        yield "DominatingSet", seed, DominatingSet(graph)
+    for seed in (1, 2):
+        yield "PartitionSetCover", seed, generators.partition_set_cover(make_rng(seed), 18)[0]
+    for seed in (1, 2, 3):
+        rng = make_rng(seed)
+        sets = [sorted(rng.sample(range(30), rng.randint(1, 8))) for _ in range(18)]
+        sets[-1] = sorted(set(sets[-1]).union(set(range(30)).difference(*sets)))
+        yield "SetCover", seed, SetCover(SetCoverData(30, tuple(map(tuple, sets))))
+
+
+# The Min walk on covering rows: DominatingSet G(18, 0.2) and SetCover of
+# three random partitions of 18 elements into 3-sets, seeds 1 and 2, and
+# SetCover of 18 random sets of 1 to 8 of 30 elements, the last set taking
+# up what the others miss, seeds 1 to 3: (family, seed, configurations
+# measured, prefixes asked, smallest cover). The row bound's covering need
+# charges each prefix for disjoint covering rows that its free variables
+# must still meet; bounded by the ones chosen so far alone, the walk asked
+# 4,394, 2,668, 11,746, 11,536, 4,732, 4,346 and 1,462 prefixes and measured
+# 14, 4, 2, 2, 22, 66 and 10 configurations. A change to the pruning must
+# update these on purpose.
+COVER_WALK_MEASURES = [
+    ("DominatingSet", 1, 14, 2294, 5),
+    ("DominatingSet", 2, 4, 1350, 5),
+    ("PartitionSetCover", 1, 2, 7740, 6),
+    ("PartitionSetCover", 2, 2, 7454, 6),
+    ("SetCover", 1, 2, 146, 9),
+    ("SetCover", 2, 4, 310, 10),
+    ("SetCover", 3, 2, 116, 8),
+]
+
+
+def test_covering_need_prunes_covering_walks(monkeypatch):
+    counts, calls, prefixes = [], [], []
+    for cls in (DominatingSet, SetCover):
+        measure, optimistic = cls._measure, cls._optimistic_payload
+
+        def counted(self, config, measure=measure):
+            calls.append(config)
+            return measure(self, config)
+
+        def visited(self, prefix, optimistic=optimistic):
+            prefixes.append(prefix)
+            return optimistic(self, prefix)
+
+        monkeypatch.setattr(cls, "_measure", counted)
+        monkeypatch.setattr(cls, "_optimistic_payload", visited)
+    for family, seed, instance in _cover_walk_instances():
+        calls.clear()
+        prefixes.clear()
+        result = fold_space(instance)
+        assert calls == sorted(calls) and result.witness in calls
+        counts.append((family, seed, len(calls), len(prefixes), result.value.payload))
+        assert evaluate(instance, result.witness) == result.value
+    assert counts == COVER_WALK_MEASURES
 
 
 def test_or_walk_reaches_any_depth():

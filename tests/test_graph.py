@@ -11,7 +11,6 @@ from pred import (
     AggregatedValue,
     CapabilityError,
     CnfData,
-    Comparison,
     DuplicateRegistrationError,
     GraphData,
     IndependentSet,
@@ -28,9 +27,7 @@ from pred import (
     TypeMismatchError,
     UnknownProblemError,
     ValueKind,
-    Var,
     build_examples,
-    compare,
     default_graph,
     evaluate,
     extract_along,
@@ -40,11 +37,9 @@ from pred import (
     render,
     render_overhead,
     round_trip_check,
-    subst,
 )
 from pred.cli_browse import topology_report
 from pred.graph import solution_along
-from pred.symbolic import vars_of
 
 from generators import make_rng, random_mis
 
@@ -347,17 +342,9 @@ def test_chaining_matches_sequential_application():
 
 # --- optimality against exhaustive enumeration ----------------------------------
 
-def _collapse(expr):
-    return subst(expr, {name: Var("t") for name in vars_of(expr)})
-
-
 def _better(a, b) -> bool:
-    """Independent re-statement of the path cost order."""
-    verdict = compare(_collapse(a.estimated_cost), _collapse(b.estimated_cost))
-    if verdict is Comparison.LOWER_GROWTH:
-        return True
-    if verdict is Comparison.HIGHER_GROWTH:
-        return False
+    """Independent re-statement of the route rule: the fewest steps, then the
+    smallest tuple of rule names."""
     return (len(a.steps), a.rule_names()) < (len(b.steps), b.rule_names())
 
 

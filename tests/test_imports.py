@@ -263,10 +263,10 @@ def test_no_stage_loads_dataclasses_or_inspect(argv):
 # reads the README pipeline's envelope. Counted from the source text, so the
 # pins hold on any machine; a change that moves one moves it on purpose.
 STARTUP_PINS = {
-    "create MIS --graph 0-1,1-2,2-3": (10675, 1909),
-    "create GC --example": (11694, 2134),
-    "reduce - --to ILP": (14395, 2545),
-    "solve -": (20381, 3497),
+    "create MIS --graph 0-1,1-2,2-3": (10105, 1851),
+    "create GC --example": (11124, 2076),
+    "reduce - --to ILP": (13825, 2487),
+    "solve -": (19811, 3439),
 }
 
 
