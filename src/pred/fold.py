@@ -10,7 +10,8 @@ adds, and And stops at the first false configuration. Every Or, Max, Min
 and Extremum fold is one prefix walk (``first_best``) that skips the
 prefixes whose bound, the one hook ``Problem._optimistic_payload``, says
 they hold no feasible configuration that beats the incumbent; a linear
-family's bound is set up here from its rows (``row_bound``). The
+family's bound is set up here from its rows (``row_bound``), and a
+quadratic family's from its matrix (``coupling_shares``). The
 enumeration budget counts the full space for every kind; the QUBO solver
 runs the same walk under a node budget instead.
 
@@ -223,3 +224,18 @@ def _covering_need(rows, loss: list[int | None]) -> list[int]:
             total += costs[r]
         need[k] = max(total, need[k + 1])
     return need
+
+
+def coupling_shares(q) -> tuple[tuple[int, ...], ...]:
+    """``QuadraticProblem._shares``. Row j, entry k sums the positive couplings
+    ``q[j][l]`` over l >= k, l != j: the most that x_j's half of its couplings
+    with the variables from k on can add, when x_j = 1."""
+    n = len(q)
+    shares = []
+    for j, row in enumerate(q):
+        tail = [0] * (n + 1)
+        for l in range(n - 1, -1, -1):
+            c = row[l]
+            tail[l] = tail[l + 1] + (c if c > 0 and l != j else 0)
+        shares.append(tuple(tail))
+    return tuple(shares)

@@ -10,8 +10,8 @@ live in ``pred.fold``, which loads on the first fold, so a command that
 folds nothing never compiles them. Its prefix walk skips the prefixes whose
 bound, the one hook ``Problem._optimistic_payload``, says they hold no
 feasible configuration that beats the incumbent; a ``LinearProblem`` reads
-its measure and its bound off its rows. Everything else in the library
-(reductions, routing, the ILP path) only ever talks to this interface.
+its measure and bound off its rows, a ``QuadraticProblem`` off its matrix.
+The rest of the library (reductions, routing, the ILP path) uses only this.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from enum import Enum
 from functools import cached_property
+from itertools import compress
 from operator import mul
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -172,8 +173,8 @@ class Problem(ABC):
         prefixes passed, so an implementation may check only what the newest
         value decides. Every Or, Max, Min and Extremum fold is walked, and
         every shipped class bounds its prefixes (a ``LinearProblem`` by its
-        rows); this default knows nothing and reports an unbounded payload
-        (True for Or).
+        rows, a ``QuadraticProblem`` by its matrix); this default knows
+        nothing and reports an unbounded payload (True for Or).
         """
         if self.kind is ValueKind.OR:
             return True
@@ -246,6 +247,47 @@ class LinearProblem(Problem):
         if rest is None:  # an Or kind
             return holds
         return sum(map(mul, self._statement[1], x)) + rest[len(x)] if holds else None
+
+
+class QuadraticProblem(Problem):
+    """A Max problem stated once, by ``quadratic_statement``: a symmetric integer matrix
+    ``q`` and an offset, each 0-1 configuration ``x`` feasible and worth ``xᵀqx + offset``."""
+
+    kind = ValueKind.MAX
+
+    @abstractmethod
+    def quadratic_statement(self) -> tuple[tuple, int]:
+        """The matrix and the offset."""
+
+    @cached_property
+    def _statement(self) -> tuple[tuple, int]:
+        return self.quadratic_statement()
+
+    @cached_property
+    def _shares(self) -> tuple:
+        from .fold import coupling_shares  # only a walk reads them
+
+        return coupling_shares(self._statement[0])
+
+    def _measure(self, config) -> tuple[int, bool]:
+        q, total = self._statement
+        for row in compress(q, config):
+            total += sum(compress(row, config))
+        return total, True
+
+    def _optimistic_payload(self, prefix) -> int:
+        # the fixed part, plus each free x_j's marginal gain given the prefix's ones and half
+        # of each positive coupling to a free partner, where positive (Pardalos & Rodgers, 1990)
+        q, bound = self._statement
+        shares = self._shares
+        k = len(prefix)
+        for row in compress(q, prefix):
+            bound += sum(compress(row, prefix))
+        for j, row in enumerate(q[k:], k):
+            gain = row[j] + 2 * sum(compress(row, prefix)) + shares[j][k]
+            if gain > 0:
+                bound += gain
+        return bound
 
 
 def validate_config(instance: Problem, config: Sequence[int]) -> None:

@@ -1,12 +1,12 @@
 """The graph family: ``GraphData`` and the problems posed on a simple graph.
 
 Independent set, vertex cover, clique, dominating set, max-cut and graph
-coloring, the decision wrappers of the first two, and the forward maps of
-the rules whose target is one of them. Independent set, vertex cover and
-dominating set are their rows alone (``LinearProblem``); clique, max-cut and
-coloring measure and bound their prefixes directly. A forward map reads its
-source only through attributes, so this module imports no other family at
-run time.
+coloring, the decision wrappers of the first two, and the forward maps into
+them. Independent set, vertex cover and dominating set are their rows alone
+(``LinearProblem``), max-cut its QUBO matrix (``QuadraticProblem``) but for
+its edge-count measure; clique and coloring bound their own prefixes. A
+forward map reads its source only through attributes, so this module
+imports no other family at run time.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import combinations, compress
 from typing import TYPE_CHECKING, Mapping
 
 from ..errors import InvalidInstanceError, Record
-from ..model import DecisionProblem, LinearProblem, Problem, ValueKind
+from ..model import DecisionProblem, LinearProblem, Problem, QuadraticProblem, ValueKind
 
 if TYPE_CHECKING:
     from .sat import ThreeSatisfiability
@@ -190,19 +190,22 @@ class DominatingSet(_GraphProblem, LinearProblem):
         return rows, (1,) * self.graph.num_vertices
 
 
-class MaxCut(_GraphProblem):
-    kind = ValueKind.MAX
+class MaxCut(_GraphProblem, QuadraticProblem):
     type_name = "MaxCut"
 
-    def _measure(self, config) -> tuple[int, bool]:
-        # every 2-partition is admissible
-        return sum(1 for u, v in self.graph.edges if config[u] != config[v]), True
+    def quadratic_statement(self) -> tuple[tuple, int]:
+        # an edge is cut when x_u + x_v - 2 x_u x_v is 1: a vertex's diagonal is its degree
+        n = self.graph.num_vertices
+        q = [[0] * n for _ in range(n)]
+        for u, v in self.graph.edges:
+            q[u][v] = q[v][u] = -1
+        for v, row in enumerate(q):
+            row[v] = -sum(row)
+        return tuple(map(tuple, q)), 0
 
-    def _optimistic_payload(self, prefix) -> int:
-        # the edges the prefix cuts, plus every edge with an end still free
-        # (an edge's larger end is its second)
-        k = len(prefix)
-        return sum(prefix[u] != prefix[v] if v < k else 1 for u, v in self.graph.edges)
+    def _measure(self, config) -> tuple[int, bool]:
+        # the statement's value, in O(E) and without its V^2 matrix
+        return sum(1 for u, v in self.graph.edges if config[u] != config[v]), True
 
 
 class GraphColoring(Record, Problem):

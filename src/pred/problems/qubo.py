@@ -1,18 +1,19 @@
 """The quadratic family: ``QuboData`` and ``IsingData``, QUBO and the spin glass.
 
-Also the forward maps of the rules whose target is QUBO or the spin glass.
-A forward map reads its source only through attributes, so this module
-imports no other family at run time.
+Both are their matrix alone (``QuadraticProblem``): QUBO states its own,
+and the spin glass the matrix and offset of its negated energy over 0-1
+variables, spin s = 2x - 1. Also the forward maps of the rules whose target
+is QUBO or the spin glass; max-cut and the spin glass reach QUBO by their
+own statements. A forward map reads its source only through attributes, so
+this module imports no other family at run time.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import compress
 from typing import TYPE_CHECKING, Mapping
 
 from ..errors import InvalidInstanceError, Record
-from ..model import Problem, ValueKind
+from ..model import Problem, QuadraticProblem
 
 if TYPE_CHECKING:
     from .graph import IndependentSet, MaxCut
@@ -35,31 +36,6 @@ class QuboData(Record):
                 if q[i][j] != q[j][i]:
                     raise InvalidInstanceError(f"Q not symmetric at ({i},{j})")
         object.__setattr__(self, "q", q)
-
-    def value(self, x: tuple[int, ...]) -> int:
-        total = 0
-        for i in range(self.n):
-            if not x[i]:
-                continue
-            row = self.q[i]
-            for j in range(self.n):
-                if x[j]:
-                    total += row[j]
-        return total
-
-    @cached_property
-    def coupling_shares(self) -> tuple[tuple[int, ...], ...]:
-        """Row j, entry k sums the positive couplings ``q[j][l]`` over l >= k,
-        l != j: the most that x_j's half of its couplings with the variables
-        from k on can add, when x_j = 1."""
-        shares = []
-        for j, row in enumerate(self.q):
-            tail = [0] * (self.n + 1)
-            for l in range(self.n - 1, -1, -1):
-                c = row[l]
-                tail[l] = tail[l + 1] + (c if c > 0 and l != j else 0)
-            shares.append(tuple(tail))
-        return tuple(shares)
 
 
 class IsingData(Record):
@@ -86,29 +62,9 @@ class IsingData(Record):
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "h", tuple(self.h))
 
-    @cached_property
-    def free_magnitudes(self) -> tuple[int, ...]:
-        """Entry k sums ``|J|`` over the pairs with a spin from k on and ``|h|``
-        over the spins from k on: the most those terms can add to the negated
-        energy once spins 0 to k-1 are fixed. Entry n is 0."""
-        tails = [0] * (self.n + 1)
-        for k in range(self.n - 1, -1, -1):
-            tails[k] = tails[k + 1] + abs(self.h[k]) + sum(map(abs, self.j[k][:k]))
-        return tuple(tails)
 
-    def negated_energy(self, spins: tuple[int, ...]) -> int:
-        """Minus the energy; of a prefix of the spins, minus the terms it fixes."""
-        energy = 0
-        for i in range(len(spins)):
-            for k in range(i + 1, len(spins)):
-                energy += self.j[i][k] * spins[i] * spins[k]
-            energy += self.h[i] * spins[i]
-        return -energy
-
-
-class Qubo(Record, Problem):
+class Qubo(Record, QuadraticProblem):
     data: QuboData
-    kind = ValueKind.MAX
     type_name = "QUBO"
 
     @classmethod
@@ -121,38 +77,15 @@ class Qubo(Record, Problem):
     def size_measures(self) -> dict[str, int]:
         return {"n": self.data.n}
 
-    def _measure(self, config) -> tuple[int, bool]:
-        return self.data.value(config), True
-
-    def _optimistic_payload(self, prefix) -> int:
-        # x^T Q x over binary x is sum_j q_jj x_j + 2 sum_{j<l} q_jl x_j x_l:
-        # the part the prefix fixes, plus, for each free variable x_j, its
-        # marginal gain a_j given the prefix's ones, with half of each of its
-        # positive couplings to the other free variables (the other half goes
-        # to the partner), counted only where the total is positive. That is
-        # never more than the roof sum_j max(0, a_j) plus every positive
-        # free-free coupling (Pardalos & Rodgers, 1990; Hammer, Hansen &
-        # Simeone, 1984).
-        q = self.data.q
-        shares = self.data.coupling_shares
-        k = len(prefix)
-        bound = 0
-        for i in compress(range(k), prefix):
-            bound += sum(compress(q[i], prefix))
-        for j in range(k, self.data.n):
-            row = q[j]
-            gain = row[j] + 2 * sum(compress(row, prefix)) + shares[j][k]
-            if gain > 0:
-                bound += gain
-        return bound
+    def quadratic_statement(self) -> tuple[tuple, int]:
+        return self.data.q, 0
 
     def to_data(self) -> dict:
         return {"n": self.data.n, "q": [list(row) for row in self.data.q]}
 
 
-class SpinGlass(Record, Problem):
+class SpinGlass(Record, QuadraticProblem):
     data: IsingData
-    kind = ValueKind.MAX
     type_name = "SpinGlass"
 
     @classmethod
@@ -165,13 +98,14 @@ class SpinGlass(Record, Problem):
     def size_measures(self) -> dict[str, int]:
         return {"n": self.data.n}
 
-    def _measure(self, config) -> tuple[int, bool]:
-        return self.data.negated_energy(tuple(2 * c - 1 for c in config)), True
-
-    def _optimistic_payload(self, prefix) -> int:
-        # the terms the prefix fixes, plus every term with a free spin at its best
-        fixed = self.data.negated_energy(tuple(2 * c - 1 for c in prefix))
-        return fixed + self.data.free_magnitudes[len(prefix)]
+    def quadratic_statement(self) -> tuple[tuple, int]:
+        # minus the energy sum_{i<k} J_ik s_i s_k + sum_i h_i s_i at s = 2x - 1;
+        # J's diagonal is zero, so a row's sum is its couplings'
+        j, h = self.data.j, self.data.h
+        q = [[-2 * c for c in row] for row in j]
+        for i, row in enumerate(j):
+            q[i][i] = 2 * sum(row) - 2 * h[i]
+        return tuple(map(tuple, q)), sum(h) - sum(map(sum, j)) // 2
 
     def to_data(self) -> dict:
         return {
@@ -184,15 +118,8 @@ class SpinGlass(Record, Problem):
 # --- forward maps into this family --------------------------------------------
 
 def forward_maxcut_to_qubo(instance: MaxCut) -> tuple[Problem, dict]:
-    g = instance.graph
-    n = g.num_vertices
-    q = [[0] * n for _ in range(n)]
-    for u, v in g.edges:
-        q[u][u] += 1
-        q[v][v] += 1
-        q[u][v] -= 1
-        q[v][u] -= 1
-    return Qubo(QuboData(n, tuple(tuple(row) for row in q))), {"num_vertices": n}
+    q, _ = instance.quadratic_statement()
+    return Qubo(QuboData(len(q), q)), {"num_vertices": len(q)}
 
 
 def forward_mis_to_qubo(instance: IndependentSet) -> tuple[Problem, dict]:
@@ -224,14 +151,5 @@ def forward_qubo_to_ising(instance: Qubo) -> tuple[Problem, dict]:
 
 
 def forward_ising_to_qubo(instance: SpinGlass) -> tuple[Problem, dict]:
-    sd = instance.data
-    n = sd.n
-    q = [[0] * n for _ in range(n)]
-    for i in range(n):
-        row_coupling = sum(sd.j[i][k] for k in range(n) if k != i)
-        q[i][i] = 2 * row_coupling - 2 * sd.h[i]
-        for k in range(n):
-            if k != i:
-                q[i][k] = -2 * sd.j[i][k]
-    offset = sum(sd.h) - sum(sd.j[i][k] for i in range(n) for k in range(i + 1, n))
-    return Qubo(QuboData(n, tuple(tuple(row) for row in q))), {"scale": 1, "offset": offset}
+    q, offset = instance.quadratic_statement()
+    return Qubo(QuboData(len(q), q)), {"scale": 1, "offset": offset}

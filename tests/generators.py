@@ -74,7 +74,7 @@ def random_domset(rng, max_vertices=8):
 
 
 def random_maxcut(rng, max_vertices=5):
-    # kept small: solving MaxCut routes through QUBO->ILP with n + n^2 variables
+    # solve walks MaxCut at the QUBO node, on its matrix; kept small for the oracles' full space
     data, plain = random_graph_data(rng, max_vertices)
     return MaxCut(data), plain
 

@@ -630,6 +630,31 @@ def test_create_from_file_type_mismatch(tmp_path):
     assert result.returncode == 2
 
 
+def test_create_emits_only_the_variant_a_suffix_names(tmp_path):
+    # a [...] suffix names one variant, which the built instance must be
+    result = run_cli("create", "MaximumIndependentSet[weight=integer]", "--graph", "0-1")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        "pred: the instance is a MaximumIndependentSet, but "
+        "MaximumIndependentSet[weight=integer] was requested\n"
+    )
+    weighted = run_cli("create", "MIS[weight=integer]", "--graph", "0-1", "--weights", "2,3")
+    assert weighted.returncode == 0
+    assert json.loads(weighted.stdout)["variant"]["weight"] == "integer"
+    # a bare name takes either variant
+    bare = run_cli("create", "MIS", "--graph", "0-1", "--weights", "2,3")
+    assert bare.stdout == weighted.stdout
+    unit = run_cli("create", "MIS", "--graph", "0-1").stdout
+    path = tmp_path / "unit.json"
+    path.write_text(unit)
+    assert run_cli("create", "MIS", "--file", str(path)).stdout == unit
+    assert run_cli("create", "MaximumIndependentSet[weight=unit]", "--file", str(path)).stdout == unit
+    result = run_cli("create", "MaximumIndependentSet[weight=integer]", "--file", str(path))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.count("\n") == 1
+    assert "MaximumIndependentSet[weight=integer]" in result.stderr
+
+
 def test_missing_input_file_is_exit_2():
     result = run_cli("solve", "/nonexistent/input.json")
     assert result.returncode == 2

@@ -53,7 +53,7 @@ from pred import (
     register_catalogue,
     validate_config,
 )
-from pred.model import SENSE_MAXIMIZE, SENSE_MINIMIZE
+from pred.model import SENSE_MAXIMIZE, SENSE_MINIMIZE, QuadraticProblem
 
 import generators
 import oracles
@@ -807,6 +807,83 @@ def test_covering_need_prunes_covering_walks(monkeypatch):
         counts.append((family, seed, len(calls), len(prefixes), result.value.payload))
         assert evaluate(instance, result.witness) == result.value
     assert counts == COVER_WALK_MEASURES
+
+
+def _glass(seed, n=18):
+    """A spin glass of n spins, couplings and fields uniform in [-3, 3]."""
+    rng = make_rng(seed)
+    j = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            j[a][b] = j[b][a] = rng.randint(-3, 3)
+    h = tuple(rng.randint(-3, 3) for _ in range(n))
+    return SpinGlass(IsingData(n, tuple(map(tuple, j)), h))
+
+
+def _quadratic_walk_instances():
+    for seed in (1, 2):
+        yield "MaxCut", seed, MaxCut(GraphData(20, generators.gnp_edges(make_rng(seed), 20, 0.3)))
+    for seed in (1, 2):
+        yield "SpinGlass", seed, _glass(seed)
+
+
+# The Max walk on the quadratic families: MaxCut G(20, 0.3), edges drawn by
+# ``gnp_edges`` from seeds 1 and 2, and 18-spin glasses from ``_glass``,
+# seeds 1 and 2: (family, seed, prefixes asked, best value). Each takes
+# QUBO's bound on its own matrix; with max-cut's bound of every edge with a
+# free end, and the spin glass's of every term with a free spin at its best,
+# the walks asked 65,472, 112,320, 78,634 and 75,384 prefixes. A change to
+# the pruning must update these on purpose.
+QUADRATIC_WALK_MEASURES = [
+    ("MaxCut", 1, 12388, 43),
+    ("MaxCut", 2, 26242, 44),
+    ("SpinGlass", 1, 5138, 99),
+    ("SpinGlass", 2, 7524, 106),
+]
+
+
+def test_quadratic_walks_take_the_matrix_bound(monkeypatch):
+    prefixes = []
+    optimistic = QuadraticProblem._optimistic_payload
+
+    def visited(self, prefix):
+        prefixes.append(prefix)
+        return optimistic(self, prefix)
+
+    monkeypatch.setattr(QuadraticProblem, "_optimistic_payload", visited)
+    counts = []
+    for family, seed, instance in _quadratic_walk_instances():
+        prefixes.clear()
+        result = fold_space(instance)
+        counts.append((family, seed, len(prefixes), result.value.payload))
+        assert evaluate(instance, result.witness) == result.value
+    assert counts == QUADRATIC_WALK_MEASURES
+
+
+def test_maxcut_counts_the_cut_its_statement_states():
+    """``MaxCut._measure`` counts cut edges, which must be ``xᵀqx + offset`` of
+    its own statement on every configuration."""
+    for graph in _graphs(make_rng(413)):
+        instance = MaxCut(graph)
+        q, offset = instance.quadratic_statement()
+        n = graph.num_vertices
+        for x in itertools.product((0, 1), repeat=n):
+            value = sum(q[i][j] * x[i] * x[j] for i in range(n) for j in range(n)) + offset
+            assert instance._measure(x) == (value, True), (graph, x)
+
+
+def test_maxcut_evaluate_builds_no_matrix(monkeypatch):
+    # the statement has V^2 entries: a large sparse graph is measured by its edges,
+    # and a measure that asked for the statement fails here rather than build it
+    def refused(self):
+        raise AssertionError("evaluate asked for the V^2 statement")
+
+    monkeypatch.setattr(MaxCut, "quadratic_statement", refused)
+    instance = MaxCut(GraphData(100_000, ((0, 1), (1, 2), (5, 99_999))))
+    config = [0] * 100_000
+    config[1] = 1
+    assert evaluate(instance, config).payload == 2
+    assert "_statement" not in instance.__dict__
 
 
 def test_or_walk_reaches_any_depth():
