@@ -106,12 +106,16 @@ def cmd_create(args) -> None:
     elif args.file:
         _reject_unread_flags("file", args)
         instance = instance_from_document(load_document(args.file), registry)
+        if instance.type_name != descriptor.name:
+            raise DocumentError(
+                f"--file holds a {instance.type_name}, but {descriptor.name} was requested"
+            )
     else:
         data = _data_from_flags(descriptor.name, args)
         instance = instance_from_document({"problem": descriptor.name, "data": data}, registry)
-    key = instance.variant_key()  # a bare name takes any variant, a [...] suffix only its own
-    if key != descriptor.key and ("[" in args.problem or key[0] != descriptor.name):
-        built = registry.display_name(key)
+    # a [...] suffix asks for its own variant, a bare name for any variant of the problem
+    if "[" in args.problem and instance.variant_key() != descriptor.key:
+        built = registry.display_name(instance.variant_key())
         raise DocumentError(f"the instance is a {built}, but {args.problem} was requested")
     emit(instance_to_document(instance))
 

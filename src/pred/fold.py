@@ -226,16 +226,30 @@ def _covering_need(rows, loss: list[int | None]) -> list[int]:
     return need
 
 
-def coupling_shares(q) -> tuple[tuple[int, ...], ...]:
-    """``QuadraticProblem._shares``. Row j, entry k sums the positive couplings
-    ``q[j][l]`` over l >= k, l != j: the most that x_j's half of its couplings
-    with the variables from k on can add, when x_j = 1."""
+def coupling_shares(q) -> list[tuple[int, tuple[tuple, ...]]]:
+    """``QuadraticProblem._shares``: two roofs on ``xᵀqx`` once x_0 to x_{k-1}
+    are fixed. A free pair's term 2c x_j x_l is at most c x_j + c x_l when c >
+    0; when c < 0 it is at most 0 (the first roof) and at most -c + c x_j +
+    c x_l (the second). Entry k holds the second roof's constant, the sum of
+    -c over the negative couplings among the free variables, and for each
+    free x_j in turn its row, with what x_j = 1 adds beyond its couplings
+    with the prefix: under the first roof, ``q[j][j]`` plus its positive
+    couplings with the other free variables, and under the second, also its
+    negative ones (Pardalos & Rodgers, 1990)."""
     n = len(q)
-    shares = []
-    for j, row in enumerate(q):
-        tail = [0] * (n + 1)
-        for l in range(n - 1, -1, -1):
+    up = [row[j] for j, row in enumerate(q)]
+    down = [0] * n
+    shares, apart = [(0, ())] * (n + 1), 0
+    for k in range(n - 1, -1, -1):  # x_k joins the free variables
+        row = q[k]
+        for l in range(k + 1, n):
             c = row[l]
-            tail[l] = tail[l + 1] + (c if c > 0 and l != j else 0)
-        shares.append(tuple(tail))
-    return tuple(shares)
+            if c > 0:
+                up[k] += c
+                up[l] += c
+            elif c < 0:
+                down[k] += c
+                down[l] += c
+                apart -= c
+        shares[k] = (apart, tuple(zip(q[k:], up[k:], down[k:])))
+    return shares

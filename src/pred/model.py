@@ -250,23 +250,21 @@ class LinearProblem(Problem):
 
 
 class QuadraticProblem(Problem):
-    """A Max problem stated once, by ``quadratic_statement``: a symmetric integer matrix
-    ``q`` and an offset, each 0-1 configuration ``x`` feasible and worth ``xᵀqx + offset``."""
+    """A Max problem stated once, by ``quadratic_statement``: each 0-1 x is worth xᵀqx + offset."""
 
     kind = ValueKind.MAX
 
     @abstractmethod
     def quadratic_statement(self) -> tuple[tuple, int]:
-        """The matrix and the offset."""
+        """A symmetric integer matrix ``q`` and the offset; every x is feasible."""
 
     @cached_property
     def _statement(self) -> tuple[tuple, int]:
         return self.quadratic_statement()
 
     @cached_property
-    def _shares(self) -> tuple:
+    def _shares(self) -> list:
         from .fold import coupling_shares  # only a walk reads them
-
         return coupling_shares(self._statement[0])
 
     def _measure(self, config) -> tuple[int, bool]:
@@ -276,18 +274,16 @@ class QuadraticProblem(Problem):
         return total, True
 
     def _optimistic_payload(self, prefix) -> int:
-        # the fixed part, plus each free x_j's marginal gain given the prefix's ones and half
-        # of each positive coupling to a free partner, where positive (Pardalos & Rodgers, 1990)
-        q, bound = self._statement
-        shares = self._shares
-        k = len(prefix)
-        for row in compress(q, prefix):
-            bound += sum(compress(row, prefix))
-        for j, row in enumerate(q[k:], k):
-            gain = row[j] + 2 * sum(compress(row, prefix)) + shares[j][k]
-            if gain > 0:
-                bound += gain
-        return bound
+        # the prefix's value plus each free x_j's gain where positive, the lower of two roofs
+        apart, free = self._shares[len(prefix)]
+        loose = tight = QuadraticProblem._measure(self, prefix)[0]  # max-cut's needs all of x
+        for row, up, down in free:
+            gain = up + 2 * sum(compress(row, prefix))
+            if gain > 0:  # else the second roof's gain, gain + down, is not positive either
+                loose += gain
+                if gain + down > 0:
+                    tight += gain + down
+        return min(loose, tight + apart)
 
 
 def validate_config(instance: Problem, config: Sequence[int]) -> None:

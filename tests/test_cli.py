@@ -648,7 +648,8 @@ def test_create_emits_only_the_variant_a_suffix_names(tmp_path):
     path = tmp_path / "unit.json"
     path.write_text(unit)
     assert run_cli("create", "MIS", "--file", str(path)).stdout == unit
-    assert run_cli("create", "MaximumIndependentSet[weight=unit]", "--file", str(path)).stdout == unit
+    named = run_cli("create", "MaximumIndependentSet[weight=unit]", "--file", str(path))
+    assert named.stdout == unit
     result = run_cli("create", "MaximumIndependentSet[weight=integer]", "--file", str(path))
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.count("\n") == 1

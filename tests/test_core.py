@@ -809,36 +809,52 @@ def test_covering_need_prunes_covering_walks(monkeypatch):
     assert counts == COVER_WALK_MEASURES
 
 
-def _glass(seed, n=18):
-    """A spin glass of n spins, couplings and fields uniform in [-3, 3]."""
+def _glass(seed, n=18, low=-3, density=1.0):
+    """A spin glass of n spins, fields uniform in [-3, 3], and each pair, with
+    probability ``density``, coupled uniformly in [low, 3]."""
     rng = make_rng(seed)
     j = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
-            j[a][b] = j[b][a] = rng.randint(-3, 3)
+            if density == 1.0 or rng.random() < density:
+                j[a][b] = j[b][a] = rng.randint(low, 3)
     h = tuple(rng.randint(-3, 3) for _ in range(n))
     return SpinGlass(IsingData(n, tuple(map(tuple, j)), h))
 
 
 def _quadratic_walk_instances():
-    for seed in (1, 2):
-        yield "MaxCut", seed, MaxCut(GraphData(20, generators.gnp_edges(make_rng(seed), 20, 0.3)))
-    for seed in (1, 2):
-        yield "SpinGlass", seed, _glass(seed)
+    for p in (0.3, 0.1):
+        for seed in (1, 2):
+            edges = generators.gnp_edges(make_rng(seed), 20, p)
+            yield f"MaxCut G(20, {p})", seed, MaxCut(GraphData(20, edges))
+    yield "MaxCut path", 20, MaxCut(GraphData(20, tuple((v, v + 1) for v in range(19))))
+    for name, low, density in (("", -3, 1.0), (" J>0", 1, 1.0), (" sparse", -3, 0.2)):
+        for seed in (1, 2):
+            yield "SpinGlass" + name, seed, _glass(seed, low=low, density=density)
 
 
-# The Max walk on the quadratic families: MaxCut G(20, 0.3), edges drawn by
-# ``gnp_edges`` from seeds 1 and 2, and 18-spin glasses from ``_glass``,
-# seeds 1 and 2: (family, seed, prefixes asked, best value). Each takes
-# QUBO's bound on its own matrix; with max-cut's bound of every edge with a
-# free end, and the spin glass's of every term with a free spin at its best,
-# the walks asked 65,472, 112,320, 78,634 and 75,384 prefixes. A change to
-# the pruning must update these on purpose.
+# The Max walk on the quadratic families, each on its own matrix: MaxCut on
+# G(20, p), edges drawn by ``gnp_edges`` from seeds 1 and 2, and on the path
+# of 20 vertices; 18-spin glasses from ``_glass``, seeds 1 and 2, dense, with
+# positive couplings only, and sparse: (instances, seed or path length,
+# prefixes asked, best value). With max-cut's former bound, the edges the prefix cuts plus every
+# edge with a free end, the MaxCut walks asked 65,472, 112,320, 6,070, 2,436
+# and 344 prefixes; with the spin glass's, the terms the prefix fixes plus
+# every term with a free spin at its best, the glasses asked 78,634, 75,384,
+# 222,822, 184,020, 2,094 and 5,492. A change to the pruning must update
+# these on purpose.
 QUADRATIC_WALK_MEASURES = [
-    ("MaxCut", 1, 12388, 43),
-    ("MaxCut", 2, 26242, 44),
-    ("SpinGlass", 1, 5138, 99),
-    ("SpinGlass", 2, 7524, 106),
+    ("MaxCut G(20, 0.3)", 1, 3216, 43),
+    ("MaxCut G(20, 0.3)", 2, 5842, 44),
+    ("MaxCut G(20, 0.1)", 1, 1238, 20),
+    ("MaxCut G(20, 0.1)", 2, 464, 19),
+    ("MaxCut path", 20, 344, 19),
+    ("SpinGlass", 1, 2852, 99),
+    ("SpinGlass", 2, 3200, 106),
+    ("SpinGlass J>0", 1, 11546, 70),
+    ("SpinGlass J>0", 2, 8354, 72),
+    ("SpinGlass sparse", 1, 376, 63),
+    ("SpinGlass sparse", 2, 490, 54),
 ]
 
 
@@ -858,6 +874,47 @@ def test_quadratic_walks_take_the_matrix_bound(monkeypatch):
         counts.append((family, seed, len(prefixes), result.value.payload))
         assert evaluate(instance, result.witness) == result.value
     assert counts == QUADRATIC_WALK_MEASURES
+
+
+def _former_qubo_bound(instance, prefix):
+    # each free x_j's gain given the prefix's ones, with its positive free couplings
+    q, k = instance.data.q, len(prefix)
+    bound = sum(q[i][l] * prefix[i] * prefix[l] for i in range(k) for l in range(k))
+    for j in range(k, len(q)):
+        gain = q[j][j] + sum(2 * q[j][i] * prefix[i] for i in range(k))
+        bound += max(gain + sum(max(q[j][l], 0) for l in range(k, len(q)) if l != j), 0)
+    return bound
+
+
+def _former_maxcut_bound(instance, prefix):
+    # the edges the prefix cuts, plus every edge with a free end
+    k = len(prefix)
+    return sum(prefix[u] != prefix[v] if v < k else 1 for u, v in instance.graph.edges)
+
+
+def _former_spin_glass_bound(instance, prefix):
+    # the terms the prefix fixes, plus every term with a free spin at its best
+    j, h, k = instance.data.j, instance.data.h, len(prefix)
+    s = [2 * x - 1 for x in prefix]
+    fixed = sum(j[a][b] * s[a] * s[b] for b in range(k) for a in range(b))
+    fixed += sum(c * spin for c, spin in zip(h, s))
+    free = sum(abs(j[a][b]) for b in range(k, len(h)) for a in range(b)) + sum(map(abs, h[k:]))
+    return free - fixed
+
+
+def test_quadratic_bound_is_no_looser_than_the_former_family_bounds():
+    """On every nonempty prefix shorter than a full configuration, the shared
+    bound is at most the bound each family took before, so no walk asks about
+    a prefix that the former bound would have skipped."""
+    rng = make_rng(414)
+    cases = [(_former_qubo_bound, Qubo(data)) for data in _qubo_matrices(rng)]
+    cases += [(_former_maxcut_bound, MaxCut(graph)) for graph in _graphs(rng)]
+    cases += [(_former_spin_glass_bound, glass) for glass in _spin_glasses(rng)]
+    for former, instance in cases:
+        for k in range(1, len(instance.config_dims())):
+            for prefix in itertools.product((0, 1), repeat=k):
+                bound = instance._optimistic_payload(prefix)
+                assert bound <= former(instance, prefix), (instance, prefix)
 
 
 def test_maxcut_counts_the_cut_its_statement_states():

@@ -263,10 +263,10 @@ def test_no_stage_loads_dataclasses_or_inspect(argv):
 # reads the README pipeline's envelope. Counted from the source text, so the
 # pins hold on any machine; a change that moves one moves it on purpose.
 STARTUP_PINS = {
-    "create MIS --graph 0-1,1-2,2-3": (10454, 1896),
-    "create GC --example": (11473, 2121),
-    "reduce - --to ILP": (14138, 2532),
-    "solve -": (20124, 3484),
+    "create MIS --graph 0-1,1-2,2-3": (10458, 1896),
+    "create GC --example": (11477, 2121),
+    "reduce - --to ILP": (14128, 2528),
+    "solve -": (20114, 3480),
 }
 
 
