@@ -1,5 +1,7 @@
+"""``python -m pred``: the same process entry as the ``pred`` script (``pred.cli.run``)."""
+
 from __future__ import annotations
 
-from .cli import main
+from .cli import run
 
-raise SystemExit(main())
+run()

@@ -10,9 +10,16 @@ optional ``--pretty`` rendering go to stdout as plain lines only where
 documented, and errors go to stderr.
 
 Exit codes: 0 ok, 2 bad input (a usage error included), 3 no reduction
-path, 4 budget exhausted, 5 infeasible program. A reader that closes the
-pipe before the output ends (``pred list | head -n 1``) ends the command
-quietly, with status 0.
+path, 4 budget exhausted, 5 infeasible program, each the ``exit_code`` of
+its error class (``pred.errors``). A reader that closes the pipe before the
+output ends (``pred list | head -n 1``) ends the command quietly, with
+status 0; a stderr whose reader has gone loses the diagnostic but not the
+status.
+
+``run`` is the process entry of both ``pred`` and ``python -m pred``: once
+``main`` has returned, the process runs its atexit handlers, flushes its
+output and ends at once with ``main``'s code, skipping the interpreter's
+teardown. ``main`` is the in-process entry, and returns the code.
 
 Each command is one process in a pipe, so each compiles and runs only its
 own code. ``COMMANDS`` declares the seven commands, their positionals and
@@ -25,33 +32,29 @@ module is loaded. ``create`` and ``evaluate`` need the problem registry and
 the instance's problem family alone (a family is loaded only by the
 commands that build or reduce into one of its problems), the reduction
 graph (rules and routing) is imported by the commands that route, the
-solvers by ``solve`` and ``show``, the brute-force fold (``pred.fold``) by a
-solve that folds, and the example database by ``create --example`` and
-``show``. Routing reads no expression, so the symbolic algebra
-(``pred.symbolic``) is loaded only by the commands that print one:
-``path``, ``show``, ``list`` and ``reduce --path``. The envelope codec
+solvers by ``solve`` and ``show``, the branch-and-bound kernel
+(``pred.kernel``) by a solve at the ILP node, the brute-force fold
+(``pred.fold``) by a solve that folds, and the example database by
+``create --example`` and ``show``. Routing reads no expression, so the
+symbolic algebra (``pred.symbolic``) is loaded only by the commands that
+print one: ``path``, ``show``, ``list`` and ``reduce --path``. The envelope codec
 (``envelope_to_document``, ``envelope_from_document``) stays here, the
-wire format of every pipe.
+wire format of every pipe; its replay check (``pred.cli_pipe.same_json``)
+is loaded with the stages that replay an envelope.
 """
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
 import sys
 from importlib import import_module
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NoReturn
 
-from .errors import (
-    BudgetExceededError,
-    DocumentError,
-    InfeasibleError,
-    NoPathError,
-    PredError,
-    UsageError,
-)
+from .errors import DocumentError, PredError, UsageError
 from .model import DEFAULT_CONFIG_BUDGET, DEFAULT_NODE_BUDGET
 from .problems import instance_from_document, instance_to_document
 
@@ -136,12 +139,12 @@ def envelope_from_document(document: Mapping, graph: ReductionGraph) -> Reductio
         steps.append(rule)
     path = graph.make_path(source.variant_key(), tuple(steps))
     envelope = reduce_along(path, source)
-    # compared as JSON text, so that 4.0 or true does not pass for 4 or 1
+    from .cli_pipe import same_json
+
     for index, (stored, outcome) in enumerate(zip(document["trace"], envelope.stack)):
-        if _json_text(stored) != _json_text(outcome.extraction):
+        if not same_json(stored, outcome.extraction):
             raise DocumentError(f"trace step {index} does not match the replayed reduction")
-    target = instance_to_document(envelope.target_instance)
-    if _json_text(target) != _json_text(document["target"]):
+    if not same_json(document["target"], instance_to_document(envelope.target_instance)):
         raise DocumentError("envelope target does not match the replayed reduction")
     return envelope
 
@@ -281,16 +284,47 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         _silence_stdout()
         return 0
-    except BudgetExceededError as exc:
-        print(f"pred: {exc}", file=sys.stderr)
-        return 4
-    except InfeasibleError as exc:
-        print(f"pred: {exc}", file=sys.stderr)
-        return 5
-    except NoPathError as exc:
-        print(f"pred: {exc}", file=sys.stderr)
-        return 3
     except (PredError, ValueError) as exc:
-        print(f"pred: {exc}", file=sys.stderr)
-        return 2
+        try:
+            print(f"pred: {exc}", file=sys.stderr)
+        except OSError:  # a stderr reader that has gone takes the line, not the status
+            pass
+        return getattr(exc, "exit_code", 2)
     return 0
+
+
+def run() -> NoReturn:
+    """The ``pred`` process: ``main``'s code as its exit status, with no
+    interpreter teardown once ``main`` has returned.
+
+    ``run`` raises ``SystemExit(code)``, as the end of a script does. Called by
+    the process's ``__main__`` module (the ``pred`` script, ``python -m
+    pred``), it first registers a handler that the interpreter runs at exit
+    before any other: it runs the other atexit handlers in the interpreter's
+    order (a site hook's, registered before ``run``, among them), flushes
+    stdout and stderr, ignoring a reader that has gone, and ends the process
+    with ``os._exit(code)``, so a stage spends no time taking apart the
+    modules and objects it is done with. The handler does nothing if the
+    process's ``__main__`` module is no longer that caller at exit
+    (``runpy.run_module(..., alter_sys=True)`` puts the host's back). A
+    ``main`` that raises, or any other caller of ``run``, registers nothing and
+    ends as the interpreter or the caller ends it. In-process callers call
+    ``main``.
+    """
+    entry = sys.modules["__main__"]
+    code = main()
+
+    def end() -> None:
+        if sys.modules.get("__main__") is entry:
+            atexit.unregister(end)
+            atexit._run_exitfuncs()
+            for stream in (sys.stdout, sys.stderr):
+                try:
+                    stream.flush()
+                except (OSError, ValueError):
+                    pass
+            os._exit(code)
+
+    if sys._getframe(1).f_globals is vars(entry):
+        atexit.register(end)
+    raise SystemExit(code)

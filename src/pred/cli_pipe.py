@@ -1,18 +1,26 @@
 """``pred reduce`` and ``pred solve``: the pipe stages that route.
 
 Each reads its input as an envelope (``pred.cli.envelope_from_document``
-replays a stored one; a bare instance is its own empty-path envelope).
-``reduce`` extends the envelope's path to a target type, and ``solve``
-solves its target and maps the answer back to the source.
+replays a stored one and checks it with ``same_json``; a bare instance is
+its own empty-path envelope). ``reduce`` extends the envelope's path to a
+target type, and ``solve`` solves its target and maps the answer back to
+the source.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from operator import is_
 from typing import TYPE_CHECKING, Mapping
 
-from .cli import emit, envelope_from_document, envelope_to_document, load_document
+from .cli import (
+    _json_text,
+    emit,
+    envelope_from_document,
+    envelope_to_document,
+    load_document,
+)
 from .errors import DocumentError, InfeasibleError, NoPathError
 from .graph import ReductionEnvelope, default_graph, reduce_along, solution_along
 from .model import ValueKind
@@ -20,6 +28,27 @@ from .problems import instance_from_document
 
 if TYPE_CHECKING:
     from .graph import ReductionGraph
+
+
+def same_json(a, b) -> bool:
+    """Whether ``_json_text(a) == _json_text(b)``: the replay check of
+    ``envelope_from_document``, which writes neither value as text. Exact when
+    either value's object keys are all strings, as a document read from JSON's
+    are.
+
+    Arrays (lists or tuples) and objects are compared member by member, an
+    array first by identity, which settles a long row of small ints at C
+    speed. Two strings, ints or booleans are compared by value, and anything
+    else by its JSON text, so that values equal in Python but not in JSON
+    (``4`` and ``4.0``, ``1`` and ``true``, ``0.0`` and ``-0.0``) differ.
+    """
+    if type(a) is type(b) in (str, int, bool):
+        return a == b
+    if type(a) in (list, tuple) and type(b) in (list, tuple):
+        return len(a) == len(b) and (all(map(is_, a, b)) or all(map(same_json, a, b)))
+    if type(a) is dict is type(b) and a.keys() == b.keys():
+        return all(same_json(a[key], b[key]) for key in a)
+    return _json_text(a) == _json_text(b)
 
 
 def _load_envelope(source: str, graph: ReductionGraph) -> ReductionEnvelope:

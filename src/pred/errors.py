@@ -1,8 +1,9 @@
 """Exception hierarchy and the record base shared across the library.
 
-Everything raised on purpose derives from PredError so the CLI can map
-failures onto its exit-code contract in one place. ``Record`` is the base of
-every immutable value class.
+Everything raised on purpose derives from PredError, and each class's
+``exit_code`` is the status the CLI exits with when it reports one: 2 for bad
+input, 3 for no reduction path, 4 for an exhausted budget and 5 for an
+infeasible program. ``Record`` is the base of every immutable value class.
 """
 
 from __future__ import annotations
@@ -86,6 +87,8 @@ class Record:
 class PredError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 2
+
 
 # --- instance / configuration validation ---------------------------------
 
@@ -162,6 +165,8 @@ class ExtractionError(PredError):
 class NoPathError(PredError):
     """No reduction path exists between the requested variants."""
 
+    exit_code = 3
+
 
 class BudgetExceededError(PredError):
     """Enumeration or search budget exhausted before completion.
@@ -169,6 +174,8 @@ class BudgetExceededError(PredError):
     A branch-and-bound search also reports the ``nodes`` it visited and the
     objective value of its best point so far (``incumbent``, None if none).
     """
+
+    exit_code = 4
 
     def __init__(
         self,
@@ -185,6 +192,8 @@ class BudgetExceededError(PredError):
 
 class InfeasibleError(PredError):
     """Solver proved the instance has no feasible configuration."""
+
+    exit_code = 5
 
 
 class DocumentError(PredError):

@@ -9,14 +9,19 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
+import signal
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pred import build_examples, default_graph, evaluate, instance_from_document
-from pred.cli import COMMANDS
+from pred.cli import COMMANDS, _json_text
+from pred.cli_pipe import same_json
 
 GRAPH = default_graph()
 REGISTRY = GRAPH.registry
@@ -498,6 +503,63 @@ def test_exit_2_on_an_envelope_field_equal_in_value_but_not_in_json_type(doctor)
     assert result.stderr.count("\n") == 1
 
 
+# JSON values of every type the wire carries, small enough that an
+# independent pair is sometimes equal, with the floats that JSON text tells
+# apart from equal ints and from each other
+_SCALARS = st.one_of(
+    st.integers(-2, 2),
+    st.integers(-(2**60), 2**60),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([0.0, -0.0, 1.0, 4.0, 0.5, float("nan"), float("inf")]),
+    st.floats(),
+    st.text(max_size=2),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _equal_in_python(value) -> list:
+    """Stand-ins for ``value`` in a twin: itself, a copy, and a number as
+    each of int, float and (for 0 and 1) bool, which ``==`` mostly cannot
+    tell from it and JSON text can."""
+    if isinstance(value, str):
+        return [value, "".join(value)]
+    if not isinstance(value, (int, float)):
+        return [value]
+    if value != value or value in (float("inf"), float("-inf")):
+        return [value, float(repr(value))]
+    out = [value, float(value), -float(value) if value == 0 else float(value), int(value)]
+    return out + [bool(value)] if value in (0, 1) else out
+
+
+def _twin(draw, value):
+    """``value`` rebuilt member by member: each array a list or a tuple, and
+    each scalar one of the values ``_equal_in_python`` gives, or one time in
+    ten a new one."""
+    if isinstance(value, list):
+        members = [_twin(draw, member) for member in value]
+        return tuple(members) if draw(st.booleans()) else members
+    if isinstance(value, dict):
+        return {key: _twin(draw, member) for key, member in value.items()}
+    if draw(st.integers(0, 9)):
+        return draw(st.sampled_from(_equal_in_python(value)))
+    return draw(_SCALARS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_the_replay_comparison_agrees_with_json_text_equality(data):
+    a = data.draw(_VALUES)
+    b = data.draw(_VALUES)
+    twin = _twin(data.draw, a)
+    for left, right in ((a, twin), (twin, a), (a, b), (a, a)):
+        assert same_json(left, right) == (_json_text(left) == _json_text(right))
+
+
 def test_evaluate_golden_lines():
     created = run_cli("create", "MIS", "--graph", LISTING_GRAPH).stdout
     good = run_cli("evaluate", "-", "--config", "0,1,0,1", stdin=created)
@@ -601,6 +663,174 @@ def test_a_reader_that_closes_early_ends_the_command_quietly(unbuffered):
         os.close(write_end)
     assert result.returncode == 0
     assert result.stderr == ""
+
+
+# The process entry (``python -m pred``) ends once ``main`` has returned and
+# its output is flushed, skipping the interpreter's teardown; this script
+# runs the same ``main`` in-process and ends with that teardown.
+IN_PROCESS = "import sys; from pred.cli import main; sys.exit(main())"
+
+
+def _entry_and_main(argv, stdin: bytes, unbuffered: str = "1"):
+    """The results of ``argv`` through ``python -m pred`` and through
+    ``IN_PROCESS``, which must match byte for byte and in exit code."""
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    results = [
+        subprocess.run([*entry, *argv], input=stdin, capture_output=True, env=env)
+        for entry in ([sys.executable, "-m", "pred"], [sys.executable, "-c", IN_PROCESS])
+    ]
+    entry, main = ((r.stdout, r.stderr, r.returncode) for r in results)
+    assert entry == main
+    return results[0]
+
+
+def test_the_entry_ends_the_readme_pipeline_as_main_does():
+    data = b""
+    for argv in (
+        ["create", "MIS", "--graph", LISTING_GRAPH],
+        ["reduce", "-", "--to", "ILP"],
+        ["solve", "-"],
+        ["solve", "-", "--pretty"],
+    ):
+        result = _entry_and_main(argv, data)
+        assert result.returncode == 0
+        if argv != ["solve", "-"]:
+            data = result.stdout
+    assert result.stdout.endswith(b'Evaluation: "Max(2)"\n')
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_the_entry_writes_a_multi_megabyte_envelope_whole(unbuffered):
+    # a seeded 3SAT of 200 clauses reduces to an ILP of about 2,400 dense
+    # rows over 600 variables, far more than a pipe holds at once
+    rng = random.Random(1)
+    clauses = [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 51), 3)]
+        for _ in range(200)
+    ]
+    document = {"problem": "3SAT", "data": {"num_variables": 50, "clauses": clauses}}
+    result = _entry_and_main(
+        ["reduce", "-", "--to", "ILP"], json.dumps(document).encode(), unbuffered
+    )
+    assert result.returncode == 0
+    assert len(result.stdout) > 2_000_000
+    assert json.loads(result.stdout)["target"]["data"]["num_vars"] == 600
+
+
+INFEASIBLE = json.dumps({
+    "problem": "IntegerLinearProgram",
+    "data": {
+        "num_vars": 1,
+        "bounds": [[0, 1]],
+        "constraints": [{"coeffs": [1], "rel": ">=", "rhs": 2}],
+        "objective": [1],
+        "sense": "max",
+    },
+})
+
+
+@pytest.mark.parametrize(
+    "code, argv, source",
+    [
+        (2, ["create", "MIS", "--graph", "0-x"], None),
+        (3, ["reduce", "-", "--to", "QUBO"], ["create", "MIS", "--graph", LISTING_GRAPH]),
+        (4, ["solve", "-", "--max-configs", "0"], ["create", "DecisionVC", "--example"]),
+        (5, ["solve", "-"], INFEASIBLE),
+    ],
+    ids=["2", "3", "4", "5"],
+)
+def test_the_entry_ends_each_failure_as_main_does(code, argv, source):
+    # ``source`` is the input document, or the command that creates it
+    stdin = run_cli(*source).stdout if isinstance(source, list) else source or ""
+    result = _entry_and_main(argv, stdin.encode())
+    assert result.returncode == code
+    assert result.stdout == b""
+    assert result.stderr.startswith(b"pred: ") and result.stderr.count(b"\n") == 1
+
+
+def test_a_stderr_reader_that_has_gone_keeps_the_exit_code():
+    # the diagnostic is lost with its reader; the status is not, and nothing
+    # else is written anywhere
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pred", "solve", "-"],
+            input=INFEASIBLE, stdout=subprocess.PIPE, stderr=write_end, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stdout) == (5, "")
+
+
+# ``pred.cli.run`` with ``main`` replaced by a function of the given body
+RUN_WITH = """
+import atexit
+import pred.cli
+
+def main():
+{body}
+
+pred.cli.main = main
+pred.cli.run()
+"""
+
+
+@pytest.mark.parametrize(
+    "body, code, stdout, stderr",
+    [
+        # every atexit handler still runs before the exit: one registered
+        # before run (as a site hook's is) and one registered while pred runs
+        ("    atexit.register(print, 'handler ran')\n    print('main ran')\n    return 3",
+         3, "main ran\nhandler ran\nearlier handler ran\n", ""),
+        # a main that raises ends as the interpreter ends it, Ctrl-C by SIGINT
+        ("    raise RuntimeError('boom')", 1, "earlier handler ran\n", "RuntimeError: boom\n"),
+        ("    raise KeyboardInterrupt", -signal.SIGINT, "earlier handler ran\n",
+         "KeyboardInterrupt\n"),
+    ],
+    ids=["returns", "raises", "interrupted"],
+)
+def test_run_ends_with_the_code_main_returned(body, code, stdout, stderr):
+    # stdout is buffered, so only the exit's flush writes what main printed
+    script = "import atexit\natexit.register(print, 'earlier handler ran')\n" + RUN_WITH
+    result = subprocess.run(
+        [sys.executable, "-c", script.format(body=body)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONUNBUFFERED": ""},
+    )
+    assert (result.returncode, result.stdout) == (code, stdout)
+    assert result.stderr.endswith(stderr)
+
+
+# A host that runs pred's entry in its own process, catches the SystemExit,
+# and then ends with its own status and its own atexit handler
+HOST = """
+import atexit, runpy, sys
+atexit.register(print, "host handler ran")
+sys.argv[1:] = ["create", "MIS", "--graph", "0-x"]
+try:
+    {call}
+except SystemExit as exc:
+    print("pred exited", exc.code)
+sys.exit(7)
+"""
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "runpy.run_module('pred', run_name='__main__')",
+        "runpy.run_module('pred', run_name='__main__', alter_sys=True)",
+        "exec('import pred.cli; pred.cli.run()', {})",
+    ],
+    ids=["run_module", "run_module-alter_sys", "from-another-module"],
+)
+def test_a_host_that_runs_the_entry_keeps_its_own_exit(call):
+    # only the process's __main__ module calling run hands it the process;
+    # these callers' globals are not that module's
+    result = subprocess.run(
+        [sys.executable, "-c", HOST.format(call=call)], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout) == (7, "pred exited 2\nhost handler ran\n")
 
 
 def test_create_example_for_every_canonical_entry():

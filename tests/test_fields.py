@@ -149,7 +149,7 @@ def _decodes_or_rejects(document: dict) -> None:
     encoded = instance_to_document(instance)
     assert instance_to_document(instance_from_document(encoded, REGISTRY)) == encoded
     # a count above sys.maxsize is rejected, but one like 2**40 still decodes and
-    # its configuration space cannot be built in memory (ROADMAP item 6); only
+    # its configuration space cannot be built in memory (ROADMAP item 7); only
     # instances of at most 64 variables are evaluated
     if max(instance.size_measures().values(), default=0) <= 64:
         evaluate(instance, (0,) * len(instance.config_dims()))
@@ -192,7 +192,7 @@ COUNTS = ("num_vertices", "num_variables", "num_elements", "n", "num_vars", "col
 @pytest.mark.parametrize("name", NAMES)
 def test_a_count_too_large_to_index_exits_2(name):
     # Counts that fit an index can still exhaust memory (a 10**8-vertex graph,
-    # say); those stay open under ROADMAP item 6.
+    # say); those stay open under ROADMAP item 7.
     example = next(e for e in EXAMPLES.values() if e.instance.type_name == name)
     document = instance_to_document(example.instance)
     fields = [field for field in COUNTS if field in document["data"]]

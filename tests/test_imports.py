@@ -6,7 +6,8 @@ interpreters (``python -m pred`` through ``runpy``), and each reports the
 modules that appeared in ``sys.modules`` while it ran. Each command loads
 its own handler module alone (``pred.cli_create``, ``cli_pipe`` or
 ``cli_browse``); the brute-force fold (``pred.fold``) belongs only to the
-stages that fold. The symbolic algebra (``pred.symbolic``, which brings in
+stages that fold, and the branch-and-bound kernel (``pred.kernel``) only to
+a solve at the ILP node. The symbolic algebra (``pred.symbolic``, which brings in
 ``fractions``) belongs only to the stages that print an expression, since
 routing reads none, and a problem family (``pred.problems.graph``, ``sat``,
 ``ilp``, ``qubo``, ``setcover``) only to the stages that build or reduce an
@@ -127,6 +128,7 @@ PIPE = [*CORE, "pred.cli_pipe", "pred.graph", "pred.rules"]
 SYMBOLIC = ("pred.symbolic", "fractions")
 GRAPH_FAMILY = "pred.problems.graph"
 ILP_FAMILY = "pred.problems.ilp"
+KERNEL = "pred.kernel"
 FAMILIES = {f"pred.problems.{f}" for f in ("graph", "sat", "ilp", "qubo", "setcover")}
 
 
@@ -211,9 +213,28 @@ def test_solve_on_an_envelope_adds_the_solvers_and_only_the_route_families():
     envelope, _ = run_stage("reduce", "-", "--to", "ILP", stdin=json.dumps(MIS))
     _, report = run_stage("solve", "-", stdin=envelope)
     assert pred_modules(report) == sorted(
-        [*PIPE, "pred.solvers", GRAPH_FAMILY, ILP_FAMILY]
+        [*PIPE, "pred.solvers", KERNEL, GRAPH_FAMILY, ILP_FAMILY]
     )
     assert_no_symbolic(report)
+
+
+@pytest.mark.parametrize(
+    "problem, solver",
+    [("DecisionVC", "brute-force"), ("QUBO", "qubo"), ("MaxCut", "qubo (via QUBO)")],
+)
+def test_a_solve_off_the_ilp_node_leaves_the_kernel_unloaded(problem, solver):
+    instance, _ = run_stage("create", problem, "--example")
+    solved, report = run_stage("solve", "-", stdin=instance)
+    assert json.loads(solved)["solver"] == solver
+    assert "pred.solvers" in report["loaded"]
+    assert KERNEL not in report["loaded"]
+
+
+def test_show_names_the_solver_without_the_kernel():
+    shown, report = run_stage("show", "MIS")
+    assert "solver tier: via_ilp" in shown
+    assert "pred.solvers" in report["loaded"]
+    assert KERNEL not in report["loaded"]
 
 
 def test_every_family_reference_resolves():
@@ -259,14 +280,17 @@ def test_no_stage_loads_dataclasses_or_inspect(argv):
 
 
 # (AST nodes, source lines) summed over the pred modules that each stage
-# loads, the README pipeline's three stages and an example; the solve stage
-# reads the README pipeline's envelope. Counted from the source text, so the
+# loads: the README pipeline's three stages, then two examples. The README
+# solve reads the pipeline's envelope and solves at the ILP node; a stage
+# named "<PROBLEM" reads that problem's example, and DecisionVC's solve folds
+# by brute force, without the kernel. Counted from the source text, so the
 # pins hold on any machine; a change that moves one moves it on purpose.
 STARTUP_PINS = {
-    "create MIS --graph 0-1,1-2,2-3": (10458, 1896),
-    "create GC --example": (11477, 2121),
-    "reduce - --to ILP": (14128, 2528),
-    "solve -": (20114, 3480),
+    "create MIS --graph 0-1,1-2,2-3": (10537, 1939),
+    "create GC --example": (11556, 2164),
+    "reduce - --to ILP": (14385, 2600),
+    "solve -": (20388, 3573),
+    "solve - <DecisionVC": (15612, 2835),
 }
 
 
@@ -281,10 +305,13 @@ def source_size(modules: list[str]) -> tuple[int, int]:
 
 @pytest.mark.parametrize("stage", STARTUP_PINS)
 def test_each_stage_compiles_its_pinned_source(stage):
+    argv, _, example = stage.partition(" <")
     stdin = json.dumps(MIS)
-    if stage == "solve -":
+    if example:
+        stdin, _ = run_stage("create", example, "--example")
+    elif argv == "solve -":
         stdin, _ = run_stage("reduce", "-", "--to", "ILP", stdin=stdin)
-    _, report = run_stage(*stage.split(), stdin=stdin)
+    _, report = run_stage(*argv.split(), stdin=stdin)
     assert source_size(pred_modules(report)) == STARTUP_PINS[stage]
 
 

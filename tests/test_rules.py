@@ -50,7 +50,7 @@ from pred.rules import (
     extract_value,
     shipped_rules,
 )
-from pred.solvers import _stored_rows
+from pred.kernel import _stored_rows
 from pred.symbolic import vars_of
 
 import oracles

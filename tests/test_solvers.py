@@ -50,7 +50,8 @@ from pred import (
     solver_label,
     shipped_rules,
 )
-from pred.solvers import SOLVERS, _BitSearch, _BoxSearch, _kernel, _stored_rows
+from pred.kernel import _BitSearch, _BoxSearch, _kernel, _stored_rows
+from pred.solvers import SOLVERS
 
 from generators import (
     clause_row,
