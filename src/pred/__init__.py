@@ -48,7 +48,7 @@ _EXPORTS = {
     "examples": "CanonicalExample build_examples get_example",
     "fold": "FoldResult combine",
     "graph": (
-        "ReductionEnvelope ReductionGraph ReductionPath default_graph "
+        "ReductionEnvelope ReductionGraph ReductionPath Solver default_graph "
         "extract_along extract_value_along reduce_along"
     ),
     "model": (

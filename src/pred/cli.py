@@ -31,8 +31,8 @@ one module that ``COMMANDS`` names: ``pred.cli_create`` (``create``,
 module is loaded. ``create`` and ``evaluate`` need the problem registry and
 the instance's problem family alone (a family is loaded only by the
 commands that build or reduce into one of its problems), the reduction
-graph (rules and routing) is imported by the commands that route, the
-solvers by ``solve`` and ``show``, the branch-and-bound kernel
+graph (rules, routing and the solver table) by the commands that route,
+the dispatch (``pred.solvers``) by ``solve`` alone, the branch-and-bound kernel
 (``pred.kernel``) by a solve at the ILP node, the brute-force fold
 (``pred.fold``) by a solve that folds, and the example database by
 ``create --example`` and ``show``. Routing reads no expression, so the

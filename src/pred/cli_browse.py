@@ -44,7 +44,6 @@ def cmd_path(args) -> None:
 
 def cmd_show(args) -> None:
     from .examples import get_example
-    from .solvers import SOLVERS
 
     graph = default_graph()
     registry = graph.registry
@@ -61,8 +60,7 @@ def cmd_show(args) -> None:
     if route is None:
         tier = "brute_force_only"
     elif route.steps:
-        solver_name, _ = SOLVERS[route.target_type.name]
-        tier = f"via_{solver_name}"
+        tier = f"via_{graph.solvers[route.target].label}"
     else:
         tier = "dedicated"
     print(f"  solver tier: {tier}")

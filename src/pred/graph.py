@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import DuplicateRegistrationError, Record, UnknownProblemError
 from .model import (
@@ -105,6 +105,16 @@ class ReductionPath(Record):
         return tuple(step.name for step in self.steps)
 
 
+class Solver(Record):
+    """A solver node: its problem, its label, and ``run(instance, max_nodes)``,
+    which returns the instance's ``value`` and ``witness``, charging its
+    search against the node budget."""
+
+    problem: str
+    label: str
+    run: Callable
+
+
 class ReductionEnvelope(Record):
     """A source instance carried through a path, with replayable extraction."""
 
@@ -115,13 +125,14 @@ class ReductionEnvelope(Record):
 
 
 class ReductionGraph:
-    """Immutable rule registry keyed by source variant.
+    """Immutable rule registry keyed by source variant, with its solver nodes
+    (``solvers``, by variant key).
 
     Since nothing changes after construction, each variant's solver route is
     searched once and then remembered.
     """
 
-    def __init__(self, registry: Registry, rules: list[ReductionRule]) -> None:
+    def __init__(self, registry: Registry, rules: list[ReductionRule], solvers: Iterable[Solver]):
         self.registry = registry
         self.rules = tuple(rules)
         self._by_name: dict[str, ReductionRule] = {}
@@ -144,6 +155,12 @@ class ReductionGraph:
             self._incoming[rule.target.key].append(rule)
         for bucket in (*self._outgoing.values(), *self._incoming.values()):
             bucket.sort(key=lambda r: r.name)
+        self.solvers: dict[VariantKey, Solver] = {}
+        for solver in solvers:
+            node = registry.lookup(solver.problem).key
+            if node in self.solvers:
+                raise DuplicateRegistrationError(f"duplicate solver at {solver.problem}")
+            self.solvers[node] = solver
         self._solver_routes: dict[VariantKey, ReductionPath | None] = {}
 
     def outgoing(self, key: VariantKey) -> tuple[ReductionRule, ...]:
@@ -182,14 +199,11 @@ class ReductionGraph:
     def solver_route(self, key: VariantKey) -> ReductionPath | None:
         """How ``solve`` treats instances of ``key``: the route, by the same
         rule as ``find_path``, along witness-capable rules to the nearest
-        solver node (a problem named in ``pred.solvers.SOLVERS``), whose
-        solver then runs on the reduced instance, or None when only brute
-        force applies. A solver node's route is the empty path."""
+        solver node (one of ``solvers``), whose solver then runs on the
+        reduced instance, or None when only brute force applies. A solver
+        node's route is the empty path."""
         if key not in self._solver_routes:
-            from .solvers import SOLVERS
-
-            nodes = {self.registry.lookup(name).key for name in SOLVERS}
-            self._solver_routes[key] = self._route(key, nodes, require_witness=True)
+            self._solver_routes[key] = self._route(key, set(self.solvers), require_witness=True)
         return self._solver_routes[key]
 
     def _route(
@@ -263,7 +277,24 @@ def extract_value_along(
     return value
 
 
+def _run_ilp(ilp: Problem, max_nodes: int):
+    # read off the module at call time, where perfbench/spans.py's tracer replaces it
+    from . import solvers
+
+    return solvers.solve_ilp(ilp.data, max_nodes)
+
+
+def _walk_qubo(qubo: Problem, max_nodes: int):
+    from .fold import first_best
+
+    return first_best(qubo, max_nodes)
+
+
 @lru_cache(maxsize=1)
 def default_graph() -> ReductionGraph:
+    """The shipped rules and solver nodes: ILP's exact branch and bound
+    (``pred.kernel``) and QUBO's pruned prefix walk (``pred.fold``), each
+    module loaded by the run's first call, so building the graph loads neither."""
     registry = default_registry()
-    return ReductionGraph(registry, shipped_rules(registry))
+    solvers = (Solver("IntegerLinearProgram", "ilp", _run_ilp), Solver("QUBO", "qubo", _walk_qubo))
+    return ReductionGraph(registry, shipped_rules(registry), solvers)

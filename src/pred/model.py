@@ -41,8 +41,9 @@ Configuration = tuple[int, ...]
 
 # Enumeration cap for fold_space, the default brute-force budget.
 DEFAULT_CONFIG_BUDGET = 1 << 20
-# Node cap of the branch-and-bound ILP search in ``solvers``; defined here so
-# the command line can show it without loading the solver.
+# Node cap of the branch-and-bound ILP search (``pred.kernel``) and of the QUBO
+# node's prefix walk; defined here so the command line can show it without
+# loading either.
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
@@ -145,6 +146,11 @@ class Problem(ABC):
     @abstractmethod
     def config_dims(self) -> tuple[int, ...]:
         """Domain size of each configuration variable, in index order."""
+
+    def num_variables(self) -> int:
+        """``len(config_dims())``, which a family whose count is a document
+        field reads off that field, so that a huge count builds nothing."""
+        return len(self.config_dims())
 
     @abstractmethod
     def size_measures(self) -> dict[str, int]:
@@ -287,13 +293,13 @@ class QuadraticProblem(Problem):
 
 
 def validate_config(instance: Problem, config: Sequence[int]) -> None:
-    """Reject configurations of the wrong arity or outside variable domains."""
-    dims = instance.config_dims()
-    if len(config) != len(dims):
+    """Reject configurations of the wrong arity (checked first) or outside variable domains."""
+    count = instance.num_variables()
+    if len(config) != count:
         raise DimensionMismatchError(
-            f"{instance.type_name} expects {len(dims)} values, got {len(config)}"
+            f"{instance.type_name} expects {count} values, got {len(config)}"
         )
-    for i, (value, dim) in enumerate(zip(config, dims)):
+    for i, (value, dim) in enumerate(zip(config, instance.config_dims())):
         if not isinstance(value, int) or isinstance(value, bool):
             raise DomainError(f"configuration value at index {i} is not an integer")
         if not 0 <= value < dim:
@@ -350,6 +356,9 @@ class DecisionProblem(Problem):
 
     def config_dims(self) -> tuple[int, ...]:
         return self.inner.config_dims()
+
+    def num_variables(self) -> int:
+        return self.inner.num_variables()
 
     def size_measures(self) -> dict[str, int]:
         return self.inner.size_measures()

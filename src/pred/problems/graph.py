@@ -130,6 +130,9 @@ class _GraphProblem(Record, Problem):
     def config_dims(self) -> tuple[int, ...]:
         return (2,) * self.graph.num_vertices
 
+    def num_variables(self) -> int:
+        return self.graph.num_vertices
+
     def size_measures(self) -> dict[str, int]:
         return {"V": self.graph.num_vertices, "E": len(self.graph.edges)}
 
@@ -228,6 +231,9 @@ class GraphColoring(Record, Problem):
 
     def config_dims(self) -> tuple[int, ...]:
         return (self.colors,) * self.graph.num_vertices
+
+    def num_variables(self) -> int:
+        return self.graph.num_vertices
 
     def size_measures(self) -> dict[str, int]:
         return {"V": self.graph.num_vertices, "E": len(self.graph.edges), "k": self.colors}

@@ -52,6 +52,9 @@ class Satisfiability(Record, LinearProblem):
     def config_dims(self) -> tuple[int, ...]:
         return (2,) * self.cnf.num_variables
 
+    def num_variables(self) -> int:
+        return self.cnf.num_variables
+
     def size_measures(self) -> dict[str, int]:
         return {
             "n": self.cnf.num_variables,

@@ -1,17 +1,16 @@
-"""Solver dispatch and the solver table.
+"""Solver dispatch.
 
-``SOLVERS`` names the solver nodes of the reduction graph and the solver
-each one runs: ILP has the exact branch-and-bound search of ``pred.kernel``,
-and QUBO the pruned prefix walk of ``pred.fold`` (``first_best``) under its
-node budget. Brute force takes the same walk for every Or, Max, Min and
-Extremum fold, QUBO's included. The reduction graph makes the one
-dispatch decision (``ReductionGraph.solver_route``): an instance
-with a witness-capable path to a solver node is carried along the one with
-the fewest steps (then the smallest rule names) and solved there, a solver
-node itself being the empty path, and any other instance is enumerated by
-brute force. Adding a solver is one entry in the table. Each solver's module
-loads on its first call (``pred.kernel`` in ``solve_ilp``, ``pred.fold`` in
-``fold_space`` and ``_walk_qubo``), so a stage compiles only the one it runs.
+The reduction graph holds the solver nodes (``ReductionGraph.solvers``,
+declared by ``default_graph``: ILP's exact branch-and-bound search and
+QUBO's pruned prefix walk) and makes the one dispatch decision
+(``ReductionGraph.solver_route``): an instance with a witness-capable path
+to a solver node is carried along the one with the fewest steps (then the
+smallest rule names) and solved there, a solver node itself being the empty
+path, and any other instance is enumerated by brute force, which takes the
+same prefix walk as QUBO for every Or, Max, Min and Extremum fold. Adding a
+solver is one entry in the graph's table. Each solver's module loads on its
+first call (``pred.kernel`` in ``solve_ilp``, ``pred.fold`` in
+``fold_space`` and the QUBO walk), so a stage compiles only the one it runs.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .model import (
 )
 
 if TYPE_CHECKING:
-    from .fold import FoldResult
     from .problems.ilp import IlpData
 
 
@@ -79,21 +77,6 @@ def solve_brute(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> 
     return SolveResult(result.value, result.witness, "brute-force")
 
 
-def _walk_qubo(qubo: Problem, max_nodes: int) -> FoldResult:
-    from .fold import first_best
-
-    return first_best(qubo, max_nodes)
-
-
-# The solver nodes, by problem name: each runs ``(instance, max_nodes)`` and
-# returns the instance's value and witness, charging its search against the
-# node budget. Its name is the solver's label.
-SOLVERS = {
-    "IntegerLinearProgram": ("ilp", lambda ilp, max_nodes: solve_ilp(ilp.data, max_nodes)),
-    "QUBO": ("qubo", _walk_qubo),
-}
-
-
 def solve(
     instance: Problem,
     max_configs: int = DEFAULT_CONFIG_BUDGET,
@@ -105,14 +88,15 @@ def solve(
     The solver's answer is mapped back by ``solution_along``. A solver node
     is its own empty route, so it gets its solver's result as it is.
     """
-    route = default_graph().solver_route(instance.variant_key())
+    graph = default_graph()
+    route = graph.solver_route(instance.variant_key())
     if route is None:
         return solve_brute(instance, max_configs)
-    name, run = SOLVERS[route.target_type.name]
+    solver = graph.solvers[route.target]
     if not route.steps:
-        result = run(instance, max_nodes)
-        return SolveResult(result.value, result.witness, name)
+        result = solver.run(instance, max_nodes)
+        return SolveResult(result.value, result.witness, solver.label)
     envelope = reduce_along(route, instance)
-    result = run(envelope.target_instance, max_nodes)
+    result = solver.run(envelope.target_instance, max_nodes)
     value, witness = solution_along(envelope, result.value, result.witness)
-    return SolveResult(value, witness, name, route=route)
+    return SolveResult(value, witness, solver.label, route=route)

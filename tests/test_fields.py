@@ -13,6 +13,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import resource
+import subprocess
 import sys
 from unittest import mock
 
@@ -209,6 +211,36 @@ def test_a_count_too_large_to_index_exits_2(name):
 def test_create_rejects_a_count_too_large_to_index():
     code, out, err = run_main(["create", "MIS", "--vertices", str(2**64)])
     assert (code, out, err) == (2, "", f"pred: num_vertices must be at most {sys.maxsize}\n")
+
+
+# a count that fits an index but whose configuration domains fill no memory,
+# as the problem name, the count's field, the rest of the data and the type name
+HUGE_COUNTS = [
+    ("VC", "num_vertices", {"edges": []}, "MinimumVertexCover"),
+    ("GC", "num_vertices", {"edges": [], "colors": 3}, "GraphColoring"),
+    ("DecisionVC", "num_vertices", {"edges": [], "bound": 1}, "DecisionMinimumVertexCover"),
+    ("SAT", "num_variables", {"clauses": [[1]]}, "Satisfiability"),
+    ("3SAT", "num_variables", {"clauses": [[1, 2, 3]]}, "ThreeSatisfiability"),
+]
+
+
+def _cap_memory() -> None:
+    # 1.5 GB of address space: the domains of 2**31 variables would take 16 GB
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+
+@pytest.mark.parametrize(
+    "problem, field, data, type_name", HUGE_COUNTS, ids=[case[0] for case in HUGE_COUNTS]
+)
+def test_evaluate_checks_the_arity_before_building_the_domains(problem, field, data, type_name):
+    document = {"problem": problem, "data": {**data, field: 2**31}}
+    result = subprocess.run(
+        [sys.executable, "-m", "pred", "evaluate", "-", "--config", "0,1"],
+        input=json.dumps(document), capture_output=True, text=True,
+        preexec_fn=_cap_memory, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (2, ""), result.stderr
+    assert result.stderr == f"pred: {type_name} expects {2**31} values, got 2\n"
 
 
 def _envelope_to_ilp(example) -> dict | None:

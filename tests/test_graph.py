@@ -23,6 +23,7 @@ from pred import (
     Registry,
     SENSE_MAXIMIZE,
     Satisfiability,
+    Solver,
     ThreeSatisfiability,
     TypeMismatchError,
     UnknownProblemError,
@@ -318,7 +319,20 @@ def test_graph_rejects_two_rules_on_one_pair():
     rule = GRAPH.rule_named("MaximumIndependentSet->MinimumVertexCover")
     twin = _rule_with(rule, name="another MaximumIndependentSet->MinimumVertexCover")
     with pytest.raises(DuplicateRegistrationError):
-        ReductionGraph(REGISTRY, [*GRAPH.rules, twin])
+        ReductionGraph(REGISTRY, [*GRAPH.rules, twin], GRAPH.solvers.values())
+
+
+def test_graph_rejects_a_solver_at_an_unknown_problem():
+    solvers = [*GRAPH.solvers.values(), Solver("NoSuchProblem", "nothing", fold_space)]
+    with pytest.raises(UnknownProblemError):
+        ReductionGraph(REGISTRY, GRAPH.rules, solvers)
+
+
+def test_graph_rejects_two_solvers_at_one_node():
+    # an alias names the same node as the type name
+    twin = Solver("ILP", "another ilp", fold_space)
+    with pytest.raises(DuplicateRegistrationError):
+        ReductionGraph(REGISTRY, GRAPH.rules, [*GRAPH.solvers.values(), twin])
 
 
 def test_chaining_matches_sequential_application():
@@ -394,10 +408,13 @@ def test_find_path_matches_enumeration_on_all_pairs(require_witness):
 
 # --- the cost rule on synthetic catalogues --------------------------------------
 
-def _synthetic_graph(seed: int, num_types: int, num_rules: int) -> ReductionGraph:
+def _synthetic_graph(
+    seed: int, num_types: int, num_rules: int, solvers: tuple = ()
+) -> ReductionGraph:
     """A seeded catalogue: rules on distinct pairs of types, a cycle through
     the first four types among them, names shuffled against the endpoints,
-    and about a quarter of the rules without a witness extractor."""
+    and about a quarter of the rules without a witness extractor; ``solvers``
+    are its solver nodes."""
     rng = make_rng(seed)
     registry = Registry()
     types = [
@@ -424,7 +441,7 @@ def _synthetic_graph(seed: int, num_types: int, num_rules: int) -> ReductionGrap
         )
         for name, (source, target) in zip(names, pairs)
     ]
-    return ReductionGraph(registry, rules)
+    return ReductionGraph(registry, rules, solvers)
 
 
 def _fewest_steps_by_enumeration(graph, source, target, require_witness):
@@ -478,3 +495,25 @@ def test_find_path_routes_every_pair_of_a_large_catalogue_within_ten_cpu_seconds
     for (source, target), route in routes.items():
         assert (route is not None) == (target in reached[source]), (source, target)
     assert max(len(route.steps) for route in routes.values() if route) >= 10
+
+
+def test_solver_route_takes_the_nearest_of_two_solver_nodes_of_a_large_catalogue():
+    nodes = ("T23", "T77")
+    solvers = [Solver(name, name.lower(), fold_space) for name in nodes]
+    graph = _synthetic_graph(100, num_types=100, num_rules=200, solvers=solvers)
+    targets = [graph.registry.lookup(name).key for name in nodes]
+    served = {target: 0 for target in targets}
+    longest = 0
+    for source in (d.key for d in graph.registry.variants()):
+        route = graph.solver_route(source)
+        enumerated = [_fewest_steps_by_enumeration(graph, source, t, True) for t in targets]
+        expected = min((found for found in enumerated if found is not None), default=None)
+        found = None if route is None else (len(route.steps), route.rule_names())
+        assert found == expected, source
+        if route is not None:
+            assert graph.solvers[route.target].label == route.target_type.name.lower()
+            served[route.target] += 1
+            longest = max(longest, len(route.steps))
+    # each node is the nearest for many sources, some of them many steps away
+    assert min(served.values()) >= 30
+    assert longest >= 10

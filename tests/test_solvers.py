@@ -32,12 +32,14 @@ from pred import (
     Satisfiability,
     SetCover,
     SetCoverData,
+    Solver,
     SpinGlass,
     IsingData,
     ThreeSatisfiability,
     ValueKind,
     VertexCover,
     DominatingSet,
+    build_examples,
     cli,
     default_graph,
     evaluate,
@@ -51,7 +53,6 @@ from pred import (
     shipped_rules,
 )
 from pred.kernel import _BitSearch, _BoxSearch, _kernel, _stored_rows
-from pred.solvers import SOLVERS
 
 from generators import (
     clause_row,
@@ -990,7 +991,8 @@ def test_show_tier_names_the_solver_that_solve_runs(name):
     example = _stdout(["create", name, "--example"])
     solver = json.loads(_stdout(["solve", "-"], example))["solver"]
     name_of_solver, via, _ = solver.partition(" (via ")
-    assert name_of_solver in ("brute-force", "ilp", "qubo")
+    labels = [solver.label for solver in default_graph().solvers.values()]
+    assert name_of_solver in ("brute-force", *labels)
     if solver == "brute-force":
         tier = "brute_force_only"
     elif via:
@@ -1243,7 +1245,7 @@ def test_solve_ilp_matches_the_lexicographic_highs_optimum(family):
 
 def test_solver_route_is_searched_once_per_variant(monkeypatch):
     registry = default_graph().registry
-    graph = ReductionGraph(registry, shipped_rules(registry))
+    graph = ReductionGraph(registry, shipped_rules(registry), default_graph().solvers.values())
     monkeypatch.setattr("pred.solvers.default_graph", lambda: graph)
     searches = []
     route = graph._route
@@ -1255,8 +1257,68 @@ def test_solver_route_is_searched_once_per_variant(monkeypatch):
     monkeypatch.setattr(graph, "_route", counting_route)
     first = solve(GraphColoring(GraphData(3, ((0, 1), (1, 2))), 2))
     # one search, towards all the solver nodes at once, made by the first solve
-    assert searches == [{registry.lookup(name).key for name in SOLVERS}]
+    assert searches == [set(graph.solvers)]
     second = solve(GraphColoring(GraphData(4, ((0, 1), (1, 2), (2, 3))), 2))
     assert len(searches) == 1
     assert first.route is second.route and first.route.steps
     assert first.value.payload is True and second.value.payload is True
+
+
+# --- the composition claim: a new solver node serves every problem routed to it ---
+
+# brute force at set cover, a node the shipped table does not have
+SET_COVER_FOLD = Solver("SetCover", "fold", lambda instance, max_nodes: fold_space(instance))
+
+
+def _with_set_cover_fold() -> ReductionGraph:
+    shipped = default_graph()
+    rules = shipped_rules(shipped.registry)
+    return ReductionGraph(shipped.registry, rules, [*shipped.solvers.values(), SET_COVER_FOLD])
+
+
+def _order(route):
+    return (len(route.steps), route.rule_names())
+
+
+def test_a_new_solver_node_takes_every_route_that_reaches_it_sooner():
+    shipped, composed = default_graph(), _with_set_cover_fold()
+    registry = composed.registry
+    set_cover = registry.lookup("SetCover").key
+    moved = []
+    for key in (d.key for d in registry.variants()):
+        old = shipped.solver_route(key)
+        candidates = [r for r in (old, composed.find_path(key, set_cover)) if r is not None]
+        expected = min(candidates, key=_order, default=None)
+        route = composed.solver_route(key)
+        if expected is None:
+            assert route is None, key
+            continue
+        assert (route.target, route.rule_names()) == (expected.target, expected.rule_names())
+        if old is None or (route.target, route.rule_names()) != (old.target, old.rule_names()):
+            moved.append(registry.short_name(key))
+    assert sorted(moved) == ["DominatingSet", "SetCover"]
+
+
+def _answers(instances):
+    results = [solve(instance) for instance in instances]
+    return [(r.value, r.witness) for r in results], [solver_label(r) for r in results]
+
+
+def test_answers_are_unchanged_when_a_solver_node_is_added(monkeypatch):
+    rng = make_rng(2032)
+    instances = [example.instance for example in build_examples(REGISTRY).values()]
+    for _ in range(100):
+        instances.append(random_domset(rng, max_vertices=10)[0])
+        instances.append(random_set_cover(rng, max_sets=10, max_elements=10)[0])
+    answers, labels = _answers(instances)
+    composed = _with_set_cover_fold()
+    monkeypatch.setattr("pred.solvers.default_graph", lambda: composed)
+    new_answers, new_labels = _answers(instances)
+    assert new_answers == answers
+    for instance, label, new_label in zip(instances, labels, new_labels):
+        if instance.type_name == "MinimumDominatingSet":
+            assert new_label == "fold (via SetCover)"
+        elif instance.type_name == "MinimumSetCover":
+            assert new_label == "fold"
+        else:
+            assert new_label == label
