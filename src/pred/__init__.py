@@ -52,7 +52,7 @@ _EXPORTS = {
         "extract_along extract_value_along reduce_along"
     ),
     "model": (
-        "DEFAULT_CONFIG_BUDGET DEFAULT_NODE_BUDGET AggregatedValue DecisionProblem "
+        "DEFAULT_NODE_BUDGET AggregatedValue DecisionProblem "
         "Problem ProblemTypeDescriptor Registry SENSE_MAXIMIZE SENSE_MINIMIZE "
         "ValueKind VariantKey decision_wrap evaluate fold_space "
         "identity_value make_key validate_config"

@@ -17,7 +17,7 @@ from .errors import CapabilityError, DocumentError, PredError, Record
 from .examples import CanonicalExample, _by_variant, build_examples
 from .graph import ReductionPath, extract_value_along, reduce_along, solution_along
 from .model import (
-    DEFAULT_CONFIG_BUDGET,
+    DEFAULT_NODE_BUDGET,
     AggregatedValue,
     Problem,
     Registry,
@@ -56,7 +56,8 @@ def _values_equal(a: AggregatedValue, b: AggregatedValue) -> bool:
 def round_trip_check(
     rule_or_path: ReductionRule | ReductionPath,
     instance: Problem,
-    max_configs: int = DEFAULT_CONFIG_BUDGET,
+    *,
+    max_nodes: int = DEFAULT_NODE_BUDGET,
 ) -> RoundTripReport:
     """Brute-force both endpoints of a reduction and compare via extraction."""
     path = rule_or_path
@@ -68,8 +69,8 @@ def round_trip_check(
             f"path {' / '.join(names)} is neither witness- nor value-extractable end to end"
         )
     envelope = reduce_along(path, instance)
-    source_fold = fold_space(instance, max_configs)
-    target_fold = fold_space(envelope.target_instance, max_configs)
+    source_fold = fold_space(instance, max_nodes=max_nodes)
+    target_fold = fold_space(envelope.target_instance, max_nodes=max_nodes)
 
     if path.witness_capable:
         if target_fold.witness is None:

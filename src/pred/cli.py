@@ -38,9 +38,9 @@ the dispatch (``pred.solvers``) by ``solve`` alone, the branch-and-bound kernel
 ``create --example`` and ``show``. Routing reads no expression, so the
 symbolic algebra (``pred.symbolic``) is loaded only by the commands that
 print one: ``path``, ``show``, ``list`` and ``reduce --path``. The envelope codec
-(``envelope_to_document``, ``envelope_from_document``) stays here, the
-wire format of every pipe; its replay check (``pred.cli_pipe.same_json``)
-is loaded with the stages that replay an envelope.
+(``envelope_to_document``, ``envelope_from_document``), the wire format of
+every pipe, is ``pred.cli_pipe``'s, loaded with the two stages that read or
+write an envelope; the names still resolve here, to it.
 """
 
 from __future__ import annotations
@@ -52,16 +52,15 @@ import sys
 from importlib import import_module
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Mapping, NoReturn
+from typing import Mapping, NoReturn
 
 from .errors import DocumentError, PredError, UsageError
-from .model import DEFAULT_CONFIG_BUDGET, DEFAULT_NODE_BUDGET
-from .problems import instance_from_document, instance_to_document
+from .model import DEFAULT_NODE_BUDGET
 
-if TYPE_CHECKING:
-    from .graph import ReductionEnvelope, ReductionGraph
-
-TRACE_VERSION = 1
+def __getattr__(name: str):
+    if name in ("envelope_to_document", "envelope_from_document"):
+        return getattr(import_module(f"{__package__}.cli_pipe"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # --- plumbing ---------------------------------------------------------------
@@ -96,59 +95,6 @@ def emit(document: Mapping) -> None:
     print(_json_text(document))
 
 
-def envelope_to_document(envelope: ReductionEnvelope) -> dict:
-    return {
-        "kind": "envelope",
-        "trace_version": TRACE_VERSION,
-        "source": instance_to_document(envelope.source_instance),
-        "path": list(envelope.path.rule_names()),
-        "target": instance_to_document(envelope.target_instance),
-        "trace": [outcome.extraction for outcome in envelope.stack],
-    }
-
-
-def envelope_from_document(document: Mapping, graph: ReductionGraph) -> ReductionEnvelope:
-    """Rebuild an envelope by replaying its path; reject stale or doctored traces."""
-    from .graph import reduce_along
-
-    expected = {"kind", "trace_version", "source", "path", "target", "trace"}
-    if set(document) != expected:
-        raise DocumentError(
-            f"envelope must have exactly the fields {sorted(expected)}"
-        )
-    version = document["trace_version"]
-    if type(version) is not int or version != TRACE_VERSION:
-        raise DocumentError(
-            f"unsupported trace version {version!r} "
-            f"(this build reads version {TRACE_VERSION})"
-        )
-    if not isinstance(document["path"], list) or not all(
-        isinstance(name, str) for name in document["path"]
-    ):
-        raise DocumentError("envelope path must be a list of rule names")
-    if not isinstance(document["trace"], list):
-        raise DocumentError("envelope trace must be a list")
-    if len(document["trace"]) != len(document["path"]):
-        raise DocumentError("trace length does not match path length")
-    source = instance_from_document(document["source"], graph.registry)
-    steps = []
-    for name in document["path"]:
-        rule = graph.rule_named(name)
-        if rule is None:
-            raise DocumentError(f"unknown reduction rule {name!r}")
-        steps.append(rule)
-    path = graph.make_path(source.variant_key(), tuple(steps))
-    envelope = reduce_along(path, source)
-    from .cli_pipe import same_json
-
-    for index, (stored, outcome) in enumerate(zip(document["trace"], envelope.stack)):
-        if not same_json(stored, outcome.extraction):
-            raise DocumentError(f"trace step {index} does not match the replayed reduction")
-    if not same_json(document["target"], instance_to_document(envelope.target_instance)):
-        raise DocumentError("envelope target does not match the replayed reduction")
-    return envelope
-
-
 # --- the command table ----------------------------------------------------------
 
 REQUIRED = object()  # the default of a flag that must be given
@@ -178,9 +124,8 @@ COMMANDS = {
     )),
     "solve": ("cli_pipe", "solve an instance or envelope", (_INPUT,), (
         ("--pretty", bool, False, "print display lines, not JSON"),
-        ("--max-configs", int, DEFAULT_CONFIG_BUDGET, "brute-force configuration budget"),
         ("--max-nodes", int, DEFAULT_NODE_BUDGET,
-         "node budget of the ILP branch-and-bound and the QUBO bounded search"),
+         "node budget of every search: branch-and-bound and prefix walk"),
     )),
     "path": ("cli_browse", "print the shortest reduction route between two types", (
         ("SOURCE", "problem name or alias"), ("TARGET", "problem name or alias"),

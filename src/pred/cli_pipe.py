@@ -1,10 +1,11 @@
-"""``pred reduce`` and ``pred solve``: the pipe stages that route.
+"""``pred reduce`` and ``pred solve``: the pipe stages that route, and the
+envelope codec that they alone use.
 
-Each reads its input as an envelope (``pred.cli.envelope_from_document``
-replays a stored one and checks it with ``same_json``; a bare instance is
-its own empty-path envelope). ``reduce`` extends the envelope's path to a
-target type, and ``solve`` solves its target and maps the answer back to
-the source.
+Each reads its input as an envelope (``envelope_from_document`` replays a
+stored one and checks it with ``same_json``; a bare instance is its own
+empty-path envelope). ``reduce`` extends the envelope's path to a target
+type and writes it (``envelope_to_document``), and ``solve`` solves its
+target and maps the answer back to the source.
 """
 
 from __future__ import annotations
@@ -14,20 +15,16 @@ import sys
 from operator import is_
 from typing import TYPE_CHECKING, Mapping
 
-from .cli import (
-    _json_text,
-    emit,
-    envelope_from_document,
-    envelope_to_document,
-    load_document,
-)
+from .cli import _json_text, emit, load_document
 from .errors import DocumentError, InfeasibleError, NoPathError
 from .graph import ReductionEnvelope, default_graph, reduce_along, solution_along
 from .model import ValueKind
-from .problems import instance_from_document
+from .problems import instance_from_document, instance_to_document
 
 if TYPE_CHECKING:
     from .graph import ReductionGraph
+
+TRACE_VERSION = 1
 
 
 def same_json(a, b) -> bool:
@@ -49,6 +46,55 @@ def same_json(a, b) -> bool:
     if type(a) is dict is type(b) and a.keys() == b.keys():
         return all(same_json(a[key], b[key]) for key in a)
     return _json_text(a) == _json_text(b)
+
+
+def envelope_to_document(envelope: ReductionEnvelope) -> dict:
+    return {
+        "kind": "envelope",
+        "trace_version": TRACE_VERSION,
+        "source": instance_to_document(envelope.source_instance),
+        "path": list(envelope.path.rule_names()),
+        "target": instance_to_document(envelope.target_instance),
+        "trace": [outcome.extraction for outcome in envelope.stack],
+    }
+
+
+def envelope_from_document(document: Mapping, graph: ReductionGraph) -> ReductionEnvelope:
+    """Rebuild an envelope by replaying its path; reject stale or doctored traces."""
+    expected = {"kind", "trace_version", "source", "path", "target", "trace"}
+    if set(document) != expected:
+        raise DocumentError(
+            f"envelope must have exactly the fields {sorted(expected)}"
+        )
+    version = document["trace_version"]
+    if type(version) is not int or version != TRACE_VERSION:
+        raise DocumentError(
+            f"unsupported trace version {version!r} "
+            f"(this build reads version {TRACE_VERSION})"
+        )
+    if not isinstance(document["path"], list) or not all(
+        isinstance(name, str) for name in document["path"]
+    ):
+        raise DocumentError("envelope path must be a list of rule names")
+    if not isinstance(document["trace"], list):
+        raise DocumentError("envelope trace must be a list")
+    if len(document["trace"]) != len(document["path"]):
+        raise DocumentError("trace length does not match path length")
+    source = instance_from_document(document["source"], graph.registry)
+    steps = []
+    for name in document["path"]:
+        rule = graph.rule_named(name)
+        if rule is None:
+            raise DocumentError(f"unknown reduction rule {name!r}")
+        steps.append(rule)
+    path = graph.make_path(source.variant_key(), tuple(steps))
+    envelope = reduce_along(path, source)
+    for index, (stored, outcome) in enumerate(zip(document["trace"], envelope.stack)):
+        if not same_json(stored, outcome.extraction):
+            raise DocumentError(f"trace step {index} does not match the replayed reduction")
+    if not same_json(document["target"], instance_to_document(envelope.target_instance)):
+        raise DocumentError("envelope target does not match the replayed reduction")
+    return envelope
 
 
 def _load_envelope(source: str, graph: ReductionGraph) -> ReductionEnvelope:
@@ -115,13 +161,12 @@ def _reject_infeasible(value) -> None:
 def cmd_solve(args) -> None:
     from .solvers import solve, solver_label
 
-    for flag, budget in (("--max-configs", args.max_configs), ("--max-nodes", args.max_nodes)):
-        if budget < 0:
-            raise DocumentError(f"{flag} must be at least 0")
+    if args.max_nodes < 0:
+        raise DocumentError("--max-nodes must be at least 0")
     graph = default_graph()
     envelope = _load_envelope(args.input, graph)
     source = envelope.source_instance
-    result = solve(envelope.target_instance, args.max_configs, args.max_nodes)
+    result = solve(envelope.target_instance, max_nodes=args.max_nodes)
     _reject_infeasible(result.value)
     value, witness = solution_along(envelope, result.value, result.witness)
     solver = solver_label(result, prefix_steps=envelope.path.steps)

@@ -169,10 +169,10 @@ class NoPathError(PredError):
 
 
 class BudgetExceededError(PredError):
-    """Enumeration or search budget exhausted before completion.
+    """The node budget of a search exhausted before completion.
 
-    A branch-and-bound search also reports the ``nodes`` it visited and the
-    objective value of its best point so far (``incumbent``, None if none).
+    Every search reports its budget (``limit``), the ``nodes`` it charged and
+    the objective value of its best point so far (``incumbent``, None if none).
     """
 
     exit_code = 4

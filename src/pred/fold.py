@@ -11,9 +11,10 @@ and Extremum fold is one prefix walk (``first_best``) that skips the
 prefixes whose bound, the one hook ``Problem._optimistic_payload``, says
 they hold no feasible configuration that beats the incumbent; a linear
 family's bound is set up here from its rows (``row_bound``), and a
-quadratic family's from its matrix (``coupling_shares``). The
-enumeration budget counts the full space for every kind; the QUBO solver
-runs the same walk under a node budget instead.
+quadratic family's from its matrix (``coupling_shares``). Every fold runs
+under one node budget, the branch-and-bound search's: a walk charges each
+prefix it asks, as at the QUBO solver node, and a Sum or And fold each
+configuration it measures.
 
 ``pred.model.fold_space`` is the entry point; this module loads on its
 first call, or on the QUBO solver's, so the commands that fold nothing
@@ -70,31 +71,36 @@ class FoldResult(Record):
     witness: Configuration | None
 
 
-def fold(instance: Problem, max_configs: int) -> FoldResult:
-    """``pred.model.fold_space``: the budget check, then the kind's fold."""
-    dims = instance.config_dims()
-    total = 1
-    for d in dims:
-        total *= d
-    if total > max_configs:
-        raise BudgetExceededError(
-            f"{total} configurations exceed the enumeration budget {max_configs}",
-            limit=max_configs,
-        )
+def fold(instance: Problem, max_nodes: int) -> FoldResult:
+    """``pred.model.fold_space``: ``first_best`` for an Or, Max, Min or
+    Extremum instance; a Sum or And fold measures the space in product order,
+    charging each configuration as one node."""
     kind = instance.kind
-    measure = instance._measure
-    configs = itertools.product(*(range(d) for d in dims))
-    if kind is ValueKind.AND:
-        for config in configs:
-            if not measure(config)[0]:
-                return FoldResult(AggregatedValue(kind, False), None)
-        return FoldResult(AggregatedValue(kind, True), None)
-    if kind is ValueKind.SUM:
-        return FoldResult(AggregatedValue(kind, sum(measure(c)[0] for c in configs)), None)
-    return first_best(instance)
+    if kind is not ValueKind.SUM and kind is not ValueKind.AND:
+        return first_best(instance, max_nodes)
+    total = 0 if kind is ValueKind.SUM else True
+    for nodes, config in enumerate(itertools.product(*map(range, instance.config_dims()))):
+        if nodes == max_nodes:
+            raise _exceeded(max_nodes)
+        payload = instance._measure(config)[0]
+        if kind is ValueKind.SUM:
+            total += payload
+        elif not payload:
+            total = False
+            break
+    return FoldResult(AggregatedValue(kind, total), None)
 
 
-def first_best(instance: Problem, max_nodes: int | None = None) -> FoldResult:
+def _exceeded(max_nodes: int, incumbent: int | None = None) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"bounded search exceeded {max_nodes} nodes",
+        limit=max_nodes,
+        nodes=max_nodes,
+        incumbent=incumbent,
+    )
+
+
+def first_best(instance: Problem, max_nodes: int) -> FoldResult:
     """The Or, Max, Min or Extremum fold of ``instance`` by a pruned prefix walk.
 
     An iterative depth-first walk in product order (no recursion, so any
@@ -108,11 +114,17 @@ def first_best(instance: Problem, max_nodes: int | None = None) -> FoldResult:
     plain fold's: the best feasible value with its lexicographically
     smallest witness, or the kind's identity with none when nothing is
     feasible. An Or walk starts from its identity, false, and stops at its
-    first true configuration, which nothing beats. With ``max_nodes``, each
-    prefix asked counts as one node, and asking one more than ``max_nodes``
-    raises ``BudgetExceededError``, as the branch-and-bound search does.
-    ``fold`` sends every instance of those four kinds here.
+    first true configuration, which nothing beats. Each prefix asked counts
+    as one node, and asking one more than ``max_nodes`` raises
+    ``BudgetExceededError``, as the branch-and-bound search does. A walk
+    asks one prefix per variable but the last on its way to its first
+    configuration, so an instance of more than ``max_nodes + 1`` variables
+    raises before the walk builds anything, even one whose bound would
+    have pruned every prefix. ``fold`` sends every instance of those four
+    kinds here.
     """
+    if instance.num_variables() > max_nodes + 1:
+        raise _exceeded(max_nodes)
     dims = instance.config_dims()
     optimistic, measure = instance._optimistic_payload, instance._measure
     kind = instance.kind
@@ -136,13 +148,8 @@ def first_best(instance: Problem, max_nodes: int | None = None) -> FoldResult:
             value += 1
             if depth < last:
                 nodes += 1
-                if max_nodes is not None and nodes > max_nodes:
-                    raise BudgetExceededError(
-                        f"bounded search exceeded {max_nodes} nodes",
-                        limit=max_nodes,
-                        nodes=max_nodes,
-                        incumbent=None if witness is None else sign * best,
-                    )
+                if nodes > max_nodes:
+                    raise _exceeded(max_nodes, None if witness is None else sign * best)
                 bound = optimistic(child)
                 if bound is None or best is not None and sign * bound <= best:
                     continue

@@ -39,11 +39,9 @@ if TYPE_CHECKING:
 
 Configuration = tuple[int, ...]
 
-# Enumeration cap for fold_space, the default brute-force budget.
-DEFAULT_CONFIG_BUDGET = 1 << 20
-# Node cap of the branch-and-bound ILP search (``pred.kernel``) and of the QUBO
-# node's prefix walk; defined here so the command line can show it without
-# loading either.
+# Node cap of every search: the branch-and-bound ILP search (``pred.kernel``)
+# and the prefix walk of the QUBO node and of brute force (``pred.fold``);
+# defined here so the command line can show it without loading either.
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
@@ -313,7 +311,7 @@ def evaluate(instance: Problem, config: Sequence[int]) -> AggregatedValue:
     return instance.evaluate(config)
 
 
-def fold_space(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> FoldResult:
+def fold_space(instance: Problem, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> FoldResult:
     """Fold the kind's combine law over the entire configuration space.
 
     The result equals folding ``combine`` over the ``evaluate`` of every
@@ -324,14 +322,16 @@ def fold_space(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> F
     none for Sum and And. Sum measures every configuration and And stops
     at its first false one. Every Or, Max, Min and Extremum instance takes
     the pruned prefix walk (``pred.fold.first_best``), which gives the same
-    value and witness having measured fewer configurations. The budget
-    always applies to the full space size. An instance with zero variables
-    has exactly one, empty, configuration. The fold lives in ``pred.fold``,
-    loaded on the first call.
+    value and witness having measured fewer configurations. The walk
+    charges each prefix it asks as one node, and a Sum or And fold each
+    configuration it measures; one more than ``max_nodes`` raises
+    ``BudgetExceededError``. An instance with zero variables has exactly
+    one, empty, configuration. The fold lives in ``pred.fold``, loaded on the
+    first call.
     """
     from .fold import fold
 
-    return fold(instance, max_configs)
+    return fold(instance, max_nodes)
 
 
 class DecisionProblem(Problem):

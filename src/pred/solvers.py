@@ -7,7 +7,9 @@ QUBO's pruned prefix walk) and makes the one dispatch decision
 to a solver node is carried along the one with the fewest steps (then the
 smallest rule names) and solved there, a solver node itself being the empty
 path, and any other instance is enumerated by brute force, which takes the
-same prefix walk as QUBO for every Or, Max, Min and Extremum fold. Adding a
+same prefix walk as QUBO for every Or, Max, Min and Extremum fold. Every
+search runs under the one node budget ``max_nodes``: the branch-and-bound
+search charges its nodes, and a walk the prefixes it asks. Adding a
 solver is one entry in the graph's table. Each solver's module loads on its
 first call (``pred.kernel`` in ``solve_ilp``, ``pred.fold`` in
 ``fold_space`` and the QUBO walk), so a stage compiles only the one it runs.
@@ -22,7 +24,6 @@ from .graph import ReductionPath, default_graph, reduce_along, solution_along
 from .model import (
     AggregatedValue,
     Configuration,
-    DEFAULT_CONFIG_BUDGET,
     DEFAULT_NODE_BUDGET,
     Problem,
     SENSE_MAXIMIZE,
@@ -72,16 +73,12 @@ def solve_ilp(data: IlpData, max_nodes: int = DEFAULT_NODE_BUDGET) -> SolveResul
     )
 
 
-def solve_brute(instance: Problem, max_configs: int = DEFAULT_CONFIG_BUDGET) -> SolveResult:
-    result = fold_space(instance, max_configs)
+def solve_brute(instance: Problem, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> SolveResult:
+    result = fold_space(instance, max_nodes=max_nodes)
     return SolveResult(result.value, result.witness, "brute-force")
 
 
-def solve(
-    instance: Problem,
-    max_configs: int = DEFAULT_CONFIG_BUDGET,
-    max_nodes: int = DEFAULT_NODE_BUDGET,
-) -> SolveResult:
+def solve(instance: Problem, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Solve at the solver node the graph routes ``instance`` to, or by brute
     force when it has no route.
 
@@ -91,7 +88,7 @@ def solve(
     graph = default_graph()
     route = graph.solver_route(instance.variant_key())
     if route is None:
-        return solve_brute(instance, max_configs)
+        return solve_brute(instance, max_nodes=max_nodes)
     solver = graph.solvers[route.target]
     if not route.steps:
         result = solver.run(instance, max_nodes)

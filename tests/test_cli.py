@@ -369,23 +369,28 @@ def test_exit_4_on_qubo_node_budget(tmp_path):
     assert run_cli("solve", str(path)).returncode == 0
 
 
-# Clique solves through ILP, DecisionVC by brute force
+# Clique solves through ILP, DecisionVC by brute force, both under --max-nodes
 @pytest.mark.parametrize("problem", ["Clique", "DecisionVC"])
-@pytest.mark.parametrize("flag", ["--max-nodes", "--max-configs"])
-def test_exit_2_on_negative_budget(problem, flag):
+def test_exit_2_on_negative_budget(problem):
     created = run_cli("create", problem, "--example")
-    result = run_cli("solve", "-", flag, "-1", stdin=created.stdout)
+    result = run_cli("solve", "-", "--max-nodes", "-1", stdin=created.stdout)
     assert (result.returncode, result.stdout) == (2, "")
-    assert result.stderr == f"pred: {flag} must be at least 0\n"
+    assert result.stderr == "pred: --max-nodes must be at least 0\n"
 
 
-@pytest.mark.parametrize(
-    "problem,flag", [("Clique", "--max-nodes"), ("DecisionVC", "--max-configs")]
-)
-def test_exit_4_on_zero_budget(problem, flag):
+@pytest.mark.parametrize("problem", ["Clique", "DecisionVC"])
+def test_exit_4_on_zero_budget(problem):
     created = run_cli("create", problem, "--example")
-    result = run_cli("solve", "-", flag, "0", stdin=created.stdout)
+    result = run_cli("solve", "-", "--max-nodes", "0", stdin=created.stdout)
     assert (result.returncode, result.stdout) == (4, "")
+
+
+def test_brute_force_has_no_budget_of_its_own():
+    # --max-nodes is the one budget of every search
+    created = run_cli("create", "DecisionVC", "--example")
+    result = run_cli("solve", "-", "--max-configs", "5", stdin=created.stdout)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "pred: solve takes no flag --max-configs (see pred solve --help)\n"
 
 
 def test_exit_5_on_infeasible_program(tmp_path):
@@ -734,7 +739,7 @@ INFEASIBLE = json.dumps({
     [
         (2, ["create", "MIS", "--graph", "0-x"], None),
         (3, ["reduce", "-", "--to", "QUBO"], ["create", "MIS", "--graph", LISTING_GRAPH]),
-        (4, ["solve", "-", "--max-configs", "0"], ["create", "DecisionVC", "--example"]),
+        (4, ["solve", "-", "--max-nodes", "0"], ["create", "DecisionVC", "--example"]),
         (5, ["solve", "-"], INFEASIBLE),
     ],
     ids=["2", "3", "4", "5"],

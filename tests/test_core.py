@@ -16,7 +16,6 @@ from pred import (
     AggregatedValue,
     Clique,
     CnfData,
-    DEFAULT_CONFIG_BUDGET,
     BudgetExceededError,
     DecisionProblem,
     DimensionMismatchError,
@@ -173,15 +172,13 @@ def test_fold_space_witness_reevaluates_on_random_instances():
 
 
 def test_fold_space_budget():
+    # the Max walk on 8 isolated vertices asks 56 prefixes
     big = IndependentSet(GraphData(8, ()))
     with pytest.raises(BudgetExceededError) as exc_info:
-        fold_space(big, max_configs=100)
-    assert exc_info.value.limit == 100
-    assert "100" in str(exc_info.value)
-
-
-def test_fold_space_default_budget_constant():
-    assert DEFAULT_CONFIG_BUDGET == 1 << 20
+        fold_space(big, max_nodes=55)
+    assert exc_info.value.limit == 55
+    assert "55" in str(exc_info.value)
+    assert fold_space(big, max_nodes=56).value.payload == 8
 
 
 def _catalogue_instances(rng):
@@ -336,13 +333,27 @@ def test_or_and_folds_stop_at_their_absorbing_value(monkeypatch):
         assert sum(m for n, _, m in own if n == name) < sum(m for n, _, m in default if n == name)
 
 
-def test_or_fold_budget_counts_the_full_space():
+def test_or_fold_budget_counts_the_walks_prefixes():
     empty = IndependentSet(GraphData(8, ()))
     wrapped = decision_wrap(empty, 0)  # the all-zero first configuration answers true
     with pytest.raises(BudgetExceededError):
-        fold_space(wrapped, max_configs=255)
-    result = fold_space(wrapped, max_configs=256)
+        fold_space(wrapped, max_nodes=6)
+    result = fold_space(wrapped, max_nodes=7)  # one prefix per variable but the last
     assert result.witness == (0,) * 8
+
+
+def test_sum_and_and_folds_charge_each_configuration_they_measure():
+    space = list(itertools.product(range(2), range(3)))
+    counted = _Table(ValueKind.SUM, (2, 3), {c: i for i, c in enumerate(space)})
+    with pytest.raises(BudgetExceededError) as exc_info:
+        fold_space(counted, max_nodes=5)
+    assert exc_info.value.limit == 5
+    assert fold_space(counted, max_nodes=6).value.payload == 15
+    # And stops at its first false configuration, the third
+    stopped = _Table(ValueKind.AND, (2, 3), {c: i != 2 for i, c in enumerate(space)})
+    with pytest.raises(BudgetExceededError):
+        fold_space(stopped, max_nodes=2)
+    assert fold_space(stopped, max_nodes=3).value.payload is False
 
 
 def _decision_vc_cases(rng):

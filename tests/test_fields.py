@@ -243,6 +243,20 @@ def test_evaluate_checks_the_arity_before_building_the_domains(problem, field, d
     assert result.stderr == f"pred: {type_name} expects {2**31} values, got 2\n"
 
 
+def test_a_walk_too_long_for_the_node_budget_builds_nothing():
+    # DecisionVC has no witness route, so brute force walks it, and its first
+    # configuration alone would take 2**31 - 1 prefixes of the 10**7 allowed
+    document = {"problem": "DecisionVC", "data": {"num_vertices": 2**31, "edges": [[0, 1]],
+                                                  "bound": 1}}
+    result = subprocess.run(
+        [sys.executable, "-m", "pred", "solve", "-"],
+        input=json.dumps(document), capture_output=True, text=True,
+        preexec_fn=_cap_memory, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (4, ""), result.stderr
+    assert result.stderr == "pred: bounded search exceeded 10000000 nodes\n"
+
+
 def _envelope_to_ilp(example) -> dict | None:
     document = json.dumps(instance_to_document(example.instance))
     code, out, _ = run_main(["reduce", "-", "--to", "ILP"], document)

@@ -121,6 +121,20 @@ print(json.dumps({
 }))
 """
 
+# Imports the command line alone, then reads the envelope codec through it.
+CODEC = """
+import json, sys
+import pred.cli
+loaded = sorted(sys.modules)
+to_document, from_document = pred.cli.envelope_to_document, pred.cli.envelope_from_document
+import pred.cli_pipe as pipe
+print(json.dumps({
+    "loaded": loaded,
+    "resolved": to_document is pipe.envelope_to_document
+    and from_document is pipe.envelope_from_document,
+}))
+"""
+
 MIS = {"problem": "MIS", "data": {"num_vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]]}}
 CORE = ["pred", "pred.cli", "pred.errors", "pred.model", "pred.problems"]
 CREATE = [*CORE, "pred.cli_create"]
@@ -177,6 +191,14 @@ def test_import_and_graph_build_leave_the_algebra_unloaded():
     loaded = json.loads(result.stdout)
     assert {"pred.graph", "pred.rules", "pred.cli"} <= set(loaded)
     assert not set(SYMBOLIC) & set(loaded)
+
+
+def test_the_envelope_codec_loads_with_the_pipe_stages_and_resolves_through_the_cli():
+    result = subprocess.run([sys.executable, "-c", CODEC], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert not {"pred.cli_pipe", "pred.problems"} & set(report["loaded"])
+    assert report["resolved"]
 
 
 def test_import_and_graph_build_load_no_family():
@@ -287,11 +309,11 @@ def test_no_stage_loads_dataclasses_or_inspect(argv):
 # by brute force, without the kernel. Counted from the source text, so the
 # pins hold on any machine; a change that moves one moves it on purpose.
 STARTUP_PINS = {
-    "create MIS --graph 0-1,1-2,2-3": (10587, 1954),
-    "create GC --example": (11606, 2179),
-    "reduce - --to ILP": (14575, 2646),
-    "solve -": (20538, 3603),
-    "solve - <DecisionVC": (15762, 2865),
+    "create MIS --graph 0-1,1-2,2-3": (10210, 1899),
+    "create GC --example": (11229, 2124),
+    "reduce - --to ILP": (14557, 2636),
+    "solve -": (20516, 3590),
+    "solve - <DecisionVC": (15739, 2859),
 }
 
 

@@ -41,6 +41,7 @@ from pred import (
     DominatingSet,
     build_examples,
     cli,
+    decision_wrap,
     default_graph,
     evaluate,
     fold_space,
@@ -53,6 +54,8 @@ from pred import (
     shipped_rules,
 )
 from pred.kernel import _BitSearch, _BoxSearch, _kernel, _stored_rows
+from pred.model import QuadraticProblem
+from pred.problems.qubo import forward_ising_to_qubo
 
 from generators import (
     clause_row,
@@ -78,6 +81,7 @@ from generators import (
     random_vc,
 )
 from oracles import best_ilp, ilp_feasible, lexicographic_ilp, propagate_bounds, reference_fold
+from test_core import _glass
 
 REGISTRY = default_graph().registry
 P4 = GraphData(4, ((0, 1), (1, 2), (2, 3)))
@@ -885,10 +889,64 @@ def test_qubo_search_charges_each_prefix_against_the_node_budget():
     error = caught.value
     assert (error.limit, error.nodes) == (prefixes - 1, prefixes - 1)
     assert error.incumbent is not None and error.incumbent <= value
-    # the full-space budget is brute force's, not the solver's
-    assert solve(instance, max_configs=1).value.payload == value
+    # brute force takes the same budget on the same QUBO
+    assert solve_brute(instance, max_nodes=prefixes).value.payload == value
     with pytest.raises(BudgetExceededError):
-        solve_brute(instance, max_configs=4095)
+        solve_brute(instance, max_nodes=prefixes - 1)
+
+
+@pytest.mark.parametrize("seed, prefixes", [(1, 2852), (2, 3200)])
+def test_brute_force_and_the_qubo_node_walk_alike_under_one_budget(monkeypatch, seed, prefixes):
+    # an 18-spin glass has no witness route, so brute force walks it; the QUBO
+    # of its matrix is walked at the QUBO node, over the same prefixes
+    glass = _glass(seed)
+    qubo, _ = forward_ising_to_qubo(glass)
+    asked = []
+    bound = QuadraticProblem._optimistic_payload
+
+    def counted(self, prefix):
+        asked.append(prefix)
+        return bound(self, prefix)
+
+    monkeypatch.setattr(QuadraticProblem, "_optimistic_payload", counted)
+    walks = []
+    for instance, label in ((glass, "brute-force"), (qubo, "qubo")):
+        asked.clear()
+        result = solve(instance, max_nodes=prefixes)
+        assert solver_label(result) == label
+        walks.append((list(asked), result.witness))
+        with pytest.raises(BudgetExceededError):
+            solve(instance, max_nodes=prefixes - 1)
+    assert len(walks[0][0]) == prefixes
+    assert walks[0] == walks[1]
+
+
+def _ci_glass(n):
+    """The spin glass that the CI workflow writes for ``pred solve``."""
+    j = tuple(tuple(0 if i == k else (i * k + i + k) % 7 - 3 for k in range(n)) for i in range(n))
+    return SpinGlass(IsingData(n, j, tuple(i * 5 % 7 - 3 for i in range(n))))
+
+
+def test_brute_force_walks_a_space_past_two_to_the_twenty():
+    # 2^22 configurations; an exhaustive enumeration of them finds the same
+    # optimum, first at the same configuration
+    result = solve(_ci_glass(22))
+    assert (solver_label(result), result.value.render()) == ("brute-force", "Max(240)")
+    assert "".join(map(str, result.witness)) == "0000001000000100000010"
+
+
+def test_decision_vc_walks_agree_with_the_ilp_node_on_larger_graphs():
+    for n in range(24, 41):
+        graph = GraphData(n, gnp_edges(make_rng(n), n, 0.15))
+        optimum = solve(VertexCover(graph))
+        assert solver_label(optimum) == "ilp (via ILP)"
+        least = optimum.value.payload
+        below = solve(decision_wrap(VertexCover(graph), least - 1))
+        assert (solver_label(below), below.value.payload) == ("brute-force", False)
+        met = solve(decision_wrap(VertexCover(graph), least))
+        assert met.value.payload is True
+        assert sum(met.witness) <= least
+        assert evaluate(VertexCover(graph), met.witness).feasible
 
 
 @pytest.mark.parametrize(

@@ -86,6 +86,26 @@ def test_canonical_is_idempotent_on_random_polynomials():
         assert canonical(once) == once
 
 
+@pytest.mark.parametrize(
+    "text, rendered",
+    [
+        ("2^n + 2^m", "2^m + 2^n"),
+        ("2^m + 2^n", "2^m + 2^n"),
+        ("3^n + 2^n + n", "2^n + 3^n + n"),
+        ("sqrt(V)*2^n", "2^n*V^(1/2)"),
+        ("2^n*sqrt(V)", "2^n*V^(1/2)"),
+        ("V^(1/2) + E^(1/2)", "E^(1/2) + V^(1/2)"),
+        ("k^V + 2^V", "2^V + k^V"),
+    ],
+)
+def test_canonical_orders_terms_that_are_not_polynomial(text, rendered):
+    # the terms and factors that are not polynomial take one order whatever
+    # order they came in, and a sum's polynomial part comes last
+    once = canonical(parse_expr(text))
+    assert render(once) == rendered
+    assert canonical(once) == once
+
+
 def test_render_examples():
     assert render(Exp(Fraction(11996, 10000), Var("V"))) == "1.1996^V"
     assert render(Exp(Fraction(2), Var("L"))) == "2^L"
