@@ -17,11 +17,12 @@ stay as their declared text until something reads them, so importing the
 package and building the graph (``default_graph()``) do not load the
 symbolic algebra, ``pred.symbolic``, and neither does routing, which reads
 no expression. Nor do they load any problem family (``pred.problems``): a
-family's classes and forward maps load when an instance of it is first
-built or reduced to. ``canonical`` is the expression normaliser from
-``pred.symbolic``; the example database is ``pred.examples``. The
-brute-force fold and ``combine`` are ``pred.fold``, loaded on the first
-fold, and the checks that only tests run (``round_trip_check``,
+problem's class module loads when an instance of it is first built or
+reduced to, and a forward map's module when a route first runs the map.
+``canonical`` is the expression normaliser from ``pred.symbolic``; the
+example database is ``pred.examples``. The brute-force fold, ``combine``
+and ``identity_value`` are ``pred.fold``, loaded on the first fold, and
+the checks that only tests run (``round_trip_check``,
 ``verify_all_examples``, and the example database's JSON form) are
 ``pred.checks``, so no command compiles them. The command line is
 ``pred.cli``, whose command table loads one handler module per command.
@@ -46,22 +47,21 @@ _EXPORTS = {
         "round_trip_check verify_all_examples"
     ),
     "examples": "CanonicalExample build_examples get_example",
-    "fold": "FoldResult combine",
+    "fold": "FoldResult combine identity_value",
     "graph": (
         "ReductionEnvelope ReductionGraph ReductionPath Solver default_graph "
         "extract_along extract_value_along reduce_along"
     ),
     "model": (
-        "DEFAULT_NODE_BUDGET AggregatedValue DecisionProblem "
-        "Problem ProblemTypeDescriptor Registry SENSE_MAXIMIZE SENSE_MINIMIZE "
-        "ValueKind VariantKey decision_wrap evaluate fold_space "
-        "identity_value make_key validate_config"
+        "DEFAULT_NODE_BUDGET AggregatedValue Problem ProblemTypeDescriptor Registry "
+        "SENSE_MAXIMIZE SENSE_MINIMIZE ValueKind VariantKey evaluate fold_space "
+        "make_key validate_config"
     ),
     "problems": (
-        "Clique CnfData DominatingSet GraphColoring GraphData Ilp IlpData IndependentSet "
-        "IsingData MaxCut Qubo QuboData Satisfiability SetCover SetCoverData SpinGlass "
-        "ThreeSatisfiability VertexCover instance_from_document instance_to_document "
-        "register_catalogue"
+        "Clique CnfData DecisionProblem DominatingSet GraphColoring GraphData Ilp IlpData "
+        "IndependentSet IsingData MaxCut Qubo QuboData Satisfiability SetCover SetCoverData "
+        "SpinGlass ThreeSatisfiability VertexCover decision_wrap instance_from_document "
+        "instance_to_document register_catalogue"
     ),
     "rules": "ReductionOutcome ReductionRule shipped_rules",
     "solvers": "SolveResult solve solve_brute solve_ilp solver_label",

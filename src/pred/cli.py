@@ -25,22 +25,27 @@ Each command is one process in a pipe, so each compiles and runs only its
 own code. ``COMMANDS`` declares the seven commands, their positionals and
 their flags, and one small parser reads it; a flag is ``--flag value`` or
 ``--flag=value``, spelled in full. The parsed command's handler is in the
-one module that ``COMMANDS`` names: ``pred.cli_create`` (``create``,
-``evaluate``), ``pred.cli_pipe`` (``reduce``, ``solve``) or
-``pred.cli_browse`` (``path``, ``show``, ``list``), and no other handler
-module is loaded. ``create`` and ``evaluate`` need the problem registry and
-the instance's problem family alone (a family is loaded only by the
-commands that build or reduce into one of its problems), the reduction
-graph (rules, routing and the solver table) by the commands that route,
-the dispatch (``pred.solvers``) by ``solve`` alone, the branch-and-bound kernel
-(``pred.kernel``) by a solve at the ILP node, the brute-force fold
-(``pred.fold``) by a solve that folds, and the example database by
-``create --example`` and ``show``. Routing reads no expression, so the
-symbolic algebra (``pred.symbolic``) is loaded only by the commands that
-print one: ``path``, ``show``, ``list`` and ``reduce --path``. The envelope codec
-(``envelope_to_document``, ``envelope_from_document``), the wire format of
-every pipe, is ``pred.cli_pipe``'s, loaded with the two stages that read or
-write an envelope; the names still resolve here, to it.
+one module that ``COMMANDS`` names: ``pred.cli_create`` (``create``),
+``pred.cli_flags`` (``evaluate``), ``pred.cli_reduce`` (``reduce``),
+``pred.cli_solve`` (``solve``) or ``pred.cli_browse`` (``path``, ``show``,
+``list``), and no other handler module is loaded. ``create`` and
+``evaluate`` need the problem registry and the instance's class modules
+alone (a class module is loaded only by the commands that build or reduce
+into one of its problems, and a forward map only by those whose route runs
+it), ``create`` the parsers of its data flags (``pred.cli_flags``) only when
+it reads them, the reduction graph (rules, routing and the solver table) by
+the commands that route, the dispatch (``pred.solvers``) by ``solve``
+alone, the branch-and-bound kernel (``pred.kernel``) by a solve at the ILP
+node, the brute-force fold (``pred.fold``) by a solve that folds, and the
+example database by ``create --example`` and ``show``. Routing reads no
+expression, so the symbolic algebra (``pred.symbolic``) is loaded only by
+the commands that print one: ``path``, ``show``, ``list`` and ``reduce
+--path``. The envelope codec, the wire format of every pipe, is split by
+the stage that runs it: ``reduce`` writes an envelope
+(``envelope_to_document``, ``pred.cli_reduce``), and ``load_envelope``
+reads one back for ``reduce`` and ``solve`` by the decoder
+(``envelope_from_document``, ``pred.cli_replay``), which loads only when
+the input is an envelope. Both names still resolve here.
 """
 
 from __future__ import annotations
@@ -52,14 +57,21 @@ import sys
 from importlib import import_module
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Mapping, NoReturn
+from typing import TYPE_CHECKING, Mapping, NoReturn
 
 from .errors import DocumentError, PredError, UsageError
 from .model import DEFAULT_NODE_BUDGET
 
+if TYPE_CHECKING:
+    from .graph import ReductionEnvelope, ReductionGraph
+
+# the envelope codec's two halves, each in the one stage module that runs it
+_CODEC = {"envelope_to_document": "cli_reduce", "envelope_from_document": "cli_replay"}
+
+
 def __getattr__(name: str):
-    if name in ("envelope_to_document", "envelope_from_document"):
-        return getattr(import_module(f"{__package__}.cli_pipe"), name)
+    if name in _CODEC:
+        return getattr(import_module(f"{__package__}.{_CODEC[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -95,6 +107,25 @@ def emit(document: Mapping) -> None:
     print(_json_text(document))
 
 
+TRACE_VERSION = 1  # of the envelope document that reduce writes and both pipe stages read
+
+
+def load_envelope(source: str, graph: ReductionGraph) -> ReductionEnvelope:
+    """The input of ``reduce`` or ``solve`` as an envelope: a stored one is
+    replayed by the decoder (``pred.cli_replay``, loaded only then), and a bare
+    instance is its own empty-path envelope."""
+    from .graph import ReductionEnvelope
+    from .problems import instance_from_document
+
+    document = load_document(source)
+    if document.get("kind") == "envelope":
+        from .cli_replay import envelope_from_document
+
+        return envelope_from_document(document, graph)
+    instance = instance_from_document(document, graph.registry)
+    return ReductionEnvelope(instance, graph.make_path(instance.variant_key(), ()), instance, ())
+
+
 # --- the command table ----------------------------------------------------------
 
 REQUIRED = object()  # the default of a flag that must be given
@@ -118,11 +149,11 @@ COMMANDS = {
         ("--example", bool, False, "emit the canonical example"),
         ("--file", str, None, "read an instance document from a JSON file"),
     )),
-    "reduce": ("cli_pipe", "reduce an instance or envelope to a target type", (_INPUT,), (
+    "reduce": ("cli_reduce", "reduce an instance or envelope to a target type", (_INPUT,), (
         ("--to", str, REQUIRED, "target problem name or alias"),
         ("--path", bool, False, "print the chosen route and overheads to stderr"),
     )),
-    "solve": ("cli_pipe", "solve an instance or envelope", (_INPUT,), (
+    "solve": ("cli_solve", "solve an instance or envelope", (_INPUT,), (
         ("--pretty", bool, False, "print display lines, not JSON"),
         ("--max-nodes", int, DEFAULT_NODE_BUDGET,
          "node budget of every search: branch-and-bound and prefix walk"),
@@ -136,7 +167,7 @@ COMMANDS = {
     "list": ("cli_browse", "list all registered problem variants", (), (
         ("--stats", bool, False, "append the topology report JSON"),
     )),
-    "evaluate": ("cli_create", "score a configuration against an instance", (
+    "evaluate": ("cli_flags", "score a configuration against an instance", (
         ("INPUT", "instance document path, or - for stdin"),
     ), (
         ("--config", str, REQUIRED, "comma-separated configuration values"),

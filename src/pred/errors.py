@@ -171,22 +171,15 @@ class NoPathError(PredError):
 class BudgetExceededError(PredError):
     """The node budget of a search exhausted before completion.
 
-    Every search reports its budget (``limit``), the ``nodes`` it charged and
-    the objective value of its best point so far (``incumbent``, None if none).
+    Every search reports its budget (``limit``) and the objective value of its
+    best point so far (``incumbent``, None if none).
     """
 
     exit_code = 4
 
-    def __init__(
-        self,
-        message: str,
-        limit: int | None = None,
-        nodes: int | None = None,
-        incumbent: int | None = None,
-    ):
+    def __init__(self, message: str, limit: int | None = None, incumbent: int | None = None):
         super().__init__(message)
         self.limit = limit
-        self.nodes = nodes
         self.incumbent = incumbent
 
 

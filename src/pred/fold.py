@@ -3,13 +3,14 @@
 Solving by brute force is a per-kind fold over the whole space in
 lexicographic order that gives the same value and witness as folding
 ``combine`` over the feasible configurations' ``evaluate`` from the
-identity: Max, Min and Extremum keep the first configuration of best
-feasible payload, or give the identity (``Max(none)``, ``Extremum(none)``)
-when nothing is feasible, Or stops at the first true configuration, Sum
-adds, and And stops at the first false configuration. Every Or, Max, Min
-and Extremum fold is one prefix walk (``first_best``) that skips the
-prefixes whose bound, the one hook ``Problem._optimistic_payload``, says
-they hold no feasible configuration that beats the incumbent; a linear
+identity (``identity_value``): Max, Min and Extremum keep the first
+configuration of best feasible payload, or give the identity
+(``Max(none)``, ``Extremum(none)``) when nothing is feasible, Or stops at
+the first true configuration, Sum adds, and And stops at the first false
+configuration. Every Or, Max, Min and Extremum fold is one prefix walk
+(``first_best``) that skips the prefixes whose bound, the one hook
+``Problem._optimistic_payload``, says they hold no feasible configuration
+that beats the incumbent; a linear
 family's bound is set up here from its rows (``row_bound``), and a
 quadratic family's from its matrix (``coupling_shares``). Every fold runs
 under one node budget, the branch-and-bound search's: a walk charges each
@@ -30,14 +31,33 @@ from operator import or_
 
 from .errors import BudgetExceededError, KindError, Record
 from .model import (
+    SENSE_MINIMIZE,
     AggregatedValue,
     Configuration,
     LinearProblem,
     Problem,
     ValueKind,
-    _sign,
-    identity_value,
 )
+
+
+def identity_value(kind: ValueKind, sense: str | None = None) -> AggregatedValue:
+    """The combine-neutral element of a kind."""
+    if kind in (ValueKind.MAX, ValueKind.MIN):
+        return AggregatedValue(kind, None, feasible=False)
+    if kind is ValueKind.EXTREMUM:
+        if sense is None:
+            raise KindError("Extremum identity needs a sense")
+        return AggregatedValue(kind, None, feasible=False, sense=sense)
+    if kind is ValueKind.OR:
+        return AggregatedValue(kind, False)
+    if kind is ValueKind.AND:
+        return AggregatedValue(kind, True)
+    return AggregatedValue(kind, 0)
+
+
+def _sign(kind: ValueKind, sense: str | None) -> int:
+    """+1 where a larger payload is better, -1 where a smaller one is."""
+    return -1 if kind is ValueKind.MIN or sense == SENSE_MINIMIZE else 1
 
 
 def _score(value: AggregatedValue) -> tuple:
@@ -93,10 +113,7 @@ def fold(instance: Problem, max_nodes: int) -> FoldResult:
 
 def _exceeded(max_nodes: int, incumbent: int | None = None) -> BudgetExceededError:
     return BudgetExceededError(
-        f"bounded search exceeded {max_nodes} nodes",
-        limit=max_nodes,
-        nodes=max_nodes,
-        incumbent=incumbent,
+        f"bounded search exceeded {max_nodes} nodes", limit=max_nodes, incumbent=incumbent
     )
 
 

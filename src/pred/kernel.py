@@ -3,7 +3,8 @@
 ``pred.solvers.solve_ilp`` is the entry point; this module loads on its
 first call, so the commands that solve nothing at the ILP node (``create``,
 ``reduce``, ``show``, and every solve by brute force or at the QUBO node)
-never compile it.
+never compile it. The box kernel is ``pred.kernel_box``, loaded by the
+first program that the 0-1 kernel does not take.
 
 The ILP backend is an exact depth-first branch-and-bound that maximises; a
 min program is searched on its negated objective. Each ``IlpData`` row is
@@ -35,10 +36,10 @@ with ``m`` -1 terms allows at most ``r + m`` true literals. Packing rows
 one-sided cases. A node is two ints, ``ones`` and ``zeros``, with bit j set
 where x_j is fixed at 1 or at 0; a row reads two popcounts, a full row
 makes its free literals false, and a child sets one bit. The box kernel
-(``_BoxSearch``) runs every other program on two lists of bounds. Both run
-the same dive, search loop, sibling window, node budget and incumbent rule
-(``_Search``), so on a 0-1 program of ±1 rows the two kernels differ only
-in the 0-1 kernel's bounds.
+(``_BoxSearch``, ``pred.kernel_box``) runs every other program on two
+lists of bounds. Both run the same dive, search loop, sibling window, node
+budget and incumbent rule (``_Search``), so on a 0-1 program of ±1 rows the
+two kernels differ only in the 0-1 kernel's bounds.
 
 A node of the 0-1 kernel that the optimistic bound leaves open while the
 search holds a cutoff (the incumbent's value, or the dive's below) is then
@@ -166,7 +167,6 @@ class _Search:
         return BudgetExceededError(
             f"branch-and-bound exceeded {self.max_nodes} nodes",
             limit=self.max_nodes,
-            nodes=self.max_nodes,
             incumbent=None if found is None else self.sign * found,
         )
 
@@ -289,117 +289,6 @@ class _Search:
                 child = self._enter(child[0], branch + 1, child[1])
                 if child is not None:
                     stack.append(child)
-
-
-class _BoxSearch(_Search):
-    """The box kernel: a node is ``(lo, hi)``, two lists of variable bounds."""
-
-    def __init__(self, data: IlpData, rows: list[Row], max_nodes: int) -> None:
-        super().__init__(data, max_nodes)
-        self.rows = rows
-        # raising lo[j] wakes ``lo_rows[j]`` (a > 0), lowering hi[j] ``hi_rows[j]``
-        self.lo_rows: list[list[int]] = [[] for _ in range(data.num_vars)]
-        self.hi_rows: list[list[int]] = [[] for _ in range(data.num_vars)]
-        for index, (pairs, _) in enumerate(rows):
-            for j, a in pairs:
-                (self.lo_rows if a > 0 else self.hi_rows)[j].append(index)
-
-    def _state(self, lo: list[int], hi: list[int]) -> tuple[list[int], list[int]]:
-        return lo, hi
-
-    def _all_rows(self) -> list[int]:
-        return list(range(len(self.rows)))
-
-    def _propagate(self, state, pending: list[int]) -> tuple | None:
-        """Tighten ``state`` in place from the distinct rows in the ``pending`` stack
-        to a fixpoint.
-
-        A bound move wakes only the rows whose least activity reads it. Returns
-        the state and what the moves took from the optimistic bound, or None if
-        a row fails.
-        """
-        lo, hi = state
-        enqueued = set(pending)
-        rows = self.rows
-        gain = self.gain
-        loss = 0
-        while pending:
-            row_index = pending.pop()
-            enqueued.discard(row_index)
-            pairs, slack = rows[row_index]
-            for j, a in pairs:
-                slack -= a * (lo[j] if a > 0 else hi[j])
-            if slack < 0:
-                return None
-            # slack >= 0, so no tightened bound can cross its opposite bound
-            for j, a in pairs:
-                if a > 0:
-                    tightened = lo[j] + slack // a
-                    if tightened >= hi[j]:
-                        continue
-                    if gain[j] > 0:
-                        loss += gain[j] * (hi[j] - tightened)
-                    hi[j] = tightened
-                    woken = self.hi_rows[j]
-                else:
-                    tightened = hi[j] - slack // -a
-                    if tightened <= lo[j]:
-                        continue
-                    if gain[j] < 0:
-                        loss -= gain[j] * (tightened - lo[j])
-                    lo[j] = tightened
-                    woken = self.lo_rows[j]
-                for other in woken:
-                    if other not in enqueued:
-                        pending.append(other)
-                        enqueued.add(other)
-        return state, loss
-
-    def _child(self, state, branch: int, value: int) -> tuple | None:
-        lo, hi = state
-        child_lo = lo.copy()
-        child_hi = hi.copy()
-        child_lo[branch] = child_hi[branch] = value
-        # only the rows reading a bound the branch moved can tighten
-        pending = self.lo_rows[branch].copy() if value > lo[branch] else []
-        if value < hi[branch]:
-            pending += self.hi_rows[branch]
-        return self._propagate((child_lo, child_hi), pending)
-
-    def _first_free(self, state, start: int) -> int:
-        lo, hi = state
-        return next((j for j in range(start, self.num_vars) if lo[j] < hi[j]), self.num_vars)
-
-    def _domain(self, state, branch: int) -> tuple[int, int]:
-        lo, hi = state
-        return lo[branch], hi[branch]
-
-    def _attained(self, state, branch: int) -> tuple | None:
-        """The node's optimistic point when it satisfies every row, else None."""
-        lo, hi = state
-        gain = self.gain
-        rows = self.rows
-        seen: set[int] = set()
-        # variables before ``branch`` are fixed, and a row whose free variables
-        # all sit at their row-minimising end keeps the slack propagation left;
-        # x_j at its optimistic end pushes toward violation only the rows that
-        # raising its lo (gain > 0) or lowering its hi would wake
-        for j in range(branch, self.num_vars):
-            if lo[j] == hi[j]:
-                continue
-            for index in self.lo_rows[j] if gain[j] > 0 else self.hi_rows[j]:
-                if index in seen:
-                    continue
-                seen.add(index)
-                pairs, rhs = rows[index]
-                for k, a in pairs:
-                    rhs -= a * (hi[k] if gain[k] > 0 else lo[k])
-                if rhs < 0:
-                    return None
-        return tuple(hi[j] if gain[j] > 0 else lo[j] for j in range(self.num_vars))
-
-    def witness(self) -> Configuration:
-        return tuple(x - l for x, (l, _) in zip(self.best_point, self.var_bounds))
 
 
 class _BitSearch(_Search):
@@ -852,4 +741,8 @@ def _kernel(data: IlpData, max_nodes: int) -> _Search:
     zero_one = all(0 <= l and h <= 1 for l, h in data.var_bounds) and all(
         abs(a) == 1 for pairs, _ in rows for _, a in pairs
     )
-    return (_BitSearch if zero_one else _BoxSearch)(data, rows, max_nodes)
+    if zero_one:
+        return _BitSearch(data, rows, max_nodes)
+    from .kernel_box import _BoxSearch
+
+    return _BoxSearch(data, rows, max_nodes)

@@ -10,8 +10,14 @@ live in ``pred.fold``, which loads on the first fold, so a command that
 folds nothing never compiles them. Its prefix walk skips the prefixes whose
 bound, the one hook ``Problem._optimistic_payload``, says they hold no
 feasible configuration that beats the incumbent; a ``LinearProblem`` reads
-its measure and bound off its rows, a ``QuadraticProblem`` off its matrix.
-The rest of the library (reductions, routing, the ILP path) uses only this.
+its measure and bound off its rows. The rest of the library (reductions,
+routing, the ILP path) uses only this.
+
+Every stage loads this module, so what few stages run lives elsewhere and
+is still importable from here: the problems stated by a matrix
+(``QuadraticProblem``, ``pred.problems.qubo``), the decision wrapper
+(``DecisionProblem`` and ``decision_wrap``, ``pred.problems.decision``),
+and the kinds' identities (``identity_value``, ``pred.fold``).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from enum import Enum
 from functools import cached_property
-from itertools import compress
+from importlib import import_module
 from operator import mul
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -38,6 +44,23 @@ if TYPE_CHECKING:
     from .symbolic import Expr
 
 Configuration = tuple[int, ...]
+
+# The names that live in a module of their own, still importable from here:
+# a stage that never builds a decision or quadratic problem, or folds
+# nothing, compiles none of them.
+_MOVED = {
+    "DecisionProblem": "problems.decision",
+    "decision_wrap": "problems.decision",
+    "QuadraticProblem": "problems.qubo",
+    "identity_value": "fold",
+}
+
+
+def __getattr__(name: str):
+    if name in _MOVED:
+        return getattr(import_module(f"{__package__}.{_MOVED[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Node cap of every search: the branch-and-bound ILP search (``pred.kernel``)
 # and the prefix walk of the QUBO node and of brute force (``pred.fold``);
@@ -98,26 +121,6 @@ class AggregatedValue(Record):
         else:
             inner = str(self.payload)
         return f"{self.kind.value}({inner})"
-
-
-def identity_value(kind: ValueKind, sense: str | None = None) -> AggregatedValue:
-    """The combine-neutral element of a kind."""
-    if kind in (ValueKind.MAX, ValueKind.MIN):
-        return AggregatedValue(kind, None, feasible=False)
-    if kind is ValueKind.EXTREMUM:
-        if sense is None:
-            raise KindError("Extremum identity needs a sense")
-        return AggregatedValue(kind, None, feasible=False, sense=sense)
-    if kind is ValueKind.OR:
-        return AggregatedValue(kind, False)
-    if kind is ValueKind.AND:
-        return AggregatedValue(kind, True)
-    return AggregatedValue(kind, 0)
-
-
-def _sign(kind: ValueKind, sense: str | None) -> int:
-    """+1 where a larger payload is better, -1 where a smaller one is."""
-    return -1 if kind is ValueKind.MIN or sense == SENSE_MINIMIZE else 1
 
 
 def reported_witness(value: AggregatedValue, witness: Configuration | None):
@@ -182,6 +185,8 @@ class Problem(ABC):
         """
         if self.kind is ValueKind.OR:
             return True
+        from .fold import _sign  # only a walk asks
+
         return _sign(self.kind, self.sense) * float("inf")
 
     def evaluate(self, config: Sequence[int]) -> AggregatedValue:
@@ -253,43 +258,6 @@ class LinearProblem(Problem):
         return sum(map(mul, self._statement[1], x)) + rest[len(x)] if holds else None
 
 
-class QuadraticProblem(Problem):
-    """A Max problem stated once, by ``quadratic_statement``: each 0-1 x is worth xᵀqx + offset."""
-
-    kind = ValueKind.MAX
-
-    @abstractmethod
-    def quadratic_statement(self) -> tuple[tuple, int]:
-        """A symmetric integer matrix ``q`` and the offset; every x is feasible."""
-
-    @cached_property
-    def _statement(self) -> tuple[tuple, int]:
-        return self.quadratic_statement()
-
-    @cached_property
-    def _shares(self) -> list:
-        from .fold import coupling_shares  # only a walk reads them
-        return coupling_shares(self._statement[0])
-
-    def _measure(self, config) -> tuple[int, bool]:
-        q, total = self._statement
-        for row in compress(q, config):
-            total += sum(compress(row, config))
-        return total, True
-
-    def _optimistic_payload(self, prefix) -> int:
-        # the prefix's value plus each free x_j's gain where positive, the lower of two roofs
-        apart, free = self._shares[len(prefix)]
-        loose = tight = QuadraticProblem._measure(self, prefix)[0]  # max-cut's needs all of x
-        for row, up, down in free:
-            gain = up + 2 * sum(compress(row, prefix))
-            if gain > 0:  # else the second roof's gain, gain + down, is not positive either
-                loose += gain
-                if gain + down > 0:
-                    tight += gain + down
-        return min(loose, tight + apart)
-
-
 def validate_config(instance: Problem, config: Sequence[int]) -> None:
     """Reject configurations of the wrong arity (checked first) or outside variable domains."""
     count = instance.num_variables()
@@ -332,68 +300,6 @@ def fold_space(instance: Problem, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> Fo
     from .fold import fold
 
     return fold(instance, max_nodes)
-
-
-class DecisionProblem(Problem):
-    """Threshold wrapper turning an optimization problem into a decision one.
-
-    A configuration answers true iff it is feasible for the inner problem and
-    its payload meets the bound (>= for Max, <= for Min).
-    """
-
-    kind = ValueKind.OR
-
-    def __init__(self, inner: Problem, bound: int):
-        if inner.kind not in (ValueKind.MAX, ValueKind.MIN):
-            raise KindError(f"cannot decision-wrap a {inner.kind.value} problem")
-        self.inner = inner
-        self.bound = bound
-        self.type_name = "Decision" + inner.type_name
-
-    @property
-    def variant_tags(self) -> dict[str, str]:
-        return self.inner.variant_tags
-
-    def config_dims(self) -> tuple[int, ...]:
-        return self.inner.config_dims()
-
-    def num_variables(self) -> int:
-        return self.inner.num_variables()
-
-    def size_measures(self) -> dict[str, int]:
-        return self.inner.size_measures()
-
-    def _meets(self, payload: int | float) -> bool:
-        if self.inner.kind is ValueKind.MAX:
-            return payload >= self.bound
-        return payload <= self.bound
-
-    def _measure(self, config: Configuration) -> tuple[bool, bool]:
-        payload, feasible = self.inner._measure(config)
-        return feasible and self._meets(payload), True
-
-    def _optimistic_payload(self, prefix: Configuration) -> bool:
-        best = self.inner._optimistic_payload(prefix)
-        return best is not None and self._meets(best)
-
-    def to_data(self) -> dict:
-        data = self.inner.to_data()
-        data["bound"] = self.bound
-        return data
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DecisionProblem)
-            and self.inner == other.inner
-            and self.bound == other.bound
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.type_name, self.inner, self.bound))
-
-
-def decision_wrap(inner: Problem, bound: int) -> DecisionProblem:
-    return DecisionProblem(inner, bound)
 
 
 # --- the type registry ------------------------------------------------------

@@ -11,15 +11,28 @@ constraints), and its constructor. ``instance_from_data`` is the one
 decoder; JSON documents and ``pred create`` flags both go through it, so
 both accept and reject the same data.
 
-The problem classes, their data records and the forward maps of the rules
-into them live in one family module per instance-data record: ``graph``,
-``sat``, ``ilp``, ``qubo`` (QUBO and the spin glass) and ``setcover``.
-``FAMILIES`` names the family of every public class, and each class is
-importable from here, but its module is loaded only when the class is first
-used (PEP 562). The field table's constructors, like the rules' forward maps
-and extractors, are ``FamilyRef``s that load their family on first call, so
-building the registry and the reduction graph loads no family, and a command
-loads only the families of the instances it builds.
+The problem classes and their data records live in one family module per
+instance-data record: ``graph``, ``sat``, ``ilp``, ``qubo`` (QUBO and the
+spin glass) and ``setcover``; the rarely built graph problems have a module
+each (``clique``, ``domset``, ``maxcut``, ``coloring``). ``FAMILIES`` names
+the module of every public class, and each class is importable from here,
+but its module is loaded only when the class is first used (PEP 562); the
+decision wrapper (``decision``) is one too.
+
+The forward maps of the rules are grouped by the routes that run them, so
+a stage compiles the maps of its own route and next to nothing else. Most
+have map modules of their own: SAT to 3-SAT and 3-SAT to MIS
+(``sat_to_mis``), coloring to SAT (``coloring_to_sat``), QUBO to ILP
+(``qubo_to_ilp``), the value-only maps into QUBO and the spin glass
+(``qubo_maps``), and MIS to VC and back and to integer weights
+(``graph_maps``). A small map whose every route loads the class module of
+its source or target anyway sits in that module: the linear families' map
+into ILP (``ilp``), dominating set's into set cover (``setcover``),
+max-cut's into QUBO (``maxcut``), the two complement-graph maps between
+MIS and clique (``clique``) and the decision wrapper's to MIS
+(``decision``). The field table's constructors, like the rules' forward
+maps and extractors, are ``FamilyRef``s that load their module on first
+call, so building the registry and the reduction graph loads no family.
 """
 
 from __future__ import annotations
@@ -32,11 +45,14 @@ from typing import AbstractSet, Callable, Mapping
 from ..errors import DocumentError
 from ..model import Problem, ProblemTypeDescriptor, Registry, ValueKind
 
-# family module -> the public classes it defines
+# family module -> the public classes (and functions) it defines
 FAMILIES = {
-    "graph": (
-        "Edge GraphData IndependentSet VertexCover Clique DominatingSet MaxCut GraphColoring"
-    ),
+    "graph": "Edge GraphData IndependentSet VertexCover",
+    "decision": "DecisionProblem decision_wrap",
+    "clique": "Clique",
+    "domset": "DominatingSet",
+    "maxcut": "MaxCut",
+    "coloring": "GraphColoring",
     "sat": "CnfData Satisfiability ThreeSatisfiability",
     "ilp": "IlpData Ilp",
     "qubo": "QuboData IsingData Qubo SpinGlass",
@@ -271,11 +287,11 @@ DATA_FIELDS: dict[str, tuple[dict, dict, Callable[[Mapping], Problem]]] = {
         _GRAPH, {"weights": _int_list}, FamilyRef("graph.IndependentSet.from_data")
     ),
     "MinimumVertexCover": (_GRAPH, {}, FamilyRef("graph.VertexCover.from_data")),
-    "MaximumClique": (_GRAPH, {}, FamilyRef("graph.Clique.from_data")),
-    "MinimumDominatingSet": (_GRAPH, {}, FamilyRef("graph.DominatingSet.from_data")),
-    "MaxCut": (_GRAPH, {}, FamilyRef("graph.MaxCut.from_data")),
+    "MaximumClique": (_GRAPH, {}, FamilyRef("clique.Clique.from_data")),
+    "MinimumDominatingSet": (_GRAPH, {}, FamilyRef("domset.DominatingSet.from_data")),
+    "MaxCut": (_GRAPH, {}, FamilyRef("maxcut.MaxCut.from_data")),
     "GraphColoring": (
-        {**_GRAPH, "colors": _count}, {}, FamilyRef("graph.GraphColoring.from_data")
+        {**_GRAPH, "colors": _count}, {}, FamilyRef("coloring.GraphColoring.from_data")
     ),
     "MinimumSetCover": (
         {"num_elements": _count, "sets": _int_rows},

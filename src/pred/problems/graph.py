@@ -1,25 +1,27 @@
-"""The graph family: ``GraphData`` and the problems posed on a simple graph.
+"""The graph family: ``GraphData``, independent set and vertex cover.
 
-Independent set, vertex cover, clique, dominating set, max-cut and graph
-coloring, the decision wrappers of the first two, and the forward maps into
-them. Independent set, vertex cover and dominating set are their rows alone
-(``LinearProblem``), max-cut its QUBO matrix (``QuadraticProblem``) but for
-its edge-count measure; clique and coloring bound their own prefixes. A
-forward map reads its source only through attributes, so this module
-imports no other family at run time.
+Every graph problem reads one ``GraphData``, and independent set and vertex
+cover, whose instances most routes build, are their rows alone
+(``LinearProblem``). The rarely built graph problems have a module each:
+clique (``clique``), dominating set (``domset``) and max-cut (``maxcut``),
+which build on ``_GraphProblem``, and coloring (``coloring``). The forward
+maps into independent set and vertex cover live with the routes that run
+them: MIS to VC and back in ``graph_maps``, 3-SAT to MIS in ``sat_to_mis``,
+clique to MIS in ``clique`` and DecisionMIS to MIS in ``decision``, so a
+stage that builds a graph compiles no map that its route does not run, and
+no graph class that it does not build.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, compress
 from typing import TYPE_CHECKING, Mapping
 
 from ..errors import InvalidInstanceError, Record
-from ..model import DecisionProblem, LinearProblem, Problem, QuadraticProblem, ValueKind
+from ..model import LinearProblem, Problem, ValueKind
 
 if TYPE_CHECKING:
-    from .sat import ThreeSatisfiability
+    from .decision import DecisionProblem
 
 Edge = tuple[int, int]
 
@@ -121,6 +123,8 @@ class _GraphProblem(Record, Problem):
 
     @classmethod
     def decision_from_data(cls, data: Mapping) -> DecisionProblem:
+        from .decision import DecisionProblem
+
         return DecisionProblem(cls.from_data(data), data["bound"])
 
     @property
@@ -162,171 +166,3 @@ class VertexCover(_GraphProblem, LinearProblem):
 
     def linear_statement(self) -> tuple[tuple, tuple[int, ...]]:
         return self._edge_rows(">="), (1,) * self.graph.num_vertices
-
-
-class Clique(_GraphProblem):
-    kind = ValueKind.MAX
-    type_name = "MaximumClique"
-
-    def _measure(self, config) -> tuple[int, bool]:
-        chosen = tuple(compress(range(len(config)), config))
-        # chosen is increasing, so each pair is already a normalized edge
-        return len(chosen), self.graph.edge_set.issuperset(combinations(chosen, 2))
-
-    def _optimistic_payload(self, prefix) -> int | None:
-        # a chosen newest vertex fails against a chosen lower non-neighbour;
-        # otherwise every free vertex may still join
-        k = len(prefix)
-        chosen = compress(range(k - 1), prefix)
-        if prefix[k - 1] and not self.graph.edge_set.issuperset((u, k - 1) for u in chosen):
-            return None
-        return sum(prefix) + self.graph.num_vertices - k
-
-
-class DominatingSet(_GraphProblem, LinearProblem):
-    kind = ValueKind.MIN
-    type_name = "MinimumDominatingSet"
-
-    def linear_statement(self) -> tuple[tuple, tuple[int, ...]]:
-        hoods = self.graph.closed_neighborhoods
-        rows = tuple((tuple((u, 1) for u in hood), ">=", 1) for hood in hoods)
-        return rows, (1,) * self.graph.num_vertices
-
-
-class MaxCut(_GraphProblem, QuadraticProblem):
-    type_name = "MaxCut"
-
-    def quadratic_statement(self) -> tuple[tuple, int]:
-        # an edge is cut when x_u + x_v - 2 x_u x_v is 1: a vertex's diagonal is its degree
-        n = self.graph.num_vertices
-        q = [[0] * n for _ in range(n)]
-        for u, v in self.graph.edges:
-            q[u][v] = q[v][u] = -1
-        for v, row in enumerate(q):
-            row[v] = -sum(row)
-        return tuple(map(tuple, q)), 0
-
-    def _measure(self, config) -> tuple[int, bool]:
-        # the statement's value, in O(E) and without its V^2 matrix
-        return sum(1 for u, v in self.graph.edges if config[u] != config[v]), True
-
-
-class GraphColoring(Record, Problem):
-    graph: GraphData
-    colors: int
-    kind = ValueKind.OR
-    type_name = "GraphColoring"
-
-    def __post_init__(self) -> None:
-        if self.colors < 1:
-            raise InvalidInstanceError("need at least one color")
-
-    @classmethod
-    def from_data(cls, data: Mapping) -> GraphColoring:
-        return cls(GraphData.from_data(data), data["colors"])
-
-    @property
-    def variant_tags(self) -> dict[str, str]:
-        return {"graph": "simple"}
-
-    def config_dims(self) -> tuple[int, ...]:
-        return (self.colors,) * self.graph.num_vertices
-
-    def num_variables(self) -> int:
-        return self.graph.num_vertices
-
-    def size_measures(self) -> dict[str, int]:
-        return {"V": self.graph.num_vertices, "E": len(self.graph.edges), "k": self.colors}
-
-    def _measure(self, config) -> tuple[bool, bool]:
-        return all(config[u] != config[v] for u, v in self.graph.edges), True
-
-    def _optimistic_payload(self, prefix) -> bool:
-        # earlier prefixes passed, so only the newest vertex's lower neighbours can clash
-        color = prefix[-1]
-        return all(prefix[u] != color for u in self.graph.lower_neighbors[len(prefix) - 1])
-
-    def to_data(self) -> dict:
-        data = self.graph.to_data()
-        data["colors"] = self.colors
-        return data
-
-
-# --- forward maps into this family, and the extractor only one of them uses ---
-
-def forward_3sat_to_mis(instance: ThreeSatisfiability) -> tuple[Problem, dict]:
-    cnf = instance.cnf
-    literals = [lit for clause in cnf.clauses for lit in clause]
-    edges: set[tuple[int, int]] = set()
-    position = 0
-    for clause in cnf.clauses:
-        for a in range(len(clause)):
-            for b in range(a + 1, len(clause)):
-                edges.add((position + a, position + b))
-        position += len(clause)
-    # complementary occurrences, found through each literal's positions
-    positions: dict[int, list[int]] = {}
-    for i, lit in enumerate(literals):
-        positions.setdefault(lit, []).append(i)
-    for lit, mine in positions.items():
-        if lit > 0:
-            for i in mine:
-                for j in positions.get(-lit, ()):
-                    edges.add((i, j) if i < j else (j, i))
-    graph = GraphData(len(literals), tuple(sorted(edges)))
-    return IndependentSet(graph), {
-        "num_variables": cnf.num_variables,
-        "literals": literals,
-    }
-
-
-def extract_assignment_from_vertices(data: Mapping, config) -> tuple[int, ...]:
-    # conflict edges keep complementary literal vertices apart, so no clashes
-    assignment = [0] * data["num_variables"]
-    for index, chosen in enumerate(config):
-        if chosen:
-            literal = data["literals"][index]
-            if literal > 0:
-                assignment[literal - 1] = 1
-    return tuple(assignment)
-
-
-def forward_mis_to_vc(instance: IndependentSet) -> tuple[Problem, dict]:
-    return VertexCover(instance.graph), {"num_vertices": instance.graph.num_vertices}
-
-
-def forward_vc_to_mis(instance: VertexCover) -> tuple[Problem, dict]:
-    return IndependentSet(instance.graph), {"num_vertices": instance.graph.num_vertices}
-
-
-def _complement_graph(graph: GraphData) -> GraphData:
-    present = set(graph.edges)
-    edges = tuple(
-        (u, v)
-        for u in range(graph.num_vertices)
-        for v in range(u + 1, graph.num_vertices)
-        if (u, v) not in present
-    )
-    return GraphData(graph.num_vertices, edges)
-
-
-def forward_mis_to_clique(instance: IndependentSet) -> tuple[Problem, dict]:
-    return Clique(_complement_graph(instance.graph)), {
-        "num_vertices": instance.graph.num_vertices
-    }
-
-
-def forward_clique_to_mis(instance: Clique) -> tuple[Problem, dict]:
-    return IndependentSet(_complement_graph(instance.graph)), {
-        "num_vertices": instance.graph.num_vertices
-    }
-
-
-def forward_decision_mis(instance: DecisionProblem) -> tuple[Problem, dict]:
-    return instance.inner, {"num_vertices": instance.inner.graph.num_vertices}
-
-
-def forward_mis_unit_to_integer(instance: IndependentSet) -> tuple[Problem, dict]:
-    g = instance.graph
-    weighted = GraphData(g.num_vertices, g.edges, (1,) * g.num_vertices)
-    return IndependentSet(weighted), {"scale": 1, "offset": 0}

@@ -1,22 +1,20 @@
 """The integer-programming family: ``IlpData`` and ``Ilp``.
 
 An ``Ilp`` is a ``LinearProblem`` whose rows are read over each variable's
-box. Also the forward maps of the rules into ILP, which emit sparse rows,
-so a program's size in memory follows its nonzeros: one carries the rows
-of every linear 0-1 family as they are, one linearises QUBO. A forward map
-reads its source only through attributes, so this module imports no other
-family at run time.
+box. Also the forward map that carries the rows of every linear 0-1
+family into ILP as they are, which most routes to the ILP solver run; the
+one that linearises QUBO is in ``qubo_to_ilp``. Both emit sparse rows, so a
+program's size in memory follows its nonzeros. A forward map reads its
+source only through attributes, so this module imports no other family at
+run time.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from ..errors import InvalidInstanceError, Record
 from ..model import SENSE_MAXIMIZE, SENSE_MINIMIZE, LinearProblem, Problem, ValueKind
-
-if TYPE_CHECKING:
-    from .qubo import Qubo
 
 
 class IlpData(Record):
@@ -110,7 +108,7 @@ def _dense(terms: tuple[tuple[int, int], ...], num_vars: int) -> list[int]:
     return coeffs
 
 
-# --- forward maps into this family --------------------------------------------
+# --- the forward map of the linear families -------------------------------------
 
 def forward_linear_to_ilp(instance: LinearProblem) -> tuple[Problem, dict]:
     """The 0-1 program of a linear family's own rows and objective."""
@@ -118,21 +116,3 @@ def forward_linear_to_ilp(instance: LinearProblem) -> tuple[Problem, dict]:
     n = len(objective)
     sense = "max" if instance.kind is ValueKind.MAX else "min"
     return Ilp(IlpData(n, ((0, 1),) * n, rows, objective, sense)), {"num_vars": n}
-
-
-def forward_qubo_to_ilp(instance: Qubo) -> tuple[Problem, dict]:
-    qd = instance.data
-    n = qd.n
-    total = n + n * n
-    constraints = []
-    objective = [0] * total
-    for i in range(n):
-        for k in range(n):
-            y = n + i * n + k
-            objective[y] = qd.q[i][k]
-            constraints.append((((i, -1), (y, 1)), "<=", 0))  # y <= x_i
-            constraints.append((((k, -1), (y, 1)), "<=", 0))  # y <= x_k
-            pair = ((i, 2),) if i == k else ((min(i, k), 1), (max(i, k), 1))
-            constraints.append(((*pair, (y, -1)), "<=", 1))  # y >= x_i + x_k - 1
-    data = IlpData(total, ((0, 1),) * total, tuple(constraints), tuple(objective), "max")
-    return Ilp(data), {"num_vars": n}

@@ -1,22 +1,60 @@
-"""The quadratic family: ``QuboData`` and ``IsingData``, QUBO and the spin glass.
+"""The quadratic family: ``QuadraticProblem``, and QUBO and the spin glass.
 
-Both are their matrix alone (``QuadraticProblem``): QUBO states its own,
-and the spin glass the matrix and offset of its negated energy over 0-1
-variables, spin s = 2x - 1. Also the forward maps of the rules whose target
-is QUBO or the spin glass; max-cut and the spin glass reach QUBO by their
-own statements. A forward map reads its source only through attributes, so
-this module imports no other family at run time.
+A ``QuadraticProblem`` is its matrix alone: each 0-1 x is worth xᵀqx +
+offset, and the walk bounds a prefix off the matrix. QUBO states its own
+(``QuboData``), the spin glass the matrix and offset of its negated energy
+over 0-1 variables, spin s = 2x - 1 (``IsingData``), and max-cut
+(``maxcut``) its cut matrix. The forward maps into QUBO and the spin glass
+are in ``qubo_maps``, but for max-cut's, and QUBO's into ILP is in
+``qubo_to_ilp``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from abc import abstractmethod
+from functools import cached_property
+from itertools import compress
+from typing import Mapping
 
 from ..errors import InvalidInstanceError, Record
-from ..model import Problem, QuadraticProblem
+from ..model import Problem, ValueKind
 
-if TYPE_CHECKING:
-    from .graph import IndependentSet, MaxCut
+
+class QuadraticProblem(Problem):
+    """A Max problem stated once, by ``quadratic_statement``: each 0-1 x is worth xᵀqx + offset."""
+
+    kind = ValueKind.MAX
+
+    @abstractmethod
+    def quadratic_statement(self) -> tuple[tuple, int]:
+        """A symmetric integer matrix ``q`` and the offset; every x is feasible."""
+
+    @cached_property
+    def _statement(self) -> tuple[tuple, int]:
+        return self.quadratic_statement()
+
+    @cached_property
+    def _shares(self) -> list:
+        from ..fold import coupling_shares  # only a walk reads them
+        return coupling_shares(self._statement[0])
+
+    def _measure(self, config) -> tuple[int, bool]:
+        q, total = self._statement
+        for row in compress(q, config):
+            total += sum(compress(row, config))
+        return total, True
+
+    def _optimistic_payload(self, prefix) -> int:
+        # the prefix's value plus each free x_j's gain where positive, the lower of two roofs
+        apart, free = self._shares[len(prefix)]
+        loose = tight = QuadraticProblem._measure(self, prefix)[0]  # max-cut's needs all of x
+        for row, up, down in free:
+            gain = up + 2 * sum(compress(row, prefix))
+            if gain > 0:  # else the second roof's gain, gain + down, is not positive either
+                loose += gain
+                if gain + down > 0:
+                    tight += gain + down
+        return min(loose, tight + apart)
 
 
 class QuboData(Record):
@@ -113,43 +151,3 @@ class SpinGlass(Record, QuadraticProblem):
             "j": [list(row) for row in self.data.j],
             "h": list(self.data.h),
         }
-
-
-# --- forward maps into this family --------------------------------------------
-
-def forward_maxcut_to_qubo(instance: MaxCut) -> tuple[Problem, dict]:
-    q, _ = instance.quadratic_statement()
-    return Qubo(QuboData(len(q), q)), {"num_vertices": len(q)}
-
-
-def forward_mis_to_qubo(instance: IndependentSet) -> tuple[Problem, dict]:
-    # unit weights: penalty 2 per edge strictly beats the 1-per-vertex gain
-    g = instance.graph
-    n = g.num_vertices
-    q = [[0] * n for _ in range(n)]
-    for v in range(n):
-        q[v][v] = 1
-    for u, v in g.edges:
-        q[u][v] = -1
-        q[v][u] = -1
-    return Qubo(QuboData(n, tuple(tuple(row) for row in q))), {"scale": 1, "offset": 0}
-
-
-def forward_qubo_to_ising(instance: Qubo) -> tuple[Problem, dict]:
-    qd = instance.data
-    n = qd.n
-    j = [[0] * n for _ in range(n)]
-    h = [0] * n
-    for i in range(n):
-        h[i] = -2 * sum(qd.q[i])
-        for k in range(n):
-            if k != i:
-                j[i][k] = -2 * qd.q[i][k]
-    offset = sum(sum(row) for row in qd.q) + sum(qd.q[i][i] for i in range(n))
-    ising = IsingData(n, tuple(tuple(row) for row in j), tuple(h))
-    return SpinGlass(ising), {"scale": 4, "offset": offset}
-
-
-def forward_ising_to_qubo(instance: SpinGlass) -> tuple[Problem, dict]:
-    q, offset = instance.quadratic_statement()
-    return Qubo(QuboData(len(q), q)), {"scale": 1, "offset": offset}

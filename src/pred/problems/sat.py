@@ -1,20 +1,15 @@
 """The satisfiability family: ``CnfData``, SAT and 3-SAT.
 
-SAT and 3-SAT are one row per clause (``LinearProblem``). Also the forward
-maps of the rules whose target is SAT or 3-SAT, and the coloring extractor
-that only the coloring rule uses. A forward map reads its source only
-through attributes, so this module imports no other family at run time.
+SAT and 3-SAT are one row per clause (``LinearProblem``). The forward maps
+into them are in ``sat_to_mis`` (SAT to 3-SAT) and ``coloring_to_sat``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from ..errors import InvalidInstanceError, Record
-from ..model import LinearProblem, Problem, ValueKind
-
-if TYPE_CHECKING:
-    from .graph import GraphColoring
+from ..model import LinearProblem, ValueKind
 
 
 class CnfData(Record):
@@ -85,56 +80,3 @@ class ThreeSatisfiability(Satisfiability):
         for clause in self.cnf.clauses:
             if len(clause) > 3:
                 raise InvalidInstanceError(f"clause of length {len(clause)} in a 3-SAT instance")
-
-
-# --- forward maps into this family, and the extractor only one of them uses ---
-
-def forward_sat_to_3sat(instance: Satisfiability) -> tuple[Problem, dict]:
-    cnf = instance.cnf
-    next_fresh = cnf.num_variables + 1
-    clauses: list[tuple[int, ...]] = []
-    for clause in cnf.clauses:
-        if len(clause) <= 3:
-            clauses.append(clause)
-            continue
-        lits = list(clause)
-        fresh_count = len(lits) - 3
-        first = next_fresh
-        next_fresh += fresh_count
-        clauses.append((lits[0], lits[1], first))
-        for i in range(1, fresh_count):
-            clauses.append((-(first + i - 1), lits[i + 1], first + i))
-        clauses.append((-(first + fresh_count - 1), lits[-2], lits[-1]))
-    target = ThreeSatisfiability(CnfData(next_fresh - 1, tuple(clauses)))
-    return target, {"num_vars": cnf.num_variables}
-
-
-def forward_coloring_to_sat(instance: GraphColoring) -> tuple[Problem, dict]:
-    g = instance.graph
-    k = instance.colors
-
-    def var(v: int, c: int) -> int:
-        return v * k + c + 1
-
-    clauses: list[tuple[int, ...]] = []
-    for v in range(g.num_vertices):
-        clauses.append(tuple(var(v, c) for c in range(k)))
-    for v in range(g.num_vertices):
-        for c1 in range(k):
-            for c2 in range(c1 + 1, k):
-                clauses.append((-var(v, c1), -var(v, c2)))
-    for u, v in g.edges:
-        for c in range(k):
-            clauses.append((-var(u, c), -var(v, c)))
-    target = Satisfiability(CnfData(g.num_vertices * k, tuple(clauses)))
-    return target, {"num_vertices": g.num_vertices, "colors": k}
-
-
-def extract_coloring(data: Mapping, config) -> tuple[int, ...]:
-    k = data["colors"]
-    coloring = []
-    for v in range(data["num_vertices"]):
-        block = config[v * k : (v + 1) * k]
-        color = next((c for c, bit in enumerate(block) if bit), 0)
-        coloring.append(color)
-    return tuple(coloring)

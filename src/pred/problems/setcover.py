@@ -14,7 +14,7 @@ from ..errors import InvalidInstanceError, Record
 from ..model import LinearProblem, Problem, ValueKind
 
 if TYPE_CHECKING:
-    from .graph import DominatingSet
+    from .domset import DominatingSet
 
 
 class SetCoverData(Record):

@@ -7,11 +7,13 @@ witness) or a value extractor (target optimum back to a source optimum via an
 affine correction). Overheads are non-constant polynomials with non-negative
 coefficients bounding every target size measure by the source measures.
 
-The forward maps, and the extractors that only one rule uses, live in the
-problem family of the rule's target (``pred.problems``); a rule names them
-as ``FamilyRef``s, so declaring the catalogue and building the graph load no
-family, and the first ``apply`` or extraction loads the one it needs. The
-generic extractors are defined here.
+The forward maps, and the extractors that only their own rules use, live
+in ``pred.problems``, grouped by the routes that run them (that package's
+docstring says where); a rule names them as ``FamilyRef``s, so declaring
+the catalogue and building the graph load no family and no map, and the
+first ``apply`` or extraction loads the module it needs. The generic
+configuration extractors are defined here; the affine value extractor of
+the value-only rules is in ``pred.problems.qubo_maps``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import (
     CapabilityError,
-    ExtractionError,
     KindError,
     Record,
     RegistrationError,
@@ -32,7 +33,6 @@ from .model import (
     Problem,
     ProblemTypeDescriptor,
     Registry,
-    ValueKind,
     validate_config,
 )
 from .problems import FamilyRef
@@ -147,19 +147,6 @@ def _extract_prefix(data: Mapping, config: Configuration) -> Configuration:
     return tuple(config[: data["num_vars"]])
 
 
-def _extract_affine_value(data: Mapping, value: AggregatedValue) -> AggregatedValue:
-    # source payload = (target payload + offset) / scale, exactly
-    if value.payload is None:
-        return AggregatedValue(ValueKind.MAX, None, value.feasible)
-    corrected = value.payload + data["offset"]
-    scale = data["scale"]
-    if corrected % scale:
-        raise ExtractionError(
-            f"corrected value {corrected} is not divisible by scale {scale}"
-        )
-    return AggregatedValue(ValueKind.MAX, corrected // scale, value.feasible)
-
-
 # --- the shipped catalogue of rules ----------------------------------------------
 
 def _check_inverse(rule: ReductionRule) -> None:
@@ -213,40 +200,43 @@ def shipped_rules(registry: Registry) -> list[ReductionRule]:
     vc, ilp = "MinimumVertexCover", "IntegerLinearProgram"
     same_graph = {"V": "V", "E": "E"}
     linear_to_ilp = FamilyRef("ilp.forward_linear_to_ilp")
+    affine_value = FamilyRef("qubo_maps.extract_affine_value")
     return [
         _rule(registry, *row)
         for row in (
             (sat, three_sat, {"n": "n + L", "m": "L", "L": "3*L"},
-             FamilyRef("sat.forward_sat_to_3sat"), _extract_prefix),
-            (three_sat, mis, {"V": "L", "E": "L^2"}, FamilyRef("graph.forward_3sat_to_mis"),
-             FamilyRef("graph.extract_assignment_from_vertices")),
-            (mis, vc, same_graph, FamilyRef("graph.forward_mis_to_vc"), _extract_complement),
-            (vc, mis, same_graph, FamilyRef("graph.forward_vc_to_mis"), _extract_complement),
+             FamilyRef("sat_to_mis.forward_sat_to_3sat"), _extract_prefix),
+            (three_sat, mis, {"V": "L", "E": "L^2"},
+             FamilyRef("sat_to_mis.forward_3sat_to_mis"),
+             FamilyRef("sat_to_mis.extract_assignment_from_vertices")),
+            (mis, vc, same_graph, FamilyRef("graph_maps.forward_mis_to_vc"), _extract_complement),
+            (vc, mis, same_graph, FamilyRef("graph_maps.forward_vc_to_mis"), _extract_complement),
             (mis, "MaximumClique", {"V": "V", "E": "V^2"},
-             FamilyRef("graph.forward_mis_to_clique"), _extract_identity),
+             FamilyRef("clique.forward_mis_to_clique"), _extract_identity),
             ("MaximumClique", mis, {"V": "V", "E": "V^2"},
-             FamilyRef("graph.forward_clique_to_mis"), _extract_identity),
+             FamilyRef("clique.forward_clique_to_mis"), _extract_identity),
             (mis, ilp, {"n": "V", "c": "E"}, linear_to_ilp, _extract_identity),
             (weighted_mis, ilp, {"n": "V", "c": "E"}, linear_to_ilp, _extract_identity),
             (vc, ilp, {"n": "V", "c": "E"}, linear_to_ilp, _extract_identity),
             ("MinimumSetCover", ilp, {"n": "S", "c": "U"}, linear_to_ilp, _extract_identity),
             ("MinimumDominatingSet", "MinimumSetCover", {"S": "V", "U": "V"},
              FamilyRef("setcover.forward_domset_to_setcover"), _extract_identity),
-            ("MaxCut", "QUBO", {"n": "V"}, FamilyRef("qubo.forward_maxcut_to_qubo"),
+            ("MaxCut", "QUBO", {"n": "V"}, FamilyRef("maxcut.forward_maxcut_to_qubo"),
              _extract_identity),
-            (mis, "QUBO", {"n": "V"}, FamilyRef("qubo.forward_mis_to_qubo"), None,
-             _extract_affine_value),
-            ("QUBO", "SpinGlass", {"n": "n"}, FamilyRef("qubo.forward_qubo_to_ising"), None,
-             _extract_affine_value),
-            ("SpinGlass", "QUBO", {"n": "n"}, FamilyRef("qubo.forward_ising_to_qubo"), None,
-             _extract_affine_value),
+            (mis, "QUBO", {"n": "V"}, FamilyRef("qubo_maps.forward_mis_to_qubo"), None,
+             affine_value),
+            ("QUBO", "SpinGlass", {"n": "n"}, FamilyRef("qubo_maps.forward_qubo_to_ising"), None,
+             affine_value),
+            ("SpinGlass", "QUBO", {"n": "n"}, FamilyRef("qubo_maps.forward_ising_to_qubo"), None,
+             affine_value),
             ("GraphColoring", sat, {"n": "V*k", "m": "V + E*k + V*k^2", "L": "V*k^2 + 2*E*k"},
-             FamilyRef("sat.forward_coloring_to_sat"), FamilyRef("sat.extract_coloring")),
-            ("QUBO", ilp, {"n": "n + n^2", "c": "3*n^2"}, FamilyRef("ilp.forward_qubo_to_ilp"),
-             _extract_prefix),
+             FamilyRef("coloring_to_sat.forward_coloring_to_sat"),
+             FamilyRef("coloring_to_sat.extract_coloring")),
+            ("QUBO", ilp, {"n": "n + n^2", "c": "3*n^2"},
+             FamilyRef("qubo_to_ilp.forward_qubo_to_ilp"), _extract_prefix),
             ("DecisionMaximumIndependentSet", mis, same_graph,
-             FamilyRef("graph.forward_decision_mis"), _extract_identity),
-            (mis, weighted_mis, same_graph, FamilyRef("graph.forward_mis_unit_to_integer"),
-             _extract_identity, _extract_affine_value),
+             FamilyRef("decision.forward_decision_mis"), _extract_identity),
+            (mis, weighted_mis, same_graph, FamilyRef("graph_maps.forward_mis_unit_to_integer"),
+             _extract_identity, affine_value),
         )
     ]

@@ -30,7 +30,6 @@ from .model import (
     SENSE_MINIMIZE,
     ValueKind,
     fold_space,
-    identity_value,
 )
 
 if TYPE_CHECKING:
@@ -63,8 +62,8 @@ def solve_ilp(data: IlpData, max_nodes: int = DEFAULT_NODE_BUDGET) -> SolveResul
     sense = SENSE_MAXIMIZE if data.sense == "max" else SENSE_MINIMIZE
     search = _kernel(data, max_nodes)
     search.run()
-    if search.best_point is None:
-        return SolveResult(identity_value(ValueKind.EXTREMUM, sense), None, "ilp")
+    if search.best_point is None:  # the Extremum identity: nothing is feasible
+        return SolveResult(AggregatedValue(ValueKind.EXTREMUM, None, False, sense), None, "ilp")
     value = search.sign * search.best_value
     return SolveResult(
         AggregatedValue(ValueKind.EXTREMUM, value, True, sense),

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from pred import build_examples, default_graph, evaluate, instance_from_document
 from pred.cli import COMMANDS, _json_text
-from pred.cli_pipe import same_json
+from pred.cli_replay import same_json
 
 GRAPH = default_graph()
 REGISTRY = GRAPH.registry

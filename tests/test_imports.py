@@ -4,16 +4,22 @@ Every stage is a fresh process in a pipe, so a module it imports but does
 not use costs start-up time on every call. The stages run here as real
 interpreters (``python -m pred`` through ``runpy``), and each reports the
 modules that appeared in ``sys.modules`` while it ran. Each command loads
-its own handler module alone (``pred.cli_create``, ``cli_pipe`` or
-``cli_browse``); the brute-force fold (``pred.fold``) belongs only to the
-stages that fold, and the branch-and-bound kernel (``pred.kernel``) only to
-a solve at the ILP node. The symbolic algebra (``pred.symbolic``, which brings in
-``fractions``) belongs only to the stages that print an expression, since
-routing reads none, and a problem family (``pred.problems.graph``, ``sat``,
-``ilp``, ``qubo``, ``setcover``) only to the stages that build or reduce an
-instance of that family. Where no bytecode is written, a stage compiles the
-source of every pred module it loads, so the size of that source is pinned
-too (``STARTUP_PINS``).
+its own handler module alone (``pred.cli_create``, ``cli_reduce``,
+``cli_solve``, ``cli_flags`` or ``cli_browse``); the data flags' parsers
+(``pred.cli_flags``) belong only to a ``create`` that reads them, and the
+envelope decoder (``pred.cli_replay``) only to a stage whose input is an
+envelope. The brute-force fold (``pred.fold``) belongs only to the stages
+that fold, the branch-and-bound kernel (``pred.kernel``) only to a solve at
+the ILP node, and its box kernel (``pred.kernel_box``) only to a program
+that the 0-1 kernel does not take. The symbolic algebra (``pred.symbolic``,
+which brings in ``fractions``) belongs only to the stages that print an
+expression, since routing reads none. A problem class module
+(``pred.problems.graph``, ``clique``, ``coloring``, ``decision``, ...)
+belongs only to the stages that build or reduce to one of its classes, and
+a forward-map module (``pred.problems.sat_to_mis``, ...) only to the stages
+whose route runs one of its maps. Where no bytecode is written, a stage
+compiles the source of every pred module it loads, so the size of that
+source is pinned too (``STARTUP_PINS``).
 """
 
 from __future__ import annotations
@@ -69,9 +75,11 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 # Resolves every lazy reference into the families: the class table, each
-# rule's forward map and extractors, and each field-table constructor.
+# rule's forward map and extractors, and each field-table constructor; then
+# lists the modules of pred.problems that neither the class table nor any
+# reference names.
 RESOLVE = """
-import json
+import json, pkgutil
 import pred.problems as problems
 from pred.graph import default_graph
 
@@ -91,7 +99,10 @@ eager = [
 ] + [rule.name for rule in rules if not isinstance(rule.forward, problems.FamilyRef)]
 refs = [ref for ref in refs if isinstance(ref, problems.FamilyRef)]
 unresolved += [ref.name for ref in refs if not callable(ref.resolve())]
-print(json.dumps({"unresolved": unresolved, "eager": eager}))
+named = set(problems.FAMILIES) | {ref.name.split(".")[0] for ref in refs}
+unnamed = sorted(info.name for info in pkgutil.iter_modules(problems.__path__)
+                 if info.name not in named)
+print(json.dumps({"unresolved": unresolved, "eager": eager, "unnamed": unnamed}))
 """
 
 # Compares, hashes and prints every registered descriptor, a routed path and
@@ -127,23 +138,37 @@ import json, sys
 import pred.cli
 loaded = sorted(sys.modules)
 to_document, from_document = pred.cli.envelope_to_document, pred.cli.envelope_from_document
-import pred.cli_pipe as pipe
+import pred.cli_reduce, pred.cli_replay
 print(json.dumps({
     "loaded": loaded,
-    "resolved": to_document is pipe.envelope_to_document
-    and from_document is pipe.envelope_from_document,
+    "resolved": to_document is pred.cli_reduce.envelope_to_document
+    and from_document is pred.cli_replay.envelope_from_document,
 }))
 """
 
 MIS = {"problem": "MIS", "data": {"num_vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]]}}
 CORE = ["pred", "pred.cli", "pred.errors", "pred.model", "pred.problems"]
 CREATE = [*CORE, "pred.cli_create"]
-PIPE = [*CORE, "pred.cli_pipe", "pred.graph", "pred.rules"]
+ROUTING = [*CORE, "pred.graph", "pred.rules"]
+REDUCE = [*ROUTING, "pred.cli_reduce"]
+SOLVE = [*ROUTING, "pred.cli_solve"]
+FLAGS = "pred.cli_flags"
+REPLAY = "pred.cli_replay"
 SYMBOLIC = ("pred.symbolic", "fractions")
 GRAPH_FAMILY = "pred.problems.graph"
 ILP_FAMILY = "pred.problems.ilp"
 KERNEL = "pred.kernel"
-FAMILIES = {f"pred.problems.{f}" for f in ("graph", "sat", "ilp", "qubo", "setcover")}
+BOX_KERNEL = "pred.kernel_box"
+# the problem class modules, and the modules that hold forward maps alone
+CLASSES = {
+    f"pred.problems.{m}"
+    for m in ("graph", "clique", "domset", "maxcut", "coloring", "decision", "sat", "ilp", "qubo",
+              "setcover")
+}
+MAPS = {
+    f"pred.problems.{m}"
+    for m in ("sat_to_mis", "coloring_to_sat", "graph_maps", "qubo_maps", "qubo_to_ilp")
+}
 
 
 def run_stage(*argv: str, stdin: str = "") -> tuple[str, dict]:
@@ -163,25 +188,34 @@ def assert_no_symbolic(report: dict) -> None:
     assert not set(SYMBOLIC) & set(report["loaded"])
 
 
-def test_create_from_flags_loads_only_the_registry_and_the_family():
+def test_create_from_flags_loads_only_the_registry_the_flags_and_the_family():
     _, report = run_stage("create", "MIS", "--graph", "0-1,1-2,2-3")
-    assert pred_modules(report) == sorted([*CREATE, GRAPH_FAMILY])
+    assert pred_modules(report) == sorted([*CREATE, FLAGS, GRAPH_FAMILY])
+    # no forward map, no decision wrapper and no graph class but MIS's
+    assert not (MAPS | (CLASSES - {GRAPH_FAMILY})) & set(report["loaded"])
     assert_no_symbolic(report)
 
 
 @pytest.mark.parametrize(
-    "problem, family",
-    [("MIS", "graph"), ("GC", "graph"), ("SetCover", "setcover"), ("3SAT", "sat")],
+    "problem, modules",
+    [
+        ("MIS", ["graph"]),
+        ("GC", ["graph", "coloring"]),
+        ("SetCover", ["setcover"]),
+        ("3SAT", ["sat"]),
+        ("DecisionVC", ["graph", "decision"]),
+    ],
 )
-def test_create_example_adds_the_example_database_and_one_family(problem, family):
+def test_create_example_adds_the_example_database_and_the_class_modules(problem, modules):
     _, report = run_stage("create", problem, "--example")
-    assert pred_modules(report) == sorted([*CREATE, "pred.examples", f"pred.problems.{family}"])
+    classes = [f"pred.problems.{m}" for m in modules]
+    assert pred_modules(report) == sorted([*CREATE, "pred.examples", *classes])
     assert_no_symbolic(report)
 
 
-def test_evaluate_loads_only_the_registry_and_the_family():
+def test_evaluate_loads_only_the_registry_the_flags_and_the_family():
     _, report = run_stage("evaluate", "-", "--config", "1,0,1,0", stdin=json.dumps(MIS))
-    assert pred_modules(report) == sorted([*CREATE, GRAPH_FAMILY])
+    assert pred_modules(report) == sorted([*CORE, FLAGS, GRAPH_FAMILY])
     assert_no_symbolic(report)
 
 
@@ -197,20 +231,29 @@ def test_the_envelope_codec_loads_with_the_pipe_stages_and_resolves_through_the_
     result = subprocess.run([sys.executable, "-c", CODEC], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
-    assert not {"pred.cli_pipe", "pred.problems"} & set(report["loaded"])
+    assert not {"pred.cli_reduce", REPLAY, "pred.problems"} & set(report["loaded"])
     assert report["resolved"]
 
 
 def test_import_and_graph_build_load_no_family():
     result = subprocess.run([sys.executable, "-c", GRAPH_BUILD], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert not FAMILIES & set(json.loads(result.stdout))
+    assert not (CLASSES | MAPS) & set(json.loads(result.stdout))
 
 
 def test_reduce_loads_routing_and_the_route_families_but_not_the_solvers():
     _, report = run_stage("reduce", "-", "--to", "ILP", stdin=json.dumps(MIS))
-    assert pred_modules(report) == sorted([*PIPE, GRAPH_FAMILY, ILP_FAMILY])
+    assert pred_modules(report) == sorted([*REDUCE, GRAPH_FAMILY, ILP_FAMILY])
+    # a bare instance needs neither the envelope decoder nor solve's handler
+    assert not {REPLAY, "pred.cli_solve"} & set(report["loaded"])
     assert_no_symbolic(report)
+
+
+def test_the_3sat_route_loads_its_own_maps_and_not_the_coloring_map():
+    instance, _ = run_stage("create", "3SAT", "--example")
+    _, report = run_stage("reduce", "-", "--to", "ILP", stdin=instance)
+    assert "pred.problems.sat_to_mis" in report["loaded"]
+    assert "pred.problems.coloring_to_sat" not in report["loaded"]
 
 
 @pytest.mark.parametrize("problem", ("MIS", "VC", "Clique", "SAT", "3SAT", "GC", "DecisionMIS"))
@@ -231,13 +274,23 @@ def test_solve_picks_between_two_solver_nodes_without_the_algebra():
     assert_no_symbolic(report)
 
 
-def test_solve_on_an_envelope_adds_the_solvers_and_only_the_route_families():
+def test_solve_on_an_envelope_adds_the_decoder_the_solvers_and_only_the_route_families():
     envelope, _ = run_stage("reduce", "-", "--to", "ILP", stdin=json.dumps(MIS))
     _, report = run_stage("solve", "-", stdin=envelope)
     assert pred_modules(report) == sorted(
-        [*PIPE, "pred.solvers", KERNEL, GRAPH_FAMILY, ILP_FAMILY]
+        [*SOLVE, REPLAY, "pred.solvers", KERNEL, GRAPH_FAMILY, ILP_FAMILY]
     )
     assert_no_symbolic(report)
+
+
+@pytest.mark.parametrize("problem, box", [("MIS", False), ("QUBO", True)])
+def test_only_a_program_off_the_zero_one_kernel_loads_the_box_kernel(problem, box):
+    # MIS's rows are 0-1 with +1 coefficients; QUBO's linearisation has a 2
+    instance, _ = run_stage("create", problem, "--example")
+    envelope, _ = run_stage("reduce", "-", "--to", "ILP", stdin=instance)
+    _, report = run_stage("solve", "-", stdin=envelope)
+    assert KERNEL in report["loaded"]
+    assert (BOX_KERNEL in report["loaded"]) is box
 
 
 @pytest.mark.parametrize(
@@ -267,6 +320,8 @@ def test_every_family_reference_resolves():
     assert report["unresolved"] == []
     # every constructor and forward map is reached through a family reference
     assert report["eager"] == []
+    # and every module of pred.problems is a class module or holds a referenced map
+    assert report["unnamed"] == []
 
 
 @pytest.mark.parametrize(
@@ -303,17 +358,20 @@ def test_no_stage_loads_dataclasses_or_inspect(argv):
 
 
 # (AST nodes, source lines) summed over the pred modules that each stage
-# loads: the README pipeline's three stages, then two examples. The README
+# loads: the README pipeline's three stages, then four examples. The README
 # solve reads the pipeline's envelope and solves at the ILP node; a stage
-# named "<PROBLEM" reads that problem's example, and DecisionVC's solve folds
-# by brute force, without the kernel. Counted from the source text, so the
-# pins hold on any machine; a change that moves one moves it on purpose.
+# named "<PROBLEM" reads that problem's example: DecisionVC's solve folds by
+# brute force, without the kernel, 3SAT's reduce takes two hops to ILP and
+# GC's solve four. Counted from the source text, so the pins hold on any
+# machine; a change that moves one moves it on purpose.
 STARTUP_PINS = {
-    "create MIS --graph 0-1,1-2,2-3": (10210, 1899),
-    "create GC --example": (11229, 2124),
-    "reduce - --to ILP": (14557, 2636),
-    "solve -": (20516, 3590),
-    "solve - <DecisionVC": (15739, 2859),
+    "create MIS --graph 0-1,1-2,2-3": (8269, 1699),
+    "create GC --example": (8939, 1882),
+    "reduce - --to ILP": (11321, 2265),
+    "solve -": (16821, 3193),
+    "solve - <DecisionVC": (13371, 2604),
+    "reduce - --to ILP <3SAT": (12417, 2425),
+    "solve - <GC": (18054, 3374),
 }
 
 
