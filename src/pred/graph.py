@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import DuplicateRegistrationError, Record, UnknownProblemError
@@ -126,7 +127,7 @@ class ReductionEnvelope(Record):
 
 class ReductionGraph:
     """Immutable rule registry keyed by source variant, with its solver nodes
-    (``solvers``, by variant key).
+    (``solvers``, a read-only mapping by variant key).
 
     Since nothing changes after construction, each variant's solver route is
     searched once and then remembered.
@@ -155,12 +156,13 @@ class ReductionGraph:
             self._incoming[rule.target.key].append(rule)
         for bucket in (*self._outgoing.values(), *self._incoming.values()):
             bucket.sort(key=lambda r: r.name)
-        self.solvers: dict[VariantKey, Solver] = {}
+        nodes: dict[VariantKey, Solver] = {}
         for solver in solvers:
             node = registry.lookup(solver.problem).key
-            if node in self.solvers:
+            if node in nodes:
                 raise DuplicateRegistrationError(f"duplicate solver at {solver.problem}")
-            self.solvers[node] = solver
+            nodes[node] = solver
+        self.solvers = MappingProxyType(nodes)
         self._solver_routes: dict[VariantKey, ReductionPath | None] = {}
 
     def outgoing(self, key: VariantKey) -> tuple[ReductionRule, ...]:

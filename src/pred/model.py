@@ -27,7 +27,7 @@ from enum import Enum
 from functools import cached_property
 from importlib import import_module
 from operator import mul
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -35,7 +35,6 @@ from .errors import (
     DuplicateRegistrationError,
     KindError,
     Record,
-    RegistrationError,
     UnknownProblemError,
 )
 
@@ -351,28 +350,25 @@ class ProblemTypeDescriptor(Record):
 
 
 class Registry:
-    """All registered problem variants; built once at startup, then frozen."""
+    """All problem variants, handed over whole at construction, as
+    ``ReductionGraph`` takes its rules: two variants with one key, or two
+    with one alias, are rejected, and nothing changes afterwards. The first
+    variant of a name is the one the bare name looks up."""
 
-    def __init__(self) -> None:
+    def __init__(self, descriptors: Iterable[ProblemTypeDescriptor]) -> None:
         self._by_key: dict[VariantKey, ProblemTypeDescriptor] = {}
         self._default: dict[str, VariantKey] = {}
         self._aliases: dict[str, VariantKey] = {}
-        self._frozen = False
-
-    def register(self, descriptor: ProblemTypeDescriptor) -> None:
-        if self._frozen:
-            raise RegistrationError("registry is frozen")
-        if descriptor.key in self._by_key:
-            raise DuplicateRegistrationError(f"variant already registered: {descriptor.key}")
-        self._by_key[descriptor.key] = descriptor
-        self._default.setdefault(descriptor.name, descriptor.key)
-        if descriptor.alias:
-            if descriptor.alias in self._aliases:
-                raise DuplicateRegistrationError(f"alias already registered: {descriptor.alias}")
-            self._aliases[descriptor.alias] = descriptor.key
-
-    def freeze(self) -> None:
-        self._frozen = True
+        for descriptor in descriptors:
+            key, alias = descriptor.key, descriptor.alias
+            if key in self._by_key:
+                raise DuplicateRegistrationError(f"variant already registered: {key}")
+            self._by_key[key] = descriptor
+            self._default.setdefault(descriptor.name, key)
+            if alias:
+                if alias in self._aliases:
+                    raise DuplicateRegistrationError(f"alias already registered: {alias}")
+                self._aliases[alias] = key
 
     def lookup(self, name: str, tags: Mapping[str, str] | None = None) -> ProblemTypeDescriptor:
         if tags is None and name.endswith("]") and "[" in name:

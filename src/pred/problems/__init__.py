@@ -1,7 +1,8 @@
 """Problem types: the variant catalogue, the document codec and the family table.
 
-The catalogue registers every shipped variant with its size measures and
-the best known (or naive enumeration) complexity bound.
+The catalogue is one table of rows, each a shipped variant with its size
+measures and the best known (or naive enumeration) complexity bound,
+handed whole to ``Registry``.
 
 Instance data is declared once, in the field table ``DATA_FIELDS``: for
 each canonical problem name, its required and optional data fields, the
@@ -109,94 +110,37 @@ class FamilyRef:
 MIS_BRANCHING = "1.1996"  # best known MIS branching-factor bound
 
 
-def _descriptor(
-    name: str,
-    tags: Mapping[str, str],
-    measures: tuple[str, ...],
-    complexity: str,
-    kind: ValueKind,
-    alias: str | None = None,
-) -> ProblemTypeDescriptor:
-    return ProblemTypeDescriptor(
-        name=name,
-        variant_tags=tuple(sorted(tags.items())),
-        size_measure_names=measures,
-        complexity=complexity,
-        kind=kind,
-        alias=alias,
-    )
-
-
-SIMPLE = {"graph": "simple"}
-
-
 def register_catalogue() -> Registry:
-    """A fresh, frozen registry of every shipped problem variant."""
-    registry = Registry()
-    mis_complexity = f"{MIS_BRANCHING}^V"
-    entries = [
-        _descriptor("Satisfiability", {}, ("n", "m", "L"), "2^n", ValueKind.OR, alias="SAT"),
-        _descriptor(
-            "ThreeSatisfiability", {}, ("n", "m", "L"), "2^n", ValueKind.OR, alias="3SAT"
-        ),
-        _descriptor(
-            "MaximumIndependentSet",
-            {**SIMPLE, "weight": "unit"},
-            ("V", "E"),
-            mis_complexity,
-            ValueKind.MAX,
-            alias="MIS",
-        ),
-        _descriptor(
-            "MaximumIndependentSet",
-            {**SIMPLE, "weight": "integer"},
-            ("V", "E"),
-            mis_complexity,
-            ValueKind.MAX,
-        ),
-        _descriptor(
-            "MinimumVertexCover", SIMPLE, ("V", "E"), mis_complexity, ValueKind.MIN, alias="VC"
-        ),
-        _descriptor("MaximumClique", SIMPLE, ("V", "E"), "2^V", ValueKind.MAX, alias="Clique"),
-        _descriptor(
-            "MinimumDominatingSet",
-            SIMPLE,
-            ("V", "E"),
-            "2^V",
-            ValueKind.MIN,
-            alias="DominatingSet",
-        ),
-        _descriptor(
-            "MinimumSetCover", {}, ("S", "U"), "2^S", ValueKind.MIN, alias="SetCover"
-        ),
-        _descriptor("MaxCut", SIMPLE, ("V", "E"), "2^V", ValueKind.MAX),
-        _descriptor("QUBO", {}, ("n",), "2^n", ValueKind.MAX),
-        _descriptor("SpinGlass", {}, ("n",), "2^n", ValueKind.MAX, alias="Ising"),
-        _descriptor("GraphColoring", SIMPLE, ("V", "E", "k"), "k^V", ValueKind.OR, alias="GC"),
-        _descriptor(
-            "IntegerLinearProgram", {}, ("n", "c"), "2^n", ValueKind.EXTREMUM, alias="ILP"
-        ),
-        _descriptor(
-            "DecisionMaximumIndependentSet",
-            {**SIMPLE, "weight": "unit"},
-            ("V", "E"),
-            mis_complexity,
-            ValueKind.OR,
-            alias="DecisionMIS",
-        ),
-        _descriptor(
-            "DecisionMinimumVertexCover",
-            SIMPLE,
-            ("V", "E"),
-            mis_complexity,
-            ValueKind.OR,
-            alias="DecisionVC",
-        ),
-    ]
-    for descriptor in entries:
-        registry.register(descriptor)
-    registry.freeze()
-    return registry
+    """A fresh registry of every shipped problem variant.
+
+    Each row is a ``ProblemTypeDescriptor``'s fields: the name, the variant
+    tags (sorted pairs), the size measures, the complexity bound, the kind
+    and the alias. The first row of a name is the variant the bare name
+    looks up.
+    """
+    simple, unit, mis = (("graph", "simple"),), ("weight", "unit"), f"{MIS_BRANCHING}^V"
+    return Registry(
+        ProblemTypeDescriptor(*row)
+        for row in (
+            ("Satisfiability", (), ("n", "m", "L"), "2^n", ValueKind.OR, "SAT"),
+            ("ThreeSatisfiability", (), ("n", "m", "L"), "2^n", ValueKind.OR, "3SAT"),
+            ("MaximumIndependentSet", (*simple, unit), ("V", "E"), mis, ValueKind.MAX, "MIS"),
+            ("MaximumIndependentSet", (*simple, ("weight", "integer")), ("V", "E"), mis,
+             ValueKind.MAX, None),
+            ("MinimumVertexCover", simple, ("V", "E"), mis, ValueKind.MIN, "VC"),
+            ("MaximumClique", simple, ("V", "E"), "2^V", ValueKind.MAX, "Clique"),
+            ("MinimumDominatingSet", simple, ("V", "E"), "2^V", ValueKind.MIN, "DominatingSet"),
+            ("MinimumSetCover", (), ("S", "U"), "2^S", ValueKind.MIN, "SetCover"),
+            ("MaxCut", simple, ("V", "E"), "2^V", ValueKind.MAX, None),
+            ("QUBO", (), ("n",), "2^n", ValueKind.MAX, None),
+            ("SpinGlass", (), ("n",), "2^n", ValueKind.MAX, "Ising"),
+            ("GraphColoring", simple, ("V", "E", "k"), "k^V", ValueKind.OR, "GC"),
+            ("IntegerLinearProgram", (), ("n", "c"), "2^n", ValueKind.EXTREMUM, "ILP"),
+            ("DecisionMaximumIndependentSet", (*simple, unit), ("V", "E"), mis, ValueKind.OR,
+             "DecisionMIS"),
+            ("DecisionMinimumVertexCover", simple, ("V", "E"), mis, ValueKind.OR, "DecisionVC"),
+        )
+    )
 
 
 @lru_cache(maxsize=1)

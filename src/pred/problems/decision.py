@@ -7,25 +7,31 @@ instance load this module.
 
 from __future__ import annotations
 
-from ..errors import KindError
+from ..errors import KindError, Record
 from ..model import Configuration, Problem, ValueKind
 
 
-class DecisionProblem(Problem):
+class DecisionProblem(Record, Problem):
     """Threshold wrapper turning an optimization problem into a decision one.
 
     A configuration answers true iff it is feasible for the inner problem and
-    its payload meets the bound (>= for Max, <= for Min).
+    its payload meets the bound (>= for Max, <= for Min). A record of
+    ``inner`` and ``bound``, compared and hashed by both; its type name is
+    ``Decision`` before the inner problem's.
     """
+
+    inner: Problem
+    bound: int
 
     kind = ValueKind.OR
 
-    def __init__(self, inner: Problem, bound: int):
-        if inner.kind not in (ValueKind.MAX, ValueKind.MIN):
-            raise KindError(f"cannot decision-wrap a {inner.kind.value} problem")
-        self.inner = inner
-        self.bound = bound
-        self.type_name = "Decision" + inner.type_name
+    def __post_init__(self) -> None:
+        if self.inner.kind not in (ValueKind.MAX, ValueKind.MIN):
+            raise KindError(f"cannot decision-wrap a {self.inner.kind.value} problem")
+
+    @property
+    def type_name(self) -> str:
+        return "Decision" + self.inner.type_name
 
     @property
     def variant_tags(self) -> dict[str, str]:
@@ -57,16 +63,6 @@ class DecisionProblem(Problem):
         data = self.inner.to_data()
         data["bound"] = self.bound
         return data
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DecisionProblem)
-            and self.inner == other.inner
-            and self.bound == other.bound
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.type_name, self.inner, self.bound))
 
 
 def decision_wrap(inner: Problem, bound: int) -> DecisionProblem:

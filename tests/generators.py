@@ -154,6 +154,21 @@ def partition_set_cover(rng, num_elements=24, size=3, rounds=3):
     return SetCover(SetCoverData(num_elements, tuple(sets))), plain
 
 
+def regular_set_cover(rng, num_elements=24, size=3):
+    """SetCover of ``num_elements`` ``size``-sets over as many elements, each
+    element in ``size`` sets: the element stubs are shuffled and cut into
+    sets, again until no set repeats an element. Unlike
+    ``partition_set_cover``, its sets need not fall into disjoint covers.
+    """
+    stubs = [e for e in range(num_elements) for _ in range(size)]
+    while True:
+        rng.shuffle(stubs)
+        sets = [tuple(sorted(stubs[i:i + size])) for i in range(0, len(stubs), size)]
+        if all(len(set(s)) == size for s in sets):
+            plain = (num_elements, [list(s) for s in sets])
+            return SetCover(SetCoverData(num_elements, tuple(sets))), plain
+
+
 def dense_ilp(num_vars, bounds, rows, objective, sense) -> IlpData:
     """``IlpData`` from rows written densely as ``(coeffs, rel, rhs)``, one
     coefficient per variable, the form the oracles read."""

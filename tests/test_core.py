@@ -31,6 +31,7 @@ from pred import (
     KindError,
     MaxCut,
     Problem,
+    ProblemTypeDescriptor,
     Qubo,
     QuboData,
     Registry,
@@ -485,6 +486,15 @@ def test_covering_need_counts_only_rows_of_0_1_members():
     # vertex cover's edge rows: the 15-cycle's matching has 7 edges
     cycle = VertexCover(GraphData(15, tuple((v, (v + 1) % 15) for v in range(15))))
     assert cycle._closing[1][0] == 7
+
+
+def test_covering_need_breaks_ties_by_the_lowest_indices():
+    # dominating set's closed neighbourhoods on seven vertices: from vertex 0
+    # on, the lowest-index variable of fewest live rows, then its row whose
+    # members lie in the fewest, give three disjoint rows; a later variable
+    # or row on either tie leaves room for only two
+    graph = GraphData(7, ((0, 3), (0, 5), (1, 4), (1, 6), (2, 6), (3, 6)))
+    assert DominatingSet(graph)._closing[1] == [3, 1, 1, 0, 0, 0, 0, 0]
 
 
 def _set_covers(rng):
@@ -1017,12 +1027,13 @@ def test_registry_display_and_short_names():
 
 
 def test_registry_rejects_duplicates():
-    registry = Registry()
-    catalogue = register_catalogue()
-    descriptor = catalogue.lookup("MIS")
-    registry.register(descriptor)
-    with pytest.raises(DuplicateRegistrationError):
-        registry.register(descriptor)
+    descriptor = register_catalogue().lookup("MIS")
+    with pytest.raises(DuplicateRegistrationError, match="^variant already registered: "):
+        Registry([descriptor, descriptor])
+    # another variant under an alias that is already taken
+    twin = ProblemTypeDescriptor("Other", (), ("V", "E"), "2^V", ValueKind.MAX, "MIS")
+    with pytest.raises(DuplicateRegistrationError, match="^alias already registered: MIS$"):
+        Registry([descriptor, twin])
 
 
 def test_registry_count():

@@ -335,6 +335,17 @@ def test_graph_rejects_two_solvers_at_one_node():
         ReductionGraph(REGISTRY, GRAPH.rules, [*GRAPH.solvers.values(), twin])
 
 
+def test_graph_solvers_are_read_only():
+    # a solver route is searched once and remembered, so the table it reads
+    # must not change after the graph is built
+    ilp = REGISTRY.lookup("ILP").key
+    with pytest.raises(TypeError):
+        GRAPH.solvers[ilp] = Solver("ILP", "another ilp", fold_space)
+    with pytest.raises(TypeError):
+        del GRAPH.solvers[ilp]
+    assert GRAPH.solvers[ilp].label == "ilp"
+
+
 def test_chaining_matches_sequential_application():
     from pred.rules import apply
 
@@ -416,14 +427,11 @@ def _synthetic_graph(
     and about a quarter of the rules without a witness extractor; ``solvers``
     are its solver nodes."""
     rng = make_rng(seed)
-    registry = Registry()
     types = [
         ProblemTypeDescriptor(f"T{i}", (), ("n",), "2^n", ValueKind.MAX)
         for i in range(num_types)
     ]
-    for descriptor in types:
-        registry.register(descriptor)
-    registry.freeze()
+    registry = Registry(types)
     pairs = [(i, (i + 1) % 4) for i in range(4)]
     while len(pairs) < num_rules:
         pair = tuple(rng.sample(range(num_types), 2))

@@ -365,13 +365,13 @@ def test_no_stage_loads_dataclasses_or_inspect(argv):
 # GC's solve four. Counted from the source text, so the pins hold on any
 # machine; a change that moves one moves it on purpose.
 STARTUP_PINS = {
-    "create MIS --graph 0-1,1-2,2-3": (8269, 1699),
-    "create GC --example": (8939, 1882),
-    "reduce - --to ILP": (11321, 2265),
-    "solve -": (16821, 3193),
-    "solve - <DecisionVC": (13371, 2604),
-    "reduce - --to ILP <3SAT": (12417, 2425),
-    "solve - <GC": (18054, 3374),
+    "create MIS --graph 0-1,1-2,2-3": (8164, 1639),
+    "create GC --example": (8834, 1822),
+    "reduce - --to ILP": (11222, 2207),
+    "solve -": (16722, 3135),
+    "solve - <DecisionVC": (13214, 2542),
+    "reduce - --to ILP <3SAT": (12318, 2367),
+    "solve - <GC": (17955, 3316),
 }
 
 

@@ -22,6 +22,7 @@ from pred import (
     Clique,
     CnfData,
     Const,
+    DecisionProblem,
     DominatingSet,
     Exp,
     FoldResult,
@@ -118,6 +119,7 @@ CASES = {
     Satisfiability: (("cnf",), (CNF,), (CnfData(1, ((1,),)),)),
     ThreeSatisfiability: (("cnf",), (CNF,), (CnfData(1, ((1,),)),)),
     Ilp: (("data",), (ILP,), (IlpData(0, (), (), (), "min"),)),
+    DecisionProblem: (("inner", "bound"), (IndependentSet(P3), 2), (VertexCover(P3), 2)),
     ReductionRule: (
         (
             "name", "source", "target", "overhead", "forward",

@@ -80,6 +80,7 @@ from generators import (
     random_set_cover,
     random_3sat,
     random_vc,
+    regular_set_cover,
 )
 from oracles import best_ilp, ilp_feasible, lexicographic_ilp, propagate_bounds, reference_fold
 from test_core import _glass
@@ -162,6 +163,25 @@ def test_solve_ilp_node_budget():
     assert exc_info.value.limit == 2
     assert exc_info.value.incumbent is None
     assert "branch-and-bound exceeded 2 nodes" in str(exc_info.value)
+
+
+def test_the_root_is_the_first_node_charged():
+    # an edgeless MIS closes at its root, whose optimistic point every vertex
+    # attains, yet a budget of no nodes must still refuse it, in the library
+    # and on the command line
+    edgeless = IndependentSet(GraphData(3, ()))
+    assert solve(edgeless, max_nodes=1).value.payload == 3
+    with pytest.raises(BudgetExceededError) as caught:
+        solve(edgeless, max_nodes=0)
+    assert (caught.value.limit, caught.value.incumbent) == (0, None)
+    document = json.dumps({"problem": "MIS", "data": {"num_vertices": 3, "edges": []}})
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.object(
+        sys, "stdin", io.StringIO(document)
+    ):
+        assert cli.main(["solve", "-", "--max-nodes", "0"]) == 4
+    assert out.getvalue() == ""
+    assert err.getvalue() == "pred: branch-and-bound exceeded 0 nodes\n"
 
 
 def _mis_g40_program(sense="max"):
@@ -801,6 +821,24 @@ SEARCH_PINS = [
     # cover bounds each cycle at 3 against its optimum of 2, a unit of slack
     # per cycle that only an inconsistent clique set takes back
     ("cycles", 3, 55, 6, "001010010100101"),
+    # 24 3-sets over 24 elements, each element in three, cut from shuffled
+    # element stubs: unlike the partition covers above, they hold no cover of
+    # 8 disjoint sets, and the need bound's walk over its buckets of members
+    # moves these counts
+    ("regular-setcover", 1, 115, 9, "000000010010011110001101"),
+    ("regular-setcover", 6, 224, 9, "000100110001001010101001"),
+    # 40 random 3-clauses over 14 variables and no objective: once the search
+    # meets a point, no frame has slack left, and only the sibling window's
+    # pop of such a frame keeps its remaining siblings from being charged
+    ("zero", 7, 30, 0, "10010100001001"),
+    # weighted MIS on G(25..40, 0.2), gains 1 to 6: each inconsistent set
+    # traced through the newly banned variables, each clique's largest gain,
+    # and the sets sought after the first move these counts
+    ("wmis", 12, 409, 52, "1000000001001010000001000100101001001011"),
+    ("wmis", 13, 295, 43, "111100101001000100101000001000000"),
+    # the regular cover of 18 elements with every odd element covered twice:
+    # the need bound's rows that need two ones
+    ("multicover", 1, 75, 11, "010100101101011111"),
 ]
 
 
@@ -812,6 +850,26 @@ def _pinned_instance(family, seed):
         return partition_set_cover(rng)[0]
     if family == "cycles":
         return _five_cycles(seed)
+    if family == "regular-setcover":
+        return regular_set_cover(rng)[0]
+    if family == "zero":
+        n = 14
+        clauses = [
+            [rng.choice((1, -1)) * v for v in rng.sample(range(1, n + 1), 3)] for _ in range(40)
+        ]
+        rows = tuple(clause_row(n, clause) for clause in clauses)
+        return Ilp(dense_ilp(n, ((0, 1),) * n, rows, (0,) * n, "max"))
+    if family == "wmis":
+        n = rng.randint(25, 40)
+        edges = gnp_edges(rng, n, 0.2)
+        return IndependentSet(GraphData(n, edges, tuple(rng.randint(1, 6) for _ in range(n))))
+    if family == "multicover":
+        sets = regular_set_cover(rng, 18)[0].data.sets
+        rows = tuple(
+            (tuple((i, 1) for i, members in enumerate(sets) if e in members), ">=", 1 + e % 2)
+            for e in range(18)
+        )
+        return Ilp(IlpData(len(sets), ((0, 1),) * len(sets), rows, (1,) * len(sets), "min"))
     if family == "qubo":
         return random_qubo(rng, 8, min_n=8)[0]
     if family.startswith("ilp"):
